@@ -41,7 +41,7 @@ from .forms import (
     symplectic_form,
 )
 from .linalg import Mat
-from .verify import survey, verify_certificate
+from .verify import case_histogram, det_label, survey, verify_certificate
 
 
 def _canon_json(obj):
@@ -130,21 +130,6 @@ def _parse_instance(doc):
     return form, g, beta
 
 
-def _sign_label(F, d):
-    if d == F.one:
-        return "+1"
-    if d == -F.one:
-        return "-1"
-    return str(d.serialize())
-
-
-def _case_histogram(blocks):
-    cases = {}
-    for blk in blocks:
-        cases[blk["case"]] = cases.get(blk["case"], 0) + 1
-    return cases
-
-
 def _histogram_line(h):
     return ", ".join(f"{k}={v}" for k, v in sorted(h.items())) or "(none)"
 
@@ -201,8 +186,8 @@ def _cmd_factor(args):
     text = _canon_json(cert.serialize())
     summary = [
         f"beta: {beta.serialize()}",
-        f"cases: {_histogram_line(_case_histogram(cert.blocks))}",
-        f"det(h1): {_sign_label(form.tower, cert.h1.det())}",
+        f"cases: {_histogram_line(case_histogram(cert.blocks))}",
+        f"det(h1): {det_label(form.tower, cert.h1.det())}",
     ]
     if args.out:
         _write_text(args.out, text)
@@ -292,7 +277,6 @@ def _build_parser():
     p.add_argument("instance", help="instance JSON path, or - for stdin")
     p.add_argument("--refined", action="store_true", help="force det(h1) = (-1)^(n/2)")
     p.add_argument("--out", help="write the certificate here instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface symmetry; factoring is deterministic")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("verify", help="re-check a certificate against an instance")

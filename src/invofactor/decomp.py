@@ -18,13 +18,12 @@ def companion(tower, f):
     """Companion matrix: sends basis vector i to i+1, the last to -coefficients."""
     d = pdeg(f)
     assert d >= 1 and f[-1] == tower.one, "companion needs a monic of positive degree"
-    z = tower.zero
     rows = []
     for i in range(d):
-        row = [z] * d
+        row = [0] * d
         if i > 0:
-            row[i - 1] = tower.one
-        row[d - 1] = -f[i]
+            row[i - 1] = 1
+        row[d - 1] = tower.neg(f[i].key)
         rows.append(tuple(row))
     return Mat(tower, tuple(rows))
 

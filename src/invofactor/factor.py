@@ -232,14 +232,14 @@ def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
 def _candidate_vectors(F, U, limit=512):
     # deterministic scan: basis columns, then scaled pairwise sums; by
     # polarization this reaches a non-isotropic vector whenever the restricted
-    # form has one on a plain-column span (odd characteristic)
+    # form has one on a plain-column span (odd characteristic).  The scalars
+    # are scanned lazily: the scan stops after `limit` vectors, whatever q is
     cols = [U.col(j) for j in range(U.ncols)]
     yield from cols
     count = 0
-    scalars = [c for c in F.elements() if c]
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
-            for c in scalars:
+            for c in itertools.islice(F.elements(), 1, None):
                 yield cols[i] + cols[j] * c
                 count += 1
                 if count >= limit:

@@ -3,8 +3,25 @@
 A FieldTower fixes one working field.  With ext="trivial" the working field
 is F = GF(p^k) and conj() is the identity; with ext="quadratic" the working
 field is E = GF(p^(2k)) and conj() is the involutory automorphism of E/F,
-x -> x^(p^k).  Elements are flat tuples of GF(p) coordinates in the power
-bases of the tower GF(p) -> F -> E.
+x -> x^(p^k).
+
+Every element is its integer key: with GF(p) coordinates c_0, c_1, ... in
+the power bases of the tower GF(p) -> F -> E, the key is sum(c_i * p^i).
+Key 0 is zero, key 1 is one, and a key below p is that scalar.  The tower
+does all arithmetic on keys with one kernel, chosen from the field's shape:
+
+- prime fields: native ints mod p;
+- other fields of order <= TABLE_ORDER: log/antilog tables over a primitive
+  element, with Zech logarithms for addition in odd characteristic (XOR of
+  keys in characteristic 2) and a table for conj;
+- larger fields: coordinate kernels reached through key <-> coordinates
+  (GF(p^k) as polynomials mod the base modulus, E as pairs over F).
+
+The kernel is a set of functions on keys held by the tower: add, sub, neg,
+mul, inv, conj and pow on single keys; dot, scale, sub_scaled and matmul on
+key vectors and matrices, so that a dot product reduces once per entry.
+FieldElem is a thin (tower, key) wrapper for the public API; Mat and the
+polynomial kernels work on raw keys.
 
 Every modulus is the least one in integer-key order (the key of a monic
 T^d + c_{d-1} T^{d-1} + ... + c_0 is sum(c_i * p^i), and extension moduli
@@ -16,86 +33,16 @@ and "least non-square" searches all use it.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from .errors import FieldConstructionError, InputError
+from .poly import _prime_divisors, kinvmod, kirreducible, kmod, kmul
 
-# ---------------------------------------------------------------------------
-# dense little-endian polynomials over GF(p), plain int coefficients
-
-
-def _pnorm(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _psub(f, g, p):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return _pnorm(out)
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pnorm(out)
-
-
-def _pdivmod(f, g, p):
-    g = _pnorm(list(g))
-    assert g, "division by zero polynomial"
-    ginv = pow(g[-1], p - 2, p)
-    r = _pnorm(list(f))
-    q = [0] * max(0, len(r) - len(g) + 1)
-    while len(r) >= len(g):
-        c = (r[-1] * ginv) % p
-        d = len(r) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            r[i + d] = (r[i + d] - c * b) % p
-        _pnorm(r)
-    return _pnorm(q), r
-
-
-def _pgcd(f, g, p):
-    f, g = _pnorm(list(f)), _pnorm(list(g))
-    while g:
-        f, g = g, _pdivmod(f, g, p)[1]
-    if f:
-        c = pow(f[-1], p - 2, p)
-        f = [(a * c) % p for a in f]
-    return f
-
-
-def _ppowmod(f, e, m, p):
-    out = [1]
-    base = _pdivmod(f, m, p)[1]
-    while e:
-        if e & 1:
-            out = _pdivmod(_pmul(out, base, p), m, p)[1]
-        base = _pdivmod(_pmul(base, base, p), m, p)[1]
-        e >>= 1
-    return out
-
-
-def _prime_factors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+# non-prime working fields up to this order run on log/antilog tables
+TABLE_ORDER = 1 << 16
+# bits per GF(p) coordinate in the packed accumulators of table dot products
+_SLOT = 32
 
 
 def _is_prime(n):
@@ -122,96 +69,397 @@ def _is_prime(n):
     return True
 
 
-def _p_is_irreducible(f, p):
-    # Rabin: monic f of degree d is irreducible over GF(p) iff T^(p^d) == T
-    # mod f and T^(p^(d//r)) - T is a unit mod f for every prime r | d.
-    d = len(f) - 1
-    if d < 1 or f[-1] != 1:
-        return False
-    t = [0, 1]
-    t_red = _pdivmod(t, f, p)[1]
-    if _ppowmod(t, p**d, f, p) != t_red:
-        return False
-    for r in _prime_factors(d):
-        x = _ppowmod(t, p ** (d // r), f, p)
-        if len(_pgcd(_psub(x, t_red, p), f, p)) != 1:
-            return False
-    return True
-
-
-def _int_coords(n, p, d):
+def _digits(n, p, d):
     out = []
     for _ in range(d):
-        out.append(n % p)
-        n //= p
+        n, c = divmod(n, p)
+        out.append(c)
     return out
 
 
-def _least_irreducible(p, d):
+def _key(digits, p):
+    key = 0
+    for c in reversed(digits):
+        key = key * p + c
+    return key
+
+
+def _least_irreducible(P, d):
+    p = P.p
     for n in range(p**d):
-        f = _int_coords(n, p, d) + [1]
-        if _p_is_irreducible(f, p):
+        f = _digits(n, p, d) + [1]
+        if kirreducible(f, P):
             return f
     raise FieldConstructionError(f"no irreducible of degree {d} over GF({p})")
 
 
-def _identity(c):
-    return c
+# ---------------------------------------------------------------------------
+# kernels: each installs the key functions on a tower
+
+
+def _prime_kernel(t):
+    p = t.p
+    mul = operator.mul
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero field element")
+        return pow(a, -1, p)
+
+    def kpow(a, n):
+        if n < 0:
+            a, n = inv(a), -n
+        return pow(a, n, p)
+
+    def matmul(ar, br):
+        cols = list(zip(*br))
+        return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in ar)
+
+    t.add = lambda a, b: (a + b) % p
+    t.sub = lambda a, b: (a - b) % p
+    t.neg = lambda a: -a % p
+    t.mul = lambda a, b: a * b % p
+    t.inv = inv
+    t.pow = kpow
+    t.conj = _identity
+    t.dot = lambda xs, ys: sum(map(mul, xs, ys)) % p
+    t.scale = lambda xs, c: [x * c % p for x in xs]
+    t.sub_scaled = lambda ys, c, xs: [(y - c * x) % p for y, x in zip(ys, xs)]
+    t.matmul = matmul
+
+
+def _identity(a):
+    return a
+
+
+def _ext_coord_kernel(t):
+    # GF(p^k), k > 1: keys are polynomials over GF(p) mod the base modulus
+    p, k = t.p, t.k
+    P = field_make(p)
+    m = t.base_modulus
+
+    def poly(a):
+        f = _digits(a, p, k)
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero field element")
+        return _key(kinvmod(poly(a), m, P), p)
+
+    t.add = lambda a, b: _key([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+    t.sub = lambda a, b: _key([(x - y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+    t.neg = lambda a: _key([-x % p for x in _digits(a, p, k)], p)
+    t.mul = lambda a, b: _key(kmod(kmul(poly(a), poly(b), P), m, P), p)
+    t.inv = inv
+    t.conj = _identity
+
+
+def _quad_coord_kernel(t):
+    # E = F[W]/(W^2 + g1 W + g0): key = lo + hi * q with lo, hi keys of F
+    B, q = t._base, t.q
+    g0, g1 = _key(t._qg0, t.p), _key(t._qg1, t.p)
+    badd, bsub, bmul = B.add, B.sub, B.mul
+
+    def mul(a, b):
+        a1, a0 = divmod(a, q)
+        b1, b0 = divmod(b, q)
+        s = bmul(a1, b1)
+        lo = bsub(bmul(a0, b0), bmul(g0, s))
+        hi = bsub(badd(bmul(a0, b1), bmul(a1, b0)), bmul(g1, s))
+        return lo + hi * q
+
+    t.add = lambda a, b: badd(a % q, b % q) + badd(a // q, b // q) * q
+    t.sub = lambda a, b: bsub(a % q, b % q) + bsub(a // q, b // q) * q
+    t.neg = lambda a: B.neg(a % q) + B.neg(a // q) * q
+    t.mul = mul
+    t.pow = lambda a, n: _square_multiply(t, a, n)
+    # conj is determined by W -> W^q = w0 + w1 W
+    w1, w0 = divmod(t.pow(q, q), q)
+    assert (w0, w1) != (0, 1), "conj fixes the extension generator"
+
+    def conj(a):
+        a1, a0 = divmod(a, q)
+        return badd(a0, bmul(a1, w0)) + bmul(a1, w1) * q
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero field element")
+        c = conj(a)
+        n1, n0 = divmod(mul(a, c), q)
+        assert not n1, "norm to the fixed field has a W component"
+        ni = B.inv(n0)
+        c1, c0 = divmod(c, q)
+        return bmul(c0, ni) + bmul(c1, ni) * q
+
+    t.conj = conj
+    t.inv = inv
+    assert conj(conj(q)) == q, "conj is not an involution"
+
+
+def _square_multiply(t, a, n):
+    if n < 0:
+        a, n = t.inv(a), -n
+    out, mul = 1, t.mul
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return out
+
+
+def _generic_vector_ops(t):
+    # vector kernels composed from the scalar ones (coordinate kernels)
+    add, sub, mul = t.add, t.sub, t.mul
+    t.pow = lambda a, n: _square_multiply(t, a, n)
+
+    def dot(xs, ys):
+        acc = 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc
+
+    def matmul(ar, br):
+        cols = list(zip(*br))
+        return tuple(tuple(dot(r, c) for c in cols) for r in ar)
+
+    t.dot = dot
+    t.scale = lambda xs, c: [mul(x, c) for x in xs]
+    t.sub_scaled = lambda ys, c, xs: [sub(y, mul(c, x)) if x else y for y, x in zip(ys, xs)]
+    t.matmul = matmul
+
+
+def _table_kernel(t):
+    """Log/antilog kernel over a primitive element g, from the coordinate
+    kernel already installed on t.
+
+    log[0] is the sentinel Z = 2(Q-1) and exp2 (g^i for i < 2(Q-1), then
+    zeros) runs to index 2Z, so exp2[log a + log b] is a*b with no test for
+    zero.  In odd characteristic zech[d] = log(1 + g^d) (Z where that is 0)
+    gives a + b = g^(la + zech[lb - la]); dot products sum keys packed one
+    coordinate per _SLOT bits and reduce mod p once per entry."""
+    p, deg, Q = t.p, t.deg, t.order
+    n1 = Q - 1
+    g = _primitive_element(t)
+    exp = _powers(t, g, n1)
+    Z = 2 * n1
+    log = [Z] * Q
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp2 = exp + exp + [0] * (2 * n1 + 1)
+    lg = log.__getitem__
+    add_ = operator.add
+    if t.ext == "quadratic":
+        q = t.q
+        conjt = [0] * Q
+        for i, x in enumerate(exp):
+            conjt[x] = exp[i * q % n1]
+        assert conjt[g] == t.conj(g), "conj table disagrees with the coordinate kernel"
+        t.conj = conjt.__getitem__
+
+    def mul(a, b):
+        return exp2[log[a] + log[b]]
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero field element")
+        return exp[-log[a]]
+
+    def kpow(a, n):
+        if not a:
+            if n < 0:
+                raise ZeroDivisionError("division by zero field element")
+            return 0 if n else 1
+        return exp[log[a] * n % n1]
+
+    def scale(xs, c):
+        lc = log[c]
+        return [exp2[lc + log[x]] for x in xs]
+
+    if p == 2:
+        xor = operator.xor
+
+        def dot(xs, ys):
+            return reduce(xor, map(exp2.__getitem__, map(add_, map(lg, xs), map(lg, ys))), 0)
+
+        def sub_scaled(ys, c, xs):
+            lc = log[c]
+            return [y ^ exp2[lc + log[x]] for y, x in zip(ys, xs)]
+
+        def matmul(ar, br):
+            lcols = [[log[x] for x in c] for c in zip(*br)]
+            rows = []
+            for r in ar:
+                lr = [log[x] for x in r]
+                rows.append(tuple(reduce(xor, map(exp2.__getitem__, map(add_, lr, lc)), 0) for lc in lcols))
+            return tuple(rows)
+
+        t.add = t.sub = xor
+        t.neg = _identity
+    else:
+        half = n1 // 2  # log(-1)
+        zech = [log[x - x % p + (x + 1) % p] for x in exp]
+        mask = (1 << _SLOT) - 1
+        shifts = [_SLOT * i for i in reversed(range(deg))]
+        packed = [0] * Q  # coordinate i of a key in bits [_SLOT*i, _SLOT*(i+1))
+        for x in range(1, Q):
+            packed[x] = (packed[x // p] << _SLOT) + x % p
+        pk = [packed[x] for x in exp2].__getitem__
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp2[la + zech[log[b] - la]]
+
+        def red(s):
+            key = 0
+            for sh in shifts:
+                key = key * p + ((s >> sh) & mask) % p
+            return key
+
+        def dot(xs, ys):
+            return red(sum(map(pk, map(add_, map(lg, xs), map(lg, ys)))))
+
+        def sub_scaled(ys, c, xs):
+            if not c:
+                return list(ys)
+            ln = log[exp2[log[c] + half]]  # log(-c)
+            out = []
+            for y, x in zip(ys, xs):
+                s = exp2[ln + log[x]]
+                if not y:
+                    out.append(s)
+                elif not s:
+                    out.append(y)
+                else:
+                    ly = log[y]
+                    out.append(exp2[ly + zech[log[s] - ly]])
+            return out
+
+        def matmul(ar, br):
+            lcols = [[log[x] for x in c] for c in zip(*br)]
+            rows = []
+            for r in ar:
+                lr = [log[x] for x in r]
+                rows.append(tuple(red(sum(map(pk, map(add_, lr, lc)))) for lc in lcols))
+            return tuple(rows)
+
+        t.add = add
+        t.sub = lambda a, b: add(a, exp2[log[b] + half])
+        t.neg = lambda a: exp2[log[a] + half]
+    t.mul = mul
+    t.inv = inv
+    t.pow = kpow
+    t.dot = dot
+    t.scale = scale
+    t.sub_scaled = sub_scaled
+    t.matmul = matmul
+
+
+def _primitive_element(t):
+    n1 = t.order - 1
+    rs = _prime_divisors(n1)
+    for g in range(2, t.order):
+        if all(_square_multiply(t, g, n1 // r) != 1 for r in rs):
+            return g
+    raise FieldConstructionError(f"no primitive element in {t!r}")
+
+
+def _powers(t, g, n):
+    """[g^0, ..., g^(n-1)]: multiplication by g is GF(p)-linear, so it runs
+    as a sum of packed coordinate columns, one reduction per power."""
+    p, deg = t.p, t.deg
+    mask = (1 << _SLOT) - 1
+    cols = [
+        sum(c << (_SLOT * i) for i, c in enumerate(_digits(t.mul(g, p**j), p, deg)))
+        for j in range(deg)
+    ]
+    shifts = [_SLOT * i for i in reversed(range(deg))]
+    out = [1]
+    x = 1
+    for _ in range(n - 1):
+        s = 0
+        for col in cols:
+            x, c = divmod(x, p)
+            if c:
+                s += c * col
+        x = 0
+        for sh in shifts:
+            x = x * p + ((s >> sh) & mask) % p
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
 
 
 class FieldElem:
-    """One element of a FieldTower's working field.
+    """One element of a FieldTower's working field: the tower and the key.
 
-    Immutable; arithmetic dispatches to the tower's kernels.  Plain ints
+    Immutable; arithmetic dispatches to the tower's key kernel.  Plain ints
     coerce (reduced mod p), so `2 * a - 1` means what it reads as.
     """
 
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "key")
 
-    def __init__(self, tower, coords):
+    def __init__(self, tower, key):
         self.tower = tower
-        self.coords = coords
+        self.key = key
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
             if other.tower is not self.tower:
                 raise InputError("cannot mix elements of different field towers")
-            return other
+            return other.key
         if isinstance(other, int):
-            return self.tower.scalar(other)
+            return other % self.tower.p
         return None
 
     def __add__(self, other):
+        t = self.tower
+        if type(other) is FieldElem and other.tower is t:
+            return FieldElem(t, t.add(self.key, other.key))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.tower, self.tower._add(self.coords, o.coords))
+        return FieldElem(t, t.add(self.key, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        t = self.tower
+        if type(other) is FieldElem and other.tower is t:
+            return FieldElem(t, t.sub(self.key, other.key))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.tower, self.tower._sub(self.coords, o.coords))
+        return FieldElem(t, t.sub(self.key, o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.tower, self.tower._sub(o.coords, self.coords))
+        return FieldElem(self.tower, self.tower.sub(o, self.key))
 
     def __neg__(self):
-        return FieldElem(self.tower, self.tower._neg(self.coords))
+        return FieldElem(self.tower, self.tower.neg(self.key))
 
     def __mul__(self, other):
+        t = self.tower
+        if type(other) is FieldElem and other.tower is t:
+            return FieldElem(t, t.mul(self.key, other.key))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.tower, self.tower._mul(self.coords, o.coords))
+        return FieldElem(t, t.mul(self.key, o))
 
     __rmul__ = __mul__
 
@@ -219,43 +467,48 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.tower, self.tower._mul(self.coords, self.tower._inv(o.coords)))
+        t = self.tower
+        return FieldElem(t, t.mul(self.key, t.inv(o)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.tower, self.tower._mul(o.coords, self.tower._inv(self.coords)))
+        t = self.tower
+        return FieldElem(t, t.mul(o, t.inv(self.key)))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return FieldElem(self.tower, self.tower._cpow(self.coords, n))
+        return FieldElem(self.tower, self.tower.pow(self.key, n))
 
     def inv(self):
-        return FieldElem(self.tower, self.tower._inv(self.coords))
+        return FieldElem(self.tower, self.tower.inv(self.key))
 
     def conj(self):
-        return FieldElem(self.tower, self.tower._conj(self.coords))
+        return FieldElem(self.tower, self.tower.conj(self.key))
 
     def __eq__(self, other):
+        if type(other) is FieldElem and other.tower is self.tower:
+            return self.key == other.key
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.key == o
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.key)
 
     def __bool__(self):
-        return any(self.coords)
+        return self.key != 0
 
     @property
     def int_key(self):
-        key, p = 0, self.tower.p
-        for c in reversed(self.coords):
-            key = key * p + c
-        return key
+        return self.key
+
+    @property
+    def coords(self):
+        return self.tower.coords(self.key)
 
     def serialize(self):
         return list(self.coords)
@@ -284,123 +537,21 @@ class FieldTower:
         self.q = p**k  # order of the conj-fixed field
         self.deg = k if ext == "trivial" else 2 * k
         self.order = p**self.deg  # order of the working field
-        self.base_modulus = _least_irreducible(p, k)
-        self._one_coords = (1,) + (0,) * (self.deg - 1)
-        self._inv_table = {}
-
-        if ext == "trivial":
-            self._conj = _identity
-            self._add = self._vec_add
-            self._sub = self._vec_sub
-            self._neg = self._vec_neg
-            if k == 1:
-                self._mul = lambda a, b: ((a[0] * b[0]) % p,)
-                self._inv_raw = lambda a: (pow(a[0], p - 2, p),)
-            else:
-                self._mul = self._poly_mul
-                self._inv_raw = self._poly_inv
-            self._install_small_tables()
+        self.base_modulus = [0, 1] if k == 1 else _least_irreducible(field_make(p), k)
+        if self.deg == 1:
+            _prime_kernel(self)
             return
-
-        base = field_make(p, k, "trivial")
-        self._base = base
-        g0, g1 = self._least_quadratic_modulus(base)
-        self._qg0, self._qg1 = g0.coords, g1.coords
-        self._add = self._vec_add
-        self._sub = self._vec_sub
-        self._neg = self._vec_neg
-        if k == 1:
-            G0, G1 = self._qg0[0], self._qg1[0]
-
-            def qmul(a, b, p=p, G0=G0, G1=G1):
-                a0, a1 = a
-                b0, b1 = b
-                t = a1 * b1
-                return ((a0 * b0 - G0 * t) % p, (a0 * b1 + a1 * b0 - G1 * t) % p)
-
-            self._mul = qmul
+        if ext == "trivial":
+            _ext_coord_kernel(self)
         else:
-            self._mul = self._pair_mul
-
-        # conj is determined by W -> W^q; W^q is computable with mul alone
-        w_coords = (0,) * k + (1,) + (0,) * (k - 1)
-        wq = self._cpow(w_coords, self.q)
-        self._wq0, self._wq1 = wq[:k], wq[k:]
-        if k == 1:
-            w0, w1 = self._wq0[0], self._wq1[0]
-            self._conj = lambda a: ((a[0] + a[1] * w0) % p, (a[1] * w1) % p)
-
-            def qinv(a, p=p, G0=G0, G1=G1, w0=w0, w1=w1):
-                t0 = (a[0] + a[1] * w0) % p
-                t1 = (a[1] * w1) % p
-                n = (a[0] * t0 - G0 * a[1] * t1) % p
-                assert (a[0] * t1 + a[1] * t0 - G1 * a[1] * t1) % p == 0
-                c = pow(n, p - 2, p)
-                return ((t0 * c) % p, (t1 * c) % p)
-
-            self._inv_raw = qinv
+            self._base = field_make(p, k, "trivial")
+            g0, g1 = self._least_quadratic_modulus(self._base)
+            self._qg0, self._qg1 = g0.coords, g1.coords
+            _quad_coord_kernel(self)
+        if self.order <= TABLE_ORDER:
+            _table_kernel(self)
         else:
-            self._conj = self._pair_conj
-            self._inv_raw = self._pair_inv
-        assert self._conj(w_coords) != w_coords, "conj fixes the extension generator"
-        assert self._conj(self._conj(w_coords)) == w_coords, "conj is not an involution"
-        self._install_small_tables()
-
-    # -- GF(p)-linear kernels (length-agnostic) -----------------------------
-
-    def _vec_add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _vec_sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _vec_neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    # -- GF(p^k) kernels, k > 1 ---------------------------------------------
-
-    def _poly_mul(self, a, b):
-        rem = _pdivmod(_pmul(list(a), list(b), self.p), self.base_modulus, self.p)[1]
-        return tuple(rem + [0] * (self.k - len(rem)))
-
-    def _poly_inv(self, a):
-        # extended Euclid against the (irreducible) modulus
-        p = self.p
-        r0, r1 = list(self.base_modulus), _pnorm(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        c = pow(r0[0], p - 2, p)
-        inv = _pdivmod([(c * x) % p for x in s0], self.base_modulus, p)[1]
-        return tuple(inv + [0] * (self.k - len(inv)))
-
-    # -- GF(p^2k) kernels on (lo, hi) halves, k > 1 ---------------------------
-
-    def _pair_mul(self, a, b):
-        k, B = self.k, self._base
-        a0, a1, b0, b1 = a[:k], a[k:], b[:k], b[k:]
-        t = B._mul(a1, b1)
-        lo = B._sub(B._mul(a0, b0), B._mul(self._qg0, t))
-        hi = B._sub(B._add(B._mul(a0, b1), B._mul(a1, b0)), B._mul(self._qg1, t))
-        return lo + hi
-
-    def _pair_conj(self, a):
-        k, B = self.k, self._base
-        a0, a1 = a[:k], a[k:]
-        return B._add(a0, B._mul(a1, self._wq0)) + B._mul(a1, self._wq1)
-
-    def _pair_inv(self, a):
-        k, B = self.k, self._base
-        t = self._pair_conj(a)
-        n = self._pair_mul(a, t)
-        assert not any(n[k:]), "norm to the fixed field has a W component"
-        c = B._inv(n[:k])
-        return B._mul(t[:k], c) + B._mul(t[k:], c)
+            _generic_vector_ops(self)
 
     @staticmethod
     def _least_quadratic_modulus(base):
@@ -425,77 +576,45 @@ class FieldTower:
                     return g0, g1
         raise FieldConstructionError("no quadratic extension modulus found")
 
-    # -- shared machinery ----------------------------------------------------
-
-    def _install_small_tables(self):
-        # tabulated kernels for small working fields: dense linear algebra
-        # spends nearly all its time in elementwise ops, and the generic
-        # kernels cost microseconds per product
-        if self.order > 64:
-            return
-        elems = [tuple(_int_coords(n, self.p, self.deg)) for n in range(self.order)]
-        mul, add, sub, neg = self._mul, self._add, self._sub, self._neg
-        mt = {(a, b): mul(a, b) for a in elems for b in elems}
-        at = {(a, b): add(a, b) for a in elems for b in elems}
-        st = {(a, b): sub(a, b) for a in elems for b in elems}
-        nt = {a: neg(a) for a in elems}
-        self._mul = lambda a, b: mt[a, b]
-        self._add = lambda a, b: at[a, b]
-        self._sub = lambda a, b: st[a, b]
-        self._neg = lambda a: nt[a]
-
-    def _inv(self, c):
-        if not any(c):
-            raise ZeroDivisionError("division by zero field element")
-        hit = self._inv_table.get(c)
-        if hit is None:
-            hit = self._inv_raw(c)
-            if len(self._inv_table) < 4096:
-                self._inv_table[c] = hit
-        return hit
-
-    def _cpow(self, c, n):
-        if n < 0:
-            c, n = self._inv(c), -n
-        out, base = self._one_coords, c
-        while n:
-            if n & 1:
-                out = self._mul(out, base)
-            base = self._mul(base, base)
-            n >>= 1
-        return out
-
     # -- public API -----------------------------------------------------------
 
     @property
     def zero(self):
-        return FieldElem(self, (0,) * self.deg)
+        return FieldElem(self, 0)
 
     @property
     def one(self):
-        return FieldElem(self, self._one_coords)
+        return FieldElem(self, 1)
 
     @property
     def has_conj(self):
         return self.ext == "quadratic"
 
+    def coords(self, key):
+        """The GF(p) coordinates of a key, as a tuple."""
+        return tuple(_digits(key, self.p, self.deg))
+
+    def wrap(self, keys):
+        """A tuple of FieldElem for a sequence of keys."""
+        return tuple(FieldElem(self, k) for k in keys)
+
     def elem(self, coords):
-        coords = tuple(int(c) % self.p for c in coords)
+        coords = [int(c) % self.p for c in coords]
         if len(coords) != self.deg:
             raise InputError(f"expected {self.deg} coordinates, got {len(coords)}")
-        return FieldElem(self, coords)
+        return FieldElem(self, _key(coords, self.p))
 
     def scalar(self, c):
-        return FieldElem(self, (c % self.p,) + (0,) * (self.deg - 1))
+        return FieldElem(self, c % self.p)
 
     def from_int(self, n):
         if not 0 <= n < self.order:
             raise InputError(f"element key out of range: {n}")
-        return FieldElem(self, tuple(_int_coords(n, self.p, self.deg)))
+        return FieldElem(self, n)
 
     def elements(self):
         for n in range(self.order):
-            yield self.from_int(n)
+            yield FieldElem(self, n)
 
     def is_square(self, a):
         """Squareness in the working field (everything is a square in char 2)."""
@@ -537,7 +656,7 @@ class FieldTower:
                 r = r * b
         assert r * r == a
         alt = -r
-        return r if r.int_key <= alt.int_key else alt
+        return r if r.key <= alt.key else alt
 
     def descriptor(self):
         d = {"p": self.p, "k": self.k, "ext": self.ext,

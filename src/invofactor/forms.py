@@ -357,7 +357,7 @@ def _gram_column_solver(form, target, budget):
     def extend(cols, rows):
         i = len(cols)
         if i == n:
-            yield Mat(F, tuple(zip(*(c.col_entries(0) for c in cols))))
+            yield hstack(cols)
             return
         diag_want = target[i, i]
         if i == 0:

@@ -1,16 +1,29 @@
 """Exact dense linear algebra over a field tower's working field.
 
-Mat is immutable (tuple-of-tuples of FieldElem); construction coerces plain
-ints through the tower.  SemiLinear bundles a matrix with a twist in {0, 1}
-counting applications of the field conj; composition is
-(A, s) o (B, t) = (A * conj^s(B), s + t mod 2), matching map composition
-x -> A * conj^s(B * conj^t(x)).
+Mat is immutable: a tower and a tuple of rows, each a tuple of the integer
+element keys described in fields.py.  Arithmetic, elimination, conj and
+equality run on the keys through the tower's kernel; FieldElem objects are
+made only where a caller reads entries (indexing, col_entries, trace) and
+construction coerces FieldElem and plain-int entries to keys.  SemiLinear
+bundles a matrix with a twist in {0, 1} counting applications of the field
+conj; composition is (A, s) o (B, t) = (A * conj^s(B), s + t mod 2),
+matching map composition x -> A * conj^s(B * conj^t(x)).
 """
 
 from __future__ import annotations
 
 from .errors import InputError, SingularMatrixError
 from .fields import FieldElem
+
+
+def _key(tower, x):
+    if isinstance(x, FieldElem):
+        if x.tower is not tower:
+            raise InputError("matrix entry from a different field tower")
+        return x.key
+    if isinstance(x, int):
+        return x % tower.p
+    raise InputError(f"bad matrix entry {x!r}")
 
 
 class Mat:
@@ -27,41 +40,29 @@ class Mat:
         out = []
         width = None
         for r in rows:
-            rr = []
-            for x in r:
-                if isinstance(x, FieldElem):
-                    if x.tower is not tower:
-                        raise InputError("matrix entry from a different field tower")
-                    rr.append(x)
-                elif isinstance(x, int):
-                    rr.append(tower.scalar(x))
-                else:
-                    raise InputError(f"bad matrix entry {x!r}")
+            rr = tuple(_key(tower, x) for x in r)
             if width is None:
                 width = len(rr)
             elif len(rr) != width:
                 raise InputError("ragged matrix rows")
-            out.append(tuple(rr))
+            out.append(rr)
         if not out or width == 0:
             raise InputError("empty matrix")
         return Mat(tower, tuple(out))
 
     @staticmethod
     def identity(tower, n):
-        z, o = tower.zero, tower.one
-        return Mat(tower, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return Mat(tower, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zeros(tower, m, n):
-        z = tower.zero
-        return Mat(tower, tuple((z,) * n for _ in range(m)))
+        return Mat(tower, tuple((0,) * n for _ in range(m)))
 
     @staticmethod
     def diag(tower, entries):
-        es = [e if isinstance(e, FieldElem) else tower.scalar(e) for e in entries]
-        z = tower.zero
+        es = [_key(tower, e) for e in entries]
         n = len(es)
-        return Mat(tower, tuple(tuple(es[i] if i == j else z for j in range(n)) for i in range(n)))
+        return Mat(tower, tuple(tuple(es[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
     def column(tower, entries):
@@ -83,7 +84,7 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return FieldElem(self.tower, self.rows[i][j])
 
     def col(self, j):
         return Mat(self.tower, tuple((r[j],) for r in self.rows))
@@ -92,33 +93,35 @@ class Mat:
         return Mat(self.tower, tuple(tuple(r[j] for j in idxs) for r in self.rows))
 
     def col_entries(self, j):
-        return tuple(r[j] for r in self.rows)
+        return self.tower.wrap(r[j] for r in self.rows)
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
         self._compat(other)
-        return Mat(
-            self.tower,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        add = self.tower.add
+        return Mat(self.tower, tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         self._compat(other)
-        return Mat(
-            self.tower,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        sub = self.tower.sub
+        return Mat(self.tower, tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self):
-        return Mat(self.tower, tuple(tuple(-a for a in r) for r in self.rows))
+        neg = self.tower.neg
+        return Mat(self.tower, tuple(tuple(map(neg, r)) for r in self.rows))
 
     def __mul__(self, c):
-        if isinstance(c, int):
-            c = self.tower.scalar(c)
-        if not isinstance(c, FieldElem):
+        if isinstance(c, FieldElem):
+            if c.tower is not self.tower:
+                raise InputError("cannot mix elements of different field towers")
+            c = c.key
+        elif isinstance(c, int):
+            c = c % self.tower.p
+        else:
             return NotImplemented
-        return Mat(self.tower, tuple(tuple(a * c for a in r) for r in self.rows))
+        scale = self.tower.scale
+        return Mat(self.tower, tuple(tuple(scale(r, c)) for r in self.rows))
 
     __rmul__ = __mul__
 
@@ -127,19 +130,7 @@ class Mat:
             return NotImplemented
         if self.tower is not other.tower or self.ncols != other.nrows:
             raise InputError("matmul shape or tower mismatch")
-        bt = tuple(zip(*other.rows))  # columns of other
-        z = self.tower.zero
-        out = []
-        for r in self.rows:
-            row = []
-            for c in bt:
-                acc = z
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat(self.tower, tuple(out))
+        return Mat(self.tower, self.tower.matmul(self.rows, other.rows))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -170,16 +161,18 @@ class Mat:
     def conj(self):
         if not self.tower.has_conj:
             return self
-        return Mat(self.tower, tuple(tuple(a.conj() for a in r) for r in self.rows))
+        conj = self.tower.conj
+        return Mat(self.tower, tuple(tuple(map(conj, r)) for r in self.rows))
 
     def twisted(self, t):
         return self.conj() if t % 2 else self
 
     def trace(self):
-        acc = self.tower.zero
+        add = self.tower.add
+        acc = 0
         for i in range(min(self.shape)):
-            acc = acc + self.rows[i][i]
-        return acc
+            acc = add(acc, self.rows[i][i])
+        return FieldElem(self.tower, acc)
 
     def is_zero(self):
         return not any(any(r) for r in self.rows)
@@ -193,18 +186,18 @@ class Mat:
         return hash(self.rows)
 
     def __repr__(self):
-        if self.tower.deg == 1:
-            body = ",".join("[" + ",".join(str(a.coords[0]) for a in r) + "]" for r in self.rows)
-        else:
-            body = ",".join(
-                "[" + ",".join("".join(map(str, a.coords)) for a in r) + "]" for r in self.rows
-            )
+        coords = self.tower.coords
+        body = ",".join(
+            "[" + ",".join("".join(map(str, coords(a))) for a in r) + "]" for r in self.rows
+        )
         return f"Mat[{body}]"
 
     # -- elimination ------------------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form: (R, pivot column list)."""
+        F = self.tower
+        inv, scale, sub_scaled = F.inv, F.scale, F.sub_scaled
         rows = [list(r) for r in self.rows]
         m, n = self.nrows, self.ncols
         piv = []
@@ -214,17 +207,21 @@ class Mat:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = rows[r][c].inv()
-            rows[r] = [x * inv for x in rows[r]]
+            # the pivot row is zero left of c, so only columns c.. change
+            prow = rows[r]
+            prow[c:] = scale(prow[c:], inv(prow[c]))
+            tail = prow[c:]
             for i in range(m):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                if i != r:
+                    row = rows[i]
+                    f = row[c]
+                    if f:
+                        row[c:] = sub_scaled(row[c:], f, tail)
             piv.append(c)
             r += 1
             if r == m:
                 break
-        return Mat(self.tower, tuple(tuple(row) for row in rows)), piv
+        return Mat(F, tuple(tuple(row) for row in rows)), piv
 
     def rank(self):
         return len(self.rref()[1])
@@ -232,25 +229,27 @@ class Mat:
     def det(self):
         if self.nrows != self.ncols:
             raise InputError("determinant needs a square matrix")
+        F = self.tower
+        mul, inv, sub_scaled = F.mul, F.inv, F.sub_scaled
         rows = [list(r) for r in self.rows]
         n = self.nrows
-        d = self.tower.one
+        d = 1
         for c in range(n):
             pr = next((i for i in range(c, n) if rows[i][c]), None)
             if pr is None:
-                return self.tower.zero
+                return F.zero
             if pr != c:
                 rows[c], rows[pr] = rows[pr], rows[c]
-                d = -d
+                d = F.neg(d)
             pivot = rows[c][c]
-            d = d * pivot
-            inv = pivot.inv()
+            d = mul(d, pivot)
+            pinv = inv(pivot)
+            tail = rows[c][c:]
             for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    for j in range(c, n):
-                        rows[i][j] = rows[i][j] - f * rows[c][j]
-        return d
+                row = rows[i]
+                if row[c]:
+                    row[c:] = sub_scaled(row[c:], mul(row[c], pinv), tail)
+        return FieldElem(F, d)
 
     def inv(self):
         if self.nrows != self.ncols:
@@ -271,30 +270,29 @@ class Mat:
         for r in range(len(piv)):
             if piv[r] >= n:
                 return None  # a pivot landed in the right-hand block
-        z = self.tower.zero
-        out = [[z] * k for _ in range(n)]
+        out = [[0] * k for _ in range(n)]
         for r, pc in enumerate(piv):
-            for j in range(k):
-                out[pc][j] = R.rows[r][n + j]
+            out[pc] = R.rows[r][n:]
         return Mat(self.tower, tuple(tuple(r) for r in out))
 
     def right_kernel_basis(self):
         """Columns spanning the right kernel, as a list of n x 1 Mats."""
         R, piv = self.rref()
         n = self.ncols
+        neg = self.tower.neg
         free = [c for c in range(n) if c not in piv]
-        z, o = self.tower.zero, self.tower.one
         out = []
         for fc in free:
-            v = [z] * n
-            v[fc] = o
+            v = [0] * n
+            v[fc] = 1
             for r, pc in enumerate(piv):
-                v[pc] = -R.rows[r][fc]
-            out.append(Mat.column(self.tower, v))
+                v[pc] = neg(R.rows[r][fc])
+            out.append(Mat(self.tower, tuple((x,) for x in v)))
         return out
 
     def serialize(self):
-        return [[a.serialize() for a in r] for r in self.rows]
+        coords = self.tower.coords
+        return [[list(coords(a)) for a in r] for r in self.rows]
 
 
 def mat_from_serialized(tower, data):
@@ -323,13 +321,11 @@ def vstack(mats):
 def block_diag(tower, mats):
     n = sum(x.ncols for x in mats)
     m = sum(x.nrows for x in mats)
-    z = tower.zero
-    rows = [[z] * n for _ in range(m)]
+    rows = [[0] * n for _ in range(m)]
     i0 = j0 = 0
     for x in mats:
         for i, r in enumerate(x.rows):
-            for j, a in enumerate(r):
-                rows[i0 + i][j0 + j] = a
+            rows[i0 + i][j0 : j0 + len(r)] = r
         i0 += x.nrows
         j0 += x.ncols
     return Mat(tower, tuple(tuple(r) for r in rows))
@@ -337,10 +333,18 @@ def block_diag(tower, mats):
 
 def poly_at(f, A):
     """Evaluate a poly.py polynomial at a square matrix (Horner)."""
+    F = A.tower
     n = A.nrows
-    acc = Mat.zeros(A.tower, n, n)
-    for c in reversed(f):
-        acc = acc @ A + Mat.diag(A.tower, [c] * n)
+    if not f:
+        return Mat.zeros(F, n, n)
+    add = F.add
+    acc = Mat.diag(F, [f[-1]] * n)
+    for c in reversed(f[:-1]):
+        rows = [list(r) for r in (acc @ A).rows]
+        if c:
+            for i in range(n):
+                rows[i][i] = add(rows[i][i], c.key)
+        acc = Mat(F, tuple(tuple(r) for r in rows))
     return acc
 
 

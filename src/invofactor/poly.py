@@ -1,7 +1,13 @@
 """Dense univariate polynomials over a field tower's working field.
 
-Polynomials are little-endian tuples of FieldElem with no trailing zeros;
-() is zero.  Functions take the tower F explicitly when they need constants.
+The public functions (p*) take and return little-endian tuples of FieldElem
+with no trailing zeros; () is zero.  Functions take the tower F explicitly
+when they need constants.  Each one unwraps its arguments to lists of
+integer element keys once, runs the key kernels (k*) below, and wraps the
+result once: the kernels do all arithmetic through the tower's key
+operations, so a prime tower's polynomials run on native ints and the same
+kernels find the tower moduli in fields.py.
+
 Factorization (squarefree / distinct-degree / equal-degree) is seeded and
 deterministic for a fixed seed; every emitted factor is re-checked
 irreducible before it is returned, and the product is re-checked against
@@ -15,7 +21,167 @@ import random
 from .errors import InternalInvariantError
 
 # ---------------------------------------------------------------------------
-# ring operations
+# key kernels: little-endian lists of int keys, no trailing zeros, [] is zero
+
+
+def knorm(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def kadd(f, g, F):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    add = F.add
+    for i, c in enumerate(g):
+        out[i] = add(out[i], c)
+    return knorm(out)
+
+
+def ksub(f, g, F):
+    out = list(f) + [0] * (len(g) - len(f))
+    sub = F.sub
+    for i, c in enumerate(g):
+        out[i] = sub(out[i], c)
+    return knorm(out)
+
+
+def kmul(f, g, F):
+    if not f or not g:
+        return []
+    if len(f) < len(g):
+        f, g = g, f
+    n, m = len(f), len(g)
+    gr = g[::-1]
+    dot = F.dot
+    out = []
+    for k in range(n + m - 1):
+        lo = max(0, k - m + 1)
+        hi = min(k, n - 1) + 1
+        out.append(dot(f[lo:hi], gr[m - 1 - k + lo : m - 1 - k + hi]))
+    return out  # no zero divisors: the leading coefficient is nonzero
+
+
+def kdivmod(f, g, F):
+    assert g, "division by zero polynomial"
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], list(f)
+    r = list(f)
+    low = g[:-1]
+    lead = g[-1]
+    ginv = 1 if lead == 1 else F.inv(lead)
+    mul, sub_scaled = F.mul, F.sub_scaled
+    q = [0] * (len(r) - dg)
+    for d in range(len(q) - 1, -1, -1):
+        c = r[d + dg]
+        if c:
+            if ginv != 1:
+                c = mul(c, ginv)
+            q[d] = c
+            r[d : d + dg] = sub_scaled(r[d : d + dg], c, low)
+    del r[dg:]
+    return q, knorm(r)
+
+
+def kmod(f, g, F):
+    return kdivmod(f, g, F)[1]
+
+
+def kmonic(f, F):
+    if not f or f[-1] == 1:
+        return f
+    return F.scale(f, F.inv(f[-1]))
+
+
+def kgcd(f, g, F):
+    while g:
+        f, g = g, kmod(f, g, F)
+    return kmonic(f, F)
+
+
+def kpowmod(f, e, m, F):
+    out = kmod([1], m, F)
+    base = kmod(f, m, F)
+    while e:
+        if e & 1:
+            out = kmod(kmul(out, base, F), m, F)
+        e >>= 1
+        if e:
+            base = kmod(kmul(base, base, F), m, F)
+    return out
+
+
+def kinvmod(f, m, F):
+    """Inverse of f mod m, or None when gcd(f, m) != 1."""
+    r0, r1 = m, kmod(f, m, F)
+    s0, s1 = [], [1]
+    while r1:
+        q, r = kdivmod(r0, r1, F)
+        r0, r1 = r1, r
+        s0, s1 = s1, ksub(s0, kmul(q, s1, F), F)
+    if len(r0) != 1:
+        return None
+    return kmod(F.scale(s0, F.inv(r0[0])), m, F)
+
+
+def kpow(f, e, F):
+    out = [1]
+    base = f
+    while e:
+        if e & 1:
+            out = kmul(out, base, F)
+        e >>= 1
+        if e:
+            base = kmul(base, base, F)
+    return out
+
+
+def kderiv(f, F):
+    p, mul = F.p, F.mul
+    return knorm([mul(i % p, f[i]) for i in range(1, len(f))])
+
+
+def kirreducible(f, F):
+    """Rabin's criterion over the working field: monic f of degree d is
+    irreducible iff T^(Q^d) = T mod f and T^(Q^(d/r)) - T is a unit mod f
+    for every prime r | d."""
+    d = len(f) - 1
+    if d < 1 or f[-1] != 1:
+        return False
+    Q = F.order
+    t = [0, 1]
+    t_red = kmod(t, f, F)
+    if kpowmod(t, Q**d, f, F) != t_red:
+        return False
+    for r in _prime_divisors(d):
+        h = kpowmod(t, Q ** (d // r), f, F)
+        if len(kgcd(ksub(h, t_red, F), f, F)) != 1:
+            return False
+    return True
+
+
+def _prime_divisors(n):
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# ring operations on FieldElem tuples
+
+
+def _keys(f):
+    return [c.key for c in f]
 
 
 def pnormal(cs):
@@ -39,19 +205,11 @@ def pconst(F, c):
 
 
 def padd(f, g, F):
-    n = max(len(f), len(g))
-    z = F.zero
-    fs = f + (z,) * (n - len(f))
-    gs = g + (z,) * (n - len(g))
-    return pnormal(a + b for a, b in zip(fs, gs))
+    return F.wrap(kadd(_keys(f), _keys(g), F))
 
 
 def psub(f, g, F):
-    n = max(len(f), len(g))
-    z = F.zero
-    fs = f + (z,) * (n - len(f))
-    gs = g + (z,) * (n - len(g))
-    return pnormal(a - b for a, b in zip(fs, gs))
+    return F.wrap(ksub(_keys(f), _keys(g), F))
 
 
 def pneg(f):
@@ -59,87 +217,49 @@ def pneg(f):
 
 
 def pmul(f, g, F):
-    if not f or not g:
-        return ()
-    z = F.zero
-    out = [z] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return pnormal(out)
+    return F.wrap(kmul(_keys(f), _keys(g), F))
 
 
 def pmulc(f, c):
     if not c:
         return ()
-    return tuple(a * c for a in f)
+    F = c.tower
+    return F.wrap(F.scale(_keys(f), c.key))
 
 
 def pdivmod(f, g, F):
-    assert g, "division by zero polynomial"
-    ginv = g[-1].inv()
-    r = list(f)
-    q = [F.zero] * max(0, len(r) - len(g) + 1)
-    while len(r) >= len(g):
-        c = r[-1] * ginv
-        d = len(r) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            r[i + d] = r[i + d] - c * b
-        del r[-1]
-        while r and not r[-1]:
-            del r[-1]
-    return pnormal(q), pnormal(r)
+    q, r = kdivmod(_keys(f), _keys(g), F)
+    return F.wrap(q), F.wrap(r)
 
 
 def pmod(f, g, F):
-    return pdivmod(f, g, F)[1]
+    return F.wrap(kmod(_keys(f), _keys(g), F))
 
 
 def pmonic(f, F):
-    if not f:
-        return f
-    if f[-1] == F.one:
-        return f
-    return pmulc(f, f[-1].inv())
+    return F.wrap(kmonic(_keys(f), F))
 
 
 def pgcd(f, g, F):
-    while g:
-        f, g = g, pmod(f, g, F)
-    return pmonic(f, F)
+    return F.wrap(kgcd(_keys(f), _keys(g), F))
 
 
 def ppowmod(f, e, m, F):
-    out = pmod((F.one,), m, F)
-    base = pmod(f, m, F)
-    while e:
-        if e & 1:
-            out = pmod(pmul(out, base, F), m, F)
-        base = pmod(pmul(base, base, F), m, F)
-        e >>= 1
-    return out
+    return F.wrap(kpowmod(_keys(f), e, _keys(m), F))
 
 
 def pinvmod(f, m, F):
     """Inverse of f mod m, or None when gcd(f, m) != 1."""
-    r0, r1 = m, pmod(f, m, F)
-    s0, s1 = (), (F.one,)
-    while r1:
-        q, r = pdivmod(r0, r1, F)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1, F), F)
-    if pdeg(r0) != 0:
-        return None
-    return pmod(pmulc(s0, r0[0].inv()), m, F)
+    inv = kinvmod(_keys(f), _keys(m), F)
+    return None if inv is None else F.wrap(inv)
 
 
 def plcm(f, g, F):
     if not f or not g:
         return ()
-    d = pgcd(f, g, F)
-    return pmonic(pmul(pdivmod(f, d, F)[0], g, F), F)
+    fk, gk = _keys(f), _keys(g)
+    d = kgcd(fk, gk, F)
+    return F.wrap(kmonic(kmul(kdivmod(fk, d, F)[0], gk, F), F))
 
 
 def peval(f, x):
@@ -150,7 +270,7 @@ def peval(f, x):
 
 
 def pderiv(f, F):
-    return pnormal(F.scalar(i) * f[i] for i in range(1, len(f)))
+    return F.wrap(kderiv(_keys(f), F))
 
 
 def pconj(f):
@@ -158,14 +278,7 @@ def pconj(f):
 
 
 def ppow(f, e, F):
-    out = (F.one,)
-    base = f
-    while e:
-        if e & 1:
-            out = pmul(out, base, F)
-        base = pmul(base, base, F)
-        e >>= 1
-    return out
+    return F.wrap(kpow(_keys(f), e, F))
 
 
 def pserialize(f):
@@ -173,7 +286,7 @@ def pserialize(f):
 
 
 def sort_key(f):
-    return (pdeg(f), tuple(c.int_key for c in f))
+    return (pdeg(f), tuple(c.key for c in f))
 
 
 # ---------------------------------------------------------------------------
@@ -187,129 +300,115 @@ def twisted_reciprocal(f, beta):
     F = beta.tower
     d = pdeg(f)
     assert d >= 0 and f[-1] == F.one and f[0], "need monic with nonzero constant term"
-    pw = [F.one]
+    mul, conj = F.mul, F.conj
+    pw = [1]
     for _ in range(d):
-        pw.append(pw[-1] * beta)
-    raw = tuple(f[d - j].conj() * pw[d - j] for j in range(d + 1))
-    return pmonic(raw, F)
+        pw.append(mul(pw[-1], beta.key))
+    raw = [mul(conj(f[d - j].key), pw[d - j]) for j in range(d + 1)]
+    return F.wrap(kmonic(raw, F))
 
 
 # ---------------------------------------------------------------------------
 # factorization (seeded, deterministic, self-checking)
 
 
-def _pth_root(f, F):
+def _kpth_root(f, F):
     # f has nonzero coefficients only in degrees divisible by p
     p = F.p
     e = F.order // p
     out = []
     for i in range(0, len(f), p):
-        out.append(f[i] ** e)
-        assert all(not c for c in f[i + 1 : i + p]), "not a p-th power"
-    return pnormal(out)
+        out.append(F.pow(f[i], e))
+        assert not any(f[i + 1 : i + p]), "not a p-th power"
+    return knorm(out)
 
 
-def squarefree_parts(f, F):
-    """[(g, m)] with monic squarefree g, distinct m, and f = lc * prod g^m."""
+def _ksquarefree(f, F):
     out = []
-    f = pmonic(f, F)
-    if pdeg(f) < 1:
+    f = kmonic(f, F)
+    if len(f) < 2:
         return out
-    d = pderiv(f, F)
+    d = kderiv(f, F)
     if not d:
-        for g, m in squarefree_parts(_pth_root(f, F), F):
+        for g, m in _ksquarefree(_kpth_root(f, F), F):
             out.append((g, m * F.p))
         return out
-    g = pgcd(f, d, F)
-    w = pdivmod(f, g, F)[0]
+    g = kgcd(f, d, F)
+    w = kdivmod(f, g, F)[0]
     i = 1
-    while pdeg(w) > 0:
-        y = pgcd(w, g, F)
-        z = pdivmod(w, y, F)[0]
-        if pdeg(z) > 0:
+    while len(w) > 1:
+        y = kgcd(w, g, F)
+        z = kdivmod(w, y, F)[0]
+        if len(z) > 1:
             out.append((z, i))
         i += 1
         w = y
-        g = pdivmod(g, y, F)[0]
-    if pdeg(g) > 0:
-        for h, m in squarefree_parts(_pth_root(g, F), F):
+        g = kdivmod(g, y, F)[0]
+    if len(g) > 1:
+        for h, m in _ksquarefree(_kpth_root(g, F), F):
             out.append((h, m * F.p))
     out.sort(key=lambda gm: gm[1])
     return out
 
 
-def distinct_degree_parts(f, F):
-    """For monic squarefree f: [(product of its degree-d irreducible factors, d)]."""
+def squarefree_parts(f, F):
+    """[(g, m)] with monic squarefree g, distinct m, and f = lc * prod g^m."""
+    return [(F.wrap(g), m) for g, m in _ksquarefree(_keys(f), F)]
+
+
+def _kdistinct_degree(f, F):
     out = []
     Q = F.order
     g = f
-    h = pmod(pvar(F), g, F)
+    h = kmod([0, 1], g, F)
     d = 0
-    while pdeg(g) >= 2 * (d + 1):
+    while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = ppowmod(h, Q, g, F)
-        gd = pgcd(psub(h, pvar(F), F), g, F)
-        if pdeg(gd) > 0:
+        h = kpowmod(h, Q, g, F)
+        gd = kgcd(ksub(h, [0, 1], F), g, F)
+        if len(gd) > 1:
             out.append((gd, d))
-            g = pdivmod(g, gd, F)[0]
-            h = pmod(h, g, F)
-    if pdeg(g) > 0:
-        out.append((g, pdeg(g)))
+            g = kdivmod(g, gd, F)[0]
+            h = kmod(h, g, F)
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
     return out
 
 
-def _edf(f, d, F, rng):
+def distinct_degree_parts(f, F):
+    """For monic squarefree f: [(product of its degree-d irreducible factors, d)]."""
+    return [(F.wrap(g), d) for g, d in _kdistinct_degree(_keys(f), F)]
+
+
+def _kedf(f, d, F, rng):
     # split monic squarefree f, all of whose irreducible factors have degree d
-    n = pdeg(f)
+    n = len(f) - 1
     if n == d:
         return [f]
     Q = F.order
     while True:
-        r = pnormal(F.from_int(rng.randrange(Q)) for _ in range(n))
-        if pdeg(r) < 1:
+        r = knorm([rng.randrange(Q) for _ in range(n)])
+        if len(r) < 2:
             continue
         if F.p == 2:
             # absolute trace map of r in the quotient ring splits f
             m = Q.bit_length() - 1  # Q = 2^m
-            s = acc = pmod(r, f, F)
+            s = acc = kmod(r, f, F)
             for _ in range(m * d - 1):
-                acc = ppowmod(acc, 2, f, F)
-                s = padd(s, acc, F)
-            g = pgcd(s, f, F)
+                acc = kpowmod(acc, 2, f, F)
+                s = kadd(s, acc, F)
+            g = kgcd(s, f, F)
         else:
-            s = ppowmod(r, (Q**d - 1) // 2, f, F)
-            g = pgcd(psub(s, (F.one,), F), f, F)
-        if 0 < pdeg(g) < n:
-            rest = pdivmod(f, g, F)[0]
-            return _edf(g, d, F, rng) + _edf(rest, d, F, rng)
+            s = kpowmod(r, (Q**d - 1) // 2, f, F)
+            g = kgcd(ksub(s, [1], F), f, F)
+        if 1 < len(g) <= n:
+            rest = kdivmod(f, g, F)[0]
+            return _kedf(g, d, F, rng) + _kedf(rest, d, F, rng)
 
 
 def is_irreducible_poly(f, F):
     """Rabin's criterion over the working field."""
-    d = pdeg(f)
-    if d < 1 or f[-1] != F.one:
-        return False
-    Q = F.order
-    t = pvar(F)
-    t_red = pmod(t, f, F)
-    if ppowmod(t, Q**d, f, F) != t_red:
-        return False
-    r = 2
-    dd = d
-    primes = []
-    while r * r <= dd:
-        if dd % r == 0:
-            primes.append(r)
-            while dd % r == 0:
-                dd //= r
-        r += 1
-    if dd > 1:
-        primes.append(dd)
-    for r in primes:
-        h = ppowmod(t, Q ** (d // r), f, F)
-        if pdeg(pgcd(psub(h, t_red, F), f, F)) != 0:
-            return False
-    return True
+    return kirreducible(_keys(f), F)
 
 
 def factorize(f, F, seed=0):
@@ -321,9 +420,10 @@ def factorize(f, F, seed=0):
     assert f, "cannot factor the zero polynomial"
     rng = random.Random(seed)
     out = []
-    for sqf, m in squarefree_parts(f, F):
-        for prod_d, d in distinct_degree_parts(sqf, F):
-            for irr in _edf(prod_d, d, F, rng):
+    for sqf, m in _ksquarefree(_keys(f), F):
+        for prod_d, d in _kdistinct_degree(sqf, F):
+            for irr in _kedf(prod_d, d, F, rng):
+                irr = F.wrap(irr)
                 if not is_irreducible_poly(irr, F):
                     raise InternalInvariantError(
                         "claimed factor is not irreducible",
@@ -331,10 +431,10 @@ def factorize(f, F, seed=0):
                     )
                 out.append((irr, m))
     out.sort(key=lambda fm: sort_key(fm[0]))
-    check = pconst(F, f[-1])
+    check = [f[-1].key]
     for g, m in out:
-        check = pmul(check, ppow(g, m, F), F)
-    if check != f:
+        check = kmul(check, kpow(_keys(g), m, F), F)
+    if check != _keys(f):
         raise InternalInvariantError(
             "factor product differs from input", {"input": pserialize(f)}
         )

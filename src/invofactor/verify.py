@@ -157,12 +157,21 @@ def oracle_involution_set(form, budget=10**7):
     ]
 
 
-def _det_label(F, d):
+def det_label(F, d):
+    """"+1", "-1", or the serialized element, for a determinant d."""
     if d == F.one:
         return "+1"
     if d == -F.one:
         return "-1"
     return str(d.serialize())
+
+
+def case_histogram(blocks, counts=None):
+    """Block-case counts of certificate blocks, added into `counts`."""
+    counts = {} if counts is None else counts
+    for blk in blocks:
+        counts[blk["case"]] = counts.get(blk["case"], 0) + 1
+    return counts
 
 
 def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
@@ -199,9 +208,8 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
                 },
             )
         total += 1
-        for blk in cert.blocks:
-            cases[blk["case"]] = cases.get(blk["case"], 0) + 1
-        label = _det_label(F, cert.h1.det())
+        case_histogram(cert.blocks, cases)
+        label = det_label(F, cert.h1.det())
         dets[label] = dets.get(label, 0) + 1
     return {
         "beta": beta_elem.serialize(),

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -148,6 +149,19 @@ def test_sampled_larger_spaces():
         for g in group_sample(form, beta=beta, seed=42, count=count):
             cert = _ok(form, g, factor(form, g))
             assert cert.beta == form.tower.scalar(beta)
+
+
+def test_transvection_over_a_large_prime_field_is_fast():
+    # a degenerate cyclic space sends the construction to the scaled-pair
+    # candidate scan; it must stop after its limit instead of listing all
+    # 2^31 - 2 nonzero scalars first
+    F = field_make(2**31 - 1)
+    form = symplectic_form(F, 4)
+    g = Mat.from_rows(F, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]])
+    t0 = time.perf_counter()
+    cert = factor(form, g)
+    assert verify_certificate(form, g, cert).passed
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_factor_rejects_foreign_input():
