@@ -41,7 +41,8 @@ from .poly import _prime_divisors, kinvmod, kirreducible, kmod, kmul
 
 # non-prime working fields up to this order run on log/antilog tables
 TABLE_ORDER = 1 << 16
-# bits per GF(p) coordinate in the packed accumulators of table dot products
+# bits per GF(p) coordinate in packed keys: tabled fields have p < 2^8, so
+# a slot holds sums of up to 2^16 products of coordinates without carrying
 _SLOT = 32
 
 
@@ -175,9 +176,8 @@ def _quad_coord_kernel(t):
     t.sub = lambda a, b: bsub(a % q, b % q) + bsub(a // q, b // q) * q
     t.neg = lambda a: B.neg(a % q) + B.neg(a // q) * q
     t.mul = mul
-    t.pow = lambda a, n: _square_multiply(t, a, n)
     # conj is determined by W -> W^q = w0 + w1 W
-    w1, w0 = divmod(t.pow(q, q), q)
+    w1, w0 = divmod(_square_multiply(t, q, q), q)
     assert (w0, w1) != (0, 1), "conj fixes the extension generator"
 
     def conj(a):
@@ -241,12 +241,14 @@ def _table_kernel(t):
     log[0] is the sentinel Z = 2(Q-1) and exp2 (g^i for i < 2(Q-1), then
     zeros) runs to index 2Z, so exp2[log a + log b] is a*b with no test for
     zero.  In odd characteristic zech[d] = log(1 + g^d) (Z where that is 0)
-    gives a + b = g^(la + zech[lb - la]); dot products sum keys packed one
-    coordinate per _SLOT bits and reduce mod p once per entry."""
-    p, deg, Q = t.p, t.deg, t.order
+    gives a + b = g^(la + zech[lb - la]); dot products sum packed keys and
+    reduce mod p once per entry."""
+    p, Q = t.p, t.order
     n1 = Q - 1
+    packed = _packed_keys(p, Q)
+    red = _packed_reducer(p, t.deg)
     g = _primitive_element(t)
-    exp = _powers(t, g, n1)
+    exp = _powers(t, g, packed, red)
     Z = 2 * n1
     log = [Z] * Q
     for i, x in enumerate(exp):
@@ -304,11 +306,6 @@ def _table_kernel(t):
     else:
         half = n1 // 2  # log(-1)
         zech = [log[x - x % p + (x + 1) % p] for x in exp]
-        mask = (1 << _SLOT) - 1
-        shifts = [_SLOT * i for i in reversed(range(deg))]
-        packed = [0] * Q  # coordinate i of a key in bits [_SLOT*i, _SLOT*(i+1))
-        for x in range(1, Q):
-            packed[x] = (packed[x // p] << _SLOT) + x % p
         pk = [packed[x] for x in exp2].__getitem__
 
         def add(a, b):
@@ -318,12 +315,6 @@ def _table_kernel(t):
                 return a
             la = log[a]
             return exp2[la + zech[log[b] - la]]
-
-        def red(s):
-            key = 0
-            for sh in shifts:
-                key = key * p + ((s >> sh) & mask) % p
-            return key
 
         def dot(xs, ys):
             return red(sum(map(pk, map(add_, map(lg, xs), map(lg, ys)))))
@@ -364,6 +355,29 @@ def _table_kernel(t):
     t.matmul = matmul
 
 
+def _packed_keys(p, Q):
+    """For every key below Q, an int holding its coordinate i in bits
+    [_SLOT*i, _SLOT*(i+1)); sums of these add coordinatewise."""
+    packed = [0] * Q
+    for x in range(1, Q):
+        packed[x] = (packed[x // p] << _SLOT) + x % p
+    return packed
+
+
+def _packed_reducer(p, deg):
+    """The key of a sum of packed keys: each coordinate reduced mod p."""
+    mask = (1 << _SLOT) - 1
+    shifts = [_SLOT * i for i in reversed(range(deg))]
+
+    def red(s):
+        key = 0
+        for sh in shifts:
+            key = key * p + ((s >> sh) & mask) % p
+        return key
+
+    return red
+
+
 def _primitive_element(t):
     n1 = t.order - 1
     rs = _prime_divisors(n1)
@@ -373,27 +387,21 @@ def _primitive_element(t):
     raise FieldConstructionError(f"no primitive element in {t!r}")
 
 
-def _powers(t, g, n):
-    """[g^0, ..., g^(n-1)]: multiplication by g is GF(p)-linear, so it runs
-    as a sum of packed coordinate columns, one reduction per power."""
-    p, deg = t.p, t.deg
-    mask = (1 << _SLOT) - 1
-    cols = [
-        sum(c << (_SLOT * i) for i, c in enumerate(_digits(t.mul(g, p**j), p, deg)))
-        for j in range(deg)
-    ]
-    shifts = [_SLOT * i for i in reversed(range(deg))]
+def _powers(t, g, packed, red):
+    """[g^0, ..., g^(Q-2)]: multiplication by g is GF(p)-linear, so each
+    power is the previous one's coordinates times the packed images of the
+    basis, reduced once."""
+    p = t.p
+    cols = [packed[t.mul(g, p**j)] for j in range(t.deg)]
     out = [1]
     x = 1
-    for _ in range(n - 1):
+    for _ in range(t.order - 2):
         s = 0
-        for col in cols:
+        for col in cols:  # coordinate j of x scales the image of basis key p^j
             x, c = divmod(x, p)
             if c:
                 s += c * col
-        x = 0
-        for sh in shifts:
-            x = x * p + ((s >> sh) & mask) % p
+        x = red(s)
         out.append(x)
     return out
 
@@ -592,6 +600,8 @@ class FieldTower:
 
     def coords(self, key):
         """The GF(p) coordinates of a key, as a tuple."""
+        if self.deg == 1:
+            return (key,)
         return tuple(_digits(key, self.p, self.deg))
 
     def wrap(self, keys):

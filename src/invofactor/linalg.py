@@ -12,6 +12,8 @@ matching map composition x -> A * conj^s(B * conj^t(x)).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InputError, SingularMatrixError
 from .fields import FieldElem
 
@@ -128,7 +130,7 @@ class Mat:
     def __matmul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.tower is not other.tower or self.ncols != other.nrows:
+        if self.tower is not other.tower or len(self.rows[0]) != len(other.rows):
             raise InputError("matmul shape or tower mismatch")
         return Mat(self.tower, self.tower.matmul(self.rows, other.rows))
 
@@ -307,7 +309,7 @@ def hstack(mats):
     m = mats[0].nrows
     if any(x.nrows != m or x.tower is not t for x in mats):
         raise InputError("hstack mismatch")
-    return Mat(t, tuple(sum((x.rows[i] for x in mats), ()) for i in range(m)))
+    return Mat(t, tuple(tuple(chain.from_iterable(rs)) for rs in zip(*(x.rows for x in mats))))
 
 
 def vstack(mats):
