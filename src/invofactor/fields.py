@@ -432,24 +432,18 @@ class FieldElem:
         return None
 
     def __add__(self, other):
-        t = self.tower
-        if type(other) is FieldElem and other.tower is t:
-            return FieldElem(t, t.add(self.key, other.key))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(t, t.add(self.key, o))
+        return FieldElem(self.tower, self.tower.add(self.key, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        t = self.tower
-        if type(other) is FieldElem and other.tower is t:
-            return FieldElem(t, t.sub(self.key, other.key))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(t, t.sub(self.key, o))
+        return FieldElem(self.tower, self.tower.sub(self.key, o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -461,13 +455,10 @@ class FieldElem:
         return FieldElem(self.tower, self.tower.neg(self.key))
 
     def __mul__(self, other):
-        t = self.tower
-        if type(other) is FieldElem and other.tower is t:
-            return FieldElem(t, t.mul(self.key, other.key))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(t, t.mul(self.key, o))
+        return FieldElem(self.tower, self.tower.mul(self.key, o))
 
     __rmul__ = __mul__
 
@@ -497,8 +488,6 @@ class FieldElem:
         return FieldElem(self.tower, self.tower.conj(self.key))
 
     def __eq__(self, other):
-        if type(other) is FieldElem and other.tower is self.tower:
-            return self.key == other.key
         o = self._coerce(other)
         if o is None:
             return NotImplemented

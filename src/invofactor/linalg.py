@@ -19,9 +19,10 @@ from .fields import FieldElem
 
 
 def _key(tower, x):
+    # a FieldElem's key, or a plain int read as a scalar
     if isinstance(x, FieldElem):
         if x.tower is not tower:
-            raise InputError("matrix entry from a different field tower")
+            raise InputError("element from a different field tower")
         return x.key
     if isinstance(x, int):
         return x % tower.p
@@ -114,14 +115,9 @@ class Mat:
         return Mat(self.tower, tuple(tuple(map(neg, r)) for r in self.rows))
 
     def __mul__(self, c):
-        if isinstance(c, FieldElem):
-            if c.tower is not self.tower:
-                raise InputError("cannot mix elements of different field towers")
-            c = c.key
-        elif isinstance(c, int):
-            c = c % self.tower.p
-        else:
+        if not isinstance(c, (FieldElem, int)):
             return NotImplemented
+        c = _key(self.tower, c)
         scale = self.tower.scale
         return Mat(self.tower, tuple(tuple(scale(r, c)) for r in self.rows))
 

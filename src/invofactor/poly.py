@@ -199,11 +199,6 @@ def pvar(F):
     return (F.zero, F.one)
 
 
-def pconst(F, c):
-    c = c if not isinstance(c, int) else F.scalar(c)
-    return (c,) if c else ()
-
-
 def padd(f, g, F):
     return F.wrap(kadd(_keys(f), _keys(g), F))
 
@@ -267,10 +262,6 @@ def peval(f, x):
     for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def pderiv(f, F):
-    return F.wrap(kderiv(_keys(f), F))
 
 
 def pconj(f):
@@ -357,6 +348,7 @@ def squarefree_parts(f, F):
 
 
 def _kdistinct_degree(f, F):
+    # for monic squarefree f: [(product of its degree-d irreducible factors, d)]
     out = []
     Q = F.order
     g = f
@@ -373,11 +365,6 @@ def _kdistinct_degree(f, F):
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return out
-
-
-def distinct_degree_parts(f, F):
-    """For monic squarefree f: [(product of its degree-d irreducible factors, d)]."""
-    return [(F.wrap(g), d) for g, d in _kdistinct_degree(_keys(f), F)]
 
 
 def _kedf(f, d, F, rng):
