@@ -285,28 +285,24 @@ def _table_kernel(t):
 
     if p == 2:
         xor = operator.xor
+        prod = exp2.__getitem__  # log a + log b -> key of a*b
 
-        def dot(xs, ys):
-            return reduce(xor, map(exp2.__getitem__, map(add_, map(lg, xs), map(lg, ys))), 0)
+        def total(terms):
+            return reduce(xor, terms, 0)
 
         def sub_scaled(ys, c, xs):
             lc = log[c]
             return [y ^ exp2[lc + log[x]] for y, x in zip(ys, xs)]
-
-        def matmul(ar, br):
-            lcols = [[log[x] for x in c] for c in zip(*br)]
-            rows = []
-            for r in ar:
-                lr = [log[x] for x in r]
-                rows.append(tuple(reduce(xor, map(exp2.__getitem__, map(add_, lr, lc)), 0) for lc in lcols))
-            return tuple(rows)
 
         t.add = t.sub = xor
         t.neg = _identity
     else:
         half = n1 // 2  # log(-1)
         zech = [log[x - x % p + (x + 1) % p] for x in exp]
-        pk = [packed[x] for x in exp2].__getitem__
+        prod = [packed[x] for x in exp2].__getitem__  # log a + log b -> packed a*b
+
+        def total(terms):
+            return red(sum(terms))
 
         def add(a, b):
             if not a:
@@ -315,9 +311,6 @@ def _table_kernel(t):
                 return a
             la = log[a]
             return exp2[la + zech[log[b] - la]]
-
-        def dot(xs, ys):
-            return red(sum(map(pk, map(add_, map(lg, xs), map(lg, ys)))))
 
         def sub_scaled(ys, c, xs):
             if not c:
@@ -335,17 +328,21 @@ def _table_kernel(t):
                     out.append(exp2[ly + zech[log[s] - ly]])
             return out
 
-        def matmul(ar, br):
-            lcols = [[log[x] for x in c] for c in zip(*br)]
-            rows = []
-            for r in ar:
-                lr = [log[x] for x in r]
-                rows.append(tuple(red(sum(map(pk, map(add_, lr, lc)))) for lc in lcols))
-            return tuple(rows)
-
         t.add = add
         t.sub = lambda a, b: add(a, exp2[log[b] + half])
         t.neg = lambda a: exp2[log[a] + half]
+
+    def dot(xs, ys):
+        return total(map(prod, map(add_, map(lg, xs), map(lg, ys))))
+
+    def matmul(ar, br):
+        lcols = [[log[x] for x in c] for c in zip(*br)]
+        rows = []
+        for r in ar:
+            lr = [log[x] for x in r]
+            rows.append(tuple(total(map(prod, map(add_, lr, lc))) for lc in lcols))
+        return tuple(rows)
+
     t.mul = mul
     t.inv = inv
     t.pow = kpow
