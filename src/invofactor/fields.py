@@ -14,8 +14,9 @@ does all arithmetic on keys with one kernel, chosen from the field's shape:
 - other fields of order <= TABLE_ORDER: log/antilog tables over a primitive
   element, with Zech logarithms for addition in odd characteristic (XOR of
   keys in characteristic 2) and a table for conj;
-- larger fields: coordinate kernels reached through key <-> coordinates
-  (GF(p^k) as polynomials mod the base modulus, E as pairs over F).
+- larger fields: coordinate kernels, GF(p^k) as polynomials mod the base
+  modulus multiplied by Kronecker substitution (coordinates packed into
+  slots of one int), E as pairs over F made from F's kernel.
 
 The kernel is a set of functions on keys held by the tower: add, sub, neg,
 mul, inv, conj and pow on single keys; dot, scale, sub_scaled and matmul on
@@ -37,13 +38,18 @@ import operator
 from functools import reduce
 
 from .errors import FieldConstructionError, InputError
-from .poly import _prime_divisors, kinvmod, kirreducible, kmod, kmul
+from .poly import _prime_divisors, kinvmod, kirreducible
 
-# non-prime working fields up to this order run on log/antilog tables
-TABLE_ORDER = 1 << 16
-# bits per GF(p) coordinate in packed keys: tabled fields have p < 2^8, so
-# a slot holds sums of up to 2^16 products of coordinates without carrying
+# non-prime working fields up to this order run on log/antilog tables; the
+# largest non-prime field in the benchmark workloads is GF(2^12)
+TABLE_ORDER = 1 << 12
+# bits per GF(p) coordinate in packed keys: tabled fields have p < 2^6, so
+# a slot holds sums of up to 2^20 products of coordinates without carrying
 _SLOT = 32
+# products a coordinate kernel's dot product sums before it reduces
+_DOT_TERMS = 1 << 16
+# coordinate kernels pack keys through tables of at most this many entries
+_CHUNK = 1 << 8
 
 
 def _is_prime(n):
@@ -134,48 +140,139 @@ def _identity(a):
 
 
 def _ext_coord_kernel(t):
-    # GF(p^k), k > 1: keys are polynomials over GF(p) mod the base modulus
-    p, k = t.p, t.k
-    P = field_make(p)
-    m = t.base_modulus
+    """GF(p^k), k > 1, by Kronecker substitution.
 
-    def poly(a):
-        f = _digits(a, p, k)
-        while f and not f[-1]:
-            f.pop()
-        return f
+    A key's coordinates sit in W-bit slots of one int, its packed form, so
+    the product of two packed keys packs the coefficients of the polynomial
+    product.  Slots of degree >= k fold back through packed T^j mod the base
+    modulus and every slot is reduced mod p once; a dot product sums up to
+    _DOT_TERMS packed products before it folds."""
+    p, k = t.p, t.k
+    m = t.base_modulus
+    W = (2 * _DOT_TERMS * k * (p - 1) ** 2).bit_length()  # no slot carries
+    mask, low = (1 << W) - 1, (1 << (W * k)) - 1
+    key_of = _packed_reducer(p, k, W)
+    # keys are packed c coordinates at a time through a table of p^c entries
+    c = 1
+    while c < k and p ** (c + 1) <= _CHUNK:
+        c += 1
+    C = p**c
+    spread = _packed_keys(p, C, W) if c > 1 else range(p)
+    shifts = [W * c * j for j in range(-(-k // c))]
+
+    def packed(a):
+        s = 0
+        for sh in shifts:
+            a, d = divmod(a, C)
+            s += spread[d] << sh
+        return s
+
+    # rtab[i] = packed T^(k+i) mod m, for the slots a product folds back
+    top = [-x % p for x in m[:k]]
+    r, rtab = top, []
+    for _ in range(k - 1):
+        rtab.append(sum(x << (W * i) for i, x in enumerate(r)))
+        r = [(x + r[-1] * y) % p for x, y in zip([0] + r[:-1], top)]
+
+    def fold(s):
+        hi = s >> (W * k)
+        s &= low
+        for r in rtab:
+            if not hi:
+                break
+            x = (hi & mask) % p
+            if x:
+                s += x * r
+            hi >>= W
+        return key_of(s)
+
+    def total(prods):
+        if len(prods) <= _DOT_TERMS:
+            return fold(sum(prods))
+        return t.add(fold(sum(prods[:_DOT_TERMS])), total(prods[_DOT_TERMS:]))
 
     def inv(a):
         if not a:
             raise ZeroDivisionError("division by zero field element")
-        return _key(kinvmod(poly(a), m, P), p)
+        f = _digits(a, p, k)
+        while not f[-1]:
+            f.pop()
+        return _key(kinvmod(f, m, field_make(p)), p)
 
-    t.add = lambda a, b: _key([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
-    t.sub = lambda a, b: _key([(x - y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
-    t.neg = lambda a: _key([-x % p for x in _digits(a, p, k)], p)
-    t.mul = lambda a, b: _key(kmod(kmul(poly(a), poly(b), P), m, P), p)
+    def sub_scaled(ys, c, xs):
+        nc = packed(t.neg(c))
+        return [fold(packed(y) + nc * packed(x)) for y, x in zip(ys, xs)]
+
+    def matmul(ar, br):
+        cols = [[packed(x) for x in col] for col in zip(*br)]
+        rows = []
+        for r in ar:
+            pr = [packed(x) for x in r]
+            rows.append(tuple(total(list(map(operator.mul, pr, pc))) for pc in cols))
+        return tuple(rows)
+
+    if p == 2:
+        t.add = t.sub = operator.xor
+        t.neg = _identity
+    else:
+        pk = sum(p << (W * i) for i in range(k))  # p in every slot: a - b >= 0
+        t.add = lambda a, b: key_of(packed(a) + packed(b))
+        t.sub = lambda a, b: key_of(packed(a) + pk - packed(b))
+        t.neg = lambda a: key_of(pk - packed(a))
+    t.mul = lambda a, b: fold(packed(a) * packed(b))
     t.inv = inv
+    t.pow = lambda a, n: _square_multiply(t, a, n)
     t.conj = _identity
+    t.dot = lambda xs, ys: total(list(map(operator.mul, map(packed, xs), map(packed, ys))))
+    t.scale = lambda xs, c: [fold(packed(c) * packed(x)) for x in xs]
+    t.sub_scaled = sub_scaled
+    t.matmul = matmul
 
 
 def _quad_coord_kernel(t):
-    # E = F[W]/(W^2 + g1 W + g0): key = lo + hi * q with lo, hi keys of F
+    """E = F[W]/(W^2 + g1 W + g0) on pairs: key = lo + hi * q with lo, hi
+    keys of F, every product and dot product made from four of F's."""
     B, q = t._base, t.q
     g0, g1 = _key(t._qg0, t.p), _key(t._qg1, t.p)
-    badd, bsub, bmul = B.add, B.sub, B.mul
+    badd, bsub, bmul, bdot, bmatmul = B.add, B.sub, B.mul, B.dot, B.matmul
+
+    def combine(p00, p01, p10, p11):
+        # (a0 + a1 W)(b0 + b1 W) from the products p_ij = a_i b_j
+        return bsub(p00, bmul(g0, p11)) + bsub(badd(p01, p10), bmul(g1, p11)) * q
+
+    def halves(xs):
+        lo, hi = [], []
+        for x in xs:
+            h, l = divmod(x, q)
+            lo.append(l)
+            hi.append(h)
+        return lo, hi
 
     def mul(a, b):
         a1, a0 = divmod(a, q)
         b1, b0 = divmod(b, q)
-        s = bmul(a1, b1)
-        lo = bsub(bmul(a0, b0), bmul(g0, s))
-        hi = bsub(badd(bmul(a0, b1), bmul(a1, b0)), bmul(g1, s))
-        return lo + hi * q
+        return combine(bmul(a0, b0), bmul(a0, b1), bmul(a1, b0), bmul(a1, b1))
+
+    def dot(xs, ys):
+        x0, x1 = halves(xs)
+        y0, y1 = halves(ys)
+        return combine(bdot(x0, y0), bdot(x0, y1), bdot(x1, y0), bdot(x1, y1))
+
+    def matmul(ar, br):
+        a0, a1 = zip(*map(halves, ar))
+        b0, b1 = zip(*map(halves, br))
+        prods = (bmatmul(a0, b0), bmatmul(a0, b1), bmatmul(a1, b0), bmatmul(a1, b1))
+        return tuple(tuple(map(combine, *rows)) for rows in zip(*prods))
 
     t.add = lambda a, b: badd(a % q, b % q) + badd(a // q, b // q) * q
     t.sub = lambda a, b: bsub(a % q, b % q) + bsub(a // q, b // q) * q
     t.neg = lambda a: B.neg(a % q) + B.neg(a // q) * q
     t.mul = mul
+    t.pow = lambda a, n: _square_multiply(t, a, n)
+    t.dot = dot
+    t.scale = lambda xs, c: [mul(x, c) for x in xs]
+    t.sub_scaled = lambda ys, c, xs: [t.sub(y, mul(c, x)) if x else y for y, x in zip(ys, xs)]
+    t.matmul = matmul
     # conj is determined by W -> W^q = w0 + w1 W
     w1, w0 = divmod(_square_multiply(t, q, q), q)
     assert (w0, w1) != (0, 1), "conj fixes the extension generator"
@@ -210,28 +307,6 @@ def _square_multiply(t, a, n):
         if n:
             a = mul(a, a)
     return out
-
-
-def _generic_vector_ops(t):
-    # vector kernels composed from the scalar ones (coordinate kernels)
-    add, sub, mul = t.add, t.sub, t.mul
-    t.pow = lambda a, n: _square_multiply(t, a, n)
-
-    def dot(xs, ys):
-        acc = 0
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        return acc
-
-    def matmul(ar, br):
-        cols = list(zip(*br))
-        return tuple(tuple(dot(r, c) for c in cols) for r in ar)
-
-    t.dot = dot
-    t.scale = lambda xs, c: [mul(x, c) for x in xs]
-    t.sub_scaled = lambda ys, c, xs: [sub(y, mul(c, x)) if x else y for y, x in zip(ys, xs)]
-    t.matmul = matmul
 
 
 def _table_kernel(t):
@@ -352,19 +427,19 @@ def _table_kernel(t):
     t.matmul = matmul
 
 
-def _packed_keys(p, Q):
+def _packed_keys(p, Q, width=_SLOT):
     """For every key below Q, an int holding its coordinate i in bits
-    [_SLOT*i, _SLOT*(i+1)); sums of these add coordinatewise."""
+    [width*i, width*(i+1)); sums of these add coordinatewise."""
     packed = [0] * Q
     for x in range(1, Q):
-        packed[x] = (packed[x // p] << _SLOT) + x % p
+        packed[x] = (packed[x // p] << width) + x % p
     return packed
 
 
-def _packed_reducer(p, deg):
+def _packed_reducer(p, deg, width=_SLOT):
     """The key of a sum of packed keys: each coordinate reduced mod p."""
-    mask = (1 << _SLOT) - 1
-    shifts = [_SLOT * i for i in reversed(range(deg))]
+    mask = (1 << width) - 1
+    shifts = [width * i for i in reversed(range(deg))]
 
     def red(s):
         key = 0
@@ -544,8 +619,6 @@ class FieldTower:
             _quad_coord_kernel(self)
         if self.order <= TABLE_ORDER:
             _table_kernel(self)
-        else:
-            _generic_vector_ops(self)
 
     @staticmethod
     def _least_quadratic_modulus(base):

@@ -5,8 +5,9 @@ with no trailing zeros; () is zero.  Functions take the tower F explicitly
 when they need constants.  Each one unwraps its arguments to lists of
 integer element keys once, runs the key kernels (k*) below, and wraps the
 result once: the kernels do all arithmetic through the tower's key
-operations, so a prime tower's polynomials run on native ints and the same
-kernels find the tower moduli in fields.py.
+operations, so a prime tower's polynomials run on native ints (products by
+Kronecker substitution: one integer product per polynomial product) and
+the same kernels find the tower moduli in fields.py.
 
 Factorization (squarefree / distinct-degree / equal-degree) is seeded and
 deterministic for a fixed seed; every emitted factor is re-checked
@@ -51,6 +52,8 @@ def ksub(f, g, F):
 def kmul(f, g, F):
     if not f or not g:
         return []
+    if F.deg == 1:
+        return _kronecker_mul(f, g, F.p)
     if len(f) < len(g):
         f, g = g, f
     n, m = len(f), len(g)
@@ -62,6 +65,23 @@ def kmul(f, g, F):
         hi = min(k, n - 1) + 1
         out.append(dot(f[lo:hi], gr[m - 1 - k + lo : m - 1 - k + hi]))
     return out  # no zero divisors: the leading coefficient is nonzero
+
+
+def _kronecker_mul(f, g, p):
+    # over GF(p): coefficients in w-bit slots of one int each, so a single
+    # integer product carries every coefficient of f*g with no overlap
+    w = (min(len(f), len(g)) * (p - 1) ** 2).bit_length()
+    a = b = 0
+    for c in reversed(f):
+        a = (a << w) | c
+    for c in reversed(g):
+        b = (b << w) | c
+    s, mask = a * b, (1 << w) - 1
+    out = []
+    for _ in range(len(f) + len(g) - 1):
+        out.append((s & mask) % p)
+        s >>= w
+    return out
 
 
 def kdivmod(f, g, F):

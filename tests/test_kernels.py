@@ -17,8 +17,9 @@ import random
 import pytest
 
 from invofactor import SingularMatrixError, field_make
-from invofactor.fields import TABLE_ORDER
+from invofactor.fields import _DOT_TERMS, TABLE_ORDER
 from invofactor.linalg import Mat
+from invofactor.poly import pmul
 
 ALL_PAIRS_ORDER = 64
 SAMPLES = 300
@@ -107,12 +108,15 @@ TOWERS = [
     ("ext-GF16", (2, 4, "trivial")),
     ("ext-GF27", (3, 3, "trivial")),
     ("ext-GF243", (3, 5, "trivial")),
+    ("ext-GF4096", (2, 12, "trivial")),
+    ("ext-over-GF3^8", (3, 8, "trivial")),
     ("ext-over-GF2^17", (2, 17, "trivial")),
     ("ext-over-GF3^11", (3, 11, "trivial")),
     ("quad-GF4", (2, 1, "quadratic")),
     ("quad-GF49", (7, 1, "quadratic")),
     ("quad-GF64", (2, 3, "quadratic")),
-    ("quad-GF101^2", (101, 1, "quadratic")),
+    ("quad-GF4096/GF64", (2, 6, "quadratic")),
+    ("quad-over-GF101^2", (101, 1, "quadratic")),
     ("quad-over-GF257^2", (257, 1, "quadratic")),
     ("quad-over-GF2^18", (2, 9, "quadratic")),
     ("quad-over-GF3^12", (3, 6, "quadratic")),
@@ -196,6 +200,35 @@ def test_vector_kernels_match_reference(tower):
         assert [R.coords(v) for v in F.sub_scaled(ys, c, xs)] == [
             R.sub(R.coords(y), R.mul(R.coords(c), R.coords(x))) for y, x in zip(ys, xs)
         ]
+
+
+def test_polynomial_products_match_entrywise_sums(tower):
+    F = tower
+    rng = random.Random(f"poly:{F!r}")
+    for _ in range(30):
+        f = [F.from_int(rng.randrange(F.order)) for _ in range(rng.randrange(1, 12))] + [F.one]
+        g = [F.from_int(rng.randrange(F.order)) for _ in range(rng.randrange(0, 12))]
+        g.append(F.from_int(rng.randrange(1, F.order)))
+        want = [F.zero] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                want[i + j] = want[i + j] + x * y
+        assert pmul(tuple(f), tuple(g), F) == tuple(want)
+        assert pmul(tuple(f), (), F) == ()
+
+
+def test_long_dot_products_reduce_in_chunks():
+    # coordinate kernels sum packed products unreduced, _DOT_TERMS at a time;
+    # all-(p-1) coordinates make every slot as large as it gets
+    for spec in ((3, 8, "trivial"), (2, 17, "trivial")):
+        F = field_make(*spec)
+        R = RefField(F)
+        a = F.order - 1
+        n = 4 * _DOT_TERMS + 1
+        want = R.coords(0)
+        for _ in range(n % F.p):
+            want = R.add(want, R.mul(R.coords(a), R.coords(a)))
+        assert R.coords(F.dot([a] * n, [a] * n)) == want
 
 
 def _rand_mat(F, n, rng):
