@@ -320,10 +320,10 @@ def _table_kernel(t):
     reduce mod p once per entry."""
     p, Q = t.p, t.order
     n1 = Q - 1
-    packed = _packed_keys(p, Q)
-    red = _packed_reducer(p, t.deg)
     g = _primitive_element(t)
-    exp = _powers(t, g, packed, red)
+    exp = [1]
+    for _ in range(Q - 2):
+        exp.append(t.mul(exp[-1], g))
     Z = 2 * n1
     log = [Z] * Q
     for i, x in enumerate(exp):
@@ -372,6 +372,8 @@ def _table_kernel(t):
         t.add = t.sub = xor
         t.neg = _identity
     else:
+        packed = _packed_keys(p, Q)
+        red = _packed_reducer(p, t.deg)
         half = n1 // 2  # log(-1)
         zech = [log[x - x % p + (x + 1) % p] for x in exp]
         prod = [packed[x] for x in exp2].__getitem__  # log a + log b -> packed a*b
@@ -457,25 +459,6 @@ def _primitive_element(t):
         if all(_square_multiply(t, g, n1 // r) != 1 for r in rs):
             return g
     raise FieldConstructionError(f"no primitive element in {t!r}")
-
-
-def _powers(t, g, packed, red):
-    """[g^0, ..., g^(Q-2)]: multiplication by g is GF(p)-linear, so each
-    power is the previous one's coordinates times the packed images of the
-    basis, reduced once."""
-    p = t.p
-    cols = [packed[t.mul(g, p**j)] for j in range(t.deg)]
-    out = [1]
-    x = 1
-    for _ in range(t.order - 2):
-        s = 0
-        for col in cols:  # coordinate j of x scales the image of basis key p^j
-            x, c = divmod(x, p)
-            if c:
-                s += c * col
-        x = red(s)
-        out.append(x)
-    return out
 
 
 # ---------------------------------------------------------------------------
