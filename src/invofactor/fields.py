@@ -48,7 +48,8 @@ TABLE_ORDER = 1 << 12
 _SLOT = 32
 # products a coordinate kernel's dot product sums before it reduces
 _DOT_TERMS = 1 << 16
-# coordinate kernels pack keys through tables of at most this many entries
+# coordinate kernels pack keys c coordinates at a time through a table of
+# p^c <= _CHUNK entries, or one at a time with no table when p^2 > _CHUNK
 _CHUNK = 1 << 8
 
 
