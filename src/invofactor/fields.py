@@ -242,12 +242,7 @@ def _quad_coord_kernel(t):
         return bsub(p00, bmul(g0, p11)) + bsub(badd(p01, p10), bmul(g1, p11)) * q
 
     def halves(xs):
-        lo, hi = [], []
-        for x in xs:
-            h, l = divmod(x, q)
-            lo.append(l)
-            hi.append(h)
-        return lo, hi
+        return [x % q for x in xs], [x // q for x in xs]
 
     def mul(a, b):
         a1, a0 = divmod(a, q)
@@ -260,8 +255,8 @@ def _quad_coord_kernel(t):
         return combine(bdot(x0, y0), bdot(x0, y1), bdot(x1, y0), bdot(x1, y1))
 
     def matmul(ar, br):
-        a0, a1 = zip(*map(halves, ar))
-        b0, b1 = zip(*map(halves, br))
+        a0, a1 = [[x % q for x in r] for r in ar], [[x // q for x in r] for r in ar]
+        b0, b1 = [[x % q for x in r] for r in br], [[x // q for x in r] for r in br]
         prods = (bmatmul(a0, b0), bmatmul(a0, b1), bmatmul(a1, b0), bmatmul(a1, b1))
         return tuple(tuple(map(combine, *rows)) for rows in zip(*prods))
 
