@@ -201,7 +201,7 @@ def _cmd_factor(args):
 def _cmd_verify(args):
     form, g, _ = _parse_instance(_read_doc(args.instance))
     cert = cert_from_serialized(_read_doc(args.cert))
-    report = verify_certificate(form, g, cert)
+    report = verify_certificate(form, g, cert, det_refined=True if args.refined else None)
     for name, ok, wit in report.checks:
         print(("PASS " if ok else "FAIL ") + name)
         if not ok:
@@ -282,6 +282,9 @@ def _build_parser():
     p = sub.add_parser("verify", help="re-check a certificate against an instance")
     p.add_argument("instance", help="instance JSON path, or - for stdin")
     p.add_argument("cert", help="certificate JSON path")
+    p.add_argument(
+        "--refined", action="store_true", help="also require det(h1) = (-1)^(n/2)"
+    )
     p.add_argument("--json-out", help="also write the check report as JSON")
     p.set_defaults(func=_cmd_verify)
 

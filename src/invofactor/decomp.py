@@ -4,14 +4,17 @@ normal form.
 
 Everything here is deterministic: vector searches run over kernel bases in
 construction order, never over random probes, and each construction asserts
-the identity it claims to satisfy.
+the identity it claims to satisfy.  krylov_span, which the others build on,
+eliminates incrementally: each new power g^d v is reduced once against the
+echelon rows of the vectors before it, so a span of dimension d costs d
+products with g and O(n * d^2) key operations, with no re-solving.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .linalg import Mat, block_diag, hstack, poly_at, vstack
-from .poly import factorize, pdeg, plcm, pmod, pnormal, ppow
+from .poly import factorize, pdeg, plcm, pmod, ppow
 
 
 def companion(tower, f):
@@ -40,20 +43,34 @@ def restrict(g, basis):
 
 
 def krylov_span(g, v):
-    """(basis, annihilator): basis columns v, gv, ..., and the monic least
-    annihilator of v under g."""
+    """(basis, annihilator): basis columns v, gv, ..., g^(d-1) v, and the
+    monic least annihilator of v under g.
+
+    Elimination is incremental: echelon rows, each scaled to 1 at its pivot,
+    are kept with their combinations of the Krylov vectors, and each new
+    g^d v is reduced once against them (one product with g and O(n * d) key
+    operations per step).  The first g^d v that reduces to zero gives the
+    annihilator: its combination is monic of degree d."""
     F = g.tower
     assert not v.is_zero(), "Krylov span of the zero vector"
-    cols = [v]
-    w = g @ v
+    dot, inv, scale, sub_scaled = F.dot, F.inv, F.scale, F.sub_scaled
+    cols = []
+    echelon = []  # (pivot, row with 1 at the pivot, its combination)
+    w = [r[0] for r in v.rows]
     while True:
-        B = hstack(cols)
-        x = B.solve_right(w)
-        if x is not None:
-            ann = tuple(-c for c in x.col_entries(0)) + (F.one,)
-            return B, ann
+        red, comb = w, [0] * len(cols) + [1]
+        for piv, row, c in echelon:
+            f = red[piv]
+            if f:
+                red = sub_scaled(red, f, row)
+                comb[: len(c)] = sub_scaled(comb[: len(c)], f, c)
+        piv = next((i for i, x in enumerate(red) if x), None)
+        if piv is None:
+            return Mat(F, tuple(zip(*cols))), F.wrap(comb)
+        s = inv(red[piv])
+        echelon.append((piv, scale(red, s), scale(comb, s)))
         cols.append(w)
-        w = g @ w
+        w = [dot(r, w) for r in g.rows]
 
 
 def annihilator_of(g, v):

@@ -12,7 +12,11 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 the one-sided action a with its transpose (a X = X a^T).
 - cyclic:       p~ = p and a full-height vector v spans a nondegenerate
                 invariant subspace Z; g^i v -> beta^i g^(-i) v defines the
-                involution on Z.
+                involution on Z.  v comes from a fixed scan over the
+                component's basis columns and their scaled pairwise sums.
+                Krylov matrices are linear in v and cyclic Grams
+                sesquilinear, so each candidate is tested by combining
+                per-column data on keys, not by spanning it afresh.
 - cyclic pair:  p~ = p but the cyclic spaces met are degenerate; two of them
                 pair through a unit gamma with gamma * gamma~ = 1 and the
                 involution is the v-side cyclic map plus a gamma-corrected
@@ -26,8 +30,8 @@ element twice yields byte-identical certificates.
 
 from __future__ import annotations
 
-import itertools
-import random
+from functools import cache
+from itertools import chain
 
 from .decomp import companion, frobenius_form, krylov_span, minimal_polynomial, restrict
 from .errors import (
@@ -88,10 +92,12 @@ def _assert_block(form, beta, ahat, ghat, t, label):
 
 
 def _kernel_matrix(f, a):
-    cols = poly_at(f, a).right_kernel_basis()
+    # (basis of ker f(a), f(a))
+    fa = poly_at(f, a)
+    cols = fa.right_kernel_basis()
     if not cols:
         raise InternalInvariantError("expected a nonzero kernel", {"poly": pserialize(f)})
-    return hstack(cols)
+    return hstack(cols), fa
 
 
 def _paired_block(form, beta, a, G, p_, e, ps, fac):
@@ -102,8 +108,8 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
             "reciprocal factor missing or with mismatched multiplicity",
             {"factor": pserialize(p_), "reciprocal": pserialize(ps)},
         )
-    U = _kernel_matrix(ppow(p_, e, F), a)
-    Us = _kernel_matrix(ppow(ps, es, F), a)
+    U, _ = _kernel_matrix(ppow(p_, e, F), a)
+    Us, _ = _kernel_matrix(ppow(ps, es, F), a)
     r = U.ncols
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
@@ -229,45 +235,122 @@ def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
     return B1, t, data
 
 
-def _candidate_vectors(F, U, limit=512):
-    # deterministic scan: basis columns, then scaled pairwise sums; by
-    # polarization this reaches a non-isotropic vector whenever the restricted
-    # form has one on a plain-column span (odd characteristic).  The scalars
-    # are scanned lazily: the scan stops after `limit` vectors, whatever q is
-    cols = [U.col(j) for j in range(U.ncols)]
-    yield from cols
+def _candidate_vectors(F, ncols, limit=512):
+    # deterministic scan order as (i, j, c), meaning col_i + c * col_j: the
+    # basis columns alone (j None), then pairs i < j with the scalar key c
+    # running 1 .. q-1; by polarization this reaches a non-isotropic vector
+    # whenever the restricted form has one on a plain-column span (odd
+    # characteristic).  The scan stops after `limit` pair candidates, whatever q is
+    for i in range(ncols):
+        yield i, None, 0
     count = 0
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            for c in itertools.islice(F.elements(), 1, None):
-                yield cols[i] + cols[j] * c
+    for i in range(ncols):
+        for j in range(i + 1, ncols):
+            for c in range(1, F.order):
+                yield i, j, c
                 count += 1
                 if count >= limit:
                     return
 
 
+def _pair_gram_terms(F, gii, gij, gji, gjj):
+    # the cyclic Gram of col_i + c * col_j is
+    # G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj (G_ab flat key lists);
+    # with a trivial conj, G_ii + c (G_ij + G_ji) + c^2 G_jj
+    if F.has_conj:
+        return gii, gij, gji, gjj
+    return gii, list(map(F.add, gij, gji)), gjj
+
+
+def _pair_gram(F, terms, c):
+    # the Gram of _pair_gram_terms at the scalar key c, as flat keys
+    add, mul = F.add, F.mul
+    if not F.has_conj:
+        return [add(s, mul(c, add(t, mul(c, w)))) for s, t, w in zip(*terms)]
+    cc = F.conj(c)
+    ccc = mul(c, cc)
+    return [
+        add(add(s, mul(cc, t)), add(mul(c, u), mul(ccc, w))) for s, t, u, w in zip(*terms)
+    ]
+
+
 def _self_paired_block(form, beta, a, G, p_, e):
+    """A cyclic or cyclic-pair block inside the component U = ker p^e(a).
+
+    The scan looks, in _candidate_vectors order, for a full-height
+    v = col_i + c * col_j whose cyclic space has a nondegenerate Gram.  The
+    map v -> K(v) = [v, av, ..., a^(D-1) v] (D = deg p^e) is linear, so the
+    tests combine per-column data, made once when a candidate first needs
+    it: K_i, P_i = p^(e-1)(a) col_i (a combination of the columns of K_i,
+    as deg p^(e-1) < D) and G_ab = K_a^T G conj(K_b).  A column is full
+    height when P_i != 0, which gives ann = p^e since p^e(a) U = 0 and p is
+    irreducible.  A pair's cyclic Gram is
+    G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj, computed on keys; a
+    nondegenerate one makes K(v) of rank D, so v is full height too.  A
+    pair whose Gram is zero for every c (each 1-dimensional cyclic space of
+    a symplectic form, a totally isotropic plane) is passed over whole.  The
+    accepted v is re-spanned by krylov_span and checked against K(v).  When
+    no candidate is nondegenerate, the first full-height column x and a
+    column pairing with p^(e-1)(a) x give a cyclic pair."""
     F = form.tower
     pe = ppow(p_, e, F)
-    U = _kernel_matrix(pe, a)
-    probe = poly_at(ppow(p_, e - 1, F), a)
-    # prefer a full-height vector spanning a nondegenerate cyclic space
-    x = None
-    for v in _candidate_vectors(F, U):
-        if (probe @ v).is_zero():
-            continue
-        if x is None:
-            x = v
-        K, ann = krylov_span(a, v)
-        if ann != pe:
-            raise InternalInvariantError("full-height vector has a smaller annihilator", {})
-        if (K.T @ G @ K.conj()).det():
-            return _cyclic_block(form, beta, a, G, K, ann, p_, e)
+    D = pdeg(pe)
+    U, pe_a = _kernel_matrix(pe, a)
+    if not (pe_a @ U).is_zero():
+        raise InternalInvariantError("component basis is not killed by p^e(a)", {})
+    p_low = ppow(p_, e - 1, F)
+    probe = Mat.column(F, p_low + (F.zero,) * (D - len(p_low)))
+    cols = [U.col(j) for j in range(U.ncols)]
+
+    @cache
+    def krylov(i):
+        ws = [cols[i]]
+        for _ in range(D - 1):
+            ws.append(a @ ws[-1])
+        return hstack(ws)
+
+    @cache
+    def cross(i, j):
+        # G_ij as a flat list of keys
+        return [x for r in (krylov(i).T @ G @ krylov(j).conj()).rows for x in r]
+
+    x = hit = pair = None
+    for i, j, c in _candidate_vectors(F, len(cols)):
+        if j is None:
+            if (krylov(i) @ probe).is_zero():
+                continue
+            if x is None:
+                x = i
+            ent = cross(i, i)
+        else:
+            if (i, j) != pair:
+                pair = (i, j)
+                terms = _pair_gram_terms(F, cross(i, i), cross(i, j), cross(j, i), cross(j, j))
+                dead = not any(chain(*terms))  # no scalar makes the Gram nonzero
+            if dead:
+                continue
+            ent = _pair_gram(F, terms, c)
+        if ent[0] if D == 1 else Mat(F, tuple(zip(*[iter(ent)] * D))).det():
+            hit = (i, j, c)
+            break
+    if hit is not None:
+        i, j, c = hit
+        v, Kv = cols[i], krylov(i)
+        if j is not None:
+            v, Kv = v + cols[j] * F.from_int(c), Kv + krylov(j) * F.from_int(c)
+        Kc, ann = krylov_span(a, v)
+        if ann != pe or Kc != Kv:
+            raise InternalInvariantError(
+                "accepted candidate's cyclic space is not the combined one", {}
+            )
+        return _cyclic_block(form, beta, a, G, Kc, ann, p_, e)
     if x is None:
         raise InternalInvariantError("component has no full-height vector", {})
-    Kx, annx = krylov_span(a, x)
-    w = probe @ x
-    y = next((U.col(j) for j in range(U.ncols) if _val(G, w, U.col(j))), None)
+    Kx, annx = krylov_span(a, cols[x])
+    if annx != pe:
+        raise InternalInvariantError("full-height vector has a smaller annihilator", {})
+    w = krylov(x) @ probe
+    y = next((u for u in cols if _val(G, w, u)), None)
     if y is None:
         raise InternalInvariantError(
             "no partner pairs with the degenerate cyclic space", {}
@@ -463,47 +546,6 @@ def _hankel_candidate(F, f):
     return Mat.from_rows(F, [[h[i + j] for j in range(m)] for i in range(m)])
 
 
-def _conjugator_by_solving(C):
-    # full linear system {C X = X C^T, X = X^T}; some solution is invertible
-    F = C.tower
-    m = C.nrows
-    z = F.zero
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            row = [z] * (m * m)
-            for k in range(m):
-                row[k * m + j] = row[k * m + j] + C[i, k]
-                row[i * m + k] = row[i * m + k] - C[j, k]
-            rows.append(row)
-    for i in range(m):
-        for j in range(i + 1, m):
-            row = [z] * (m * m)
-            row[i * m + j] = F.one
-            row[j * m + i] = -F.one
-            rows.append(row)
-    ker = Mat.from_rows(F, rows).right_kernel_basis()
-    mats = [
-        Mat.from_rows(F, [[v[r * m + c, 0] for c in range(m)] for r in range(m)])
-        for v in ker
-    ]
-    for take in (1, 2, 3):
-        for combo in itertools.combinations(mats, take):
-            X = combo[0]
-            for other in combo[1:]:
-                X = X + other
-            if X.det():
-                return X
-    rng = random.Random(0)
-    for _ in range(500):
-        X = Mat.zeros(F, m, m)
-        for base in mats:
-            X = X + base * F.from_int(rng.randrange(F.order))
-        if X.det():
-            return X
-    raise InternalInvariantError("no invertible symmetric intertwiner found", {})
-
-
 def symmetric_conjugator(a):
     """Symmetric invertible X with a @ X = X @ a.T, over any field."""
     F = a.tower
@@ -516,7 +558,9 @@ def symmetric_conjugator(a):
         except SingularMatrixError:  # unreachable by the anti-diagonal claim
             X = None
         if X is None or X.T != X or C @ X != X @ C.T:
-            X = _conjugator_by_solving(C)
+            raise InternalInvariantError(
+                "Hankel inverse is not a symmetric conjugator", {"factor": pserialize(f)}
+            )
         parts.append(X)
     X = P @ block_diag(F, parts) @ P.T
     if X.T != X or a @ X != X @ a.T or not X.det():

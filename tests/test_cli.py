@@ -112,6 +112,32 @@ def test_refined_obstruction_exits_one(tmp_path, capsys):
     assert "error:" in err and "determinant" in err
 
 
+def test_verify_refined_checks_the_determinant_sign(tmp_path, capsys):
+    # the identity on the hyperbolic plane over GF(3): the plain certificate
+    # has det(h1) = +1, the refined one the required (-1)^(2/2) = -1
+    doc = {
+        "field": {"p": 3},
+        "epsilon": 1,
+        "gram": [[0, 1], [1, 0]],
+        "g": [[1, 0], [0, 1]],
+    }
+    inst = _write(tmp_path, "id.json", doc)
+    plain = str(tmp_path / "plain.json")
+    refined = str(tmp_path / "refined.json")
+    assert main(["factor", inst, "--out", plain]) == 0
+    assert "det(h1): +1" in capsys.readouterr().out
+    assert main(["verify", inst, plain]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "h1_det_sign" not in out
+    assert main(["verify", inst, plain, "--refined"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL h1_det_sign" in out
+    assert main(["factor", inst, "--refined", "--out", refined]) == 0
+    capsys.readouterr()
+    assert main(["verify", inst, refined, "--refined"]) == 0
+    assert "PASS h1_det_sign" in capsys.readouterr().out
+
+
 def test_survey_cli_reports_and_is_byte_stable(tmp_path, capsys):
     out_path = tmp_path / "summary.json"
     argv = [

@@ -60,22 +60,51 @@ def test_companion_minpoly_roundtrip():
     assert C.col_entries(2) == (-f[0], -f[1], -f[2])
 
 
+def reference_krylov(A, v):
+    # the solve-based span: re-solve the growing Krylov matrix at every step
+    F = A.tower
+    cols = [v]
+    w = A @ v
+    while True:
+        B = hstack(cols)
+        x = B.solve_right(w)
+        if x is not None:
+            return B, tuple(-c for c in x.col_entries(0)) + (F.one,)
+        cols.append(w)
+        w = A @ w
+
+
 def test_krylov_span_and_annihilator():
-    F = field_make(5, 1)
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randrange(1, 5)
+    for params in [(5, 1), (2, 1), (2, 12), (3, 11), (101, 1, "quadratic"), (65537, 1)]:
+        _check_krylov_span(field_make(*params), random.Random(7))
+
+
+def _check_krylov_span(F, rng):
+    degs = {"full": 0, "short": 0}
+    for trial in range(40):
+        n = rng.randrange(1, 9)
         A = rand_mat(F, n, rng)
-        v = Mat.column(F, [F.from_int(rng.randrange(5)) for _ in range(n)])
+        v = Mat.column(F, [F.from_int(rng.randrange(F.order)) for _ in range(n)])
+        if trial % 2:
+            # v inside the invariant span of the first k basis vectors of a
+            # block upper-triangular A: the annihilator has degree <= k < n
+            k = rng.randrange(1, n) if n > 1 else 1
+            A = Mat.from_rows(
+                F, [[A[i, j] if i < k or j >= k else F.zero for j in range(n)] for i in range(n)]
+            )
+            v = Mat.column(F, [v[i, 0] if i < k else F.zero for i in range(n)])
         if v.is_zero():
             continue
         B, ann = krylov_span(A, v)
+        assert (B, ann) == reference_krylov(A, v)
+        degs["full" if pdeg(ann) == n else "short"] += 1
         assert B.rank() == B.ncols == pdeg(ann)
         assert (poly_at(ann, A) @ v).is_zero()
         # least: the length-minus-one prefix does not annihilate
         if pdeg(ann) > 1:
             shorter = ann[1:]
             assert not (poly_at(pnormal(shorter), A) @ v).is_zero() or not pnormal(shorter)
+    assert degs["full"] and degs["short"], degs
 
 
 def test_primary_components_structure():
