@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (
@@ -143,7 +144,8 @@ _KINDS = ("sp", "u", "go-plus", "go-minus")
 def _prime_power(q):
     if q < 2:
         raise InputError(f"q must be a prime power >= 2, got {q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    # the least divisor above 1 is prime; with none up to sqrt(q), q is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
     while q % p == 0:
         q //= p

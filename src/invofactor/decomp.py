@@ -14,19 +14,20 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .linalg import Mat, block_diag, hstack, poly_at, vstack
-from .poly import factorize, pdeg, plcm, pmod, ppow
+from .poly import factorize, pdeg, plcm, pmod, ppow, pserialize
 
 
 def companion(tower, f):
-    """Companion matrix: sends basis vector i to i+1, the last to -coefficients."""
+    """Companion matrix of the key polynomial f: sends basis vector i to
+    i+1, the last to -coefficients."""
     d = pdeg(f)
-    assert d >= 1 and f[-1] == tower.one, "companion needs a monic of positive degree"
+    assert d >= 1 and f[-1] == 1, "companion needs a monic of positive degree"
     rows = []
     for i in range(d):
         row = [0] * d
         if i > 0:
             row[i - 1] = 1
-        row[d - 1] = tower.neg(f[i].key)
+        row[d - 1] = tower.neg(f[i])
         rows.append(tuple(row))
     return Mat(tower, tuple(rows))
 
@@ -44,7 +45,7 @@ def restrict(g, basis):
 
 def krylov_span(g, v):
     """(basis, annihilator): basis columns v, gv, ..., g^(d-1) v, and the
-    monic least annihilator of v under g.
+    monic least annihilator of v under g (a poly.py key list).
 
     Elimination is incremental: echelon rows, each scaled to 1 at its pivot,
     are kept with their combinations of the Krylov vectors, and each new
@@ -66,22 +67,18 @@ def krylov_span(g, v):
                 comb[: len(c)] = sub_scaled(comb[: len(c)], f, c)
         piv = next((i for i, x in enumerate(red) if x), None)
         if piv is None:
-            return Mat(F, tuple(zip(*cols))), F.wrap(comb)
+            return Mat(F, tuple(zip(*cols))), comb
         s = inv(red[piv])
         echelon.append((piv, scale(red, s), scale(comb, s)))
         cols.append(w)
         w = [dot(r, w) for r in g.rows]
 
 
-def annihilator_of(g, v):
-    return krylov_span(g, v)[1]
-
-
 def minimal_polynomial(g):
     """Least monic polynomial annihilating g (lcm of basis-vector annihilators)."""
     F = g.tower
     n = g.nrows
-    mp = (F.one,)
+    mp = [1]
     for j in range(n):
         if pdeg(mp) == n:
             break
@@ -125,10 +122,10 @@ def maximal_vector(g, mp=None):
         )
         if w is None:
             raise InternalInvariantError(
-                "no component vector of full height", {"p": [c.serialize() for c in p_]}
+                "no component vector of full height", {"p": pserialize(p_, F)}
             )
         v = w if v is None else v + w
-    if annihilator_of(g, v) != mp:
+    if krylov_span(g, v)[1] != mp:
         raise InternalInvariantError("maximal vector has a smaller annihilator", {})
     return v
 

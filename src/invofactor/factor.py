@@ -50,11 +50,9 @@ from .poly import (
     pinvmod,
     pmod,
     pmul,
-    pmulc,
     pnormal,
     ppow,
     pserialize,
-    pvar,
     twisted_reciprocal,
 )
 
@@ -96,7 +94,9 @@ def _kernel_matrix(f, a):
     fa = poly_at(f, a)
     cols = fa.right_kernel_basis()
     if not cols:
-        raise InternalInvariantError("expected a nonzero kernel", {"poly": pserialize(f)})
+        raise InternalInvariantError(
+            "expected a nonzero kernel", {"poly": pserialize(f, a.tower)}
+        )
     return hstack(cols), fa
 
 
@@ -106,7 +106,7 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
     if es is None or es != e:
         raise InternalInvariantError(
             "reciprocal factor missing or with mismatched multiplicity",
-            {"factor": pserialize(p_), "reciprocal": pserialize(ps)},
+            {"factor": pserialize(p_, F), "reciprocal": pserialize(ps, F)},
         )
     U, _ = _kernel_matrix(ppow(p_, e, F), a)
     Us, _ = _kernel_matrix(ppow(ps, es, F), a)
@@ -134,8 +134,8 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
     data = {
         "case": "paired",
         "dim": 2 * r,
-        "factor": pserialize(p_),
-        "reciprocal": pserialize(ps),
+        "factor": pserialize(p_, F),
+        "reciprocal": pserialize(ps, F),
         "multiplicity": e,
         "intertwiner": X.serialize(),
     }
@@ -161,17 +161,17 @@ def _cyclic_block(form, beta, a, G, K, ann, p_, e):
     ghat = K.T @ G @ K.conj()
     t = _cyclic_t(F, beta, C)
     _assert_block(form, beta, ahat, ghat, t, "cyclic")
-    data = {"case": "cyclic", "dim": K.ncols, "annihilator": pserialize(ann)}
+    data = {"case": "cyclic", "dim": K.ncols, "annihilator": pserialize(ann, F)}
     return K, t, data
 
 
 def _poly_star(r_, beta_times_tinv, pe, F):
     # coefficientwise conj composed with T -> beta * T^(-1), inside E[T]/(p^e)
-    acc = ()
-    pw = (F.one,)
+    acc = []
+    pw = [1]
     for ck in r_:
         if ck:
-            acc = padd(acc, pmulc(pw, ck.conj()), F)
+            acc = padd(acc, F.scale(pw, F.conj(ck)), F)
         pw = pmod(pmul(pw, beta_times_tinv, F), pe, F)
     return pmod(acc, pe, F)
 
@@ -201,19 +201,19 @@ def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
     sol = Mat.from_rows(F, rows).solve_right(Mat.column(F, rhs))
     if sol is None:
         raise InternalInvariantError("pairing correction system is unsolvable", {})
-    gamma = pmod(pnormal(c.conj() for c in sol.col_entries(0)), pe, F)
+    gamma = pmod(pnormal([F.conj(r[0]) for r in sol.rows]), pe, F)
     if not pmod(gamma, p_, F):
         raise InternalInvariantError(
-            "pairing correction is not a unit", {"gamma": pserialize(gamma)}
+            "pairing correction is not a unit", {"gamma": pserialize(gamma, F)}
         )
-    tinv = pinvmod(pvar(F), pe, F)
+    tinv = pinvmod([0, 1], pe, F)
     if tinv is None:
         raise InternalInvariantError("shift is not invertible mod the annihilator", {})
-    btinv = pmod(pmulc(tinv, beta), pe, F)
+    btinv = pmod(F.scale(tinv, beta.key), pe, F)
     gstar = _poly_star(gamma, btinv, pe, F)
-    if pmod(pmul(gamma, gstar, F), pe, F) != (F.one,):
+    if pmod(pmul(gamma, gstar, F), pe, F) != [1]:
         raise InternalInvariantError(
-            "gamma times its star is not 1", {"gamma": pserialize(gamma)}
+            "gamma times its star is not 1", {"gamma": pserialize(gamma, F)}
         )
     Gam = poly_at(gamma, C)
     Tx = _cyclic_t(F, beta, C)
@@ -229,8 +229,8 @@ def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
     data = {
         "case": "cyclic_pair",
         "dim": 2 * D,
-        "annihilator": pserialize(pe),
-        "gamma": pserialize(gamma),
+        "annihilator": pserialize(pe, F),
+        "gamma": pserialize(gamma, F),
     }
     return B1, t, data
 
@@ -299,7 +299,8 @@ def _self_paired_block(form, beta, a, G, p_, e):
     if not (pe_a @ U).is_zero():
         raise InternalInvariantError("component basis is not killed by p^e(a)", {})
     p_low = ppow(p_, e - 1, F)
-    probe = Mat.column(F, p_low + (F.zero,) * (D - len(p_low)))
+    # keys enter as they are: Mat.column would read them as GF(p) scalars
+    probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
     cols = [U.col(j) for j in range(U.ncols)]
 
     @cache
@@ -374,10 +375,11 @@ def _split(form, beta, a, G, lift, blocks):
     F = form.tower
     mp = minimal_polynomial(a)
     fac = factorize(mp, F)
-    hit = next(((p_, e) for p_, e in fac if twisted_reciprocal(p_, beta) != p_), None)
+    hit = next(((p_, e) for p_, e in fac if twisted_reciprocal(p_, beta.key, F) != p_), None)
     if hit is not None:
         p_, e = hit
-        basis, t, data = _paired_block(form, beta, a, G, p_, e, twisted_reciprocal(p_, beta), fac)
+        ps = twisted_reciprocal(p_, beta.key, F)
+        basis, t, data = _paired_block(form, beta, a, G, p_, e, ps, fac)
     else:
         p_, e = fac[0]
         basis, t, data = _self_paired_block(form, beta, a, G, p_, e)
@@ -535,15 +537,12 @@ def _hankel_candidate(F, f):
     # companion matrix onto its transpose.  Callers must still check before
     # trusting the algebra.
     m = pdeg(f)
-    c = [-f[j] for j in range(m)]
-    h = [F.zero] * (2 * m - 1)
-    h[m - 1] = F.one
+    c = [F.neg(x) for x in f[:m]]
+    h = [0] * (2 * m - 1)
+    h[m - 1] = 1
     for k in range(m, 2 * m - 1):
-        acc = F.zero
-        for j in range(m):
-            acc = acc + c[j] * h[k - m + j]
-        h[k] = acc
-    return Mat.from_rows(F, [[h[i + j] for j in range(m)] for i in range(m)])
+        h[k] = F.dot(c, h[k - m : k])
+    return Mat(F, tuple(tuple(h[i : i + m]) for i in range(m)))
 
 
 def symmetric_conjugator(a):
@@ -559,7 +558,7 @@ def symmetric_conjugator(a):
             X = None
         if X is None or X.T != X or C @ X != X @ C.T:
             raise InternalInvariantError(
-                "Hankel inverse is not a symmetric conjugator", {"factor": pserialize(f)}
+                "Hankel inverse is not a symmetric conjugator", {"factor": pserialize(f, F)}
             )
         parts.append(X)
     X = P @ block_diag(F, parts) @ P.T

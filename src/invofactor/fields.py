@@ -21,8 +21,9 @@ does all arithmetic on keys with one kernel, chosen from the field's shape:
 The kernel is a set of functions on keys held by the tower: add, sub, neg,
 mul, inv, conj and pow on single keys; dot, scale, sub_scaled and matmul on
 key vectors and matrices, so that a dot product reduces once per entry.
-FieldElem is a thin (tower, key) wrapper for the public API; Mat and the
-polynomial kernels work on raw keys.
+FieldElem is a thin (tower, key) wrapper for the public API; Mat rows and
+poly.py's polynomials are raw keys.  poly.py also finds the base modulus
+and the inverses of the GF(p^k) coordinate kernel.
 
 Every modulus is the least one in integer-key order (the key of a monic
 T^d + c_{d-1} T^{d-1} + ... + c_0 is sum(c_i * p^i), and extension moduli
@@ -38,7 +39,7 @@ import operator
 from functools import reduce
 
 from .errors import FieldConstructionError, InputError
-from .poly import _prime_divisors, kinvmod, kirreducible
+from .poly import _prime_divisors, is_irreducible_poly, pinvmod, pnormal
 
 # non-prime working fields up to this order run on log/antilog tables; the
 # largest non-prime field in the benchmark workloads is GF(2^12)
@@ -96,7 +97,7 @@ def _least_irreducible(P, d):
     p = P.p
     for n in range(p**d):
         f = _digits(n, p, d) + [1]
-        if kirreducible(f, P):
+        if is_irreducible_poly(f, P):
             return f
     raise FieldConstructionError(f"no irreducible of degree {d} over GF({p})")
 
@@ -195,10 +196,7 @@ def _ext_coord_kernel(t):
     def inv(a):
         if not a:
             raise ZeroDivisionError("division by zero field element")
-        f = _digits(a, p, k)
-        while not f[-1]:
-            f.pop()
-        return _key(kinvmod(f, m, field_make(p)), p)
+        return _key(pinvmod(pnormal(_digits(a, p, k)), m, field_make(p)), p)
 
     def sub_scaled(ys, c, xs):
         nc = packed(t.neg(c))
@@ -641,10 +639,6 @@ class FieldTower:
         if self.deg == 1:
             return (key,)
         return tuple(_digits(key, self.p, self.deg))
-
-    def wrap(self, keys):
-        """A tuple of FieldElem for a sequence of keys."""
-        return tuple(FieldElem(self, k) for k in keys)
 
     def elem(self, coords):
         coords = [int(c) % self.p for c in coords]

@@ -216,14 +216,6 @@ def least_nonsquare(tower):
     raise InputError(f"every element of {tower!r} is a square")
 
 
-def norm_one_nontrivial(tower):
-    """Some z != 1 with z * conj(z) = 1 (quadratic towers)."""
-    for e in tower.elements():
-        if e != tower.one and e * e.conj() == tower.one:
-            return e
-    raise InternalInvariantError("no nontrivial norm-one element", {})
-
-
 # ---------------------------------------------------------------------------
 # seeded sampling
 

@@ -3,11 +3,12 @@
 Mat is immutable: a tower and a tuple of rows, each a tuple of the integer
 element keys described in fields.py.  Arithmetic, elimination, conj and
 equality run on the keys through the tower's kernel; FieldElem objects are
-made only where a caller reads entries (indexing, col_entries, trace) and
-construction coerces FieldElem and plain-int entries to keys.  SemiLinear
-bundles a matrix with a twist in {0, 1} counting applications of the field
-conj; composition is (A, s) o (B, t) = (A * conj^s(B), s + t mod 2),
-matching map composition x -> A * conj^s(B * conj^t(x)).
+made only where a caller reads entries (indexing, col_entries, det).
+
+Mat(tower, rows) takes rows of keys as they are.  The convenience
+constructors (from_rows, column, diag) and scalar products instead coerce
+each entry: a FieldElem gives its key, and a plain int is read as a GF(p)
+scalar and reduced mod p, so a key above p must never pass through them.
 """
 
 from __future__ import annotations
@@ -92,11 +93,8 @@ class Mat:
     def col(self, j):
         return Mat(self.tower, tuple((r[j],) for r in self.rows))
 
-    def take_cols(self, idxs):
-        return Mat(self.tower, tuple(tuple(r[j] for j in idxs) for r in self.rows))
-
     def col_entries(self, j):
-        return self.tower.wrap(r[j] for r in self.rows)
+        return tuple(FieldElem(self.tower, r[j]) for r in self.rows)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -161,16 +159,6 @@ class Mat:
             return self
         conj = self.tower.conj
         return Mat(self.tower, tuple(tuple(map(conj, r)) for r in self.rows))
-
-    def twisted(self, t):
-        return self.conj() if t % 2 else self
-
-    def trace(self):
-        add = self.tower.add
-        acc = 0
-        for i in range(min(self.shape)):
-            acc = add(acc, self.rows[i][i])
-        return FieldElem(self.tower, acc)
 
     def is_zero(self):
         return not any(any(r) for r in self.rows)
@@ -330,52 +318,18 @@ def block_diag(tower, mats):
 
 
 def poly_at(f, A):
-    """Evaluate a poly.py polynomial at a square matrix (Horner)."""
+    """Evaluate a poly.py key polynomial at a square matrix (Horner)."""
     F = A.tower
     n = A.nrows
     if not f:
         return Mat.zeros(F, n, n)
     add = F.add
-    acc = Mat.diag(F, [f[-1]] * n)
+    # the leading coefficient is a key: Mat.diag would reduce it mod p
+    acc = Mat(F, tuple(tuple(f[-1] if i == j else 0 for j in range(n)) for i in range(n)))
     for c in reversed(f[:-1]):
         rows = [list(r) for r in (acc @ A).rows]
         if c:
             for i in range(n):
-                rows[i][i] = add(rows[i][i], c.key)
+                rows[i][i] = add(rows[i][i], c)
         acc = Mat(F, tuple(tuple(r) for r in rows))
     return acc
-
-
-class SemiLinear:
-    """A semilinear map x -> M * conj^twist(x)."""
-
-    __slots__ = ("mat", "twist")
-
-    def __init__(self, mat, twist):
-        self.mat = mat
-        self.twist = twist % 2
-
-    def apply(self, v):
-        return self.mat @ v.twisted(self.twist)
-
-    def __matmul__(self, other):
-        if not isinstance(other, SemiLinear):
-            return NotImplemented
-        return SemiLinear(self.mat @ other.mat.twisted(self.twist), self.twist + other.twist)
-
-    def square(self):
-        return self @ self
-
-    def inverse(self):
-        return SemiLinear(self.mat.inv().twisted(self.twist), self.twist)
-
-    def __eq__(self, other):
-        if not isinstance(other, SemiLinear):
-            return NotImplemented
-        return self.twist == other.twist and self.mat == other.mat
-
-    def __hash__(self):
-        return hash((self.twist, self.mat))
-
-    def __repr__(self):
-        return f"SemiLinear(twist={self.twist}, {self.mat!r})"

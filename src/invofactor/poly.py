@@ -1,13 +1,12 @@
 """Dense univariate polynomials over a field tower's working field.
 
-The public functions (p*) take and return little-endian tuples of FieldElem
-with no trailing zeros; () is zero.  Functions take the tower F explicitly
-when they need constants.  Each one unwraps its arguments to lists of
-integer element keys once, runs the key kernels (k*) below, and wraps the
-result once: the kernels do all arithmetic through the tower's key
-operations, so a prime tower's polynomials run on native ints (products by
-Kronecker substitution: one integer product per polynomial product) and
-the same kernels find the tower moduli in fields.py.
+A polynomial is a little-endian list of integer element keys (fields.py)
+with no trailing zeros; [] is zero.  Every function takes the tower F and
+does all arithmetic through its key operations, so a prime tower's
+polynomials run on native ints (products by Kronecker substitution: one
+integer product per polynomial product), and the same functions find the
+tower moduli in fields.py.  Apart from pnormal, which strips its argument
+in place, results are fresh lists and arguments are never modified.
 
 Factorization (squarefree / distinct-degree / equal-degree) is seeded and
 deterministic for a fixed seed; every emitted factor is re-checked
@@ -21,35 +20,37 @@ import random
 
 from .errors import InternalInvariantError
 
-# ---------------------------------------------------------------------------
-# key kernels: little-endian lists of int keys, no trailing zeros, [] is zero
 
-
-def knorm(f):
+def pnormal(f):
+    """Strip trailing zeros from the list f in place; returns f."""
     while f and not f[-1]:
         f.pop()
     return f
 
 
-def kadd(f, g, F):
+def pdeg(f):
+    return len(f) - 1
+
+
+def padd(f, g, F):
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
     add = F.add
     for i, c in enumerate(g):
         out[i] = add(out[i], c)
-    return knorm(out)
+    return pnormal(out)
 
 
-def ksub(f, g, F):
+def psub(f, g, F):
     out = list(f) + [0] * (len(g) - len(f))
     sub = F.sub
     for i, c in enumerate(g):
         out[i] = sub(out[i], c)
-    return knorm(out)
+    return pnormal(out)
 
 
-def kmul(f, g, F):
+def pmul(f, g, F):
     if not f or not g:
         return []
     if F.deg == 1:
@@ -84,7 +85,7 @@ def _kronecker_mul(f, g, p):
     return out
 
 
-def kdivmod(f, g, F):
+def pdivmod(f, g, F):
     assert g, "division by zero polynomial"
     dg = len(g) - 1
     if len(f) <= dg:
@@ -103,68 +104,79 @@ def kdivmod(f, g, F):
             q[d] = c
             r[d : d + dg] = sub_scaled(r[d : d + dg], c, low)
     del r[dg:]
-    return q, knorm(r)
+    return q, pnormal(r)
 
 
-def kmod(f, g, F):
-    return kdivmod(f, g, F)[1]
+def pmod(f, g, F):
+    return pdivmod(f, g, F)[1]
 
 
-def kmonic(f, F):
+def pmonic(f, F):
     if not f or f[-1] == 1:
-        return f
+        return list(f)
     return F.scale(f, F.inv(f[-1]))
 
 
-def kgcd(f, g, F):
+def pgcd(f, g, F):
     while g:
-        f, g = g, kmod(f, g, F)
-    return kmonic(f, F)
+        f, g = g, pmod(f, g, F)
+    return pmonic(f, F)
 
 
-def kpowmod(f, e, m, F):
-    out = kmod([1], m, F)
-    base = kmod(f, m, F)
+def plcm(f, g, F):
+    if not f or not g:
+        return []
+    return pmonic(pmul(pdivmod(f, pgcd(f, g, F), F)[0], g, F), F)
+
+
+def ppowmod(f, e, m, F):
+    out = pmod([1], m, F)
+    base = pmod(f, m, F)
     while e:
         if e & 1:
-            out = kmod(kmul(out, base, F), m, F)
+            out = pmod(pmul(out, base, F), m, F)
         e >>= 1
         if e:
-            base = kmod(kmul(base, base, F), m, F)
+            base = pmod(pmul(base, base, F), m, F)
     return out
 
 
-def kinvmod(f, m, F):
+def pinvmod(f, m, F):
     """Inverse of f mod m, or None when gcd(f, m) != 1."""
-    r0, r1 = m, kmod(f, m, F)
+    r0, r1 = m, pmod(f, m, F)
     s0, s1 = [], [1]
     while r1:
-        q, r = kdivmod(r0, r1, F)
+        q, r = pdivmod(r0, r1, F)
         r0, r1 = r1, r
-        s0, s1 = s1, ksub(s0, kmul(q, s1, F), F)
+        s0, s1 = s1, psub(s0, pmul(q, s1, F), F)
     if len(r0) != 1:
         return None
-    return kmod(F.scale(s0, F.inv(r0[0])), m, F)
+    return pmod(F.scale(s0, F.inv(r0[0])), m, F)
 
 
-def kpow(f, e, F):
+def ppow(f, e, F):
     out = [1]
     base = f
     while e:
         if e & 1:
-            out = kmul(out, base, F)
+            out = pmul(out, base, F)
         e >>= 1
         if e:
-            base = kmul(base, base, F)
+            base = pmul(base, base, F)
     return out
 
 
-def kderiv(f, F):
+def _pderiv(f, F):
     p, mul = F.p, F.mul
-    return knorm([mul(i % p, f[i]) for i in range(1, len(f))])
+    return pnormal([mul(i % p, f[i]) for i in range(1, len(f))])
 
 
-def kirreducible(f, F):
+def pserialize(f, F):
+    """GF(p) coordinate lists of the coefficients, as certificates store them."""
+    return [list(F.coords(c)) for c in f]
+
+
+def is_irreducible_poly(f, F):
     """Rabin's criterion over the working field: monic f of degree d is
     irreducible iff T^(Q^d) = T mod f and T^(Q^(d/r)) - T is a unit mod f
     for every prime r | d."""
@@ -173,12 +185,12 @@ def kirreducible(f, F):
         return False
     Q = F.order
     t = [0, 1]
-    t_red = kmod(t, f, F)
-    if kpowmod(t, Q**d, f, F) != t_red:
+    t_red = pmod(t, f, F)
+    if ppowmod(t, Q**d, f, F) != t_red:
         return False
     for r in _prime_divisors(d):
-        h = kpowmod(t, Q ** (d // r), f, F)
-        if len(kgcd(ksub(h, t_red, F), f, F)) != 1:
+        h = ppowmod(t, Q ** (d // r), f, F)
+        if len(pgcd(psub(h, t_red, F), f, F)) != 1:
             return False
     return True
 
@@ -197,133 +209,28 @@ def _prime_divisors(n):
 
 
 # ---------------------------------------------------------------------------
-# ring operations on FieldElem tuples
-
-
-def _keys(f):
-    return [c.key for c in f]
-
-
-def pnormal(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def pdeg(f):
-    return len(f) - 1
-
-
-def pvar(F):
-    return (F.zero, F.one)
-
-
-def padd(f, g, F):
-    return F.wrap(kadd(_keys(f), _keys(g), F))
-
-
-def psub(f, g, F):
-    return F.wrap(ksub(_keys(f), _keys(g), F))
-
-
-def pneg(f):
-    return tuple(-a for a in f)
-
-
-def pmul(f, g, F):
-    return F.wrap(kmul(_keys(f), _keys(g), F))
-
-
-def pmulc(f, c):
-    if not c:
-        return ()
-    F = c.tower
-    return F.wrap(F.scale(_keys(f), c.key))
-
-
-def pdivmod(f, g, F):
-    q, r = kdivmod(_keys(f), _keys(g), F)
-    return F.wrap(q), F.wrap(r)
-
-
-def pmod(f, g, F):
-    return F.wrap(kmod(_keys(f), _keys(g), F))
-
-
-def pmonic(f, F):
-    return F.wrap(kmonic(_keys(f), F))
-
-
-def pgcd(f, g, F):
-    return F.wrap(kgcd(_keys(f), _keys(g), F))
-
-
-def ppowmod(f, e, m, F):
-    return F.wrap(kpowmod(_keys(f), e, _keys(m), F))
-
-
-def pinvmod(f, m, F):
-    """Inverse of f mod m, or None when gcd(f, m) != 1."""
-    inv = kinvmod(_keys(f), _keys(m), F)
-    return None if inv is None else F.wrap(inv)
-
-
-def plcm(f, g, F):
-    if not f or not g:
-        return ()
-    fk, gk = _keys(f), _keys(g)
-    d = kgcd(fk, gk, F)
-    return F.wrap(kmonic(kmul(kdivmod(fk, d, F)[0], gk, F), F))
-
-
-def peval(f, x):
-    acc = x.tower.zero
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def pconj(f):
-    return tuple(c.conj() for c in f)
-
-
-def ppow(f, e, F):
-    return F.wrap(kpow(_keys(f), e, F))
-
-
-def pserialize(f):
-    return [c.serialize() for c in f]
-
-
-def sort_key(f):
-    return (pdeg(f), tuple(c.key for c in f))
-
-
-# ---------------------------------------------------------------------------
 # the ratio-twisted reciprocal involution
 
 
-def twisted_reciprocal(f, beta):
+def twisted_reciprocal(f, beta, F):
     """For monic f with f(0) != 0, the monic polynomial whose roots are
     beta / conj(lambda) over the roots lambda of f (conj extended to any
-    splitting field).  An involution: applying it twice returns f."""
-    F = beta.tower
+    splitting field); beta is a key.  An involution: applying it twice
+    returns f."""
     d = pdeg(f)
-    assert d >= 0 and f[-1] == F.one and f[0], "need monic with nonzero constant term"
+    assert d >= 0 and f[-1] == 1 and f[0], "need monic with nonzero constant term"
     mul, conj = F.mul, F.conj
     pw = [1]
     for _ in range(d):
-        pw.append(mul(pw[-1], beta.key))
-    raw = [mul(conj(f[d - j].key), pw[d - j]) for j in range(d + 1)]
-    return F.wrap(kmonic(raw, F))
+        pw.append(mul(pw[-1], beta))
+    return pmonic([mul(conj(f[d - j]), pw[d - j]) for j in range(d + 1)], F)
 
 
 # ---------------------------------------------------------------------------
 # factorization (seeded, deterministic, self-checking)
 
 
-def _kpth_root(f, F):
+def _pth_root(f, F):
     # f has nonzero coefficients only in degrees divisible by p
     p = F.p
     e = F.order // p
@@ -331,95 +238,87 @@ def _kpth_root(f, F):
     for i in range(0, len(f), p):
         out.append(F.pow(f[i], e))
         assert not any(f[i + 1 : i + p]), "not a p-th power"
-    return knorm(out)
+    return pnormal(out)
 
 
-def _ksquarefree(f, F):
+def squarefree_parts(f, F):
+    """[(g, m)] with monic squarefree g, distinct m, and f = lc * prod g^m."""
     out = []
-    f = kmonic(f, F)
+    f = pmonic(f, F)
     if len(f) < 2:
         return out
-    d = kderiv(f, F)
+    d = _pderiv(f, F)
     if not d:
-        for g, m in _ksquarefree(_kpth_root(f, F), F):
+        for g, m in squarefree_parts(_pth_root(f, F), F):
             out.append((g, m * F.p))
         return out
-    g = kgcd(f, d, F)
-    w = kdivmod(f, g, F)[0]
+    g = pgcd(f, d, F)
+    w = pdivmod(f, g, F)[0]
     i = 1
     while len(w) > 1:
-        y = kgcd(w, g, F)
-        z = kdivmod(w, y, F)[0]
+        y = pgcd(w, g, F)
+        z = pdivmod(w, y, F)[0]
         if len(z) > 1:
             out.append((z, i))
         i += 1
         w = y
-        g = kdivmod(g, y, F)[0]
+        g = pdivmod(g, y, F)[0]
     if len(g) > 1:
-        for h, m in _ksquarefree(_kpth_root(g, F), F):
+        for h, m in squarefree_parts(_pth_root(g, F), F):
             out.append((h, m * F.p))
     out.sort(key=lambda gm: gm[1])
     return out
 
 
-def squarefree_parts(f, F):
-    """[(g, m)] with monic squarefree g, distinct m, and f = lc * prod g^m."""
-    return [(F.wrap(g), m) for g, m in _ksquarefree(_keys(f), F)]
-
-
-def _kdistinct_degree(f, F):
+def _distinct_degree(f, F):
     # for monic squarefree f: [(product of its degree-d irreducible factors, d)]
     out = []
     Q = F.order
     g = f
-    h = kmod([0, 1], g, F)
+    h = pmod([0, 1], g, F)
     d = 0
     while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = kpowmod(h, Q, g, F)
-        gd = kgcd(ksub(h, [0, 1], F), g, F)
+        h = ppowmod(h, Q, g, F)
+        gd = pgcd(psub(h, [0, 1], F), g, F)
         if len(gd) > 1:
             out.append((gd, d))
-            g = kdivmod(g, gd, F)[0]
-            h = kmod(h, g, F)
+            g = pdivmod(g, gd, F)[0]
+            h = pmod(h, g, F)
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return out
 
 
-def _kedf(f, d, F, rng):
+def _edf(f, d, F, rng):
     # split monic squarefree f, all of whose irreducible factors have degree d
     n = len(f) - 1
     if n == d:
         return [f]
     Q = F.order
     while True:
-        r = knorm([rng.randrange(Q) for _ in range(n)])
+        r = pnormal([rng.randrange(Q) for _ in range(n)])
         if len(r) < 2:
             continue
         if F.p == 2:
             # absolute trace map of r in the quotient ring splits f
             m = Q.bit_length() - 1  # Q = 2^m
-            s = acc = kmod(r, f, F)
+            s = acc = pmod(r, f, F)
             for _ in range(m * d - 1):
-                acc = kpowmod(acc, 2, f, F)
-                s = kadd(s, acc, F)
-            g = kgcd(s, f, F)
+                acc = ppowmod(acc, 2, f, F)
+                s = padd(s, acc, F)
+            g = pgcd(s, f, F)
         else:
-            s = kpowmod(r, (Q**d - 1) // 2, f, F)
-            g = kgcd(ksub(s, [1], F), f, F)
+            s = ppowmod(r, (Q**d - 1) // 2, f, F)
+            g = pgcd(psub(s, [1], F), f, F)
         if 1 < len(g) <= n:
-            rest = kdivmod(f, g, F)[0]
-            return _kedf(g, d, F, rng) + _kedf(rest, d, F, rng)
-
-
-def is_irreducible_poly(f, F):
-    """Rabin's criterion over the working field."""
-    return kirreducible(_keys(f), F)
+            rest = pdivmod(f, g, F)[0]
+            return _edf(g, d, F, rng) + _edf(rest, d, F, rng)
 
 
 def factorize(f, F, seed=0):
-    """Monic irreducible factorization [(g, mult)], canonically sorted.
+    """Monic irreducible factorization [(g, mult)], sorted by degree, then
+    by coefficient keys.
 
     Deterministic for fixed seed; asserts irreducibility of every factor and
     that the factors multiply back to the input.
@@ -427,22 +326,21 @@ def factorize(f, F, seed=0):
     assert f, "cannot factor the zero polynomial"
     rng = random.Random(seed)
     out = []
-    for sqf, m in _ksquarefree(_keys(f), F):
-        for prod_d, d in _kdistinct_degree(sqf, F):
-            for irr in _kedf(prod_d, d, F, rng):
-                irr = F.wrap(irr)
+    for sqf, m in squarefree_parts(f, F):
+        for prod_d, d in _distinct_degree(sqf, F):
+            for irr in _edf(prod_d, d, F, rng):
                 if not is_irreducible_poly(irr, F):
                     raise InternalInvariantError(
                         "claimed factor is not irreducible",
-                        {"factor": pserialize(irr)},
+                        {"factor": pserialize(irr, F)},
                     )
                 out.append((irr, m))
-    out.sort(key=lambda fm: sort_key(fm[0]))
-    check = [f[-1].key]
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    check = [f[-1]]
     for g, m in out:
-        check = kmul(check, kpow(_keys(g), m, F), F)
-    if check != _keys(f):
+        check = pmul(check, ppow(g, m, F), F)
+    if check != f:
         raise InternalInvariantError(
-            "factor product differs from input", {"input": pserialize(f)}
+            "factor product differs from input", {"input": pserialize(f, F)}
         )
     return out

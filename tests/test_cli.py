@@ -1,10 +1,12 @@
 """Command line: interchange format, exit codes, byte-stable output."""
 
 import json
+import time
 
 import pytest
 
-from invofactor.cli import main
+from invofactor import InputError
+from invofactor.cli import _prime_power, main
 
 SP3_INSTANCE = {
     "field": {"p": 3},
@@ -168,6 +170,26 @@ def test_survey_sampled_and_guards(tmp_path, capsys):
     assert main(["survey", "--kind", "sp", "--n", "2", "--q", "6", "--exhaustive"]) == 2
     assert main(["survey", "--kind", "sp", "--n", "3", "--q", "3", "--exhaustive"]) == 2
     capsys.readouterr()
+
+
+def test_survey_over_a_large_prime_field_parses_q_quickly(capsys):
+    # q = 2^31 - 1 is prime: reading it as a prime power must stop trial
+    # division at sqrt(q) instead of trying every divisor up to q
+    t0 = time.perf_counter()
+    assert main(["survey", "--kind", "sp", "--n", "4", "--q", str(2**31 - 1),
+                 "--sample", "3", "--seed", "0"]) == 0
+    assert time.perf_counter() - t0 < 10.0
+    out = capsys.readouterr().out
+    assert "total: 3" in out and "failures: 0" in out
+
+
+def test_prime_power_parsing():
+    assert _prime_power(3**5) == (3, 5)
+    assert _prime_power(65537**2) == (65537, 2)
+    assert _prime_power(2**31 - 1) == (2**31 - 1, 1)
+    for q in (1, 12, 3 * 65537):
+        with pytest.raises(InputError):
+            _prime_power(q)
 
 
 def test_enumerate_counts_the_group(tmp_path, capsys):
