@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     VerificationError,
 )
 from .factor import cert_from_serialized, factor
-from .fields import field_from_descriptor, field_make
+from .fields import _is_prime, field_from_descriptor, field_make
 from .forms import (
     SesquiForm,
     group_enumerate,
@@ -141,18 +140,25 @@ def _histogram_line(h):
 _KINDS = ("sp", "u", "go-plus", "go-minus")
 
 
+def _iroot(q, k):
+    # the integer k-th root floor(q^(1/k)), by Newton's method from above
+    x = 1 << -(-q.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(q):
     if q < 2:
         raise InputError(f"q must be a prime power >= 2, got {q}")
-    # the least divisor above 1 is prime; with none up to sqrt(q), q is prime
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    if q != 1:
-        raise InputError("q must be a prime power")
-    return p, k
+    # q = r^k with r prime has k <= log2 q; each k needs one exact k-th root
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r**k == q and _is_prime(r):
+            return r, k
+    raise InputError("q must be a prime power")
 
 
 def _standard_form(kind, n, q):

@@ -22,10 +22,15 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 involution is the v-side cyclic map plus a gamma-corrected
                 cyclic map on the partner side.
 
-Each block asserts the identities it is built to satisfy; the assembled
-certificate re-verifies all defining identities in the ambient space before
-it is returned.  All searches are deterministic, so factoring the same
-element twice yields byte-identical certificates.
+Blocks are not re-checked one by one.  The one check is the verifier's
+core_checks on the assembled certificate, made before factor returns it;
+a block that breaks its identities fails there and raises
+InternalInvariantError.  The guards left inside the construction only stop
+an impossible intermediate (a missing reciprocal factor, an empty kernel, a
+degenerate pairing) from turning into a crash or an input error.  The block
+transcripts are descriptive and are not verified.  All searches are
+deterministic, so factoring the same element twice yields byte-identical
+certificates.
 """
 
 from __future__ import annotations
@@ -33,7 +38,14 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain
 
-from .decomp import companion, frobenius_form, krylov_span, minimal_polynomial, restrict
+from .decomp import (
+    _kernel_matrix,
+    companion,
+    frobenius_form,
+    krylov_span,
+    minimal_polynomial,
+    restrict,
+)
 from .errors import (
     DetRefinementError,
     InputError,
@@ -45,11 +57,8 @@ from .forms import form_from_descriptor
 from .linalg import Mat, block_diag, hstack, mat_from_serialized, poly_at, vstack
 from .poly import (
     factorize,
-    padd,
     pdeg,
-    pinvmod,
     pmod,
-    pmul,
     pnormal,
     ppow,
     pserialize,
@@ -72,34 +81,6 @@ def _val(G, u, v):
     return (u.T @ G @ v.conj())[0, 0]
 
 
-def _assert_block(form, beta, ahat, ghat, t, label):
-    F = form.tower
-    eye = Mat.identity(F, t.nrows)
-    if t @ t.conj() != eye:
-        raise InternalInvariantError(f"{label} block: t * conj(t) != 1", {"t": t.serialize()})
-    if t.T @ ghat @ t.conj() != ghat.conj() * form.eps_elem:
-        raise InternalInvariantError(
-            f"{label} block: t is not a ratio-1 twist-1 map of the block Gram",
-            {"t": t.serialize(), "gram": ghat.serialize()},
-        )
-    # mat(t g t) = T conj(C) conj(T); the first check pins conj(T) = T^(-1)
-    if t @ ahat.conj() @ t.conj() != ahat.inv() * beta:
-        raise InternalInvariantError(
-            f"{label} block: t g t != beta * g^(-1)", {"t": t.serialize()}
-        )
-
-
-def _kernel_matrix(f, a):
-    # (basis of ker f(a), f(a))
-    fa = poly_at(f, a)
-    cols = fa.right_kernel_basis()
-    if not cols:
-        raise InternalInvariantError(
-            "expected a nonzero kernel", {"poly": pserialize(f, a.tower)}
-        )
-    return hstack(cols), fa
-
-
 def _paired_block(form, beta, a, G, p_, e, ps, fac):
     F = form.tower
     es = next((e2 for p2, e2 in fac if p2 == ps), None)
@@ -108,8 +89,8 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
             "reciprocal factor missing or with mismatched multiplicity",
             {"factor": pserialize(p_, F), "reciprocal": pserialize(ps, F)},
         )
-    U, _ = _kernel_matrix(ppow(p_, e, F), a)
-    Us, _ = _kernel_matrix(ppow(ps, es, F), a)
+    U = _kernel_matrix(ppow(p_, e, F), a)
+    Us = _kernel_matrix(ppow(ps, es, F), a)
     r = U.ncols
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
@@ -119,18 +100,13 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
         coeffs = M.conj().inv() * form.eps_elem
     except SingularMatrixError:
         raise InternalInvariantError("pairing between dual components is degenerate", {})
+    # both components are totally isotropic, so the basis [U, Us coeffs] has
+    # Gram [[0, eps], [1, 0]] and a acts on its second half by
+    # beta * conj(aU)^(-T); t swaps the halves through X
     B1 = hstack([U, Us @ coeffs])
-    eye = Mat.identity(F, r)
-    z = Mat.zeros(F, r, r)
-    jhat = vstack([hstack([z, eye * form.eps_elem]), hstack([eye, z])])
-    if B1.T @ G @ B1.conj() != jhat:
-        raise InternalInvariantError("dual-normalized basis has wrong Gram", {})
-    ahat = restrict(a, B1)
-    if ahat != block_diag(F, [aU, aU.conj().T.inv() * beta]):
-        raise InternalInvariantError("dual-side action has unexpected matrix", {})
     X = symmetric_conjugator(aU)
+    z = Mat.zeros(F, r, r)
     t = vstack([hstack([z, X]), hstack([X.conj().inv(), z])])
-    _assert_block(form, beta, ahat, jhat, t, "paired")
     data = {
         "case": "paired",
         "dim": 2 * r,
@@ -152,36 +128,19 @@ def _cyclic_t(F, beta, C):
     return hstack(cols)
 
 
-def _cyclic_block(form, beta, a, G, K, ann, p_, e):
-    F = form.tower
-    C = companion(F, ann)
-    ahat = restrict(a, K)
-    if ahat != C:
-        raise InternalInvariantError("Krylov basis does not give the companion matrix", {})
-    ghat = K.T @ G @ K.conj()
-    t = _cyclic_t(F, beta, C)
-    _assert_block(form, beta, ahat, ghat, t, "cyclic")
-    data = {"case": "cyclic", "dim": K.ncols, "annihilator": pserialize(ann, F)}
-    return K, t, data
+def _cyclic_block(F, beta, K, ann):
+    # K is the Krylov basis of a vector with annihilator ann, so a acts on it
+    # by the companion matrix of ann
+    t = _cyclic_t(F, beta, companion(F, ann))
+    return K, t, {"case": "cyclic", "dim": K.ncols, "annihilator": pserialize(ann, F)}
 
 
-def _poly_star(r_, beta_times_tinv, pe, F):
-    # coefficientwise conj composed with T -> beta * T^(-1), inside E[T]/(p^e)
-    acc = []
-    pw = [1]
-    for ck in r_:
-        if ck:
-            acc = padd(acc, F.scale(pw, F.conj(ck)), F)
-        pw = pmod(pmul(pw, beta_times_tinv, F), pe, F)
-    return pmod(acc, pe, F)
-
-
-def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
-    F = form.tower
-    pe = ppow(p_, e, F)
+def _gamma(F, beta, a, G, x, y, pe):
+    """The pairing correction gamma in E[T]/(pe), as a key polynomial: a unit
+    with gamma * gamma~ = 1 (gamma~ conjugates the coefficients and sends T
+    to beta / T).  That is not re-checked; a wrong gamma makes the partner
+    side's involution wrong, and factor's final check rejects it."""
     D = pdeg(pe)
-    C = companion(F, pe)
-    x, y = Kx.col(0), Ky.col(0)
     # powers g^m y for m in [-(D-1), 2D-2]
     ymats = {0: y}
     ainv = a.inv()
@@ -201,34 +160,22 @@ def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
     sol = Mat.from_rows(F, rows).solve_right(Mat.column(F, rhs))
     if sol is None:
         raise InternalInvariantError("pairing correction system is unsolvable", {})
-    gamma = pmod(pnormal([F.conj(r[0]) for r in sol.rows]), pe, F)
-    if not pmod(gamma, p_, F):
-        raise InternalInvariantError(
-            "pairing correction is not a unit", {"gamma": pserialize(gamma, F)}
-        )
-    tinv = pinvmod([0, 1], pe, F)
-    if tinv is None:
-        raise InternalInvariantError("shift is not invertible mod the annihilator", {})
-    btinv = pmod(F.scale(tinv, beta.key), pe, F)
-    gstar = _poly_star(gamma, btinv, pe, F)
-    if pmod(pmul(gamma, gstar, F), pe, F) != [1]:
-        raise InternalInvariantError(
-            "gamma times its star is not 1", {"gamma": pserialize(gamma, F)}
-        )
-    Gam = poly_at(gamma, C)
+    return pmod(pnormal([F.conj(r[0]) for r in sol.rows]), pe, F)
+
+
+def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
+    F = form.tower
+    pe = ppow(p_, e, F)
+    C = companion(F, pe)
+    gamma = _gamma(F, beta, a, G, Kx.col(0), Ky.col(0), pe)
     Tx = _cyclic_t(F, beta, C)
-    t = block_diag(F, [Tx, Gam @ Tx])
+    t = block_diag(F, [Tx, poly_at(gamma, C) @ Tx])
     B1 = hstack([Kx, Ky])
-    ghat = B1.T @ G @ B1.conj()
-    if not ghat.det():
+    if not (B1.T @ G @ B1.conj()).det():
         raise InternalInvariantError("paired cyclic Gram is degenerate", {})
-    ahat = restrict(a, B1)
-    if ahat != block_diag(F, [C, C]):
-        raise InternalInvariantError("paired cyclic action is not two companions", {})
-    _assert_block(form, beta, ahat, ghat, t, "cyclic pair")
     data = {
         "case": "cyclic_pair",
-        "dim": 2 * D,
+        "dim": 2 * pdeg(pe),
         "annihilator": pserialize(pe, F),
         "gamma": pserialize(gamma, F),
     }
@@ -288,16 +235,13 @@ def _self_paired_block(form, beta, a, G, p_, e):
     G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj, computed on keys; a
     nondegenerate one makes K(v) of rank D, so v is full height too.  A
     pair whose Gram is zero for every c (each 1-dimensional cyclic space of
-    a symplectic form, a totally isotropic plane) is passed over whole.  The
-    accepted v is re-spanned by krylov_span and checked against K(v).  When
-    no candidate is nondegenerate, the first full-height column x and a
+    a symplectic form, a totally isotropic plane) is passed over whole.
+    When no candidate is nondegenerate, the first full-height column x and a
     column pairing with p^(e-1)(a) x give a cyclic pair."""
     F = form.tower
     pe = ppow(p_, e, F)
     D = pdeg(pe)
-    U, pe_a = _kernel_matrix(pe, a)
-    if not (pe_a @ U).is_zero():
-        raise InternalInvariantError("component basis is not killed by p^e(a)", {})
+    U = _kernel_matrix(pe, a)
     p_low = ppow(p_, e - 1, F)
     # keys enter as they are: Mat.column would read them as GF(p) scalars
     probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
@@ -336,15 +280,8 @@ def _self_paired_block(form, beta, a, G, p_, e):
             break
     if hit is not None:
         i, j, c = hit
-        v, Kv = cols[i], krylov(i)
-        if j is not None:
-            v, Kv = v + cols[j] * F.from_int(c), Kv + krylov(j) * F.from_int(c)
-        Kc, ann = krylov_span(a, v)
-        if ann != pe or Kc != Kv:
-            raise InternalInvariantError(
-                "accepted candidate's cyclic space is not the combined one", {}
-            )
-        return _cyclic_block(form, beta, a, G, Kc, ann, p_, e)
+        K = krylov(i) if j is None else krylov(i) + krylov(j) * F.from_int(c)
+        return _cyclic_block(F, beta, K, pe)
     if x is None:
         raise InternalInvariantError("component has no full-height vector", {})
     Kx, annx = krylov_span(a, cols[x])
@@ -359,8 +296,6 @@ def _self_paired_block(form, beta, a, G, p_, e):
     Ky, anny = krylov_span(a, y)
     if anny != pe:
         raise InternalInvariantError("pairing partner is not full height", {})
-    if (Ky.T @ G @ Ky.conj()).det():
-        return _cyclic_block(form, beta, a, G, Ky, anny, p_, e)
     return _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e)
 
 
@@ -375,6 +310,8 @@ def _split(form, beta, a, G, lift, blocks):
     F = form.tower
     mp = minimal_polynomial(a)
     fac = factorize(mp, F)
+    if not fac:
+        raise InternalInvariantError("minimal polynomial is constant", {})
     hit = next(((p_, e) for p_, e in fac if twisted_reciprocal(p_, beta.key, F) != p_), None)
     if hit is not None:
         p_, e = hit
@@ -534,8 +471,7 @@ def _hankel_candidate(F, f):
     # basis.  It is symmetric, anti-triangular with unit anti-diagonal (hence
     # always invertible), and compatibility of that pairing with
     # multiplication by T gives C^T H = H C, i.e. H^(-1) conjugates the
-    # companion matrix onto its transpose.  Callers must still check before
-    # trusting the algebra.
+    # companion matrix onto its transpose.
     m = pdeg(f)
     c = [F.neg(x) for x in f[:m]]
     h = [0] * (2 * m - 1)
@@ -549,19 +485,9 @@ def symmetric_conjugator(a):
     """Symmetric invertible X with a @ X = X @ a.T, over any field."""
     F = a.tower
     P, factors = frobenius_form(a)
-    parts = []
-    for f in factors:
-        C = companion(F, f)
-        try:
-            X = _hankel_candidate(F, f).inv()
-        except SingularMatrixError:  # unreachable by the anti-diagonal claim
-            X = None
-        if X is None or X.T != X or C @ X != X @ C.T:
-            raise InternalInvariantError(
-                "Hankel inverse is not a symmetric conjugator", {"factor": pserialize(f, F)}
-            )
-        parts.append(X)
-    X = P @ block_diag(F, parts) @ P.T
+    # P^(-1) a P is the block diagonal of the companions C_f and each H_f^(-1)
+    # conjugates C_f onto C_f^T, so P diag(H_f^(-1)) P^T conjugates a onto a^T
+    X = P @ block_diag(F, [_hankel_candidate(F, f).inv() for f in factors]) @ P.T
     if X.T != X or a @ X != X @ a.T or not X.det():
         raise InternalInvariantError("symmetric conjugator construction failed", {})
     return X

@@ -602,7 +602,8 @@ class FieldTower:
         # least (key(g0), key(g1)) with W^2 + g1*W + g0 irreducible over F:
         # odd p: the discriminant g1^2 - 4*g0 is a non-square;
         # p = 2: g1 != 0 and the absolute trace of g0 / g1^2 is 1.
-        for n0 in range(base.order):
+        # g0 = 0 never qualifies (g1^2 is a square; the trace of 0 is 0)
+        for n0 in range(1, base.order):
             g0 = base.from_int(n0)
             for n1 in range(base.order):
                 g1 = base.from_int(n1)

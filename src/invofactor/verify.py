@@ -52,7 +52,8 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
     out = [("shapes_match_the_space", True, None)]
 
     def add(name, ok, witness):
-        out.append((name, bool(ok), None if ok else witness))
+        # witness() serializes the offending matrices; a passing check skips it
+        out.append((name, bool(ok), None if ok else witness()))
 
     eye = Mat.identity(F, n)
     try:
@@ -62,27 +63,27 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
     add(
         "g_is_similitude_of_beta",
         sim_ok,
-        {"g": g.serialize(), "beta": beta.serialize()},
+        lambda: {"g": g.serialize(), "beta": beta.serialize()},
     )
-    add("h1_twist1_ratio_one", form.anti_ratio(h1) == F.one, {"h1": h1.serialize()})
+    add("h1_twist1_ratio_one", form.anti_ratio(h1) == F.one, lambda: {"h1": h1.serialize()})
     sq1 = h1 @ h1.conj()
-    add("h1_involution", sq1 == eye, {"h1_times_conj_h1": sq1.serialize()})
+    add("h1_involution", sq1 == eye, lambda: {"h1_times_conj_h1": sq1.serialize()})
     add(
         "h2_twist1_ratio_beta",
         form.anti_ratio(h2) == beta,
-        {"h2": h2.serialize(), "beta": beta.serialize()},
+        lambda: {"h2": h2.serialize(), "beta": beta.serialize()},
     )
     sq2 = h2 @ h2.conj()
     add(
         "h2_square_is_beta",
         sq2 == eye * beta,
-        {"h2_times_conj_h2": sq2.serialize(), "beta": beta.serialize()},
+        lambda: {"h2_times_conj_h2": sq2.serialize(), "beta": beta.serialize()},
     )
     prod = h1 @ h2.conj()
     add(
         "h1_h2_product_is_g",
         prod == g,
-        {"h1_times_conj_h2": prod.serialize(), "g": g.serialize()},
+        lambda: {"h1_times_conj_h2": prod.serialize(), "g": g.serialize()},
     )
     if det_refined:
         target = F.one if (n // 2) % 2 == 0 else -F.one
@@ -90,7 +91,7 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
         add(
             "h1_det_sign",
             d == target,
-            {"det_h1": d.serialize(), "target": target.serialize()},
+            lambda: {"det_h1": d.serialize(), "target": target.serialize()},
         )
     return out
 

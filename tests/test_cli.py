@@ -187,7 +187,13 @@ def test_prime_power_parsing():
     assert _prime_power(3**5) == (3, 5)
     assert _prime_power(65537**2) == (65537, 2)
     assert _prime_power(2**31 - 1) == (2**31 - 1, 1)
-    for q in (1, 12, 3 * 65537):
+    # large p^k: one exact k-th root per k, no trial division up to p
+    t0 = time.perf_counter()
+    assert _prime_power(10000019**2) == (10000019, 2)
+    assert _prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert _prime_power(2**40) == (2, 40)
+    assert time.perf_counter() - t0 < 0.5
+    for q in (1, 12, 36, 3 * 65537, 3 * 2**40):
         with pytest.raises(InputError):
             _prime_power(q)
 

@@ -1,0 +1,307 @@
+"""Fault injection: a wrong intermediate inside the construction must end in
+InternalInvariantError or in a certificate that still verifies, never in
+another exception or a wrong certificate.
+
+Each case below replaces one construction step with a faulty one, at the
+point where an interior re-check used to guard it, and factors elements that
+reach that step.  The last tests pin the single verification point: one
+`core_checks` per `factor`, no irreducibility re-test, and no witness
+serialization on a passing verification."""
+
+import importlib
+
+import pytest
+
+from invofactor import (
+    InternalInvariantError,
+    InvofactorError,
+    factor,
+    field_make,
+    group_sample,
+    hermitian_form,
+    orthogonal_plus_form,
+    symplectic_form,
+    verify_certificate,
+)
+from invofactor.linalg import Mat, block_diag
+from invofactor.poly import padd, pdivmod, pmul
+
+fac = importlib.import_module("invofactor.factor")
+dec = importlib.import_module("invofactor.decomp")
+poly = importlib.import_module("invofactor.poly")
+fields = importlib.import_module("invofactor.fields")
+ver = importlib.import_module("invofactor.verify")
+
+
+def _elements():
+    """Elements whose factorizations build paired, cyclic and cyclic-pair
+    blocks, with and without repeated eigenvalues."""
+    F7 = field_make(7)
+    sp = symplectic_form(F7, 4)
+    out = [
+        (sp, -Mat.identity(F7, 4)),  # cyclic pairs
+        (sp, Mat.from_rows(F7, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])),
+        (sp, Mat.diag(F7, [F7.from_int(c) for c in (2, 3, 4, 5)])),  # paired lines
+    ]
+    # diag(A, A^-T) with A a Jordan block of 2, and A the companion of the
+    # irreducible T^2 + T + 3: paired planes on which A is not symmetric
+    for A in ([[2, 1], [0, 2]], [[0, 4], [1, 6]]):
+        A = Mat.from_rows(F7, A)
+        out.append((sp, block_diag(F7, [A, A.inv().T])))
+    for beta in (1, 3):
+        out += [(sp, g) for g in group_sample(sp, beta, seed="faults", count=3)]
+    go = orthogonal_plus_form(field_make(5), 4)
+    out += [(go, g) for g in group_sample(go, seed="faults", count=3)]
+    hu = hermitian_form(field_make(5, 1, "quadratic"), 3)
+    out += [(hu, g) for g in group_sample(hu, seed="faults", count=3)]
+    return out
+
+
+ELEMENTS = _elements()
+
+
+def _plus_one_at(M, i, j):
+    rows = [list(r) for r in M.rows]
+    rows[i][j] = M.tower.add(rows[i][j], 1)
+    return Mat(M.tower, tuple(map(tuple, rows)))
+
+
+def _corrupt_cyclic_t(monkeypatch, hits):
+    real = fac._cyclic_t
+
+    def faulty(F, beta, C):
+        hits.append(1)
+        return _plus_one_at(real(F, beta, C), 0, 0)
+
+    monkeypatch.setattr(fac, "_cyclic_t", faulty)
+
+
+def _non_symmetric_conjugator(monkeypatch, hits):
+    real = fac.symmetric_conjugator
+
+    def faulty(a):
+        hits.append(1)
+        X = real(a)
+        return _plus_one_at(X, 0, X.ncols - 1)
+
+    monkeypatch.setattr(fac, "symmetric_conjugator", faulty)
+
+
+def _non_intertwining_conjugator(monkeypatch, hits):
+    real = fac.symmetric_conjugator
+
+    def faulty(a):
+        hits.append(1)
+        X = real(a)
+        return X + Mat.identity(a.tower, a.nrows)
+
+    monkeypatch.setattr(fac, "symmetric_conjugator", faulty)
+
+
+def _non_conjugating_frobenius_form(monkeypatch, hits):
+    # a normal-form basis that does not conjugate a onto its companion blocks
+    real = fac.frobenius_form
+
+    def faulty(a):
+        hits.append(1)
+        B, factors = real(a)
+        return _plus_one_at(B, B.nrows - 1, 0), factors
+
+    monkeypatch.setattr(fac, "frobenius_form", faulty)
+
+
+def _perturbed_gamma(monkeypatch, hits):
+    real = fac._gamma
+
+    def faulty(F, beta, a, G, x, y, pe):
+        hits.append(1)
+        return padd(real(F, beta, a, G, x, y, pe), [1], F)
+
+    monkeypatch.setattr(fac, "_gamma", faulty)
+
+
+def _merged_factorize(monkeypatch, hits):
+    # the first two factors of equal multiplicity come back as one
+    real = poly.factorize
+
+    def faulty(f, F, seed=0):
+        out = real(f, F, seed)
+        for i in range(len(out)):
+            for j in range(i + 1, len(out)):
+                if out[i][1] == out[j][1]:
+                    hits.append(1)
+                    merged = (pmul(out[i][0], out[j][0], F), out[i][1])
+                    return [merged] + [fm for k, fm in enumerate(out) if k not in (i, j)]
+        return out
+
+    for mod in (fac, dec):
+        monkeypatch.setattr(mod, "factorize", faulty)
+
+
+def _minpoly_with_extra_factor(c):
+    def install(monkeypatch, hits):
+        # (T - c) times the true minimal polynomial
+        real = dec.minimal_polynomial
+
+        def faulty(g):
+            hits.append(1)
+            F = g.tower
+            return pmul(real(g), [F.neg(F.from_int(c).key), 1], F)
+
+        for mod in (fac, dec):
+            monkeypatch.setattr(mod, "minimal_polynomial", faulty)
+
+    return install
+
+
+def _minpoly_missing_a_factor(monkeypatch, hits):
+    # the true minimal polynomial with one power of its first factor removed
+    real = dec.minimal_polynomial
+
+    def faulty(g):
+        hits.append(1)
+        F = g.tower
+        mp = real(g)
+        return pdivmod(mp, poly.factorize(mp, F)[0][0], F)[0]
+
+    for mod in (fac, dec):
+        monkeypatch.setattr(mod, "minimal_polynomial", faulty)
+
+
+def _wrong_hankel(monkeypatch, hits):
+    real = fac._hankel_candidate
+
+    def faulty(F, f):
+        hits.append(1)
+        H = real(F, f)
+        return _plus_one_at(H, H.nrows - 1, 0)
+
+    monkeypatch.setattr(fac, "_hankel_candidate", faulty)
+
+
+def _wrong_component_basis(monkeypatch, hits):
+    # a component basis with a vector outside ker p^e(a)
+    real = fac._kernel_matrix
+
+    def faulty(f, a):
+        hits.append(1)
+        return _plus_one_at(real(f, a), 0, 0)
+
+    monkeypatch.setattr(fac, "_kernel_matrix", faulty)
+
+
+def _wrong_cyclic_space(monkeypatch, hits):
+    # the accepted candidate's cyclic space is not the one the scan combined
+    real = fac._cyclic_block
+
+    def faulty(F, beta, K, ann):
+        hits.append(1)
+        return real(F, beta, _plus_one_at(K, K.nrows - 1, 0), ann)
+
+    monkeypatch.setattr(fac, "_cyclic_block", faulty)
+
+
+def _wrong_dual_basis(monkeypatch, hits):
+    # the reciprocal component's basis gets a vector outside the component,
+    # so the dual-normalized basis of a paired block has the wrong Gram
+    real_block, real_kernel = fac._paired_block, fac._kernel_matrix
+    seen = {"in_paired": None}  # kernels taken inside the current paired block
+
+    def block(*args):
+        seen["in_paired"] = 0
+        try:
+            return real_block(*args)
+        finally:
+            seen["in_paired"] = None
+
+    def kernel(f, a):
+        K = real_kernel(f, a)
+        if seen["in_paired"] is None:
+            return K
+        seen["in_paired"] += 1
+        if seen["in_paired"] == 2:  # U, then Us
+            hits.append(1)
+            return _plus_one_at(K, 0, 0)
+        return K
+
+    monkeypatch.setattr(fac, "_paired_block", block)
+    monkeypatch.setattr(fac, "_kernel_matrix", kernel)
+
+
+FAULTS = {
+    "cyclic_t": _corrupt_cyclic_t,
+    "conjugator_not_symmetric": _non_symmetric_conjugator,
+    "conjugator_not_intertwining": _non_intertwining_conjugator,
+    "frobenius_basis": _non_conjugating_frobenius_form,
+    "gamma": _perturbed_gamma,
+    "factorize_merges": _merged_factorize,
+    "minpoly_times_t_minus_1": _minpoly_with_extra_factor(1),
+    "minpoly_times_t_minus_3": _minpoly_with_extra_factor(3),
+    "minpoly_missing_a_factor": _minpoly_missing_a_factor,
+    "hankel": _wrong_hankel,
+    "component_basis": _wrong_component_basis,
+    "cyclic_space": _wrong_cyclic_space,
+    "dual_basis": _wrong_dual_basis,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_a_fault_ends_in_a_named_error_or_a_verified_certificate(monkeypatch, name):
+    hits = []
+    FAULTS[name](monkeypatch, hits)
+    outcomes = []
+    for form, g in ELEMENTS:
+        try:
+            cert = factor(form, g)
+        except InvofactorError as e:  # any other exception fails the test
+            outcomes.append(type(e))
+            continue
+        assert verify_certificate(form, g, cert).passed
+        outcomes.append(None)
+    # the fault was reached, at least once it mattered, and every time it
+    # mattered it was caught as an internal error, never as bad input
+    assert hits, name
+    assert InternalInvariantError in outcomes, outcomes
+    assert set(outcomes) <= {InternalInvariantError, None}, outcomes
+
+
+def test_factor_checks_its_result_exactly_once(monkeypatch):
+    calls = {"core_checks": 0, "is_irreducible_poly": 0}
+
+    def counted(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(ver, "core_checks")
+    for mod in (poly, fields):
+        counted(mod, "is_irreducible_poly")
+    for form, g in ELEMENTS:
+        calls["core_checks"] = 0
+        factor(form, g)
+        assert calls == {"core_checks": 1, "is_irreducible_poly": 0}
+
+
+def test_a_passing_verification_serializes_nothing(monkeypatch):
+    certs = [(form, g, factor(form, g)) for form, g in ELEMENTS]
+    calls = []
+    real = Mat.serialize
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Mat, "serialize", counted)
+    for form, g, cert in certs:
+        assert verify_certificate(form, g, cert).passed
+    assert not calls
+    # a failing check still gets its witness
+    form, g, cert = certs[0]
+    cert.h2 = cert.h2 * form.tower.from_int(2)
+    report = verify_certificate(form, g, cert)
+    assert not report.passed and calls
+    assert all(wit is not None for _, wit in report.failures())

@@ -29,7 +29,7 @@ def _reference_block(form, beta, a, G, p_, e):
     (None when the scan fell through to the cyclic-pair construction)."""
     F = form.tower
     pe = ppow(p_, e, F)
-    U, _ = fac._kernel_matrix(pe, a)
+    U = fac._kernel_matrix(pe, a)
     probe = poly_at(ppow(p_, e - 1, F), a)
     cols = [U.col(j) for j in range(U.ncols)]
     x = None
@@ -42,13 +42,13 @@ def _reference_block(form, beta, a, G, p_, e):
         K, ann = fac.krylov_span(a, v)
         assert ann == pe
         if (K.T @ G @ K.conj()).det():
-            return fac._cyclic_block(form, beta, a, G, K, ann, p_, e), (i, j, c)
+            return fac._cyclic_block(F, beta, K, ann), (i, j, c)
     Kx, _ = fac.krylov_span(a, x)
     w = probe @ x
     y = next(u for u in cols if fac._val(G, w, u))
     Ky, anny = fac.krylov_span(a, y)
     if (Ky.T @ G @ Ky.conj()).det():
-        return fac._cyclic_block(form, beta, a, G, Ky, anny, p_, e), None
+        return fac._cyclic_block(F, beta, Ky, anny), None
     return fac._cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e), None
 
 
@@ -131,7 +131,7 @@ def test_scan_matches_the_per_candidate_algorithm(monkeypatch):
         seen["D=3"] += pdeg(ppow(p_, e, F)) == 3
         if hit is None:
             seen["fallback"] += 1
-            ncols = fac._kernel_matrix(ppow(p_, e, F), a)[0].ncols
+            ncols = fac._kernel_matrix(ppow(p_, e, F), a).ncols
             seen["exhausted"] += ncols * (ncols - 1) // 2 * (F.order - 1) > 512
         elif hit[1] is None:
             seen["column"] += 1
