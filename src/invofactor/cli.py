@@ -99,7 +99,7 @@ def _field_from_doc(d):
         raise InputError("field: expected an object with at least a prime 'p'")
     if "base_modulus" in d:
         return field_from_descriptor(d)
-    return field_make(int(d["p"]), int(d.get("k", 1)), d.get("ext", "trivial"))
+    return field_make(d["p"], d.get("k", 1), d.get("ext", "trivial"))
 
 
 def _parse_instance(doc):

@@ -1,6 +1,7 @@
 """Structure of one endomorphism: Krylov spans, minimal polynomial,
 primary components, maximal vectors and the rational (companion-block)
-normal form.
+normal form.  frobenius_form factors the minimal polynomial once per call
+and hands the factors down its peels (poly.multiplicities).
 
 Everything here is deterministic: vector searches run over kernel bases in
 construction order, never over random probes.  Results hold by construction
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .linalg import Mat, hstack, poly_at, vstack
-from .poly import factorize, pdeg, plcm, ppow, pserialize
+from .poly import factorize, multiplicities, pdeg, plcm, ppow, pserialize
 
 
 def companion(tower, f):
@@ -100,21 +101,14 @@ def _kernel_matrix(f, g):
     return hstack(cols)
 
 
-def primary_components(g, factors):
-    """[(p, e, basis)] for the factored minimal polynomial; bases span the
-    kernels of p(g)^e and their dimensions add to n."""
-    return [(p_, e, _kernel_matrix(ppow(p_, e, g.tower), g)) for p_, e in factors]
-
-
-def maximal_vector(g, mp=None):
-    """A vector whose annihilator is the full minimal polynomial."""
+def maximal_vector(g, factors):
+    """A vector whose annihilator is the full minimal polynomial, factored as [(p, e)]."""
     F = g.tower
-    if mp is None:
-        mp = minimal_polynomial(g)
     v = None
-    for p_, e, basis in primary_components(g, factorize(mp, F)):
-        # some basis column of the component survives p(g)^(e-1), or the
-        # exponent in the minimal polynomial would drop
+    for p_, e in factors:
+        basis = _kernel_matrix(ppow(p_, e, F), g)
+        # some basis column of the component ker p(g)^e survives p(g)^(e-1),
+        # or the exponent in the minimal polynomial would drop
         probe = poly_at(ppow(p_, e - 1, F), g)
         w = next(
             (basis.col(j) for j in range(basis.ncols) if not (probe @ basis.col(j)).is_zero()),
@@ -137,8 +131,8 @@ def frobenius_form(g):
     n = g.nrows
     blocks = []
 
-    def peel(h, lift):
-        v = maximal_vector(h)
+    def peel(h, lift, factors):
+        v = maximal_vector(h, factors)
         K, ann = krylov_span(h, v)
         blocks.append((lift @ K, ann))
         d, m = pdeg(ann), h.nrows
@@ -159,7 +153,8 @@ def frobenius_form(g):
                 "invariant complement has wrong dimension", {"got": len(comp)}
             )
         C = hstack(comp)
-        peel(restrict(h, C), lift @ C)
+        hc = restrict(h, C)
+        peel(hc, lift @ C, multiplicities(minimal_polynomial(hc), [p_ for p_, _ in factors], F))
 
-    peel(g, Mat.identity(F, n))
+    peel(g, Mat.identity(F, n), factorize(minimal_polynomial(g), F))
     return hstack([b for b, _ in blocks]), [f for _, f in blocks]

@@ -22,6 +22,10 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 involution is the v-side cyclic map plus a gamma-corrected
                 cyclic map on the partner side.
 
+factor factors mp(g) once per element; each orthogonal complement's
+factors come from dividing its minimal polynomial by those irreducibles
+(poly.multiplicities), so only a paired block's conjugator factors again.
+
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made before factor returns it;
 a block that breaks its identities fails there and raises
@@ -42,7 +46,6 @@ from .decomp import (
     _kernel_matrix,
     companion,
     frobenius_form,
-    krylov_span,
     minimal_polynomial,
     restrict,
 )
@@ -57,6 +60,7 @@ from .forms import form_from_descriptor
 from .linalg import Mat, block_diag, hstack, mat_from_serialized, poly_at, vstack
 from .poly import (
     factorize,
+    multiplicities,
     pdeg,
     pmod,
     pnormal,
@@ -237,7 +241,8 @@ def _self_paired_block(form, beta, a, G, p_, e):
     pair whose Gram is zero for every c (each 1-dimensional cyclic space of
     a symplectic form, a totally isotropic plane) is passed over whole.
     When no candidate is nondegenerate, the first full-height column x and a
-    column pairing with p^(e-1)(a) x give a cyclic pair."""
+    column y pairing with p^(e-1)(a) x (so y is full height, as p is
+    self-paired) give a cyclic pair from the cached K_x and K_y."""
     F = form.tower
     pe = ppow(p_, e, F)
     D = pdeg(pe)
@@ -284,19 +289,13 @@ def _self_paired_block(form, beta, a, G, p_, e):
         return _cyclic_block(F, beta, K, pe)
     if x is None:
         raise InternalInvariantError("component has no full-height vector", {})
-    Kx, annx = krylov_span(a, cols[x])
-    if annx != pe:
-        raise InternalInvariantError("full-height vector has a smaller annihilator", {})
     w = krylov(x) @ probe
-    y = next((u for u in cols if _val(G, w, u)), None)
+    y = next((j for j, u in enumerate(cols) if _val(G, w, u)), None)
     if y is None:
         raise InternalInvariantError(
             "no partner pairs with the degenerate cyclic space", {}
         )
-    Ky, anny = krylov_span(a, y)
-    if anny != pe:
-        raise InternalInvariantError("pairing partner is not full height", {})
-    return _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e)
+    return _cyclic_pair_block(form, beta, a, G, krylov(x), krylov(y), p_, e)
 
 
 def _orthocomplement(G, basis):
@@ -306,10 +305,9 @@ def _orthocomplement(G, basis):
     return hstack([k.conj() for k in ker])
 
 
-def _split(form, beta, a, G, lift, blocks):
+def _split(form, beta, a, G, lift, blocks, fac):
+    # fac factors mp(a); a complement's minimal polynomial divides mp(a)
     F = form.tower
-    mp = minimal_polynomial(a)
-    fac = factorize(mp, F)
     if not fac:
         raise InternalInvariantError("minimal polynomial is constant", {})
     hit = next(((p_, e) for p_, e in fac if twisted_reciprocal(p_, beta.key, F) != p_), None)
@@ -331,7 +329,9 @@ def _split(form, beta, a, G, lift, blocks):
     Gc = comp.T @ G @ comp.conj()
     if not Gc.det():
         raise InternalInvariantError("orthogonal complement is degenerate", {})
-    _split(form, beta, restrict(a, comp), Gc, lift @ comp, blocks)
+    ac = restrict(a, comp)
+    fac_c = multiplicities(minimal_polynomial(ac), [p for p, _ in fac], F)
+    _split(form, beta, ac, Gc, lift @ comp, blocks, fac_c)
 
 
 def _refine_dets(form, blocks):
@@ -401,6 +401,11 @@ class FactorCert:
 def cert_from_serialized(d):
     if not isinstance(d, dict) or d.get("format") != CERT_FORMAT:
         raise InputError(f"not a certificate (expected format {CERT_FORMAT!r})")
+    det_refined, blocks = d.get("det_refined", False), d.get("blocks", [])
+    if not isinstance(det_refined, bool) or not isinstance(blocks, list):
+        raise InputError("certificate: det_refined must be a boolean and blocks a list")
+    if not isinstance(d.get("form", {}), dict):
+        raise InputError("certificate: form must be an object")
     try:
         form = form_from_descriptor(d["form"])
         tower = form.tower
@@ -408,8 +413,6 @@ def cert_from_serialized(d):
         h1 = mat_from_serialized(tower, d["h1"])
         h2 = mat_from_serialized(tower, d["h2"])
         beta = tower.elem(d["beta"])
-        det_refined = bool(d.get("det_refined", False))
-        blocks = list(d.get("blocks", []))
     except KeyError as e:
         raise InputError(f"certificate missing field: {e}") from e
     return FactorCert(form, g, beta, h1, h2, det_refined, blocks)
@@ -428,7 +431,8 @@ def factor(form, g, det_refined=False):
         raise InputError("g must be a matrix over the form's field tower")
     beta = form.similitude_ratio(g)
     blocks = []
-    _split(form, beta, g, form.J, Mat.identity(form.tower, form.n), blocks)
+    fac = factorize(minimal_polynomial(g), form.tower)
+    _split(form, beta, g, form.J, Mat.identity(form.tower, form.n), blocks, fac)
     if det_refined:
         _refine_dets(form, blocks)
     B = hstack([b.lift for b in blocks])

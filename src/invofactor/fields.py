@@ -54,10 +54,20 @@ _DOT_TERMS = 1 << 16
 _CHUNK = 1 << 8
 
 
+# psi_13: the least strong pseudoprime to every prime base up to 41
+# (Sorenson and Webster, 2015), so Miller-Rabin with those bases decides
+# primality exactly below it
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
     if not isinstance(n, int) or n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n >= _PRIME_TEST_BOUND:
+        raise FieldConstructionError(
+            f"primality is decided only below {_PRIME_TEST_BOUND}, got {n}"
+        )
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for q in small:
         if n % q == 0:
             return n == q
@@ -65,7 +75,7 @@ def _is_prime(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in small:  # deterministic for n < 3.3e24
+    for a in small:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -642,7 +652,9 @@ class FieldTower:
         return tuple(_digits(key, self.p, self.deg))
 
     def elem(self, coords):
-        coords = [int(c) % self.p for c in coords]
+        if not isinstance(coords, (list, tuple)) or any(type(c) is not int for c in coords):
+            raise InputError(f"expected a list of integer coordinates, got {coords!r}")
+        coords = [c % self.p for c in coords]
         if len(coords) != self.deg:
             raise InputError(f"expected {self.deg} coordinates, got {len(coords)}")
         return FieldElem(self, _key(coords, self.p))
@@ -719,6 +731,10 @@ _TOWER_CACHE: dict = {}
 
 def field_make(p, k=1, ext="trivial"):
     """Return the canonical GF(p^k) tower (cached: equal parameters, same object)."""
+    if type(p) is not int or type(k) is not int or not isinstance(ext, str):
+        raise FieldConstructionError(
+            f"p and k must be integers and ext a string, got {p!r}, {k!r}, {ext!r}"
+        )
     key = (p, k, ext)
     t = _TOWER_CACHE.get(key)
     if t is None:
@@ -730,13 +746,12 @@ def field_make(p, k=1, ext="trivial"):
 def field_from_descriptor(d):
     """Rebuild a tower from its descriptor, insisting on the canonical moduli."""
     try:
-        tower = field_make(int(d["p"]), int(d["k"]), d.get("ext", "trivial"))
-    except (KeyError, TypeError, ValueError) as e:
+        tower = field_make(d["p"], d["k"], d.get("ext", "trivial"))
+    except (KeyError, TypeError) as e:
         raise InputError(f"bad field descriptor: {e}") from e
-    if list(tower.base_modulus) != [int(c) for c in d["base_modulus"]]:
+    if list(tower.base_modulus) != d["base_modulus"]:
         raise InputError("field descriptor base modulus is not canonical")
     if tower.ext == "quadratic":
-        want = [[int(c) for c in row] for row in d.get("ext_modulus", [])]
-        if [list(tower._qg0), list(tower._qg1)] != want:
+        if [list(tower._qg0), list(tower._qg1)] != d.get("ext_modulus"):
             raise InputError("field descriptor extension modulus is not canonical")
     return tower

@@ -342,3 +342,20 @@ def factorize(f, F, seed=0):
             "factor product differs from input", {"input": pserialize(f, F)}
         )
     return out
+
+
+def multiplicities(f, irreducibles, F):
+    """factorize's [(g, mult)] for a monic f whose irreducible factors are
+    among the given ones, found by division and kept in their order."""
+    out = []
+    for g in irreducibles:
+        q, r = pdivmod(f, g, F)
+        m = 0
+        while not r:
+            f, m = q, m + 1
+            q, r = pdivmod(f, g, F)
+        if m:
+            out.append((g, m))
+    if len(f) > 1:
+        raise InternalInvariantError("factor outside the irreducibles", {"rest": pserialize(f, F)})
+    return out

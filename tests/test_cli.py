@@ -98,6 +98,37 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     assert main(["factor", _write(tmp_path, "miss.json", missing)]) == 2
 
     assert main(["factor", str(tmp_path / "absent.json")]) == 2
+
+    # malformed values get a named InputError, not a ValueError or TypeError
+    # and not a silent reading with another meaning
+    malformed = [
+        dict(SP3_INSTANCE, g=[[["x"], [1]], [[0], [1]]]),
+        dict(SP3_INSTANCE, beta=["x"]),
+        dict(SP3_INSTANCE, field={"p": "x"}),
+        dict(SP3_INSTANCE, field={"p": [3]}),
+        dict(SP3_INSTANCE, field={"p": 3, "k": 1.5}),
+        dict(SP3_INSTANCE, field={"p": 3, "k": 1, "ext": "trivial", "base_modulus": [0, "x"]}),
+        dict(SP3_INSTANCE, field={"p": 318665857834031151167461}),
+    ]
+    for i, doc in enumerate(malformed):
+        assert main(["factor", _write(tmp_path, f"bad{i}.json", doc)]) == 2, doc
+
+    inst = _write(tmp_path, "inst.json", SP3_INSTANCE)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["factor", inst, "--out", cert_path]) == 0
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    h1 = [list(r) for r in cert["h1"]]
+    h1[0][0] = ["x"]
+    bad_certs = [
+        dict(cert, h1=h1),
+        dict(cert, beta=["x"]),
+        dict(cert, beta=5),
+        dict(cert, form=3),
+        dict(cert, blocks=3),
+        dict(cert, det_refined="no"),
+    ]
+    for i, doc in enumerate(bad_certs):
+        assert main(["verify", inst, _write(tmp_path, f"badcert{i}.json", doc)]) == 2, doc
     capsys.readouterr()
 
 
@@ -170,6 +201,10 @@ def test_survey_sampled_and_guards(tmp_path, capsys):
     assert main(["survey", "--kind", "sp", "--n", "2", "--q", "6", "--exhaustive"]) == 2
     assert main(["survey", "--kind", "sp", "--n", "3", "--q", "3", "--exhaustive"]) == 2
     capsys.readouterr()
+    # a strong pseudoprime to every prime base up to 37
+    assert main(["survey", "--kind", "sp", "--n", "2", "--q", "318665857834031151167461",
+                 "--sample", "1", "--seed", "0"]) == 2
+    assert "prime power" in capsys.readouterr().err
 
 
 def test_survey_over_a_large_prime_field_parses_q_quickly(capsys):

@@ -6,7 +6,8 @@ Each case below replaces one construction step with a faulty one, at the
 point where an interior re-check used to guard it, and factors elements that
 reach that step.  The last tests pin the single verification point: one
 `core_checks` per `factor`, no irreducibility re-test, and no witness
-serialization on a passing verification."""
+serialization on a passing verification; and the single factorization:
+one `factorize` per `factor`, plus one per paired block's conjugator."""
 
 import importlib
 
@@ -284,6 +285,30 @@ def test_factor_checks_its_result_exactly_once(monkeypatch):
         calls["core_checks"] = 0
         factor(form, g)
         assert calls == {"core_checks": 1, "is_irreducible_poly": 0}
+
+
+def test_factor_factors_the_minimal_polynomial_once(monkeypatch):
+    # factor factors mp(g) once and hands the factors down its recursion;
+    # each paired block's symmetric conjugator factors once more, in
+    # frobenius_form, for the restriction to its component
+    calls = {}
+    real = poly.factorize
+    for mod in (fac, dec):
+
+        def counted(f, F, seed=0, name=mod.__name__):
+            calls[name] += 1
+            return real(f, F, seed)
+
+        monkeypatch.setattr(mod, "factorize", counted)
+    shapes = set()
+    for form, g in ELEMENTS:
+        calls.update({fac.__name__: 0, dec.__name__: 0})
+        cert = factor(form, g)
+        paired = sum(b["case"] == "paired" for b in cert.blocks)
+        assert calls == {fac.__name__: 1, dec.__name__: paired}
+        shapes.add((len(cert.blocks) > 1, paired > 0))
+    # elements that recurse into complements, with and without paired blocks
+    assert {(True, True), (True, False)} <= shapes, shapes
 
 
 def test_a_passing_verification_serializes_nothing(monkeypatch):

@@ -268,6 +268,16 @@ def test_bad_parameters_raise():
         field_make(5, 0)
     with pytest.raises(FieldConstructionError):
         field_make(5, 1, "cubic")
+    for bad in [("3",), ([3],), (3, 1.5), (3, True), (3, 1, ["trivial"])]:
+        with pytest.raises(FieldConstructionError):
+            field_make(*bad)
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; primality is decided exactly only below psi_13
+    with pytest.raises(FieldConstructionError, match="must be prime"):
+        field_make(318665857834031151167461)
+    with pytest.raises(FieldConstructionError, match="3317044064679887385961981"):
+        field_make(3317044064679887385961981)
+    assert field_make(2**61 - 1).p == 2**61 - 1
 
 
 def test_tower_caching_and_descriptor_roundtrip():
@@ -287,5 +297,8 @@ def test_elem_validation():
     assert F.elem([4, -1]) == F.elem([1, 2])  # inputs reduce mod p
     with pytest.raises(InputError):
         F.elem([1])
+    for bad in (["x", 1], [1.5, 1], [True, 1], 5, "12"):
+        with pytest.raises(InputError):
+            F.elem(bad)
     with pytest.raises(InputError):
         F.from_int(9)
