@@ -108,7 +108,8 @@ def _parse_instance(doc):
             raise InputError(f"instance: missing field {key!r}")
     tower = _field_from_doc(doc["field"])
     eps = doc["epsilon"]
-    if eps not in (-1, 1):
+    # a JSON integer: true and 1.0 compare equal to 1 but are not one
+    if type(eps) is not int or eps not in (-1, 1):
         raise InputError("instance: epsilon must be -1 or +1")
     if eps == -1:
         kind = "symplectic"

@@ -1,7 +1,7 @@
 """Structure of one endomorphism: Krylov spans, minimal polynomial,
 primary components, maximal vectors and the rational (companion-block)
-normal form.  frobenius_form factors the minimal polynomial once per call
-and hands the factors down its peels (poly.multiplicities).
+normal form.  frobenius_form takes the factors of the minimal polynomial
+from its caller and hands them down its peels (poly.multiplicities).
 
 Everything here is deterministic: vector searches run over kernel bases in
 construction order, never over random probes.  Results hold by construction
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .linalg import Mat, hstack, poly_at, vstack
-from .poly import factorize, multiplicities, pdeg, plcm, ppow, pserialize
+from .poly import multiplicities, pdeg, plcm, ppow, pserialize
 
 
 def companion(tower, f):
@@ -101,34 +101,42 @@ def _kernel_matrix(f, g):
     return hstack(cols)
 
 
+def krylov_matrix(g, v, d):
+    """The d columns v, gv, ..., g^(d-1) v."""
+    ws = [v]
+    for _ in range(d - 1):
+        ws.append(g @ ws[-1])
+    return hstack(ws)
+
+
 def maximal_vector(g, factors):
     """A vector whose annihilator is the full minimal polynomial, factored as [(p, e)]."""
     F = g.tower
     v = None
     for p_, e in factors:
         basis = _kernel_matrix(ppow(p_, e, F), g)
-        # some basis column of the component ker p(g)^e survives p(g)^(e-1),
-        # or the exponent in the minimal polynomial would drop
-        probe = poly_at(ppow(p_, e - 1, F), g)
-        w = next(
-            (basis.col(j) for j in range(basis.ncols) if not (probe @ basis.col(j)).is_zero()),
-            None,
-        )
-        if w is None:
+        # some basis column u of the component ker p(g)^e has p(g)^(e-1) u,
+        # a combination of its Krylov vectors, nonzero, or the exponent drops
+        low = ppow(p_, e - 1, F)
+        probe = Mat(F, tuple((c,) for c in low))  # keys, not GF(p) scalars
+        for u in map(basis.col, range(basis.ncols)):
+            if not (krylov_matrix(g, u, len(low)) @ probe).is_zero():
+                break
+        else:
             raise InternalInvariantError(
                 "no component vector of full height", {"p": pserialize(p_, F)}
             )
-        v = w if v is None else v + w
+        v = u if v is None else v + u
     if v is None:
         raise InternalInvariantError("minimal polynomial is constant", {})
     return v
 
 
-def frobenius_form(g):
-    """(B, factors): B^(-1) g B is the block diagonal of companion matrices of
-    the invariant factors, each dividing the previous."""
+def frobenius_form(g, factors):
+    """(B, invariants): B^(-1) g B is the block diagonal of companion matrices
+    of the invariant factors, each dividing the previous.  factors is the
+    factorization [(p, e)] of the minimal polynomial of g."""
     F = g.tower
-    n = g.nrows
     blocks = []
 
     def peel(h, lift, factors):
@@ -156,5 +164,5 @@ def frobenius_form(g):
         hc = restrict(h, C)
         peel(hc, lift @ C, multiplicities(minimal_polynomial(hc), [p_ for p_, _ in factors], F))
 
-    peel(g, Mat.identity(F, n), factorize(minimal_polynomial(g), F))
+    peel(g, Mat.identity(F, g.nrows), factors)
     return hstack([b for b, _ in blocks]), [f for _, f in blocks]

@@ -22,9 +22,10 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 involution is the v-side cyclic map plus a gamma-corrected
                 cyclic map on the partner side.
 
-factor factors mp(g) once per element; each orthogonal complement's
-factors come from dividing its minimal polynomial by those irreducibles
-(poly.multiplicities), so only a paired block's conjugator factors again.
+factor factors mp(g) once per element, and the builders take its factors:
+a paired block's conjugator gets [(p, e)] and its complement (the other
+primary components, by Wall) the rest; a self-paired block's complement
+divides its minimal polynomial by them (poly.multiplicities).
 
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made before factor returns it;
@@ -46,6 +47,7 @@ from .decomp import (
     _kernel_matrix,
     companion,
     frobenius_form,
+    krylov_matrix,
     minimal_polynomial,
     restrict,
 )
@@ -87,30 +89,30 @@ def _val(G, u, v):
 
 def _paired_block(form, beta, a, G, p_, e, ps, fac):
     F = form.tower
-    es = next((e2 for p2, e2 in fac if p2 == ps), None)
-    if es is None or es != e:
+    if (ps, e) not in fac:
         raise InternalInvariantError(
             "reciprocal factor missing or with mismatched multiplicity",
             {"factor": pserialize(p_, F), "reciprocal": pserialize(ps, F)},
         )
     U = _kernel_matrix(ppow(p_, e, F), a)
-    Us = _kernel_matrix(ppow(ps, es, F), a)
+    Us = _kernel_matrix(ppow(ps, e, F), a)
     r = U.ncols
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
-    aU = restrict(a, U)
+    # a restricted to its p-primary component has minimal polynomial p^e
+    X = _symmetric_conjugator(restrict(a, U), [(p_, e)])
     M = U.T @ G @ Us.conj()  # M[i, k] = <u_i, u'_k>
     try:
         coeffs = M.conj().inv() * form.eps_elem
+        Xinv = X.conj().inv()
     except SingularMatrixError:
-        raise InternalInvariantError("pairing between dual components is degenerate", {})
+        raise InternalInvariantError("pairing or its intertwiner is degenerate", {})
     # both components are totally isotropic, so the basis [U, Us coeffs] has
     # Gram [[0, eps], [1, 0]] and a acts on its second half by
-    # beta * conj(aU)^(-T); t swaps the halves through X
+    # beta * conj(a|U)^(-T); t swaps the halves through X
     B1 = hstack([U, Us @ coeffs])
-    X = symmetric_conjugator(aU)
     z = Mat.zeros(F, r, r)
-    t = vstack([hstack([z, X]), hstack([X.conj().inv(), z])])
+    t = vstack([hstack([z, X]), hstack([Xinv, z])])
     data = {
         "case": "paired",
         "dim": 2 * r,
@@ -254,10 +256,7 @@ def _self_paired_block(form, beta, a, G, p_, e):
 
     @cache
     def krylov(i):
-        ws = [cols[i]]
-        for _ in range(D - 1):
-            ws.append(a @ ws[-1])
-        return hstack(ws)
+        return krylov_matrix(a, cols[i], D)
 
     @cache
     def cross(i, j):
@@ -310,17 +309,20 @@ def _split(form, beta, a, G, lift, blocks, fac):
     F = form.tower
     if not fac:
         raise InternalInvariantError("minimal polynomial is constant", {})
-    hit = next(((p_, e) for p_, e in fac if twisted_reciprocal(p_, beta.key, F) != p_), None)
-    if hit is not None:
-        p_, e = hit
+    for p_, e in fac:
         ps = twisted_reciprocal(p_, beta.key, F)
-        basis, t, data = _paired_block(form, beta, a, G, p_, e, ps, fac)
+        if ps != p_:
+            basis, t, data = _paired_block(form, beta, a, G, p_, e, ps, fac)
+            fac_c = [(q, m) for q, m in fac if q != p_ and q != ps]
+            break
     else:
         p_, e = fac[0]
         basis, t, data = _self_paired_block(form, beta, a, G, p_, e)
-    data["basis"] = (lift @ basis).serialize()
+        fac_c = None
+    lb = lift @ basis
+    data["basis"] = lb.serialize()
     data["local_involution"] = t.serialize()
-    blocks.append(_Block(lift @ basis, t, data))
+    blocks.append(_Block(lb, t, data))
     comp = _orthocomplement(G, basis)
     if comp is None:
         if basis.ncols != a.nrows:
@@ -330,7 +332,8 @@ def _split(form, beta, a, G, lift, blocks, fac):
     if not Gc.det():
         raise InternalInvariantError("orthogonal complement is degenerate", {})
     ac = restrict(a, comp)
-    fac_c = multiplicities(minimal_polynomial(ac), [p for p, _ in fac], F)
+    if fac_c is None:
+        fac_c = multiplicities(minimal_polynomial(ac), [p for p, _ in fac], F)
     _split(form, beta, ac, Gc, lift @ comp, blocks, fac_c)
 
 
@@ -342,11 +345,11 @@ def _refine_dets(form, blocks):
     if n % 2:
         raise InputError("determinant refinement is defined for even dimension")
     target = F.one if (n // 2) % 2 == 0 else -F.one
+    total = F.one
     for b in blocks:
-        b.data["t_det"] = b.t.det().serialize()
-    total = blocks[0].t.det()
-    for b in blocks[1:]:
-        total = total * b.t.det()
+        d = b.t.det()
+        b.data["t_det"] = d.serialize()
+        total = total * d
     if total == target:
         return
     flip = next((b for b in blocks if b.t.nrows % 2 == 1), None)
@@ -485,13 +488,18 @@ def _hankel_candidate(F, f):
     return Mat(F, tuple(tuple(h[i : i + m]) for i in range(m)))
 
 
+def _symmetric_conjugator(a, factors):
+    # unchecked: factors is the factorization of mp(a).  P^(-1) a P is the
+    # block diagonal of the companions C_f and each H_f^(-1) conjugates C_f
+    # onto C_f^T, so P diag(H_f^(-1)) P^T conjugates a onto a^T
+    F = a.tower
+    P, invariants = frobenius_form(a, factors)
+    return P @ block_diag(F, [_hankel_candidate(F, f).inv() for f in invariants]) @ P.T
+
+
 def symmetric_conjugator(a):
     """Symmetric invertible X with a @ X = X @ a.T, over any field."""
-    F = a.tower
-    P, factors = frobenius_form(a)
-    # P^(-1) a P is the block diagonal of the companions C_f and each H_f^(-1)
-    # conjugates C_f onto C_f^T, so P diag(H_f^(-1)) P^T conjugates a onto a^T
-    X = P @ block_diag(F, [_hankel_candidate(F, f).inv() for f in factors]) @ P.T
+    X = _symmetric_conjugator(a, factorize(minimal_polynomial(a), a.tower))
     if X.T != X or a @ X != X @ a.T or not X.det():
         raise InternalInvariantError("symmetric conjugator construction failed", {})
     return X

@@ -163,7 +163,7 @@ def symplectic_form(tower, n):
     m = n // 2
     z = Mat.zeros(tower, m, m)
     i = Mat.identity(tower, m)
-    J = vstack([_hcat(z, -i), _hcat(i, z)])
+    J = vstack([hstack([z, -i]), hstack([i, z])])
     return SesquiForm(tower, "symplectic", J, standard="symplectic")
 
 
@@ -174,7 +174,7 @@ def orthogonal_plus_form(tower, n):
     m = n // 2
     z = Mat.zeros(tower, m, m)
     i = Mat.identity(tower, m)
-    J = vstack([_hcat(z, i), _hcat(i, z)])
+    J = vstack([hstack([z, i]), hstack([i, z])])
     return SesquiForm(tower, "orthogonal", J, standard="orthogonal_plus")
 
 
@@ -205,10 +205,6 @@ def orthogonal_form(tower, J):
     return SesquiForm(tower, "orthogonal", J)
 
 
-def _hcat(a, b):
-    return hstack([a, b])
-
-
 def least_nonsquare(tower):
     for e in tower.elements():
         if e and not tower.is_square(e):
@@ -224,10 +220,10 @@ def _rand_elem(tower, rng):
     return tower.from_int(rng.randrange(tower.order))
 
 
-def _rand_vector(tower, n, rng, nonzero=True):
+def _rand_vector(tower, n, rng):
     while True:
         v = Mat.column(tower, [_rand_elem(tower, rng) for _ in range(n)])
-        if not nonzero or not v.is_zero():
+        if not v.is_zero():
             return v
 
 
@@ -366,13 +362,8 @@ def _gram_column_solver(form, target, budget):
         x0 = A.solve_right(b)
         if x0 is None:
             return
+        # A has i < n rows, so its kernel is never empty
         kerb = A.right_kernel_basis()
-        if not kerb:
-            charge()
-            if not x0.is_zero() and form.value(x0, x0) == diag_want:
-                w = (J @ x0.conj()).T
-                yield from extend(cols + [x0], rows + [w])
-            return
         for coeffs in _vectors(F, len(kerb)):
             charge()
             x = x0

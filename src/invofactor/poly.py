@@ -12,8 +12,8 @@ Factorization (squarefree / distinct-degree / equal-degree) is seeded and
 deterministic for a fixed seed.  Equal-degree splitting only stops on a
 polynomial whose degree is the common degree of its irreducible factors, so
 every emitted factor is irreducible by construction; only the product is
-re-checked against the input.  is_irreducible_poly (Rabin's test) serves
-the search for tower moduli in fields.py.
+re-checked against the input.  is_irreducible_poly, a check on the
+distinct-degree step, serves the search for tower moduli in fields.py.
 """
 
 from __future__ import annotations
@@ -179,22 +179,11 @@ def pserialize(f, F):
 
 
 def is_irreducible_poly(f, F):
-    """Rabin's criterion over the working field: monic f of degree d is
-    irreducible iff T^(Q^d) = T mod f and T^(Q^(d/r)) - T is a unit mod f
-    for every prime r | d."""
+    """Whether f is monic and irreducible over the working field: exactly
+    when distinct-degree splitting finds no factor of degree at most d/2,
+    d = deg f (a reducible f has one, squarefree or not)."""
     d = len(f) - 1
-    if d < 1 or f[-1] != 1:
-        return False
-    Q = F.order
-    t = [0, 1]
-    t_red = pmod(t, f, F)
-    if ppowmod(t, Q**d, f, F) != t_red:
-        return False
-    for r in _prime_divisors(d):
-        h = ppowmod(t, Q ** (d // r), f, F)
-        if len(pgcd(psub(h, t_red, F), f, F)) != 1:
-            return False
-    return True
+    return d >= 1 and f[-1] == 1 and _distinct_degree(f, F) == [(f, d)]
 
 
 def _prime_divisors(n):

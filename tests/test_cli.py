@@ -113,6 +113,20 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     for i, doc in enumerate(malformed):
         assert main(["factor", _write(tmp_path, f"bad{i}.json", doc)]) == 2, doc
 
+    # epsilon is a JSON integer: true and 1.0 on a symmetric Gram, and -1.0
+    # on an alternating one, are rejected rather than read as +1 or -1
+    plane = {"field": {"p": 3}, "gram": [[0, 1], [1, 0]], "g": [[1, 0], [0, 1]]}
+    bad_eps = [
+        dict(plane, epsilon=True),
+        dict(plane, epsilon=1.0),
+        dict(SP3_INSTANCE, epsilon=-1.0),
+    ]
+    capsys.readouterr()
+    for i, doc in enumerate(bad_eps):
+        assert main(["factor", _write(tmp_path, f"eps{i}.json", doc)]) == 2, doc
+        err = capsys.readouterr().err
+        assert "instance: epsilon must be -1 or +1" in err and "Traceback" not in err
+
     inst = _write(tmp_path, "inst.json", SP3_INSTANCE)
     cert_path = str(tmp_path / "cert.json")
     assert main(["factor", inst, "--out", cert_path]) == 0

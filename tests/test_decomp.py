@@ -143,7 +143,7 @@ def test_frobenius_form_properties():
         for _ in range(20):
             n = rng.randrange(1, 6)
             A = rand_mat(F, n, rng)
-            B, factors = frobenius_form(A)
+            B, factors = frobenius_form(A, factorize(minimal_polynomial(A), F))
             assert B.det()
             assert sum(pdeg(f) for f in factors) == n
             assert factors[0] == minimal_polynomial(A)
@@ -157,10 +157,10 @@ def test_frobenius_form_known_shapes():
     F = field_make(3, 1)
     # identity: n one-dimensional blocks T - 1
     I3 = Mat.identity(F, 3)
-    _, factors = frobenius_form(I3)
-    lin = [2, 1]  # T - 1
+    lin = [2, 1]  # T - 1, the minimal polynomial
+    _, factors = frobenius_form(I3, [(lin, 1)])
     assert factors == [lin, lin, lin]
     # a single Jordan-like nilpotent of full rank deficiency: one block T^2, one T
     N = Mat.from_rows(F, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    _, factors = frobenius_form(N)
+    _, factors = frobenius_form(N, [([0, 1], 2)])  # mp = T^2
     assert factors == [[0, 0, 1], [0, 1]]

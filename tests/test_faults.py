@@ -7,9 +7,11 @@ point where an interior re-check used to guard it, and factors elements that
 reach that step.  The last tests pin the single verification point: one
 `core_checks` per `factor`, no irreducibility re-test, and no witness
 serialization on a passing verification; and the single factorization:
-one `factorize` per `factor`, plus one per paired block's conjugator."""
+one `factorize` per `factor`, inherited by paired complements, with
+`maximal_vector` testing height on vectors."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -78,35 +80,47 @@ def _corrupt_cyclic_t(monkeypatch, hits):
 
 
 def _non_symmetric_conjugator(monkeypatch, hits):
-    real = fac.symmetric_conjugator
+    real = fac._symmetric_conjugator
 
-    def faulty(a):
+    def faulty(a, factors):
         hits.append(1)
-        X = real(a)
+        X = real(a, factors)
         return _plus_one_at(X, 0, X.ncols - 1)
 
-    monkeypatch.setattr(fac, "symmetric_conjugator", faulty)
+    monkeypatch.setattr(fac, "_symmetric_conjugator", faulty)
 
 
 def _non_intertwining_conjugator(monkeypatch, hits):
-    real = fac.symmetric_conjugator
+    real = fac._symmetric_conjugator
 
-    def faulty(a):
+    def faulty(a, factors):
         hits.append(1)
-        X = real(a)
+        X = real(a, factors)
         return X + Mat.identity(a.tower, a.nrows)
 
-    monkeypatch.setattr(fac, "symmetric_conjugator", faulty)
+    monkeypatch.setattr(fac, "_symmetric_conjugator", faulty)
+
+
+def _singular_conjugator(monkeypatch, hits):
+    real = fac._symmetric_conjugator
+
+    def faulty(a, factors):
+        # X with its first column zeroed
+        hits.append(1)
+        X = real(a, factors)
+        return X - X.col(0) @ Mat.identity(a.tower, a.nrows).col(0).T
+
+    monkeypatch.setattr(fac, "_symmetric_conjugator", faulty)
 
 
 def _non_conjugating_frobenius_form(monkeypatch, hits):
     # a normal-form basis that does not conjugate a onto its companion blocks
     real = fac.frobenius_form
 
-    def faulty(a):
+    def faulty(a, factors):
         hits.append(1)
-        B, factors = real(a)
-        return _plus_one_at(B, B.nrows - 1, 0), factors
+        B, invariants = real(a, factors)
+        return _plus_one_at(B, B.nrows - 1, 0), invariants
 
     monkeypatch.setattr(fac, "frobenius_form", faulty)
 
@@ -135,8 +149,7 @@ def _merged_factorize(monkeypatch, hits):
                     return [merged] + [fm for k, fm in enumerate(out) if k not in (i, j)]
         return out
 
-    for mod in (fac, dec):
-        monkeypatch.setattr(mod, "factorize", faulty)
+    monkeypatch.setattr(fac, "factorize", faulty)
 
 
 def _minpoly_with_extra_factor(c):
@@ -233,6 +246,7 @@ FAULTS = {
     "cyclic_t": _corrupt_cyclic_t,
     "conjugator_not_symmetric": _non_symmetric_conjugator,
     "conjugator_not_intertwining": _non_intertwining_conjugator,
+    "conjugator_singular": _singular_conjugator,
     "frobenius_basis": _non_conjugating_frobenius_form,
     "gamma": _perturbed_gamma,
     "factorize_merges": _merged_factorize,
@@ -288,27 +302,74 @@ def test_factor_checks_its_result_exactly_once(monkeypatch):
 
 
 def test_factor_factors_the_minimal_polynomial_once(monkeypatch):
-    # factor factors mp(g) once and hands the factors down its recursion;
-    # each paired block's symmetric conjugator factors once more, in
-    # frobenius_form, for the restriction to its component
+    # factor factors mp(g) once and hands the factors to every builder: a
+    # paired block's conjugator takes [(p, e)], and no other module factors
     calls = {}
     real = poly.factorize
-    for mod in (fac, dec):
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("invofactor.") and getattr(mod, "factorize", None) is real:
 
-        def counted(f, F, seed=0, name=mod.__name__):
-            calls[name] += 1
-            return real(f, F, seed)
+            def counted(f, F, seed=0, name=mod.__name__):
+                calls[name] = calls.get(name, 0) + 1
+                return real(f, F, seed)
 
-        monkeypatch.setattr(mod, "factorize", counted)
+            monkeypatch.setattr(mod, "factorize", counted)
     shapes = set()
     for form, g in ELEMENTS:
-        calls.update({fac.__name__: 0, dec.__name__: 0})
+        calls.clear()
         cert = factor(form, g)
+        assert calls == {fac.__name__: 1}
         paired = sum(b["case"] == "paired" for b in cert.blocks)
-        assert calls == {fac.__name__: 1, dec.__name__: paired}
         shapes.add((len(cert.blocks) > 1, paired > 0))
     # elements that recurse into complements, with and without paired blocks
     assert {(True, True), (True, False)} <= shapes, shapes
+    assert not hasattr(dec, "factorize")
+
+
+def test_paired_complements_inherit_their_factors(monkeypatch):
+    # the complement of a paired block is the sum of the other primary
+    # components, so its factors are fac without p and p~; minimal_polynomial
+    # runs on g and on the complement of each self-paired block only
+    calls = []
+    real = fac.minimal_polynomial
+
+    def counted(g):
+        calls.append(1)
+        return real(g)
+
+    monkeypatch.setattr(fac, "minimal_polynomial", counted)
+    inherited = 0
+    for form, g in ELEMENTS:
+        calls.clear()
+        cert = factor(form, g)
+        cases = [b["case"] for b in cert.blocks[:-1]]  # the blocks with a complement
+        assert len(calls) == 1 + sum(c != "paired" for c in cases)
+        inherited += cases.count("paired")
+    assert inherited
+
+
+def test_maximal_vector_tests_height_on_vectors(monkeypatch):
+    # maximal_vector evaluates one polynomial per factor, p^e for the kernel
+    # of its component; p^(e-1) reaches each column through Krylov vectors
+    evaluated, reached = [], []
+    real_at, real_mv = dec.poly_at, dec.maximal_vector
+
+    def at(f, A):
+        evaluated.append(f)
+        return real_at(f, A)
+
+    def mv(g, factors):
+        evaluated.clear()
+        v = real_mv(g, factors)
+        assert evaluated == [poly.ppow(p_, e, g.tower) for p_, e in factors]
+        reached.append(1)
+        return v
+
+    monkeypatch.setattr(dec, "poly_at", at)
+    monkeypatch.setattr(dec, "maximal_vector", mv)
+    for form, g in ELEMENTS:
+        factor(form, g)
+    assert reached
 
 
 def test_a_passing_verification_serializes_nothing(monkeypatch):
