@@ -114,7 +114,9 @@ def maximal_vector(g, factors):
     F = g.tower
     v = None
     for p_, e in factors:
-        basis = _kernel_matrix(ppow(p_, e, F), g)
+        # with one factor, p^e(g) = 0 and the component is the whole space
+        whole = len(factors) == 1
+        basis = Mat.identity(F, g.nrows) if whole else _kernel_matrix(ppow(p_, e, F), g)
         # some basis column u of the component ker p(g)^e has p(g)^(e-1) u,
         # a combination of its Krylov vectors, nonzero, or the exponent drops
         low = ppow(p_, e - 1, F)

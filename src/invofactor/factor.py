@@ -16,7 +16,14 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 component's basis columns and their scaled pairwise sums.
                 Krylov matrices are linear in v and cyclic Grams
                 sesquilinear, so each candidate is tested by combining
-                per-column data on keys, not by spanning it afresh.
+                per-column data on keys, not by spanning it afresh.  At
+                most 512 pair candidates count; a pair that cannot hit is
+                charged its q - 1 of them in one step: a dead pair (Gram
+                zero for every scalar c) and, without conj, a pair with
+                2D + 1 singular scalars, since there the Gram determinant
+                is a polynomial of degree <= 2D in c (D = deg p^e).  Over
+                conj fields the Gram depends on c and conj(c), and each
+                candidate of a live pair is tested.
 - cyclic pair:  p~ = p but the cyclic spaces met are degenerate; two of them
                 pair through a unit gamma with gamma * gamma~ = 1 and the
                 involution is the v-side cyclic map plus a gamma-corrected
@@ -41,7 +48,7 @@ certificates.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
+from itertools import chain, combinations
 
 from .decomp import (
     _kernel_matrix,
@@ -188,24 +195,6 @@ def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
     return B1, t, data
 
 
-def _candidate_vectors(F, ncols, limit=512):
-    # deterministic scan order as (i, j, c), meaning col_i + c * col_j: the
-    # basis columns alone (j None), then pairs i < j with the scalar key c
-    # running 1 .. q-1; by polarization this reaches a non-isotropic vector
-    # whenever the restricted form has one on a plain-column span (odd
-    # characteristic).  The scan stops after `limit` pair candidates, whatever q is
-    for i in range(ncols):
-        yield i, None, 0
-    count = 0
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            for c in range(1, F.order):
-                yield i, j, c
-                count += 1
-                if count >= limit:
-                    return
-
-
 def _pair_gram_terms(F, gii, gij, gji, gjj):
     # the cyclic Gram of col_i + c * col_j is
     # G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj (G_ab flat key lists);
@@ -227,28 +216,75 @@ def _pair_gram(F, terms, c):
     ]
 
 
-def _self_paired_block(form, beta, a, G, p_, e):
+# the scan tests at most this many pair candidates, whatever q is
+_PAIR_LIMIT = 512
+
+
+def _nondegenerate(F, D, ent):
+    # ent is a D x D Gram as flat keys
+    return ent[0] if D == 1 else Mat(F, tuple(zip(*[iter(ent)] * D))).det()
+
+
+def _scan_pairs(F, D, ncols, cross):
+    """The first pair candidate (i, j, c), meaning col_i + c * col_j, whose
+    cyclic Gram is nondegenerate, or None.  The order is pairs i < j, each
+    with the scalar key c running 1 .. q-1; only the first _PAIR_LIMIT
+    candidates count, the one that reaches the limit included.  By
+    polarization this order reaches a non-isotropic vector whenever the
+    restricted form has one on a plain-column span (odd characteristic).
+
+    A pair is charged its q - 1 candidates at once, and the scan moves on,
+    when none of the rest can hit: a dead pair (every Gram term zero), and,
+    over a field with trivial conj, a pair with 2D + 1 singular scalars.
+    There the Gram G_ii + c (G_ij + G_ji) + c^2 G_jj has entries of degree
+    <= 2 in c, so its determinant is a polynomial of degree <= 2D in c, and
+    2D + 1 distinct roots make it zero.  With a nontrivial conj the Gram
+    depends on c and conj(c) = c^r (q = r^2), no such degree bound holds,
+    and every candidate up to the limit is tested."""
+    left = _PAIR_LIMIT
+    for i, j in combinations(range(ncols), 2):
+        if left <= 0:
+            return None
+        share = min(F.order - 1, left)  # the pair's candidates inside the limit
+        left -= F.order - 1
+        terms = _pair_gram_terms(F, cross(i, i), cross(i, j), cross(j, i), cross(j, j))
+        if not any(chain(*terms)):
+            continue
+        if not F.has_conj:
+            share = min(share, 2 * D + 1)
+        for c in range(1, share + 1):
+            if _nondegenerate(F, D, _pair_gram(F, terms, c)):
+                return i, j, c
+    return None
+
+
+def _self_paired_block(form, beta, a, G, p_, e, whole):
     """A cyclic or cyclic-pair block inside the component U = ker p^e(a).
 
-    The scan looks, in _candidate_vectors order, for a full-height
-    v = col_i + c * col_j whose cyclic space has a nondegenerate Gram.  The
-    map v -> K(v) = [v, av, ..., a^(D-1) v] (D = deg p^e) is linear, so the
-    tests combine per-column data, made once when a candidate first needs
-    it: K_i, P_i = p^(e-1)(a) col_i (a combination of the columns of K_i,
-    as deg p^(e-1) < D) and G_ab = K_a^T G conj(K_b).  A column is full
-    height when P_i != 0, which gives ann = p^e since p^e(a) U = 0 and p is
-    irreducible.  A pair's cyclic Gram is
-    G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj, computed on keys; a
-    nondegenerate one makes K(v) of rank D, so v is full height too.  A
-    pair whose Gram is zero for every c (each 1-dimensional cyclic space of
-    a symplectic form, a totally isotropic plane) is passed over whole.
+    whole says that p^e is all of mp(a), so p^e(a) = 0 and U is the whole
+    space, taken as its standard basis without evaluating p^e(a).
+
+    The scan looks for a full-height v = col_i + c * col_j whose cyclic
+    space has a nondegenerate Gram: the columns alone first, then the pair
+    candidates of _scan_pairs.  The map v -> K(v) = [v, av, ..., a^(D-1) v]
+    (D = deg p^e) is linear, so the tests combine per-column data, made
+    once when a candidate first needs it: K_i, P_i = p^(e-1)(a) col_i (a
+    combination of the columns of K_i, as deg p^(e-1) < D) and
+    G_ab = K_a^T G conj(K_b).  A column is full height when P_i != 0, which
+    gives ann = p^e since p^e(a) U = 0 and p is irreducible.  A pair's
+    cyclic Gram is G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj, computed
+    on keys; a nondegenerate one makes K(v) of rank D, so v is full height
+    too.  A pair whose Gram is zero for every c (each 1-dimensional cyclic
+    space of a symplectic form, a totally isotropic plane) is charged to
+    the limit in one step, and so, without conj, is a pair whose Gram
+    determinant is shown to vanish for every c (see _scan_pairs).
     When no candidate is nondegenerate, the first full-height column x and a
     column y pairing with p^(e-1)(a) x (so y is full height, as p is
     self-paired) give a cyclic pair from the cached K_x and K_y."""
     F = form.tower
     pe = ppow(p_, e, F)
     D = pdeg(pe)
-    U = _kernel_matrix(pe, a)
+    U = Mat.identity(F, a.nrows) if whole else _kernel_matrix(pe, a)
     p_low = ppow(p_, e - 1, F)
     # keys enter as they are: Mat.column would read them as GF(p) scalars
     probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
@@ -263,25 +299,17 @@ def _self_paired_block(form, beta, a, G, p_, e):
         # G_ij as a flat list of keys
         return [x for r in (krylov(i).T @ G @ krylov(j).conj()).rows for x in r]
 
-    x = hit = pair = None
-    for i, j, c in _candidate_vectors(F, len(cols)):
-        if j is None:
-            if (krylov(i) @ probe).is_zero():
-                continue
-            if x is None:
-                x = i
-            ent = cross(i, i)
-        else:
-            if (i, j) != pair:
-                pair = (i, j)
-                terms = _pair_gram_terms(F, cross(i, i), cross(i, j), cross(j, i), cross(j, j))
-                dead = not any(chain(*terms))  # no scalar makes the Gram nonzero
-            if dead:
-                continue
-            ent = _pair_gram(F, terms, c)
-        if ent[0] if D == 1 else Mat(F, tuple(zip(*[iter(ent)] * D))).det():
-            hit = (i, j, c)
+    x = hit = None
+    for i in range(len(cols)):
+        if (krylov(i) @ probe).is_zero():
+            continue
+        if x is None:
+            x = i
+        if _nondegenerate(F, D, cross(i, i)):
+            hit = i, None, 0
             break
+    else:
+        hit = _scan_pairs(F, D, len(cols), cross)
     if hit is not None:
         i, j, c = hit
         K = krylov(i) if j is None else krylov(i) + krylov(j) * F.from_int(c)
@@ -317,7 +345,7 @@ def _split(form, beta, a, G, lift, blocks, fac):
             break
     else:
         p_, e = fac[0]
-        basis, t, data = _self_paired_block(form, beta, a, G, p_, e)
+        basis, t, data = _self_paired_block(form, beta, a, G, p_, e, len(fac) == 1)
         fac_c = None
     lb = lift @ basis
     data["basis"] = lb.serialize()

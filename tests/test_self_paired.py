@@ -1,5 +1,6 @@
 """The self-paired candidate scan against a per-candidate reference scan:
-the same blocks, and far fewer Krylov spans."""
+the same blocks, far fewer Krylov spans, and pairs that cannot hit charged
+without testing their candidates."""
 
 import importlib
 import random
@@ -23,17 +24,37 @@ fac = importlib.import_module("invofactor.factor")
 dec = importlib.import_module("invofactor.decomp")
 
 
+def _candidate_vectors(F, ncols, limit=512):
+    # deterministic scan order as (i, j, c), meaning col_i + c * col_j: the
+    # basis columns alone (j None), then pairs i < j with the scalar key c
+    # running 1 .. q-1; by polarization this reaches a non-isotropic vector
+    # whenever the restricted form has one on a plain-column span (odd
+    # characteristic).  The scan stops after `limit` pair candidates, whatever q is
+    for i in range(ncols):
+        yield i, None, 0
+    count = 0
+    for i in range(ncols):
+        for j in range(i + 1, ncols):
+            for c in range(1, F.order):
+                yield i, j, c
+                count += 1
+                if count >= limit:
+                    return
+
+
 def _reference_block(form, beta, a, G, p_, e):
     """The reference scan: every candidate vector gets its own krylov_span
-    and Gram determinant.  Returns the block and the accepted candidate
-    (None when the scan fell through to the cyclic-pair construction)."""
+    and Gram determinant.  Returns the block, the accepted candidate (None
+    when the scan fell through to the cyclic-pair construction) and the
+    pairs met before it with a nonzero but singular Gram."""
     F = form.tower
     pe = ppow(p_, e, F)
     U = fac._kernel_matrix(pe, a)
     probe = poly_at(ppow(p_, e - 1, F), a)
     cols = [U.col(j) for j in range(U.ncols)]
     x = None
-    for i, j, c in fac._candidate_vectors(F, len(cols)):
+    singular = set()
+    for i, j, c in _candidate_vectors(F, len(cols)):
         v = cols[i] if j is None else cols[i] + cols[j] * F.from_int(c)
         if (probe @ v).is_zero():
             continue
@@ -41,15 +62,18 @@ def _reference_block(form, beta, a, G, p_, e):
             x = v
         K, ann = dec.krylov_span(a, v)
         assert ann == pe
-        if (K.T @ G @ K.conj()).det():
-            return fac._cyclic_block(F, beta, K, ann), (i, j, c)
+        gram = K.T @ G @ K.conj()
+        if gram.det():
+            return fac._cyclic_block(F, beta, K, ann), (i, j, c), singular
+        if j is not None and not gram.is_zero():
+            singular.add((i, j))
     Kx, _ = dec.krylov_span(a, x)
     w = probe @ x
     y = next(u for u in cols if fac._val(G, w, u))
     Ky, anny = dec.krylov_span(a, y)
     if (Ky.T @ G @ Ky.conj()).det():
-        return fac._cyclic_block(F, beta, Ky, anny), None
-    return fac._cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e), None
+        return fac._cyclic_block(F, beta, Ky, anny), None, singular
+    return fac._cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e), None, singular
 
 
 def _int_rows(rows, p):
@@ -98,6 +122,17 @@ def _cases():
                 yield form, h @ g @ h.inv()
     go = orthogonal_plus_form(field_make(1009), 4)
     yield go, -Mat.identity(go.tower, 4)
+    # unipotent Sp8 (D = 4) over small fields: a pair whose Gram determinant
+    # vanishes at 2D + 1 scalars is charged, and a later pair is accepted
+    for p in (11, 17):
+        F = field_make(p)
+        yield symplectic_form(F, 8), _shapes(F, 8)[4]
+    # conjugated by [[I, 0], [I, I]] over GF(1009): the first live pair is
+    # degenerate and its q - 1 candidates use up the limit, although a later
+    # pair would hit, so the block is a cyclic pair
+    F = field_make(1009)
+    h = Mat.from_rows(F, [[int(i in (j, j + 4)) for j in range(8)] for i in range(8)])
+    yield symplectic_form(F, 8), h @ _shapes(F, 8)[4] @ h.inv()
     for E in (field_make(2, 1, "quadratic"), field_make(5, 1, "quadratic")):
         for n in (2, 4):
             form = _hyperbolic_hermitian(E, n)
@@ -121,14 +156,23 @@ def _cases():
 
 def test_scan_matches_the_per_candidate_algorithm(monkeypatch):
     real = fac._self_paired_block
-    seen = {"column": 0, "pair": 0, "conj_pair": 0, "fallback": 0, "exhausted": 0, "D=3": 0}
+    seen = {
+        "column": 0,
+        "pair": 0,
+        "conj_pair": 0,
+        "charged_then_pair": 0,
+        "fallback": 0,
+        "exhausted": 0,
+        "D=3": 0,
+    }
 
-    def both(form, beta, a, G, p_, e):
-        got = real(form, beta, a, G, p_, e)
-        want, hit = _reference_block(form, beta, a, G, p_, e)
+    def both(form, beta, a, G, p_, e, whole):
+        got = real(form, beta, a, G, p_, e, whole)
+        want, hit, singular = _reference_block(form, beta, a, G, p_, e)
         assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
         F = form.tower
-        seen["D=3"] += pdeg(ppow(p_, e, F)) == 3
+        D = pdeg(ppow(p_, e, F))
+        seen["D=3"] += D == 3
         if hit is None:
             seen["fallback"] += 1
             ncols = fac._kernel_matrix(ppow(p_, e, F), a).ncols
@@ -137,7 +181,12 @@ def test_scan_matches_the_per_candidate_algorithm(monkeypatch):
             seen["column"] += 1
         else:
             seen["pair"] += 1
-            seen["conj_pair"] += F.conj(hit[2]) != hit[2] and pdeg(ppow(p_, e, F)) >= 2
+            seen["conj_pair"] += F.conj(hit[2]) != hit[2] and D >= 2
+            # an earlier live pair was charged after 2D + 1 singular scalars
+            # with candidates of its own still left
+            seen["charged_then_pair"] += (
+                not F.has_conj and F.order - 1 > 2 * D + 1 and any(s < hit[:2] for s in singular)
+            )
         return got
 
     monkeypatch.setattr(fac, "_self_paired_block", both)
@@ -145,9 +194,79 @@ def test_scan_matches_the_per_candidate_algorithm(monkeypatch):
         cert = factor(form, g)
         assert verify_certificate(form, g, cert).passed
     # every branch of the scan was compared, including a pair candidate of
-    # D = 2 whose scalar is not conj-fixed, a pair that used up the 512 limit
-    # and cyclic spaces of dimension 3
+    # D = 2 whose scalar is not conj-fixed, a pair accepted after a degenerate
+    # pair was charged, a pair that used up the 512 limit and cyclic spaces
+    # of dimension 3
     assert all(seen.values()), seen
+
+
+def test_scan_charges_pairs_that_cannot_hit(monkeypatch):
+    # per self-paired block: a dead pair evaluates no pair Gram, and without
+    # conj a live pair evaluates at most 2D + 1, since its Gram determinant
+    # is a polynomial of degree <= 2D in the scalar.  The shapes come plain
+    # and conjugated by an isometry; the per-candidate walk evaluated up to
+    # 512 Grams in one live pair of a conjugated unipotent Sp6
+    real_block, real_terms, real_gram = fac._self_paired_block, fac._pair_gram_terms, fac._pair_gram
+    pairs, evaluated, met = [], [], {"dead": 0, "live": 0}
+
+    def terms(F, *grams):
+        t = real_terms(F, *grams)
+        pairs.append(t)
+        return t
+
+    def gram(F, t, c):
+        evaluated.append(t)
+        return real_gram(F, t, c)
+
+    def block(form, beta, a, G, p_, e, whole):
+        pairs.clear()
+        evaluated.clear()
+        got = real_block(form, beta, a, G, p_, e, whole)
+        F = form.tower
+        D = pdeg(ppow(p_, e, F))
+        for t in pairs:
+            n = sum(u is t for u in evaluated)
+            if not any(x for part in t for x in part):
+                met["dead"] += 1
+                assert n == 0
+            else:
+                met["live"] += 1
+                assert F.has_conj or n <= 2 * D + 1, (D, n)
+        return got
+
+    monkeypatch.setattr(fac, "_pair_gram_terms", terms)
+    monkeypatch.setattr(fac, "_pair_gram", gram)
+    monkeypatch.setattr(fac, "_self_paired_block", block)
+    for p in (1009, 65537):
+        F = field_make(p)
+        for n in (4, 6):
+            form = symplectic_form(F, n)
+            h = group_sample(form, seed=f"count:{p}:{n}", count=1)[0]
+            shapes = _shapes(F, n)
+            for g in shapes + [h @ x @ h.inv() for x in shapes]:
+                assert verify_certificate(form, g, factor(form, g)).passed
+    go = orthogonal_plus_form(field_make(1009), 4)
+    g = -Mat.identity(go.tower, 4)
+    assert verify_certificate(go, g, factor(go, g)).passed
+    assert met["dead"] and met["live"], met
+
+
+@pytest.mark.parametrize("p", [11, 1009])
+def test_pair_scan_charges_pairs_to_the_limit_in_order(p):
+    # _scan_pairs on made-up cross-Grams (D x D, flat keys; unset ones zero):
+    # without conj a pair's Gram is G_ii + c (G_ij + G_ji) + c^2 G_jj
+    F = field_make(p)
+
+    def scan(D, grams):
+        return fac._scan_pairs(F, D, 3, lambda i, j: grams.get((i, j), [0] * (D * D)))
+
+    # D = 1: (c - 1)(c - 2) vanishes at the first 2D scalars; c = 2D + 1 hits
+    assert scan(1, {(0, 0): [2], (0, 1): [F.neg(3)], (1, 1): [1]}) == (0, 1, 3)
+    # D = 2: pair (0, 1) has Gram c E_11, live and singular for every c, and
+    # is charged its q - 1 candidates; pair (0, 2), Gram c^2 I, hits at c = 1
+    # when the limit has room left for it
+    grams = {(0, 1): [1, 0, 0, 0], (2, 2): [1, 0, 0, 1]}
+    assert scan(2, grams) == ((0, 2, 1) if p - 1 < fac._PAIR_LIMIT else None)
 
 
 @pytest.mark.parametrize(
