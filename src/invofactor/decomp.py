@@ -1,24 +1,23 @@
-"""Structure of one endomorphism: Krylov spans, minimal polynomial,
-primary components, maximal vectors and the rational (companion-block)
-normal form.  frobenius_form takes the factors of the minimal polynomial
-from its caller and hands them down its peels (poly.multiplicities).
+"""Structure of one endomorphism: Krylov spans, minimal polynomial and the
+rational (companion-block) normal form of a primary endomorphism.  Splitting
+a space into primary components is factor.py's job; frobenius_form gets one
+component, where every annihilator is a power of the same irreducible.
 
-Everything here is deterministic: vector searches run over kernel bases in
-construction order, never over random probes.  Results hold by construction
+Everything here is deterministic: vector searches run over the standard
+columns in order, never over random probes.  Results hold by construction
 and are not re-checked here; the guards that remain turn an impossible
-intermediate (an empty kernel, an unsolvable system, a complement of the
-wrong size) into InternalInvariantError instead of a crash.  krylov_span,
-which the others build on, eliminates incrementally: each new power g^d v
-is reduced once against the echelon rows of the vectors before it, so a
-span of dimension d costs d products with g and O(n * d^2) key operations,
-with no re-solving.
+intermediate (an unsolvable system, a complement of the wrong size) into
+InternalInvariantError instead of a crash.  krylov_span, which the others
+build on, eliminates incrementally: each new power g^d v is reduced once
+against the echelon rows of the vectors before it, so a span of dimension d
+costs d products with g and O(n * d^2) key operations, with no re-solving.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .linalg import Mat, hstack, poly_at, vstack
-from .poly import multiplicities, pdeg, plcm, ppow, pserialize
+from .linalg import Mat, hstack, vstack
+from .poly import pdeg, plcm
 
 
 def companion(tower, f):
@@ -78,27 +77,21 @@ def krylov_span(g, v):
         w = [dot(r, w) for r in g.rows]
 
 
+def _column_spans(g):
+    # krylov_span(g, e_j) for the standard columns e_j, in order
+    I = Mat.identity(g.tower, g.nrows)
+    for j in range(g.nrows):
+        yield krylov_span(g, I.col(j))
+
+
 def minimal_polynomial(g):
     """Least monic polynomial annihilating g (lcm of basis-vector annihilators)."""
-    F = g.tower
-    n = g.nrows
     mp = [1]
-    for j in range(n):
-        if pdeg(mp) == n:
+    for _, ann in _column_spans(g):
+        mp = plcm(mp, ann, g.tower)
+        if pdeg(mp) == g.nrows:
             break
-        _, ann = krylov_span(g, Mat.identity(F, n).col(j))
-        mp = plcm(mp, ann, F)
     return mp
-
-
-def _kernel_matrix(f, g):
-    # a basis of ker f(g), as columns
-    cols = poly_at(f, g).right_kernel_basis()
-    if not cols:
-        raise InternalInvariantError(
-            "expected a nonzero kernel", {"poly": pserialize(f, g.tower)}
-        )
-    return hstack(cols)
 
 
 def krylov_matrix(g, v, d):
@@ -109,45 +102,31 @@ def krylov_matrix(g, v, d):
     return hstack(ws)
 
 
-def maximal_vector(g, factors):
-    """A vector whose annihilator is the full minimal polynomial, factored as [(p, e)]."""
-    F = g.tower
-    v = None
-    for p_, e in factors:
-        # with one factor, p^e(g) = 0 and the component is the whole space
-        whole = len(factors) == 1
-        basis = Mat.identity(F, g.nrows) if whole else _kernel_matrix(ppow(p_, e, F), g)
-        # some basis column u of the component ker p(g)^e has p(g)^(e-1) u,
-        # a combination of its Krylov vectors, nonzero, or the exponent drops
-        low = ppow(p_, e - 1, F)
-        probe = Mat(F, tuple((c,) for c in low))  # keys, not GF(p) scalars
-        for u in map(basis.col, range(basis.ncols)):
-            if not (krylov_matrix(g, u, len(low)) @ probe).is_zero():
-                break
-        else:
-            raise InternalInvariantError(
-                "no component vector of full height", {"p": pserialize(p_, F)}
-            )
-        v = u if v is None else v + u
-    if v is None:
-        raise InternalInvariantError("minimal polynomial is constant", {})
-    return v
-
-
-def frobenius_form(g, factors):
+def frobenius_form(g):
     """(B, invariants): B^(-1) g B is the block diagonal of companion matrices
-    of the invariant factors, each dividing the previous.  factors is the
-    factorization [(p, e)] of the minimal polynomial of g."""
+    of the invariant factors, each dividing the previous.  g is primary: its
+    minimal polynomial is a power of one irreducible p.
+
+    Annihilators are then powers of p, so a standard column whose
+    annihilator has the largest degree is of full height, and its cyclic
+    space splits off with an invariant complement.  Each peel keeps the first
+    such column, and stops scanning at the first that reaches the previous
+    invariant factor's degree (which the next one divides) or the dimension."""
     F = g.tower
     blocks = []
-
-    def peel(h, lift, factors):
-        v = maximal_vector(h, factors)
-        K, ann = krylov_span(h, v)
+    h, lift, top = g, Mat.identity(F, g.nrows), g.nrows
+    while True:
+        m = h.nrows
+        K, ann = None, [1]
+        for Kj, annj in _column_spans(h):
+            if pdeg(annj) > pdeg(ann):
+                K, ann = Kj, annj
+                if pdeg(ann) == min(top, m):
+                    break
         blocks.append((lift @ K, ann))
-        d, m = pdeg(ann), h.nrows
+        d = pdeg(ann)
         if d == m:
-            return
+            break
         # a functional vanishing on v, hv, ... except the top power
         z, o = F.zero, F.one
         rhs = Mat.column(F, [z] * (d - 1) + [o])
@@ -163,8 +142,5 @@ def frobenius_form(g, factors):
                 "invariant complement has wrong dimension", {"got": len(comp)}
             )
         C = hstack(comp)
-        hc = restrict(h, C)
-        peel(hc, lift @ C, multiplicities(minimal_polynomial(hc), [p_ for p_, _ in factors], F))
-
-    peel(g, Mat.identity(F, g.nrows), factors)
+        h, lift, top = restrict(h, C), lift @ C, d
     return hstack([b for b, _ in blocks]), [f for _, f in blocks]

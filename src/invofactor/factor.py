@@ -29,10 +29,13 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 involution is the v-side cyclic map plus a gamma-corrected
                 cyclic map on the partner side.
 
-factor factors mp(g) once per element, and the builders take its factors:
-a paired block's conjugator gets [(p, e)] and its complement (the other
-primary components, by Wall) the rest; a self-paired block's complement
-divides its minimal polynomial by them (poly.multiplicities).
+This module is the one place that splits a space into primary components
+(_kernel_matrix of p^e(a)).  factor factors mp(g) once per element, and the
+builders take its factors: a paired block's complement (the other primary
+components, by Wall) takes the rest, and a self-paired block's complement
+divides its minimal polynomial by them (poly.multiplicities).  A paired
+block's conjugator gets a restricted to one component, which is primary
+and needs no factors (decomp.frobenius_form).
 
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made before factor returns it;
@@ -50,14 +53,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain, combinations
 
-from .decomp import (
-    _kernel_matrix,
-    companion,
-    frobenius_form,
-    krylov_matrix,
-    minimal_polynomial,
-    restrict,
-)
+from .decomp import companion, frobenius_form, krylov_matrix, minimal_polynomial, restrict
 from .errors import (
     DetRefinementError,
     InputError,
@@ -90,6 +86,16 @@ class _Block:
         self.data = data
 
 
+def _kernel_matrix(f, g):
+    # a basis of ker f(g), as columns
+    cols = poly_at(f, g).right_kernel_basis()
+    if not cols:
+        raise InternalInvariantError(
+            "expected a nonzero kernel", {"poly": pserialize(f, g.tower)}
+        )
+    return hstack(cols)
+
+
 def _val(G, u, v):
     return (u.T @ G @ v.conj())[0, 0]
 
@@ -107,7 +113,7 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
     # a restricted to its p-primary component has minimal polynomial p^e
-    X = _symmetric_conjugator(restrict(a, U), [(p_, e)])
+    X = _symmetric_conjugator(restrict(a, U))
     M = U.T @ G @ Us.conj()  # M[i, k] = <u_i, u'_k>
     try:
         coeffs = M.conj().inv() * form.eps_elem
@@ -516,18 +522,25 @@ def _hankel_candidate(F, f):
     return Mat(F, tuple(tuple(h[i : i + m]) for i in range(m)))
 
 
-def _symmetric_conjugator(a, factors):
-    # unchecked: factors is the factorization of mp(a).  P^(-1) a P is the
-    # block diagonal of the companions C_f and each H_f^(-1) conjugates C_f
-    # onto C_f^T, so P diag(H_f^(-1)) P^T conjugates a onto a^T
+def _symmetric_conjugator(a):
+    # unchecked, for a primary a: P^(-1) a P is the block diagonal of the
+    # companions C_f and each H_f^(-1) conjugates C_f onto C_f^T, so
+    # P diag(H_f^(-1)) P^T conjugates a onto a^T
     F = a.tower
-    P, invariants = frobenius_form(a, factors)
+    P, invariants = frobenius_form(a)
     return P @ block_diag(F, [_hankel_candidate(F, f).inv() for f in invariants]) @ P.T
 
 
 def symmetric_conjugator(a):
-    """Symmetric invertible X with a @ X = X @ a.T, over any field."""
-    X = _symmetric_conjugator(a, factorize(minimal_polynomial(a), a.tower))
+    """Symmetric invertible X with a @ X = X @ a.T, over any field.
+
+    The primary components U_i of a give B = [U_1 ... U_k] with
+    a B = B diag(a_i), so X = B diag(X_i) B^T for the conjugators X_i of
+    the a_i."""
+    F = a.tower
+    Us = [_kernel_matrix(ppow(p_, e, F), a) for p_, e in factorize(minimal_polynomial(a), F)]
+    B = hstack(Us)
+    X = B @ block_diag(F, [_symmetric_conjugator(restrict(a, U)) for U in Us]) @ B.T
     if X.T != X or a @ X != X @ a.T or not X.det():
         raise InternalInvariantError("symmetric conjugator construction failed", {})
     return X

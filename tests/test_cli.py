@@ -109,9 +109,20 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
         dict(SP3_INSTANCE, field={"p": 3, "k": 1.5}),
         dict(SP3_INSTANCE, field={"p": 3, "k": 1, "ext": "trivial", "base_modulus": [0, "x"]}),
         dict(SP3_INSTANCE, field={"p": 318665857834031151167461}),
+        dict(SP3_INSTANCE, g=[[True, 1], [0, 1]]),
+        dict(SP3_INSTANCE, field=3),
+        dict(SP3_INSTANCE, g=[]),
+        dict(SP3_INSTANCE, g=[[], []]),
     ]
+    capsys.readouterr()
     for i, doc in enumerate(malformed):
         assert main(["factor", _write(tmp_path, f"bad{i}.json", doc)]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, doc
+
+    # a document that is valid JSON but not an object
+    assert main(["factor", _write(tmp_path, "list.json", [1, 2])]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
 
     # epsilon is a JSON integer: true and 1.0 on a symmetric Gram, and -1.0
     # on an alternating one, are rejected rather than read as +1 or -1
@@ -199,6 +210,11 @@ def test_survey_cli_reports_and_is_byte_stable(tmp_path, capsys):
     capsys.readouterr()
     assert out_path.read_bytes() == first
     assert json.loads(first)["total"] == 24
+    # the unitary and split orthogonal kinds, with their group orders
+    for kind, n, total in (("u", 1, 4), ("u", 2, 96), ("go-plus", 2, 4)):
+        assert main(["survey", "--kind", kind, "--n", str(n), "--q", "3", "--exhaustive"]) == 0
+        text = capsys.readouterr().out
+        assert f"total: {total}" in text and "failures: 0" in text, (kind, n)
 
 
 def test_survey_sampled_and_guards(tmp_path, capsys):
@@ -255,10 +271,15 @@ def test_enumerate_counts_the_group(tmp_path, capsys):
     assert len(json.loads(out_path.read_text())) == 6
 
 
-def test_unknown_kind_is_an_argparse_error():
+def test_unknown_kind_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["survey", "--kind", "nope", "--n", "2", "--q", "3", "--exhaustive"])
     assert info.value.code == 2
+    capsys.readouterr()
+    # no subcommand: the usage goes to stderr
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("usage: invofactor") and not out
 
 
 def test_instance_with_coordinate_arrays(tmp_path, capsys):

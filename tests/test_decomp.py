@@ -6,15 +6,8 @@ import random
 import pytest
 
 from invofactor import field_make
-from invofactor.decomp import (
-    _kernel_matrix,
-    companion,
-    frobenius_form,
-    krylov_span,
-    maximal_vector,
-    minimal_polynomial,
-    restrict,
-)
+from invofactor.decomp import companion, frobenius_form, krylov_span, minimal_polynomial, restrict
+from invofactor.factor import _kernel_matrix
 from invofactor.linalg import Mat, block_diag, hstack, poly_at, vstack
 from invofactor.poly import factorize, pdeg, pmod, pnormal, ppow
 
@@ -125,32 +118,25 @@ def test_primary_components_structure():
             assert minimal_polynomial(X) == ppow(p_, e, F)
 
 
-def test_maximal_vector_annihilator_is_minpoly():
-    for params in [(2, 1), (3, 1), (5, 1)]:
-        F = field_make(*params)
-        rng = random.Random(40)
-        for _ in range(25):
-            n = rng.randrange(1, 6)
-            A = rand_mat(F, n, rng)
-            v = maximal_vector(A, factorize(minimal_polynomial(A), F))
-            assert krylov_span(A, v)[1] == minimal_polynomial(A)
-
-
 def test_frobenius_form_properties():
+    # frobenius_form takes one primary component: every component of each
+    # random matrix
     for params in [(2, 1), (3, 1), (5, 1), (2, 1, "quadratic")]:
         F = field_make(*params)
         rng = random.Random(77)
         for _ in range(20):
             n = rng.randrange(1, 6)
-            A = rand_mat(F, n, rng)
-            B, factors = frobenius_form(A, factorize(minimal_polynomial(A), F))
-            assert B.det()
-            assert sum(pdeg(f) for f in factors) == n
-            assert factors[0] == minimal_polynomial(A)
-            for i in range(len(factors) - 1):
-                assert not pmod(factors[i], factors[i + 1], F)
-            want = block_diag(F, [companion(F, f) for f in factors])
-            assert B.inv() @ A @ B == want
+            M = rand_mat(F, n, rng)
+            for p_, e in factorize(minimal_polynomial(M), F):
+                A = restrict(M, _kernel_matrix(ppow(p_, e, F), M))
+                B, factors = frobenius_form(A)
+                assert B.det()
+                assert sum(pdeg(f) for f in factors) == A.nrows
+                assert factors[0] == minimal_polynomial(A) == ppow(p_, e, F)
+                for i in range(len(factors) - 1):
+                    assert not pmod(factors[i], factors[i + 1], F)
+                want = block_diag(F, [companion(F, f) for f in factors])
+                assert B.inv() @ A @ B == want
 
 
 def test_frobenius_form_known_shapes():
@@ -158,9 +144,9 @@ def test_frobenius_form_known_shapes():
     # identity: n one-dimensional blocks T - 1
     I3 = Mat.identity(F, 3)
     lin = [2, 1]  # T - 1, the minimal polynomial
-    _, factors = frobenius_form(I3, [(lin, 1)])
+    _, factors = frobenius_form(I3)
     assert factors == [lin, lin, lin]
     # a single Jordan-like nilpotent of full rank deficiency: one block T^2, one T
     N = Mat.from_rows(F, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    _, factors = frobenius_form(N, [([0, 1], 2)])  # mp = T^2
+    _, factors = frobenius_form(N)  # mp = T^2
     assert factors == [[0, 0, 1], [0, 1]]

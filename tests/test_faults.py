@@ -7,8 +7,9 @@ point where an interior re-check used to guard it, and factors elements that
 reach that step.  The last tests pin the single verification point: one
 `core_checks` per `factor`, no irreducibility re-test, and no witness
 serialization on a passing verification; and the single factorization:
-one `factorize` per `factor`, inherited by paired complements, with
-`maximal_vector` testing height on vectors."""
+one `factorize` per `factor`, inherited by paired complements, while
+`frobenius_form` works on one primary component and evaluates no
+polynomial."""
 
 import importlib
 import sys
@@ -26,7 +27,7 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.linalg import Mat, block_diag
+from invofactor.linalg import Mat, block_diag, poly_at
 from invofactor.poly import padd, pdivmod, pmul
 
 fac = importlib.import_module("invofactor.factor")
@@ -82,9 +83,9 @@ def _corrupt_cyclic_t(monkeypatch, hits):
 def _non_symmetric_conjugator(monkeypatch, hits):
     real = fac._symmetric_conjugator
 
-    def faulty(a, factors):
+    def faulty(a):
         hits.append(1)
-        X = real(a, factors)
+        X = real(a)
         return _plus_one_at(X, 0, X.ncols - 1)
 
     monkeypatch.setattr(fac, "_symmetric_conjugator", faulty)
@@ -93,9 +94,9 @@ def _non_symmetric_conjugator(monkeypatch, hits):
 def _non_intertwining_conjugator(monkeypatch, hits):
     real = fac._symmetric_conjugator
 
-    def faulty(a, factors):
+    def faulty(a):
         hits.append(1)
-        X = real(a, factors)
+        X = real(a)
         return X + Mat.identity(a.tower, a.nrows)
 
     monkeypatch.setattr(fac, "_symmetric_conjugator", faulty)
@@ -104,10 +105,10 @@ def _non_intertwining_conjugator(monkeypatch, hits):
 def _singular_conjugator(monkeypatch, hits):
     real = fac._symmetric_conjugator
 
-    def faulty(a, factors):
+    def faulty(a):
         # X with its first column zeroed
         hits.append(1)
-        X = real(a, factors)
+        X = real(a)
         return X - X.col(0) @ Mat.identity(a.tower, a.nrows).col(0).T
 
     monkeypatch.setattr(fac, "_symmetric_conjugator", faulty)
@@ -117,9 +118,9 @@ def _non_conjugating_frobenius_form(monkeypatch, hits):
     # a normal-form basis that does not conjugate a onto its companion blocks
     real = fac.frobenius_form
 
-    def faulty(a, factors):
+    def faulty(a):
         hits.append(1)
-        B, invariants = real(a, factors)
+        B, invariants = real(a)
         return _plus_one_at(B, B.nrows - 1, 0), invariants
 
     monkeypatch.setattr(fac, "frobenius_form", faulty)
@@ -162,8 +163,7 @@ def _minpoly_with_extra_factor(c):
             F = g.tower
             return pmul(real(g), [F.neg(F.from_int(c).key), 1], F)
 
-        for mod in (fac, dec):
-            monkeypatch.setattr(mod, "minimal_polynomial", faulty)
+        monkeypatch.setattr(fac, "minimal_polynomial", faulty)
 
     return install
 
@@ -178,8 +178,7 @@ def _minpoly_missing_a_factor(monkeypatch, hits):
         mp = real(g)
         return pdivmod(mp, poly.factorize(mp, F)[0][0], F)[0]
 
-    for mod in (fac, dec):
-        monkeypatch.setattr(mod, "minimal_polynomial", faulty)
+    monkeypatch.setattr(fac, "minimal_polynomial", faulty)
 
 
 def _wrong_hankel(monkeypatch, hits):
@@ -302,8 +301,8 @@ def test_factor_checks_its_result_exactly_once(monkeypatch):
 
 
 def test_factor_factors_the_minimal_polynomial_once(monkeypatch):
-    # factor factors mp(g) once and hands the factors to every builder: a
-    # paired block's conjugator takes [(p, e)], and no other module factors
+    # factor factors mp(g) once and hands the factors to every builder, and
+    # no other module factors
     calls = {}
     real = poly.factorize
     for name, mod in list(sys.modules.items()):
@@ -348,32 +347,34 @@ def test_paired_complements_inherit_their_factors(monkeypatch):
     assert inherited
 
 
-def test_maximal_vector_tests_height_on_vectors(monkeypatch):
-    # maximal_vector evaluates one polynomial per factor, p^e for the kernel
-    # of its component, and none for a single factor, whose component is the
-    # whole space; p^(e-1) reaches each column through Krylov vectors
-    evaluated, reached = [], []
-    real_at, real_mv = dec.poly_at, dec.maximal_vector
+def test_frobenius_form_evaluates_no_polynomial(monkeypatch):
+    # decomp gets one primary component: frobenius_form scans the standard
+    # columns with krylov_span, and needs neither the minimal polynomial nor
+    # a polynomial evaluated at the matrix, even on non-cyclic inputs that
+    # take several peels.  Splitting a space into primary components
+    # (poly_at, _kernel_matrix) is factor's alone
+    calls = []
+    for real in (dec.minimal_polynomial, poly_at):
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("invofactor.") and getattr(mod, real.__name__, None) is real:
 
-    def at(f, A):
-        evaluated.append(f)
-        return real_at(f, A)
+                def counted(*args, real=real):
+                    calls.append(real.__name__)
+                    return real(*args)
 
-    def mv(g, factors):
-        evaluated.clear()
-        v = real_mv(g, factors)
-        if len(factors) == 1:
-            assert evaluated == []
-        else:
-            assert evaluated == [poly.ppow(p_, e, g.tower) for p_, e in factors]
-        reached.append(1)
-        return v
-
-    monkeypatch.setattr(dec, "poly_at", at)
-    monkeypatch.setattr(dec, "maximal_vector", mv)
-    for form, g in ELEMENTS:
-        factor(form, g)
-    assert reached
+                monkeypatch.setattr(mod, real.__name__, counted)
+    F3 = field_make(3)
+    shapes = {
+        "I3": (Mat.identity(F3, 3), [[2, 1]] * 3),
+        "nilpotent": (Mat.from_rows(F3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]), [[0, 0, 1], [0, 1]]),
+    }
+    for g, want in shapes.values():
+        B, invariants = dec.frobenius_form(g)
+        assert invariants == want
+        assert B.inv() @ g @ B == block_diag(F3, [dec.companion(F3, f) for f in invariants])
+    assert calls == []
+    for name in ("maximal_vector", "multiplicities", "poly_at", "_kernel_matrix"):
+        assert not hasattr(dec, name), name
 
 
 def test_a_passing_verification_serializes_nothing(monkeypatch):

@@ -231,6 +231,7 @@ def test_int_coercion():
     assert 1 + a == F.scalar(4)
     assert 2 * a == F.scalar(6)
     assert a - 5 == F.scalar(-2) == F.scalar(5)
+    assert 1 - a == F.scalar(-2)
     assert 1 / a == a.inv()
     assert a == 3 and a != 4
     assert F.scalar(-1) == F.scalar(6)
@@ -246,11 +247,16 @@ def test_pow_edge_cases():
 
 
 def test_zero_division_raises():
-    F = field_make(5, 1)
-    with pytest.raises(ZeroDivisionError):
-        F.one / F.zero
-    with pytest.raises(ZeroDivisionError):
-        F.zero.inv()
+    # the prime kernel, the tabled kernel (GF(9)) and the two coordinate
+    # kernels (GF(3^11), GF(101^2)): inv, a negative power and division
+    for params in [(5, 1), (3, 2), (3, 11), (101, 1, "quadratic")]:
+        F = field_make(*params)
+        with pytest.raises(ZeroDivisionError):
+            F.one / F.zero
+        with pytest.raises(ZeroDivisionError):
+            F.zero.inv()
+        with pytest.raises(ZeroDivisionError):
+            F.zero**-1
 
 
 def test_cross_tower_mixing_raises():

@@ -101,6 +101,14 @@ def test_mismatched_instance_reports_shape_check():
     assert report.checks[0][0] == "shapes_match_the_space"
     assert "GF(5)" in report.checks[0][2]["space"]
     assert "GF(3)" in report.checks[0][2]["h1"]
+    # a valid certificate checked against a singular g of the right shape:
+    # g is no similitude, and the report says so with a witness, not raised
+    cert = factor(sp5, Mat.from_rows(F5, [[1, 1], [0, 1]]))
+    report = verify_certificate(sp5, Mat.from_rows(F5, [[1, 0], [0, 0]]), cert)
+    failures = dict(report.failures())
+    assert set(failures) == {"g_is_similitude_of_beta", "h1_h2_product_is_g"}
+    assert set(failures["g_is_similitude_of_beta"]) == {"g", "beta"}
+    assert [n for n, _, _ in report.checks] == list(CHECK_NAMES[:-1])
 
 
 def test_refined_flag_adds_det_check():
