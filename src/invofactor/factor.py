@@ -538,7 +538,11 @@ def symmetric_conjugator(a):
     a B = B diag(a_i), so X = B diag(X_i) B^T for the conjugators X_i of
     the a_i."""
     F = a.tower
-    Us = [_kernel_matrix(ppow(p_, e, F), a) for p_, e in factorize(minimal_polynomial(a), F)]
+    fac = factorize(minimal_polynomial(a), F)
+    if len(fac) == 1:  # a is primary: its one component is the whole space
+        Us = [Mat.identity(F, a.nrows)]
+    else:
+        Us = [_kernel_matrix(ppow(p_, e, F), a) for p_, e in fac]
     B = hstack(Us)
     X = B @ block_diag(F, [_symmetric_conjugator(restrict(a, U)) for U in Us]) @ B.T
     if X.T != X or a @ X != X @ a.T or not X.det():

@@ -12,8 +12,13 @@ Factorization (squarefree / distinct-degree / equal-degree) is seeded and
 deterministic for a fixed seed.  Equal-degree splitting only stops on a
 polynomial whose degree is the common degree of its irreducible factors, so
 every emitted factor is irreducible by construction; only the product is
-re-checked against the input.  is_irreducible_poly, a check on the
-distinct-degree step, serves the search for tower moduli in fields.py.
+re-checked against the input.  Both splitting steps run on the Frobenius
+map h -> h^Q mod f of each squarefree part f, a matrix built once from
+x^Q: the distinct-degree steps past the first, and the norm (odd Q) or
+relative trace (characteristic 2) that equal-degree splitting takes, are
+matrix-vector products, so x^Q is the only power with exponent Q.
+is_irreducible_poly, a check on the distinct-degree step, serves the search
+for tower moduli in fields.py.
 """
 
 from __future__ import annotations
@@ -132,15 +137,15 @@ def plcm(f, g, F):
 
 
 def ppowmod(f, e, m, F):
-    out = pmod([1], m, F)
     base = pmod(f, m, F)
+    out = None
     while e:
         if e & 1:
-            out = pmod(pmul(out, base, F), m, F)
+            out = base if out is None else pmod(pmul(out, base, F), m, F)
         e >>= 1
         if e:
             base = pmod(pmul(base, base, F), m, F)
-    return out
+    return pmod([1], m, F) if out is None else out
 
 
 def pinvmod(f, m, F):
@@ -181,9 +186,10 @@ def pserialize(f, F):
 def is_irreducible_poly(f, F):
     """Whether f is monic and irreducible over the working field: exactly
     when distinct-degree splitting finds no factor of degree at most d/2,
-    d = deg f (a reducible f has one, squarefree or not)."""
+    d = deg f (a reducible f has one, squarefree or not).  The search stops
+    at the first factor it finds."""
     d = len(f) - 1
-    return d >= 1 and f[-1] == 1 and _distinct_degree(f, F) == [(f, d)]
+    return d >= 1 and f[-1] == 1 and next(_distinct_degree(_Frobenius(f, F))) == (f, d)
 
 
 def _prime_divisors(n):
@@ -261,50 +267,119 @@ def squarefree_parts(f, F):
     return out
 
 
-def _distinct_degree(f, F):
-    # for monic squarefree f: [(product of its degree-d irreducible factors, d)]
-    out = []
-    Q = F.order
-    g = f
-    h = pmod([0, 1], g, F)
+class _Frobenius:
+    """The Frobenius map h -> h^Q mod f on F[x]/(f), Q the order of the
+    working field.  It is GF(Q)-linear, so it is kept as the matrix whose
+    column i is x^(iQ) mod f, and one application is a matrix-vector
+    product (von zur Gathen and Shoup, Comput. Complexity 2, 1992).
+
+    Column 1, x^Q, is the one ppowmod; it is taken on first use.  The other
+    columns are built only when the map is first applied, by a second
+    distinct-degree step or an equal-degree split of degree d >= 2: most
+    tower-modulus candidates have a root, and is_irreducible_poly stops at
+    x^Q for them."""
+
+    def __init__(self, f, F):
+        self.f, self.F = f, F
+        self.cols = []  # x^(iQ) mod f, for i < len(cols)
+        self._rows = None  # row j holds coefficient j of columns 0 .. deg f - 1
+
+    def xq(self):
+        if not self.cols:
+            f, F = self.f, self.F
+            self.cols = [pmod([1], f, F), ppowmod([0, 1], F.order, f, F)]
+        return self.cols[1]
+
+    def __call__(self, h):
+        """h^Q mod f, for h reduced mod f."""
+        if self._rows is None:
+            self._rows = self._matrix()
+        dot = self.F.dot  # sums over the len(h) leading columns
+        return pnormal([dot(h, row) for row in self._rows])
+
+    def _matrix(self):
+        # column i is x^(iQ) = K^i 1 for K, multiplication by x^Q mod f, so
+        # each column past x^Q is one product with K's matrix; K's column j,
+        # x^j x^Q mod f, is its column j - 1 times x, one shift and one
+        # scaled subtraction of f
+        f, F, n = self.f, self.F, len(self.f) - 1
+        low, dot = f[:n], F.dot
+        xq = self.xq()
+        c = xq + [0] * (n - len(xq))
+        kcols = [c]
+        for _ in range(n - 1):
+            top = c[-1]
+            c = [0] + c[:-1]
+            if top:
+                c = F.sub_scaled(c, top, low)
+            kcols.append(c)
+        krows = list(zip(*kcols))
+        cols = self.cols
+        while len(cols) < n:
+            cols.append(pnormal([dot(cols[-1], row) for row in krows]))
+        return [[col[j] if j < len(col) else 0 for col in cols[:n]] for j in range(n)]
+
+    def mod(self, g):
+        """The map on F[x]/(g) for a factor g of f, from the columns built
+        so far reduced mod g, so x^Q is not raised again."""
+        sub = _Frobenius(g, self.F)
+        sub.cols = [pmod(c, g, self.F) for c in self.cols[: max(2, len(g) - 1)]]
+        return sub
+
+
+def _distinct_degree(frob):
+    # for monic squarefree f = frob.f, yields (product of its degree-d
+    # irreducible factors, d) by increasing d.  h = x^(Q^d) stays reduced
+    # mod f, so each step past the first is one application of the map; the
+    # gcds take the cofactor g, which sheds each product as it is found
+    F = frob.F
+    g = frob.f
     d = 0
     while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = ppowmod(h, Q, g, F)
+        h = frob.xq() if d == 1 else frob(h)
         gd = pgcd(psub(h, [0, 1], F), g, F)
         if len(gd) > 1:
-            out.append((gd, d))
+            yield gd, d
             g = pdivmod(g, gd, F)[0]
-            h = pmod(h, g, F)
     if len(g) > 1:
-        out.append((g, len(g) - 1))
-    return out
+        yield g, len(g) - 1
 
 
-def _edf(f, d, F, rng):
-    # split monic squarefree f, all of whose irreducible factors have degree d
+def _edf(f, d, frob, rng):
+    # split monic squarefree f, all of whose irreducible factors have degree
+    # d, with frob the Frobenius map mod a multiple of f.  Mod each factor,
+    # a field GF(Q^d), the norm r^(1 + Q + ... + Q^(d-1)) of a random r lies
+    # in GF(Q), and its ((Q-1)/2)-th power is r^((Q^d-1)/2): 0, 1 or -1.  In
+    # characteristic 2 the relative trace r + r^Q + ... + r^(Q^(d-1)) plus
+    # its m - 1 successive squares (Q = 2^m) is the absolute trace, 0 or 1
     n = len(f) - 1
     if n == d:
         return [f]
+    F = frob.F
     Q = F.order
+    if d > 1 and frob.f != f:
+        frob = frob.mod(f)
     while True:
         r = pnormal([rng.randrange(Q) for _ in range(n)])
         if len(r) < 2:
             continue
+        acc = t = r
+        for _ in range(d - 1):
+            t = frob(t)
+            acc = padd(acc, t, F) if F.p == 2 else pmod(pmul(acc, t, F), f, F)
         if F.p == 2:
-            # absolute trace map of r in the quotient ring splits f
-            m = Q.bit_length() - 1  # Q = 2^m
-            s = acc = pmod(r, f, F)
-            for _ in range(m * d - 1):
-                acc = ppowmod(acc, 2, f, F)
-                s = padd(s, acc, F)
+            s = sq = acc
+            for _ in range(Q.bit_length() - 2):
+                sq = pmod(pmul(sq, sq, F), f, F)
+                s = padd(s, sq, F)
             g = pgcd(s, f, F)
         else:
-            s = ppowmod(r, (Q**d - 1) // 2, f, F)
+            s = ppowmod(acc, (Q - 1) // 2, f, F)
             g = pgcd(psub(s, [1], F), f, F)
         if 1 < len(g) <= n:
             rest = pdivmod(f, g, F)[0]
-            return _edf(g, d, F, rng) + _edf(rest, d, F, rng)
+            return _edf(g, d, frob, rng) + _edf(rest, d, frob, rng)
 
 
 def factorize(f, F, seed=0):
@@ -320,8 +395,9 @@ def factorize(f, F, seed=0):
     rng = random.Random(seed)
     out = []
     for sqf, m in squarefree_parts(f, F):
-        for prod_d, d in _distinct_degree(sqf, F):
-            out.extend((irr, m) for irr in _edf(prod_d, d, F, rng))
+        frob = _Frobenius(sqf, F)
+        for prod_d, d in _distinct_degree(frob):
+            out.extend((irr, m) for irr in _edf(prod_d, d, frob, rng))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     check = [f[-1]]
     for g, m in out:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -29,9 +30,11 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.decomp import companion
-from invofactor.factor import _hankel_candidate
-from invofactor.linalg import Mat
+from invofactor.decomp import companion, restrict
+from invofactor.factor import _hankel_candidate, _kernel_matrix, _symmetric_conjugator
+from invofactor.fields import _least_irreducible
+from invofactor.linalg import Mat, block_diag
+from invofactor.poly import ppow
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -268,6 +271,28 @@ def test_symmetric_conjugator_hankel_inverse():
         C = companion(F, f)
         X = _hankel_candidate(F, f).inv()
         assert X.T == X and C @ X == X @ C.T and X.det()
+
+
+def test_symmetric_conjugator_of_a_primary_matrix_evaluates_no_polynomial(monkeypatch):
+    # mp(a) = p^3, so p^3(a) = 0 and the one primary component is the whole
+    # space: its basis is the identity, with no Horner evaluation of p^3(a)
+    F = field_make(101)
+    p = _least_irreducible(F, 4)
+    a = companion(F, ppow(p, 3, F))
+    # the construction through ker p^3(a), which the identity replaces
+    U = _kernel_matrix(ppow(p, 3, F), a)
+    want = U @ block_diag(F, [_symmetric_conjugator(restrict(a, U))]) @ U.T
+    fac = sys.modules["invofactor.factor"]
+    calls = []
+    real = fac.poly_at
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fac, "poly_at", counted)
+    assert symmetric_conjugator(a) == want
+    assert calls == []
 
 
 def test_symmetric_factor_contract():

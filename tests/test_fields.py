@@ -70,6 +70,23 @@ def test_known_moduli_hand_values():
     assert field_make(5, 1).base_modulus == [0, 1]  # degree-1 tower: modulus T
 
 
+def test_large_moduli_pinned():
+    # the least irreducibles of the larger towers, too large for the oracle
+    # above; every key and certificate over these towers depends on them, so
+    # they must not move with the way the distinct-degree search runs
+    def from_terms(d, terms):  # {exponent: coefficient} -> little-endian list
+        f = [0] * (d + 1)
+        for e, c in terms.items():
+            f[e] = c
+        return f
+
+    assert field_make(2, 16).base_modulus == from_terms(16, {16: 1, 5: 1, 3: 1, 1: 1, 0: 1})
+    assert field_make(3, 11).base_modulus == from_terms(11, {11: 1, 2: 1, 0: 2})
+    assert field_make(2, 12).base_modulus == from_terms(12, {12: 1, 3: 1, 0: 1})
+    assert field_make(3, 5).base_modulus == from_terms(5, {5: 1, 1: 2, 0: 1})
+    assert field_make(5, 7).base_modulus == from_terms(7, {7: 1, 1: 1, 0: 1})
+
+
 def test_quadratic_extension_moduli_hand_values():
     # W^2 + g1*W + g0 with least (key(g0), key(g1)); worked out by hand
     assert field_make(3, 1, "quadratic")._qg0 == (1,)  # W^2 + 1, -1 non-square mod 3

@@ -2,10 +2,13 @@
 
 Polynomials are little-endian lists of integer element keys."""
 
+import random
+
 import pytest
 
-from invofactor import field_make
+from invofactor import field_make, poly
 from invofactor.poly import (
+    _Frobenius,
     factorize,
     is_irreducible_poly,
     padd,
@@ -123,8 +126,6 @@ def test_squarefree_parts_hand_cases():
 
 
 def test_squarefree_parts_reconstruct():
-    import random
-
     rng = random.Random(5)
     for params in [(2, 1), (3, 1), (2, 1, "quadratic"), (5, 1)]:
         F = field_make(*params)
@@ -219,3 +220,111 @@ def test_conj_coefficientwise():
     # coefficientwise conjugate
     assert twisted_reciprocal(f, 1, F) == pmonic(conj_f[::-1], F)
     assert twisted_reciprocal(twisted_reciprocal(f, 1, F), 1, F) == f
+
+
+# ---------------------------------------------------------------------------
+# planted factorizations and the Frobenius map, one field per kernel class
+
+KERNEL_CLASSES = [
+    ("tabled-GF16", (2, 4)),
+    ("tabled-GF243", (3, 5)),
+    ("tabled-GF49/GF7", (7, 1, "quadratic")),
+    ("coord-GF3^11", (3, 11)),
+    ("coord-GF2^17", (2, 17)),
+    ("quad-coord-GF101^2", (101, 1, "quadratic")),
+    ("prime-GF65537", (65537, 1)),
+]
+
+
+def random_monic(F, d, rng):
+    return [rng.randrange(F.order) for _ in range(d)] + [1]
+
+
+def random_irreducibles(F, d, count, rng):
+    out = []
+    while len(out) < count:
+        g = random_monic(F, d, rng)
+        if is_irreducible_poly(g, F) and g not in out:
+            out.append(g)
+    return out
+
+
+def planted(F, factors):
+    # the product of the (g, m), and the factorization factorize must return
+    f = [1]
+    for g, m in factors:
+        f = pmul(f, ppow(g, m, F), F)
+    return f, sorted(factors, key=lambda gm: (len(gm[0]), gm[0]))
+
+
+@pytest.mark.parametrize("params", [c[1] for c in KERNEL_CLASSES], ids=[c[0] for c in KERNEL_CLASSES])
+def test_factorize_planted_products(params):
+    F = field_make(*params)
+    rng = random.Random(f"planted:{params}")
+    cases = []
+    for d in (2, 3, 4):
+        # equal degree: only equal-degree splitting separates the factors
+        cases.append([(g, 1) for g in random_irreducibles(F, d, 3, rng)])
+    lin = random_irreducibles(F, 1, 2, rng)
+    (quad,) = random_irreducibles(F, 2, 1, rng)
+    cubes = random_irreducibles(F, 3, 2, rng)
+    # mixed degrees with multiplicities; a multiplicity p takes the p-th
+    # root path of squarefree_parts (in the fields with p <= 7)
+    cases.append([(lin[0], 2), (lin[1], 1), (quad, min(F.p, 5)), (cubes[0], 1), (cubes[1], 3)])
+    for factors in cases:
+        f, want = planted(F, factors)
+        runs = [factorize(f, F, seed=s) for s in (0, 1, 17)]
+        assert runs[0] == want, pserialize(f, F)
+        assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("params", [c[1] for c in KERNEL_CLASSES], ids=[c[0] for c in KERNEL_CLASSES])
+def test_frobenius_map_is_the_qth_power(params):
+    F = field_make(*params)
+    Q = F.order
+    rng = random.Random(f"frobenius:{params}")
+    (g,) = random_irreducibles(F, 2, 1, rng)
+    a, b = random_monic(F, 3, rng), random_monic(F, 2, rng)
+    # (modulus, a factor of it); one modulus is not squarefree, as
+    # is_irreducible_poly may pass one
+    moduli = [(random_monic(F, 1, rng), None), (b, None), (random_monic(F, 7, rng), None)]
+    moduli += [(pmul(a, b, F), a), (pmul(ppow(g, 2, F), b, F), g)]
+    for f, factor in moduli:
+        frob = _Frobenius(f, F)
+        for _ in range(3):
+            h = pnormal([rng.randrange(Q) for _ in range(pdeg(f))])
+            assert frob(h) == ppowmod(h, Q, f, F), pserialize(f, F)
+        if factor:
+            # reduced mod a factor, from the columns already built
+            sub = frob.mod(factor)
+            h = pnormal([rng.randrange(Q) for _ in range(pdeg(factor))])
+            assert sub(h) == ppowmod(h, Q, factor, F)
+
+
+def test_factorize_takes_one_qth_power_per_squarefree_part(monkeypatch):
+    # x^Q is the one power with exponent Q; every later distinct-degree step
+    # and every equal-degree split of degree d >= 2 applies the Frobenius map
+    exponents = []
+    real = poly.ppowmod
+
+    def counted(f, e, m, F):
+        exponents.append(e)
+        return real(f, e, m, F)
+
+    monkeypatch.setattr(poly, "ppowmod", counted)
+    rng = random.Random("one x^Q")
+    for params in [(3, 1), (2, 4), (101, 1), (7, 1, "quadratic")]:
+        F = field_make(*params)
+        irr = {d: random_irreducibles(F, d, 2, rng) for d in (1, 2, 3, 4, 5)}
+        cases = [
+            # squarefree, every degree 1 .. 5 present: DDF visits five degrees
+            [(g, 1) for d in (1, 2, 3, 4, 5) for g in irr[d]],
+            # two squarefree parts of degree >= 2 and one linear part
+            [(irr[4][0], 1), (irr[2][0], 1), (irr[3][0], 2), (irr[1][1], 2), (irr[1][0], 3)],
+        ]
+        for factors in cases:
+            f, want = planted(F, factors)
+            exponents.clear()
+            assert factorize(f, F) == want
+            parts = squarefree_parts(f, F)
+            assert exponents.count(F.order) == sum(pdeg(g) >= 2 for g, _ in parts), params
