@@ -11,6 +11,8 @@ InternalInvariantError instead of a crash.  krylov_span, which the others
 build on, eliminates incrementally: each new power g^d v is reduced once
 against the echelon rows of the vectors before it, so a span of dimension d
 costs d products with g and O(n * d^2) key operations, with no re-solving.
+The products with g go through the tower's matvec of g, made once for all
+the column spans of minimal_polynomial and of each frobenius_form peel.
 """
 
 from __future__ import annotations
@@ -55,12 +57,16 @@ def krylov_span(g, v):
     g^d v is reduced once against them (one product with g and O(n * d) key
     operations per step).  The first g^d v that reduces to zero gives the
     annihilator: its combination is monic of degree d."""
-    F = g.tower
     assert not v.is_zero(), "Krylov span of the zero vector"
-    dot, inv, scale, sub_scaled = F.dot, F.inv, F.scale, F.sub_scaled
+    F = g.tower
+    return _krylov_span(F, F.matvec(g.rows), [r[0] for r in v.rows])
+
+
+def _krylov_span(F, apply, w):
+    # krylov_span of the key vector w, with apply(w) = g w
+    inv, scale, sub_scaled = F.inv, F.scale, F.sub_scaled
     cols = []
     echelon = []  # (pivot, row with 1 at the pivot, its combination)
-    w = [r[0] for r in v.rows]
     while True:
         red, comb = w, [0] * len(cols) + [1]
         for piv, row, c in echelon:
@@ -74,14 +80,16 @@ def krylov_span(g, v):
         s = inv(red[piv])
         echelon.append((piv, scale(red, s), scale(comb, s)))
         cols.append(w)
-        w = [dot(r, w) for r in g.rows]
+        w = apply(w)
 
 
 def _column_spans(g):
-    # krylov_span(g, e_j) for the standard columns e_j, in order
-    I = Mat.identity(g.tower, g.nrows)
-    for j in range(g.nrows):
-        yield krylov_span(g, I.col(j))
+    # krylov_span(g, e_j) for the standard columns e_j, in order, all from
+    # one matvec of g
+    F, n = g.tower, g.nrows
+    apply = F.matvec(g.rows)
+    for j in range(n):
+        yield _krylov_span(F, apply, [int(i == j) for i in range(n)])
 
 
 def minimal_polynomial(g):

@@ -276,14 +276,15 @@ def _self_paired_block(form, beta, a, G, p_, e, whole):
     (D = deg p^e) is linear, so the tests combine per-column data, made
     once when a candidate first needs it: K_i, P_i = p^(e-1)(a) col_i (a
     combination of the columns of K_i, as deg p^(e-1) < D) and
-    G_ab = K_a^T G conj(K_b).  A column is full height when P_i != 0, which
-    gives ann = p^e since p^e(a) U = 0 and p is irreducible.  A pair's
-    cyclic Gram is G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj, computed
-    on keys; a nondegenerate one makes K(v) of rank D, so v is full height
-    too.  A pair whose Gram is zero for every c (each 1-dimensional cyclic
-    space of a symplectic form, a totally isotropic plane) is charged to
-    the limit in one step, and so, without conj, is a pair whose Gram
-    determinant is shown to vanish for every c (see _scan_pairs).
+    G_ab = K_a^T (G conj(K_b)), with G conj(K_b) made once per column b.
+    A column is full height when P_i != 0, which gives ann = p^e since
+    p^e(a) U = 0 and p is irreducible.  A pair's cyclic Gram is
+    G_ii + conj(c) G_ij + c G_ji + c conj(c) G_jj, computed on keys; a
+    nondegenerate one makes K(v) of rank D, so v is full height too.  A
+    pair whose Gram is zero for every c (each 1-dimensional cyclic space of
+    a symplectic form, a totally isotropic plane) is charged to the limit
+    in one step, and so, without conj, is a pair whose Gram determinant is
+    shown to vanish for every c (see _scan_pairs).
     When no candidate is nondegenerate, the first full-height column x and a
     column y pairing with p^(e-1)(a) x (so y is full height, as p is
     self-paired) give a cyclic pair from the cached K_x and K_y."""
@@ -301,9 +302,13 @@ def _self_paired_block(form, beta, a, G, p_, e, whole):
         return krylov_matrix(a, cols[i], D)
 
     @cache
+    def paired(j):
+        return G @ krylov(j).conj()
+
+    @cache
     def cross(i, j):
         # G_ij as a flat list of keys
-        return [x for r in (krylov(i).T @ G @ krylov(j).conj()).rows for x in r]
+        return [x for r in (krylov(i).T @ paired(j)).rows for x in r]
 
     x = hit = None
     for i in range(len(cols)):

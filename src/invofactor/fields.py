@@ -10,7 +10,10 @@ the power bases of the tower GF(p) -> F -> E, the key is sum(c_i * p^i).
 Key 0 is zero, key 1 is one, and a key below p is that scalar.  The tower
 does all arithmetic on keys with one kernel, chosen from the field's shape:
 
-- prime fields: native ints mod p;
+- prime fields: native ints mod p; matrix products with enough output
+  entries pack their wider side into 64-bit slots of one int per vector,
+  so an output row (or column) is one big-int multiply-accumulate, and a
+  matrix-vector map packs its matrix once for every vector;
 - other fields of order <= TABLE_ORDER: log/antilog tables over a primitive
   element, with Zech logarithms for addition in odd characteristic (XOR of
   keys in characteristic 2) and a table for conj;
@@ -20,7 +23,9 @@ does all arithmetic on keys with one kernel, chosen from the field's shape:
 
 The kernel is a set of functions on keys held by the tower: add, sub, neg,
 mul, inv, conj and pow on single keys; dot, scale, sub_scaled and matmul on
-key vectors and matrices, so that a dot product reduces once per entry.
+key vectors and matrices, so that a dot product reduces once per entry; and
+matvec(rows), the map w -> rows . w (w read as zero-padded when shorter
+than the rows), made once for a matrix that many vectors are multiplied by.
 FieldElem is a thin (tower, key) wrapper for the public API; Mat rows and
 poly.py's polynomials are raw keys.  poly.py also finds the base modulus
 and the inverses of the GF(p^k) coordinate kernel.
@@ -36,6 +41,8 @@ and "least non-square" searches all use it.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from functools import reduce
 
 from .errors import FieldConstructionError, InputError
@@ -52,6 +59,14 @@ _DOT_TERMS = 1 << 16
 # coordinate kernels pack keys c coordinates at a time through a table of
 # p^c <= _CHUNK entries, or one at a time with no table when p^2 > _CHUNK
 _CHUNK = 1 << 8
+# a prime-field matmul packs when its output has this many entries: in a
+# microbenchmark on CPython 3.11, packing won from about 18 output entries
+# (3 x 6, 2 x 9, 1 x 18) and tied or lost at 16 and below (4 x 4, 2 x 8)
+_PACK_ENTRIES = 18
+# a prime-field matvec packs a matrix with this many rows: packing costs
+# about one unpacked product, and each packed product then took 0.8x the
+# time of the per-row dot products at 3 rows and 0.3x at 12; 2 rows tied
+_PACK_ROWS = 3
 
 
 # psi_13: the least strong pseudoprime to every prime base up to 41
@@ -117,8 +132,17 @@ def _least_irreducible(P, d):
 
 
 def _prime_kernel(t):
+    """Native ints mod p.  A product whose output has at least _PACK_ENTRIES
+    entries, and whose slot sums stay below 2^64, packs its wider side into
+    64-bit slots, one int per vector (Kronecker substitution), so each
+    output row (or column) is one big-int multiply-accumulate and one
+    reduction mod p per entry; matvec packs its matrix's columns once for
+    all the vectors it is applied to."""
     p = t.p
     mul = operator.mul
+    # the largest inner dimension k whose sums fit a slot: k (p-1)^2 < 2^64
+    terms = ((1 << 64) - 1) // (p - 1) ** 2
+    dots = _matvec_by_dots(t)
 
     def inv(a):
         if not a:
@@ -130,9 +154,30 @@ def _prime_kernel(t):
             a, n = inv(a), -n
         return pow(a, n, p)
 
+    def pack(xs):
+        # the keys xs in 64-bit slots of one int, the first in the lowest
+        return int.from_bytes(array("Q", xs).tobytes(), sys.byteorder)
+
+    def unpack(s, n):
+        return [x % p for x in memoryview(s.to_bytes(8 * n, sys.byteorder)).cast("Q")]
+
     def matmul(ar, br):
-        cols = list(zip(*br))
-        return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in ar)
+        m, n = len(ar), len(br[0])
+        if m * n < _PACK_ENTRIES or len(br) > terms:
+            cols = list(zip(*br))
+            return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in ar)
+        if n >= m:  # wide: pack the rows of B, one sum per output row
+            prows = [pack(r) for r in br]
+            return tuple(tuple(unpack(sum(map(mul, r, prows)), n)) for r in ar)
+        # tall: pack the columns of A, one sum per output column
+        pcols = [pack(c) for c in zip(*ar)]
+        return tuple(zip(*[unpack(sum(map(mul, c, pcols)), m) for c in zip(*br)]))
+
+    def matvec(rows):
+        if len(rows) < _PACK_ROWS or len(rows[0]) > terms:
+            return dots(rows)
+        pcols, n = [pack(c) for c in zip(*rows)], len(rows)
+        return lambda w: unpack(sum(map(mul, w, pcols)), n)
 
     t.add = lambda a, b: (a + b) % p
     t.sub = lambda a, b: (a - b) % p
@@ -145,6 +190,16 @@ def _prime_kernel(t):
     t.scale = lambda xs, c: [x * c % p for x in xs]
     t.sub_scaled = lambda ys, c, xs: [(y - c * x) % p for y, x in zip(ys, xs)]
     t.matmul = matmul
+    t.matvec = matvec
+
+
+def _matvec_by_dots(t):
+    # matvec as one dot product per row, with the dot the tower ends up with
+    def matvec(rows):
+        dot = t.dot
+        return lambda w: [dot(r, w) for r in rows]
+
+    return matvec
 
 
 def _identity(a):
@@ -236,6 +291,7 @@ def _ext_coord_kernel(t):
     t.scale = lambda xs, c: [fold(packed(c) * packed(x)) for x in xs]
     t.sub_scaled = sub_scaled
     t.matmul = matmul
+    t.matvec = _matvec_by_dots(t)
 
 
 def _quad_coord_kernel(t):
@@ -277,6 +333,7 @@ def _quad_coord_kernel(t):
     t.scale = lambda xs, c: [mul(x, c) for x in xs]
     t.sub_scaled = lambda ys, c, xs: [t.sub(y, mul(c, x)) if x else y for y, x in zip(ys, xs)]
     t.matmul = matmul
+    t.matvec = _matvec_by_dots(t)
     # conj is determined by W -> W^q = w0 + w1 W
     w1, w0 = divmod(_square_multiply(t, q, q), q)
     assert (w0, w1) != (0, 1), "conj fixes the extension generator"
@@ -288,11 +345,11 @@ def _quad_coord_kernel(t):
     def inv(a):
         if not a:
             raise ZeroDivisionError("division by zero field element")
-        c = conj(a)
-        n1, n0 = divmod(mul(a, c), q)
-        assert not n1, "norm to the fixed field has a W component"
-        ni = B.inv(n0)
-        c1, c0 = divmod(c, q)
+        # a conj(a) = a0^2 - g1 a0 a1 + g0 a1^2, as W + conj(W) = -g1 and
+        # W conj(W) = g0
+        a1, a0 = divmod(a, q)
+        ni = B.inv(bdot((a0, a1), (a0, bsub(bmul(g0, a1), bmul(g1, a0)))))
+        c1, c0 = divmod(conj(a), q)
         return bmul(c0, ni) + bmul(c1, ni) * q
 
     t.conj = conj

@@ -282,7 +282,7 @@ class _Frobenius:
     def __init__(self, f, F):
         self.f, self.F = f, F
         self.cols = []  # x^(iQ) mod f, for i < len(cols)
-        self._rows = None  # row j holds coefficient j of columns 0 .. deg f - 1
+        self._apply = None  # the tower's matvec of the matrix
 
     def xq(self):
         if not self.cols:
@@ -292,10 +292,9 @@ class _Frobenius:
 
     def __call__(self, h):
         """h^Q mod f, for h reduced mod f."""
-        if self._rows is None:
-            self._rows = self._matrix()
-        dot = self.F.dot  # sums over the len(h) leading columns
-        return pnormal([dot(h, row) for row in self._rows])
+        if self._apply is None:
+            self._apply = self.F.matvec(self._matrix())
+        return pnormal(self._apply(h))
 
     def _matrix(self):
         # column i is x^(iQ) = K^i 1 for K, multiplication by x^Q mod f, so
@@ -303,7 +302,7 @@ class _Frobenius:
         # x^j x^Q mod f, is its column j - 1 times x, one shift and one
         # scaled subtraction of f
         f, F, n = self.f, self.F, len(self.f) - 1
-        low, dot = f[:n], F.dot
+        low = f[:n]
         xq = self.xq()
         c = xq + [0] * (n - len(xq))
         kcols = [c]
@@ -313,10 +312,10 @@ class _Frobenius:
             if top:
                 c = F.sub_scaled(c, top, low)
             kcols.append(c)
-        krows = list(zip(*kcols))
+        apply = F.matvec(list(zip(*kcols)))
         cols = self.cols
         while len(cols) < n:
-            cols.append(pnormal([dot(cols[-1], row) for row in krows]))
+            cols.append(pnormal(apply(cols[-1])))
         return [[col[j] if j < len(col) else 0 for col in cols[:n]] for j in range(n)]
 
     def mod(self, g):

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from invofactor import decomp as dec
 from invofactor import field_make
 from invofactor.decomp import companion, frobenius_form, krylov_span, minimal_polynomial, restrict
 from invofactor.factor import _kernel_matrix
 from invofactor.linalg import Mat, block_diag, hstack, poly_at, vstack
-from invofactor.poly import factorize, pdeg, pmod, pnormal, ppow
+from invofactor.poly import factorize, pdeg, pmod, pmul, pnormal, ppow
 
 
 def rand_mat(F, n, rng):
@@ -150,3 +151,40 @@ def test_frobenius_form_known_shapes():
     N = Mat.from_rows(F, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     _, factors = frobenius_form(N)  # mp = T^2
     assert factors == [[0, 0, 1], [0, 1]]
+
+
+def test_minimal_polynomial_packs_its_matrix_once(monkeypatch):
+    # all column spans apply the one matvec of g, and over a prime field
+    # (g with at least fields._PACK_ROWS rows) a Krylov step is one packed
+    # product, not a dot product per row.  mp(diag(5 I_2, J_4(7))) over
+    # GF(101) has degree 5 < 6, so every column gets a span
+    F = field_make(101)
+    n = 6
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = rows[1][1] = 5
+    for i in range(2, n):
+        rows[i][i] = 7
+        if i + 1 < n:
+            rows[i][i + 1] = 1
+    g = Mat.from_rows(F, rows)
+    real_matvec, real_span = F.matvec, dec._krylov_span
+    built, spans = [], []
+
+    def matvec(rs):
+        built.append(rs)
+        return real_matvec(rs)
+
+    def span(F_, apply, w):
+        spans.append(w)
+        return real_span(F_, apply, w)
+
+    def dot(xs, ys):
+        raise AssertionError("a Krylov step made a per-row dot product")
+
+    monkeypatch.setattr(F, "matvec", matvec)
+    monkeypatch.setattr(F, "dot", dot)
+    monkeypatch.setattr(dec, "_krylov_span", span)
+    mp = minimal_polynomial(g)
+    monkeypatch.undo()
+    assert mp == pmul([F.neg(5), 1], ppow([F.neg(7), 1], 4, F), F)
+    assert len(spans) == n and len(built) == 1

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from invofactor import SingularMatrixError, field_make
+from invofactor import SingularMatrixError, field_make, fields
 from invofactor.fields import _DOT_TERMS, TABLE_ORDER
 from invofactor.linalg import Mat
 from invofactor.poly import pmul
@@ -248,31 +248,100 @@ def _laplace_det(F, rows):
 
 
 def test_matrix_kernels_match_entrywise_sums(tower):
+    # n = 7 and 12 put prime products, and the four base products of a
+    # quadratic tower over a prime field, on the packed path
     F = tower
     rng = random.Random(f"matrices:{F!r}")
     singular_seen = False
-    for trial in range(6):
-        n = 4
-        A, B = _rand_mat(F, n, rng), _rand_mat(F, n, rng)
-        if trial == 0:  # a singular matrix: repeat a row
-            A = Mat.from_rows(F, [[A[i if i < n - 1 else 0, j] for j in range(n)] for i in range(n)])
-        C = A @ B
-        for i in range(n):
-            for j in range(n):
-                acc = F.zero
-                for k in range(n):
-                    acc = acc + A[i, k] * B[k, j]
-                assert C[i, j] == acc
-        assert A.conj() == Mat.from_rows(F, [[A[i, j].conj() for j in range(n)] for i in range(n)])
-        rows = [[A[i, j] for j in range(n)] for i in range(n)]
-        d = _laplace_det(F, rows)
-        assert A.det() == d
-        eye = Mat.identity(F, n)
-        if d:
-            Ai = A.inv()
-            assert A @ Ai == eye and Ai @ A == eye
-        else:
-            singular_seen = True
-            with pytest.raises(SingularMatrixError):
-                A.inv()
+    for n, trials in ((4, 6), (7, 2), (12, 2)):
+        for trial in range(trials):
+            A, B = _rand_mat(F, n, rng), _rand_mat(F, n, rng)
+            if trial == 0:  # a singular matrix: repeat a row
+                A = Mat.from_rows(F, [[A[i if i < n - 1 else 0, j] for j in range(n)] for i in range(n)])
+            C = A @ B
+            for i in range(n):
+                for j in range(n):
+                    acc = F.zero
+                    for k in range(n):
+                        acc = acc + A[i, k] * B[k, j]
+                    assert C[i, j] == acc
+            assert A.conj() == Mat.from_rows(F, [[A[i, j].conj() for j in range(n)] for i in range(n)])
+            if n == 4:  # Laplace expansion costs n!
+                d = _laplace_det(F, [[A[i, j] for j in range(n)] for i in range(n)])
+                assert A.det() == d
+            else:
+                d = A.det()
+                assert C.det() == d * B.det()
+            eye = Mat.identity(F, n)
+            if d:
+                Ai = A.inv()
+                assert A @ Ai == eye and Ai @ A == eye
+            else:
+                singular_seen = True
+                with pytest.raises(SingularMatrixError):
+                    A.inv()
     assert singular_seen
+
+
+def _entrywise(A, B, p):
+    return tuple(tuple(sum(a * b for a, b in zip(r, c)) % p for c in zip(*B)) for r in A)
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    # counts the vectors the prime kernel packs into 64-bit slots
+    out, real = [], fields.array
+
+    def counted(code, xs):
+        out.append(code)
+        return real(code, xs)
+
+    monkeypatch.setattr(fields, "array", counted)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537])
+def test_packed_matmul_matches_entrywise_sums(p, packs):
+    # every output shape 1..13 x 1..13, wide (packing B's rows) and tall
+    # (packing A's columns), on both sides of fields._PACK_ENTRIES
+    F = field_make(p)
+    rng = random.Random(f"packed:{p}")
+    for m in range(1, 14):
+        for n in range(1, 14):
+            k = rng.randrange(1, 14)
+            A = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(m))
+            B = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(k))
+            packs.clear()
+            assert F.matmul(A, B) == _entrywise(A, B, p)
+            assert bool(packs) == (m * n >= fields._PACK_ENTRIES)
+
+
+def test_packed_products_at_the_slot_bound(packs):
+    # every entry p - 1 makes each slot sum k (p - 1)^2, the most it can
+    # hold; below 2^64 no slot carries, so GF(2^31 - 1) packs up to inner
+    # dimension 4 and sums dimension 5 per entry, and GF(65537) packs 13
+    for p, k, packed in ((2**31 - 1, 3, True), (2**31 - 1, 4, True), (2**31 - 1, 5, False), (65537, 13, True)):
+        assert (k * (p - 1) ** 2 < 2**64) == packed
+        F = field_make(p)
+        A, B = ((p - 1,) * k,) * 6, ((p - 1,) * 6,) * k
+        packs.clear()
+        assert F.matmul(A, B) == _entrywise(A, B, p)
+        assert bool(packs) == packed
+        packs.clear()
+        assert F.matvec(A)([p - 1] * k) == [k * (p - 1) ** 2 % p] * 6
+        assert bool(packs) == packed
+
+
+def test_matvec_matches_dot_products(tower):
+    # a vector shorter than the rows stands for its zero-padded self, as
+    # poly._Frobenius applies the map to reduced polynomials
+    F = tower
+    rng = random.Random(f"matvec:{F!r}")
+    for m in (1, 2, 3, 7, 13):
+        k = rng.randrange(1, 14)
+        rows = [[rng.randrange(F.order) for _ in range(k)] for _ in range(m)]
+        apply = F.matvec(rows)
+        for length in (k, k, rng.randrange(1, k + 1)):
+            w = [rng.randrange(F.order) for _ in range(length)]
+            padded = w + [0] * (k - length)
+            assert apply(w) == [F.dot(r, padded) for r in rows]

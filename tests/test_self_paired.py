@@ -302,13 +302,13 @@ def test_pair_gram_is_the_gram_of_the_combined_krylov_matrix(params):
 @pytest.mark.parametrize("n", [4, 6])
 def test_self_paired_blocks_span_few_krylov_spaces(monkeypatch, n):
     calls = []
-    real = dec.krylov_span
+    real = dec._krylov_span  # every span, krylov_span's and _column_spans'
 
-    def counted(g, v):
-        calls.append(g.nrows)
-        return real(g, v)
+    def counted(F, apply, w):
+        calls.append(len(w))
+        return real(F, apply, w)
 
-    monkeypatch.setattr(dec, "krylov_span", counted)
+    monkeypatch.setattr(dec, "_krylov_span", counted)
     form = symplectic_form(field_make(1009), n)
     g = -Mat.identity(form.tower, n)
     cert = factor(form, g)
@@ -319,3 +319,38 @@ def test_self_paired_blocks_span_few_krylov_spaces(monkeypatch, n):
     # over a thousand
     assert len(calls) <= 20
     assert len(calls) == sum(range(n, 0, -2))
+
+
+def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
+    # G_ij = K_i^T (G conj(K_j)) reuses G conj(K_j) for every Gram with
+    # column j, so a scan that accepts a candidate has multiplied by G at
+    # most once per column of its component; one product with G per G_ij
+    # made one per pair term, more than the columns once a pair is scanned
+    real_block, real_cyclic, real_matmul = fac._self_paired_block, fac._cyclic_block, Mat.__matmul__
+    current, met = [], {"pair_hits": 0}
+
+    def matmul(A, B):
+        if current and (A is current[-1]["G"] or B is current[-1]["G"]):
+            current[-1]["products"] += 1
+        return real_matmul(A, B)
+
+    def cyclic(F, beta, K, ann):
+        scan = current[-1]
+        assert scan["products"] <= len(scan["cols"]), (scan["products"], len(scan["cols"]))
+        met["pair_hits"] += K.col(0) not in scan["cols"]
+        return real_cyclic(F, beta, K, ann)
+
+    def block(form, beta, a, G, p_, e, whole):
+        U = Mat.identity(G.tower, a.nrows) if whole else fac._kernel_matrix(ppow(p_, e, G.tower), a)
+        current.append({"G": G, "products": 0, "cols": [U.col(j) for j in range(U.ncols)]})
+        try:
+            return real_block(form, beta, a, G, p_, e, whole)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(Mat, "__matmul__", matmul)
+    monkeypatch.setattr(fac, "_cyclic_block", cyclic)
+    monkeypatch.setattr(fac, "_self_paired_block", block)
+    for form, g in _cases():
+        assert verify_certificate(form, g, factor(form, g)).passed
+    assert met["pair_hits"], met
