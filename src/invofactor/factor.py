@@ -62,7 +62,16 @@ from .errors import (
     SingularMatrixError,
 )
 from .forms import form_from_descriptor
-from .linalg import Mat, block_diag, hstack, mat_from_serialized, poly_at, vstack
+from .linalg import (
+    Mat,
+    block_diag,
+    conj_product,
+    gram,
+    hstack,
+    mat_from_serialized,
+    poly_at,
+    vstack,
+)
 from .poly import (
     factorize,
     multiplicities,
@@ -97,7 +106,7 @@ def _kernel_matrix(f, g):
 
 
 def _val(G, u, v):
-    return (u.T @ G @ v.conj())[0, 0]
+    return gram(u, G, v)[0, 0]
 
 
 def _paired_block(form, beta, a, G, p_, e, ps, fac):
@@ -114,7 +123,7 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
         raise InternalInvariantError("paired components differ in dimension", {})
     # a restricted to its p-primary component has minimal polynomial p^e
     X = _symmetric_conjugator(restrict(a, U))
-    M = U.T @ G @ Us.conj()  # M[i, k] = <u_i, u'_k>
+    M = gram(U, G, Us)  # M[i, k] = <u_i, u'_k>
     try:
         coeffs = M.conj().inv() * form.eps_elem
         Xinv = X.conj().inv()
@@ -190,7 +199,7 @@ def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
     Tx = _cyclic_t(F, beta, C)
     t = block_diag(F, [Tx, poly_at(gamma, C) @ Tx])
     B1 = hstack([Kx, Ky])
-    if not (B1.T @ G @ B1.conj()).det():
+    if not gram(B1, G, B1).det():
         raise InternalInvariantError("paired cyclic Gram is degenerate", {})
     data = {
         "case": "cyclic_pair",
@@ -303,7 +312,7 @@ def _self_paired_block(form, beta, a, G, p_, e, whole):
 
     @cache
     def paired(j):
-        return G @ krylov(j).conj()
+        return conj_product(G, krylov(j))
 
     @cache
     def cross(i, j):
@@ -362,12 +371,12 @@ def _split(form, beta, a, G, lift, blocks, fac):
     data["basis"] = lb.serialize()
     data["local_involution"] = t.serialize()
     blocks.append(_Block(lb, t, data))
+    if basis.ncols == a.nrows:
+        return
     comp = _orthocomplement(G, basis)
     if comp is None:
-        if basis.ncols != a.nrows:
-            raise InternalInvariantError("block does not close the space", {})
-        return
-    Gc = comp.T @ G @ comp.conj()
+        raise InternalInvariantError("block does not close the space", {})
+    Gc = gram(comp, G, comp)
     if not Gc.det():
         raise InternalInvariantError("orthogonal complement is degenerate", {})
     ac = restrict(a, comp)
@@ -479,7 +488,13 @@ def factor(form, g, det_refined=False):
         _refine_dets(form, blocks)
     B = hstack([b.lift for b in blocks])
     M = block_diag(form.tower, [b.t for b in blocks])
-    h1 = B @ M @ B.inv().conj()
+    try:
+        Binv = B.inv()
+    except SingularMatrixError:
+        # the last block is not orthocomplemented, so its independence is
+        # first met here
+        raise InternalInvariantError("block bases do not span the space", {})
+    h1 = B @ M @ Binv.conj()
     h2 = h1 @ g.conj()
     cert = FactorCert(form, g, beta, h1, h2, det_refined, [b.data for b in blocks])
     bad = [name for name, ok in cert.checks() if not ok]
@@ -579,7 +594,7 @@ def symmetric_unitary_conjugator(form, g):
     s = factor(form, g).h1.inv()
     if s.T != s:
         raise InternalInvariantError("conjugator is not symmetric", {"s": s.serialize()})
-    if s.T @ s.conj() != Mat.identity(F, form.n):
+    if form.gram(s) != form.J:
         raise InternalInvariantError("conjugator is not unitary", {"s": s.serialize()})
     if s @ g @ s.inv() != g.T:
         raise InternalInvariantError("conjugator misses the transpose", {"s": s.serialize()})

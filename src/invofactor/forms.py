@@ -28,7 +28,16 @@ from .errors import (
     NotInGroupError,
 )
 from .fields import FieldElem, field_from_descriptor
-from .linalg import Mat, block_diag, hstack, mat_from_serialized, vstack
+from .linalg import (
+    Mat,
+    block_diag,
+    conj_product,
+    gram,
+    hstack,
+    mat_from_serialized,
+    monomial_rows,
+    vstack,
+)
 
 _KINDS = ("symplectic", "orthogonal", "hermitian")
 
@@ -36,7 +45,7 @@ _KINDS = ("symplectic", "orthogonal", "hermitian")
 class SesquiForm:
     """A nondegenerate eps-sesquilinear space over a field tower."""
 
-    __slots__ = ("tower", "kind", "J", "eps", "standard")
+    __slots__ = ("tower", "kind", "J", "eps", "standard", "_anti")
 
     def __init__(self, tower, kind, J, standard=None):
         if kind not in _KINDS:
@@ -66,6 +75,8 @@ class SesquiForm:
                     raise InputError("orthogonal forms in characteristic 2 are unsupported")
                 if J.T != J:
                     raise InputError("orthogonal form matrix must be symmetric")
+        # the twist-1 Gram of ratio 1, eps * conj(J), which anti_ratio matches
+        self._anti = J.conj() * self.eps_elem
 
     @property
     def n(self):
@@ -76,27 +87,46 @@ class SesquiForm:
         return self.tower.scalar(self.eps)
 
     def value(self, x, y):
-        return (x.T @ self.J @ y.conj())[0, 0]
+        return gram(x, self.J, y)[0, 0]
 
     def gram(self, basis):
         """Gram matrix of the columns of `basis`."""
-        return basis.T @ self.J @ basis.conj()
+        return gram(basis, self.J, basis)
 
     def _match_ratio(self, S, P):
-        anchor = next(
-            ((i, j) for i in range(self.n) for j in range(self.n) if P[i, j]), None
-        )
-        assert anchor is not None
-        beta = S[anchor] / P[anchor]
-        if not beta:
+        """The beta with S = beta * P, or None; P is nonsingular.
+
+        beta is read at P's first nonzero entry in row-major order.  When
+        every row of P has one nonzero entry (monomial_rows), S matches row
+        by row along that pattern: each row of S has its one nonzero entry
+        beta * P[i, j] at P's column j.  Otherwise beta * P is built and
+        compared whole."""
+        F = self.tower
+        pattern = monomial_rows(P)
+        if pattern is None:
+            anchor = next(
+                ((i, j) for i in range(self.n) for j in range(self.n) if P[i, j]), None
+            )
+            assert anchor is not None
+            beta = S[anchor] / P[anchor]
+            if not beta:
+                return None
+            return beta if S == P * beta else None
+        j0, c0 = pattern[0]
+        b = F.mul(S.rows[0][j0], F.inv(c0))
+        if not b:
             return None
-        return beta if S == P * beta else None
+        mul, zeros = F.mul, self.n - 1
+        for r, (j, c) in zip(S.rows, pattern):
+            if r.count(0) != zeros or r[j] != mul(b, c):
+                return None
+        return FieldElem(F, b)
 
     def similitude_ratio(self, g):
         """The beta with g^T J conj(g) = beta J, else NotInGroupError."""
         if g.shape != (self.n, self.n) or g.tower is not self.tower:
             raise NotInGroupError("matrix shape or field does not match the form")
-        beta = self._match_ratio(g.T @ self.J @ g.conj(), self.J)
+        beta = self._match_ratio(gram(g, self.J, g), self.J)
         if beta is None:
             raise NotInGroupError("matrix is not a similitude of the form")
         if beta.conj() != beta:
@@ -116,8 +146,7 @@ class SesquiForm:
         """beta with A^T J conj(A) = beta * eps * conj(J), or None."""
         if A.shape != (self.n, self.n) or A.tower is not self.tower:
             return None
-        P = self.J.conj() * self.eps_elem
-        return self._match_ratio(A.T @ self.J @ A.conj(), P)
+        return self._match_ratio(gram(A, self.J, A), self._anti)
 
     def _as_elem(self, beta):
         if isinstance(beta, int):
@@ -230,7 +259,7 @@ def _rand_vector(tower, n, rng):
 def _rank_one_update(form, v, coeff):
     # I + coeff * v * (J conj(v))^T, the shared shape of transvections,
     # reflections and pseudo-reflections
-    w = (form.J @ v.conj()).T
+    w = conj_product(form.J, v).T
     n = form.n
     upd = v @ w
     return Mat.identity(form.tower, n) + upd * coeff
@@ -354,7 +383,7 @@ def _gram_column_solver(form, target, budget):
                 if v.is_zero():
                     continue
                 if form.value(v, v) == diag_want:
-                    w = (J @ v.conj()).T
+                    w = conj_product(J, v).T
                     yield from extend([v], [w])
             return
         A = vstack(rows)
@@ -372,7 +401,7 @@ def _gram_column_solver(form, target, budget):
                     x = x + kv * t
             if x.is_zero() or form.value(x, x) != diag_want:
                 continue
-            w = (J @ x.conj()).T
+            w = conj_product(J, x).T
             yield from extend(cols + [x], rows + [w])
 
     yield from extend([], [])

@@ -9,6 +9,11 @@ Mat(tower, rows) takes rows of keys as they are.  The convenience
 constructors (from_rows, column, diag) and scalar products instead coerce
 each entry: a FieldElem gives its key, and a plain int is read as a GF(p)
 scalar and reduced mod p, so a key above p must never pass through them.
+
+Every Gram product of the library, G conj(B) and A^T G conj(B), goes
+through conj_product and gram.  They read G's pattern: when each row of G
+has one nonzero entry, as every standard space's Gram has, G conj(B) is a
+gather of scaled rows and a Gram costs one matrix product instead of two.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ def _key(tower, x):
 
 
 class Mat:
-    __slots__ = ("tower", "rows")
+    # _monomial caches monomial_rows(self); it is unset until first asked
+    __slots__ = ("tower", "rows", "_monomial")
 
     def __init__(self, tower, rows):
         self.tower = tower
@@ -315,6 +321,60 @@ def block_diag(tower, mats):
         i0 += x.nrows
         j0 += x.ncols
     return Mat(tower, tuple(tuple(r) for r in rows))
+
+
+_UNSET = object()
+
+
+def monomial_rows(G):
+    """The (column, entry key) of each row's one nonzero entry of G, or None
+    when some row has none or more than one.
+
+    Every standard space has such a Gram: [[0, -I], [I, 0]], [[0, I], [I, 0]]
+    with a diagonal anisotropic plane, and I.  A changed-basis Gram is
+    usually dense, and the test stops at its first dense row.  The answer
+    is kept on G (a Mat never changes), so a form's Gram is read once."""
+    out = getattr(G, "_monomial", _UNSET)
+    if out is not _UNSET:
+        return out
+    rows = G.rows
+    zeros = len(rows[0]) - 1
+    out = []
+    for r in rows:
+        if r.count(0) != zeros:
+            out = None
+            break
+        c = max(r)  # keys are nonnegative, so the one nonzero is the largest
+        out.append((r.index(c), c))
+    G._monomial = out
+    return out
+
+
+def conj_product(G, B):
+    """G @ conj(B).
+
+    When every row of G has one nonzero entry (monomial_rows), row i of the
+    product is row j of conj(B) scaled by G[i, j]: a gather, no product.
+    Otherwise it is one matrix product."""
+    pattern = monomial_rows(G)
+    if pattern is None:
+        return G @ B.conj()
+    if G.tower is not B.tower or len(G.rows[0]) != len(B.rows):
+        raise InputError("matmul shape or tower mismatch")
+    F = G.tower
+    scale = F.scale
+    rows = B.conj().rows
+    return Mat(F, tuple(rows[j] if c == 1 else tuple(scale(rows[j], c)) for j, c in pattern))
+
+
+def gram(A, G, B):
+    """A^T @ G @ conj(B): the pairings <a_i, b_j> of the columns of A and B
+    under the Gram matrix G.
+
+    It is A^T @ conj_product(G, B), so a Gram over a row-monomial G (every
+    standard space) costs one matrix product and a dense G two.  Exact
+    arithmetic is associative, so the result does not depend on the path."""
+    return A.T @ conj_product(G, B)
 
 
 def poly_at(f, A):

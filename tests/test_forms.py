@@ -18,7 +18,8 @@ from invofactor.forms import (
     orthogonal_plus_form,
     symplectic_form,
 )
-from invofactor.linalg import Mat
+from invofactor.factor import factor
+from invofactor.linalg import Mat, monomial_rows
 
 
 def test_standard_gram_matrices():
@@ -206,3 +207,106 @@ def test_gram_of_restricted_basis():
     G = sp.gram(B)
     assert G.shape == (2, 2)
     assert G[0, 1] == sp.value(B.col(0), B.col(1))
+
+
+def _rand(F, m, n, rng):
+    return Mat(F, tuple(tuple(rng.randrange(F.order) for _ in range(n)) for _ in range(m)))
+
+
+def _changed_basis(form, rng):
+    # the same space in a random basis: Gram P^T J conj(P), with no row monomial
+    F = form.tower
+    while True:
+        P = _rand(F, form.n, form.n, rng)
+        J = P.T @ form.J @ P.conj()
+        if P.det() and monomial_rows(J) is None:
+            return SesquiForm(F, form.kind, J)
+
+
+def _ratio_spaces():
+    rng = random.Random("ratio-spaces")
+    F5, F7, E9 = field_make(5), field_make(7), field_make(3, 1, "quadratic")
+    standard = [
+        symplectic_form(F5, 4),
+        orthogonal_plus_form(F7, 4),
+        orthogonal_minus_form(F5, 4),
+        hermitian_form(E9, 3),
+    ]
+    dense = [orthogonal_form(F5, Mat.from_rows(F5, [[1, 1], [1, 2]]))]
+    dense += [_changed_basis(form, rng) for form in standard]
+    return standard + dense
+
+
+RATIO_SPACES = _ratio_spaces()
+RATIO_IDS = ["sp4-F5", "o4+-F7", "o4--F5", "u3-F9", "dense-o2-F5"] + [
+    f"changed-basis-{name}" for name in ("sp4-F5", "o4+-F7", "o4--F5", "u3-F9")
+]
+
+
+def _ref_ratio(S, P):
+    # the whole-matrix reference: beta read at P's first nonzero entry in
+    # row-major order, then S compared with beta * P
+    anchor = next((i, j) for i in range(P.nrows) for j in range(P.ncols) if P.rows[i][j])
+    beta = S[anchor] / P[anchor]
+    return beta if beta and S == P * beta else None
+
+
+def _same(got, want):
+    return got == want if want is not None else got is None
+
+
+def _with_entry(S, i, j, key):
+    rows = [list(r) for r in S.rows]
+    rows[i][j] = key
+    return Mat(S.tower, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("form", RATIO_SPACES, ids=RATIO_IDS)
+def test_ratio_match_equals_the_whole_matrix_reference(form):
+    # S = beta * P, the same with one extra nonzero off P's pattern, with
+    # its anchor entry zeroed, S = 0 and a random S, for P = J (linear
+    # similitudes) and P = eps * conj(J) (twist-1 maps)
+    F = form.tower
+    rng = random.Random(f"ratio:{form!r}")
+    for P in (form.J, form.J.conj() * form.eps_elem):
+        beta = F.from_int(rng.randrange(1, F.order))
+        S = P * beta
+        anchor = next((i, j) for i, r in enumerate(P.rows) for j, x in enumerate(r) if x)
+        off = [(i, j) for i, r in enumerate(P.rows) for j, x in enumerate(r) if not x]
+        cases = [S, _with_entry(S, *anchor, 0), Mat.zeros(F, form.n, form.n)]
+        cases += [_with_entry(S, i, j, rng.randrange(1, F.order)) for i, j in off[:4]]
+        cases += [_rand(F, form.n, form.n, rng) for _ in range(3)]
+        for T in cases:
+            assert _same(form._match_ratio(T, P), _ref_ratio(T, P))
+        assert form._match_ratio(S, P) == beta
+
+
+@pytest.mark.parametrize("form", RATIO_SPACES, ids=RATIO_IDS)
+def test_similitude_and_anti_ratio_equal_the_two_product_reference(form):
+    # similitudes, twist-1 maps of ratio 1 and beta (a factorization's h1
+    # and h2), and matrices that are neither, against the ratios read from
+    # Grams made by two products
+    F, J = form.tower, form.J
+    rng = random.Random(f"maps:{form!r}")
+    maps = group_sample(form, seed=3, count=3)
+    for g in maps[:2]:
+        cert = factor(form, g)
+        maps += [cert.h1, cert.h2]
+    maps += [_rand(F, form.n, form.n, rng) for _ in range(3)]
+    maps += [g + Mat.identity(F, form.n) for g in maps[:2]]
+    anti = J.conj() * form.eps_elem
+    seen = set()
+    for A in maps:
+        want = _ref_ratio(A.T @ J @ A.conj(), J)
+        try:
+            got = form.similitude_ratio(A)
+        except NotInGroupError:
+            got = None
+        assert _same(got, want)
+        want_anti = _ref_ratio(A.T @ J @ A.conj(), anti)
+        assert _same(form.anti_ratio(A), want_anti)
+        seen.add((want is not None, want_anti is not None))
+    # maps with a ratio and maps with neither ratio were both met (on
+    # orthogonal spaces a similitude is a twist-1 map of the same ratio,
+    # on symplectic ones of the opposite ratio)
+    assert (False, False) in seen and len(seen) > 1

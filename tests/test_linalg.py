@@ -4,12 +4,24 @@ import random
 
 import pytest
 
+from test_kernels import TOWERS
+
 from invofactor import InputError, SingularMatrixError, field_make
+from invofactor.forms import (
+    hermitian_form,
+    least_nonsquare,
+    orthogonal_minus_form,
+    orthogonal_plus_form,
+    symplectic_form,
+)
 from invofactor.linalg import (
     Mat,
     block_diag,
+    conj_product,
+    gram,
     hstack,
     mat_from_serialized,
+    monomial_rows,
     poly_at,
     vstack,
 )
@@ -145,3 +157,82 @@ def test_serialize_roundtrip():
     assert mat_from_serialized(F, A.serialize()) == A
     with pytest.raises(InputError):
         mat_from_serialized(F, [[[0, 0]], [[0, 0], [1, 1]]])
+
+
+def _standard_grams(F, n):
+    # the Gram of every standard space the tower carries, in dimension n
+    if F.has_conj:
+        return [hermitian_form(F, n).J]
+    out = [symplectic_form(F, n).J]
+    if F.p != 2:
+        out += [orthogonal_plus_form(F, n).J, orthogonal_minus_form(F, n).J]
+    return out
+
+
+def _monomial_gram(F, n, rng):
+    # one nonzero per row, non-unit entries where the field has them, and
+    # column 1 hit twice (so column 0 is never hit)
+    cols = [1, 1] + list(range(2, n))
+    rng.shuffle(cols)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(cols):
+        rows[i][j] = rng.randrange(2, F.order) if F.order > 2 else 1
+    return Mat(F, tuple(map(tuple, rows)))
+
+
+def _dense_gram(F, J, rng):
+    # J in a random basis: P^T J conj(P), redrawn until no row is monomial
+    while True:
+        P = rand_mat(F, J.nrows, J.ncols, rng)
+        G = P.T @ J @ P.conj()
+        if P.det() and all(r.count(0) < len(r) - 1 for r in G.rows):
+            return G
+
+
+@pytest.mark.parametrize("spec", [t[1] for t in TOWERS], ids=[t[0] for t in TOWERS])
+def test_gram_primitive_matches_two_products(spec):
+    # on every tower class: each standard Gram and a row-monomial one take
+    # the gather, a changed-basis Gram the two products, and all equal
+    # A^T @ G @ conj(B) made by two products, for square and rectangular
+    # A and B
+    F = field_make(*spec)
+    rng = random.Random(f"gram:{F!r}")
+    n = 4
+    standard = _standard_grams(F, n)
+    dense = _dense_gram(F, standard[0], rng)
+    for G in standard + [_monomial_gram(F, n, rng), dense]:
+        pattern = monomial_rows(G)
+        assert (pattern is None) == (G is dense)
+        if pattern is not None:
+            assert pattern == [
+                next((j, x) for j, x in enumerate(r) if x) for r in G.rows
+            ]
+        for k, m in ((n, n), (1, 3), (3, 2)):
+            A, B = rand_mat(F, n, k, rng), rand_mat(F, n, m, rng)
+            assert conj_product(G, B) == G @ B.conj()
+            assert gram(A, G, B) == A.T @ G @ B.conj()
+            assert gram(A, G, B).shape == (k, m)
+
+
+def test_monomial_rows_rejects_zero_and_dense_rows():
+    F = field_make(7)
+    assert monomial_rows(Mat.from_rows(F, [[0, 3], [5, 0]])) == [(1, 3), (0, 5)]
+    assert monomial_rows(Mat.from_rows(F, [[0, 3], [0, 0]])) is None
+    assert monomial_rows(Mat.from_rows(F, [[1, 3], [5, 0]])) is None
+    assert monomial_rows(Mat.from_rows(F, [[0]])) is None
+    assert monomial_rows(Mat.from_rows(F, [[2]])) == [(0, 2)]
+    # the anisotropic plane diag(1, -delta) of the minus-type space
+    delta = least_nonsquare(F)
+    J = orthogonal_minus_form(F, 4).J
+    assert monomial_rows(J) == [(1, 1), (0, 1), (2, 1), (3, (-delta).key)]
+
+
+def test_gram_primitive_rejects_mismatched_operands():
+    F, E = field_make(5), field_make(3)
+    G = Mat.identity(F, 2)
+    with pytest.raises(InputError):
+        conj_product(G, Mat.identity(F, 3))
+    with pytest.raises(InputError):
+        conj_product(G, Mat.identity(E, 2))
+    with pytest.raises(InputError):
+        gram(Mat.identity(F, 3), G, Mat.identity(F, 2))

@@ -325,14 +325,29 @@ def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
     # G_ij = K_i^T (G conj(K_j)) reuses G conj(K_j) for every Gram with
     # column j, so a scan that accepts a candidate has multiplied by G at
     # most once per column of its component; one product with G per G_ij
-    # made one per pair term, more than the columns once a pair is scanned
+    # made one per pair term, more than the columns once a pair is scanned.
+    # A product with G is a conj_product call (a gather on a standard
+    # space's G) or a matrix product with G outside one
     real_block, real_cyclic, real_matmul = fac._self_paired_block, fac._cyclic_block, Mat.__matmul__
+    real_conj_product = fac.conj_product
     current, met = [], {"pair_hits": 0}
 
     def matmul(A, B):
-        if current and (A is current[-1]["G"] or B is current[-1]["G"]):
-            current[-1]["products"] += 1
+        scan = current[-1] if current else None
+        if scan and not scan["inside"] and (A is scan["G"] or B is scan["G"]):
+            scan["products"] += 1
         return real_matmul(A, B)
+
+    def conj_product(G, B):
+        scan = current[-1] if current else None
+        if scan is None or G is not scan["G"]:
+            return real_conj_product(G, B)
+        scan["products"] += 1
+        scan["inside"] = True
+        try:
+            return real_conj_product(G, B)
+        finally:
+            scan["inside"] = False
 
     def cyclic(F, beta, K, ann):
         scan = current[-1]
@@ -342,13 +357,14 @@ def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
 
     def block(form, beta, a, G, p_, e, whole):
         U = Mat.identity(G.tower, a.nrows) if whole else fac._kernel_matrix(ppow(p_, e, G.tower), a)
-        current.append({"G": G, "products": 0, "cols": [U.col(j) for j in range(U.ncols)]})
+        current.append({"G": G, "products": 0, "inside": False, "cols": [U.col(j) for j in range(U.ncols)]})
         try:
             return real_block(form, beta, a, G, p_, e, whole)
         finally:
             current.pop()
 
     monkeypatch.setattr(Mat, "__matmul__", matmul)
+    monkeypatch.setattr(fac, "conj_product", conj_product)
     monkeypatch.setattr(fac, "_cyclic_block", cyclic)
     monkeypatch.setattr(fac, "_self_paired_block", block)
     for form, g in _cases():

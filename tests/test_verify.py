@@ -14,6 +14,7 @@ from invofactor import (
     factor,
     field_make,
     group_enumerate,
+    group_sample,
     hermitian_form,
     oracle_involution_set,
     orthogonal_minus_form,
@@ -23,7 +24,8 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.linalg import Mat
+from invofactor.forms import SesquiForm
+from invofactor.linalg import Mat, monomial_rows
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -178,3 +180,82 @@ def test_survey_refined_orthogonal():
     summary = survey(om, refined=True)
     assert summary["total"] == 8 and summary["dets"] == {"-1": 8}
     assert summary["refined"] is True
+
+
+def _changed_basis(form, g, P):
+    # the same space and element in the basis P: Gram P^T J conj(P), and
+    # P^(-1) g P (a trivial conj here)
+    return SesquiForm(form.tower, form.kind, P.T @ form.J @ P), P.inv() @ g @ P
+
+
+SP4 = symplectic_form(F5, 4)
+SP4_G = group_sample(SP4, beta=2, seed=5)[0]
+SP4_BASIS = Mat.from_rows(F5, [[1, 2, 0, 1], [3, 1, 1, 0], [0, 4, 1, 2], [1, 0, 3, 1]])
+DENSE_SP4, DENSE_SP4_G = _changed_basis(SP4, SP4_G, SP4_BASIS)
+
+
+def test_verify_makes_one_product_per_gram_on_standard_spaces(monkeypatch):
+    # the three Grams (g, h1, h2) gather rows of conj(A) along J's pattern
+    # and multiply once; the three products h1 conj(h1), h2 conj(h2) and
+    # h1 conj(h2) are the rest.  A dense Gram pays two products per Gram
+    assert monomial_rows(SP4.J) is not None and monomial_rows(DENSE_SP4.J) is None
+    calls = []
+
+    def counted(ar, br):
+        calls.append((len(ar), len(br[0])))
+        return real(ar, br)
+
+    for form, g in ((SP4, SP4_G), (DENSE_SP4, DENSE_SP4_G), (hermitian_form(E9, 3), None)):
+        F = form.tower
+        if g is None:
+            g = group_sample(form, seed=2)[0]
+        cert = factor(form, g)
+        real = F.matmul
+        monkeypatch.setattr(F, "matmul", counted)
+        calls.clear()
+        assert verify_certificate(form, g, cert).passed
+        monkeypatch.undo()
+        assert len(calls) == (9 if form is DENSE_SP4 else 6), calls
+
+
+def _off_pattern_tamper(form, h):
+    # h @ (I + e_a e_b^T), a != b, changes h's Gram by the entries
+    # (b, pi(a)) and (pi^(-1)(a), b) of J's pattern pi: both off it, since
+    # pi(b) != pi(a) and pi(pi^(-1)(a)) = a != b.  The pair is chosen so the
+    # two do not coincide (that needs pi(a) = b and pi(b) = a)
+    F, n = form.tower, form.n
+    pattern = monomial_rows(form.J)
+    a, b = next(
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and not (pattern[a][0] == b and pattern[b][0] == a)
+    )
+    X = Mat(F, tuple(tuple(int(i == j or (i, j) == (a, b)) for j in range(n)) for i in range(n)))
+    return h @ X, X
+
+
+def test_off_pattern_gram_changes_fail_the_twist1_checks_by_name():
+    # the tampered Grams agree with beta * eps * conj(J) at every entry of
+    # J's pattern, so the ratio read at the anchor is right and only the
+    # off-pattern zeros tell; carried to a changed basis (P^(-1) X P) the
+    # same tamper meets the whole-matrix comparison of a dense Gram
+    cert = factor(SP4, SP4_G)
+    anti = SP4.J.conj() * SP4.eps_elem
+    pattern = monomial_rows(SP4.J)
+    for attr, ratio, check in (
+        ("h1", F5.one, "h1_twist1_ratio_one"),
+        ("h2", cert.beta, "h2_twist1_ratio_beta"),
+    ):
+        bad, X = _off_pattern_tamper(SP4, getattr(cert, attr))
+        diff = SP4.gram(bad) - anti * ratio
+        assert not diff.is_zero()
+        assert all(not diff.rows[i][j] for i, (j, _) in enumerate(pattern))
+        failed = {name for name, _ in verify_certificate(SP4, SP4_G, _tamper(cert, attr, bad)).failures()}
+        assert check in failed, failed
+
+        dense_cert = factor(DENSE_SP4, DENSE_SP4_G)
+        Y = SP4_BASIS.inv() @ X @ SP4_BASIS
+        bad = getattr(dense_cert, attr) @ Y
+        report = verify_certificate(DENSE_SP4, DENSE_SP4_G, _tamper(dense_cert, attr, bad))
+        assert check in {name for name, _ in report.failures()}
