@@ -13,13 +13,17 @@ against the echelon rows of the vectors before it, so a span of dimension d
 costs d products with g and O(n * d^2) key operations, with no re-solving.
 The products with g go through the tower's matvec of g, made once for all
 the column spans of minimal_polynomial and of each frobenius_form peel.
+minimal_polynomial spans only what each column adds: the residual m(g) e_j
+under the polynomial m found so far, so a column whose annihilator divides
+m costs deg m products and no elimination, and the spanned annihilators
+multiply to the result with no gcd.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .linalg import Mat, hstack, vstack
-from .poly import pdeg, plcm
+from .poly import pdeg, pmul
 
 
 def companion(tower, f):
@@ -93,21 +97,26 @@ def _column_spans(g):
 
 
 def minimal_polynomial(g):
-    """Least monic polynomial annihilating g (lcm of basis-vector annihilators)."""
+    """Least monic polynomial annihilating g.
+
+    lcm(m, ann v) = m * ann(m(g) v), so each standard column e_j spans only
+    its residual m(g) e_j under the product m of the annihilators so far,
+    made by Horner's rule on vectors through the one matvec of g.  A zero
+    residual spans nothing."""
+    F, n = g.tower, g.nrows
+    apply, add = F.matvec(g.rows), F.add
     mp = [1]
-    for _, ann in _column_spans(g):
-        mp = plcm(mp, ann, g.tower)
-        if pdeg(mp) == g.nrows:
-            break
+    for j in range(n):
+        r = [0] * n
+        r[j] = 1
+        for c in reversed(mp[:-1]):
+            r = apply(r)
+            r[j] = add(r[j], c)
+        if any(r):
+            mp = pmul(mp, _krylov_span(F, apply, r)[1], F)
+            if pdeg(mp) == n:
+                break
     return mp
-
-
-def krylov_matrix(g, v, d):
-    """The d columns v, gv, ..., g^(d-1) v."""
-    ws = [v]
-    for _ in range(d - 1):
-        ws.append(g @ ws[-1])
-    return hstack(ws)
 
 
 def frobenius_form(g):

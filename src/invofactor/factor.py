@@ -29,8 +29,17 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 involution is the v-side cyclic map plus a gamma-corrected
                 cyclic map on the partner side.
 
+Cyclic spaces are worked in companion coordinates.  In the Krylov basis
+K(v) = [v, gv, ..., g^(D-1) v], g acts by the companion matrix C of v's
+annihilator p^e, so C^(-1), the powers g^m y = K(y) C^m e_0 that gamma's
+equations pair, and gamma(C) are shifts of coefficient lists mod p^e: no
+matrix is inverted and no polynomial is evaluated at a matrix to build a
+cyclic or cyclic-pair block.  The Krylov matrices themselves come from one
+matvec of a per block.
+
 This module is the one place that splits a space into primary components
-(_kernel_matrix of p^e(a)).  factor factors mp(g) once per element, and the
+(_kernel_matrix of p^e(a), the one Horner evaluation of a polynomial at a
+matrix).  factor factors mp(g) once per element, and the
 builders take its factors: a paired block's complement (the other primary
 components, by Wall) takes the rest, and a self-paired block's complement
 divides its minimal polynomial by them (poly.multiplicities).  A paired
@@ -53,7 +62,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain, combinations
 
-from .decomp import companion, frobenius_form, krylov_matrix, minimal_polynomial, restrict
+from .decomp import frobenius_form, minimal_polynomial, restrict
 from .errors import (
     DetRefinementError,
     InputError,
@@ -105,10 +114,6 @@ def _kernel_matrix(f, g):
     return hstack(cols)
 
 
-def _val(G, u, v):
-    return gram(u, G, v)[0, 0]
-
-
 def _paired_block(form, beta, a, G, p_, e, ps, fac):
     F = form.tower
     if (ps, e) not in fac:
@@ -146,58 +151,91 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
     return B1, t, data
 
 
-def _cyclic_t(F, beta, C):
-    cinv = C.inv()
-    col = Mat.column(F, [F.one] + [F.zero] * (C.nrows - 1))
-    cols = [col]
-    for _ in range(C.nrows - 1):
-        col = (cinv @ col) * beta
-        cols.append(col)
-    return hstack(cols)
+def _t_times(F, pe, v):
+    # T * v mod pe on coefficient lists of length deg pe: the companion
+    # matrix of pe applied to v, a shift up with the top entry folded back
+    return F.sub_scaled([0] + v[:-1], v[-1], pe[:-1])
+
+
+def _t_over(F, back, v):
+    # T^(-1) * v mod pe, with back = pe[1:] / pe[0]: since
+    # T (pe[1] + pe[2] T + ...) = -pe[0], T^(-1) is -back, so C^(-1) v is v
+    # shifted down minus v[0] * back
+    return F.sub_scaled(v[1:] + [0], v[0], back)
+
+
+def _powers(step, v, count):
+    # v, step(v), ..., count steps
+    out = [v]
+    for _ in range(count):
+        out.append(step(out[-1]))
+    return out
+
+
+def _columns(F, cols):
+    return Mat(F, tuple(zip(*cols)))
+
+
+def _cyclic_t(F, beta, ann):
+    # columns beta^i C^(-i) e_0 for the companion C of ann, in the Krylov
+    # basis where a acts by C
+    D = pdeg(ann)
+    back = F.scale(ann[1:], F.inv(ann[0]))
+    e0 = [1] + [0] * (D - 1)
+    return _columns(F, _powers(lambda v: F.scale(_t_over(F, back, v), beta.key), e0, D - 1))
 
 
 def _cyclic_block(F, beta, K, ann):
     # K is the Krylov basis of a vector with annihilator ann, so a acts on it
     # by the companion matrix of ann
-    t = _cyclic_t(F, beta, companion(F, ann))
+    t = _cyclic_t(F, beta, ann)
     return K, t, {"case": "cyclic", "dim": K.ncols, "annihilator": pserialize(ann, F)}
 
 
-def _gamma(F, beta, a, G, x, y, pe):
+def _times_matrix(F, f, pe):
+    # the matrix of h -> f * h mod pe in the monomial basis (f reduced mod
+    # pe): column j is T^j f, that is f(C) for the companion C of pe
+    D = pdeg(pe)
+    return _columns(F, _powers(lambda v: _t_times(F, pe, v), f + [0] * (D - len(f)), D - 1))
+
+
+def _gamma(F, beta, G, x, Ky, pe):
     """The pairing correction gamma in E[T]/(pe), as a key polynomial: a unit
     with gamma * gamma~ = 1 (gamma~ conjugates the coefficients and sends T
     to beta / T).  That is not re-checked; a wrong gamma makes the partner
-    side's involution wrong, and factor's final check rejects it."""
+    side's involution wrong, and factor's final check rejects it.
+
+    Ky is the Krylov basis of y, on which g acts by the companion C of pe,
+    so g^m y = Ky C^m e_0: its coordinates are T^m mod pe."""
     D = pdeg(pe)
-    # powers g^m y for m in [-(D-1), 2D-2]
-    ymats = {0: y}
-    ainv = a.inv()
-    for m in range(1, 2 * D - 1):
-        ymats[m] = a @ ymats[m - 1]
-    for m in range(1, D):
-        ymats[-m] = ainv @ ymats[-(m - 1)]
+    e0 = [1] + [0] * (D - 1)
+    back = F.scale(pe[1:], F.inv(pe[0]))
+    down = _powers(lambda v: _t_over(F, back, v), e0, D - 1)
+    up = _powers(lambda v: _t_times(F, pe, v), e0, 2 * D - 2)
+    # columns g^m y for m in [-(D-1), 2D-2], column m + D - 1
+    Y = Ky @ _columns(F, down[:0:-1] + up)
+    xg = gram(x, G, Y).rows[0]  # <x, g^m y>
+    yx = [r[0] for r in gram(Y, G, x).rows]  # <g^m y, x>
     # gamma = sum_k c_k T^k must satisfy, for every shift i,
     #   sum_k conj(c_k) <x, g^(i+k) y> = beta^i <g^(-i) y, x>
     # (the cross-pairing conditions of the corrected involution)
-    xg = {m: _val(G, x, ymats[m]) for m in range(-(D - 1), 2 * D - 1)}
     rows = []
     rhs = []
     for i in range(-(D - 1), D):
-        rows.append([xg[i + k] for k in range(D)])
-        rhs.append((beta**i) * _val(G, ymats[-i], x))
-    sol = Mat.from_rows(F, rows).solve_right(Mat.column(F, rhs))
+        rows.append(xg[i + D - 1 : i + 2 * D - 1])
+        rhs.append(F.mul(F.pow(beta.key, i), yx[D - 1 - i]))
+    sol = Mat(F, tuple(rows)).solve_right(Mat(F, tuple((r,) for r in rhs)))
     if sol is None:
         raise InternalInvariantError("pairing correction system is unsolvable", {})
     return pmod(pnormal([F.conj(r[0]) for r in sol.rows]), pe, F)
 
 
-def _cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e):
+def _cyclic_pair_block(form, beta, G, Kx, Ky, p_, e):
     F = form.tower
     pe = ppow(p_, e, F)
-    C = companion(F, pe)
-    gamma = _gamma(F, beta, a, G, Kx.col(0), Ky.col(0), pe)
-    Tx = _cyclic_t(F, beta, C)
-    t = block_diag(F, [Tx, poly_at(gamma, C) @ Tx])
+    gamma = _gamma(F, beta, G, Kx.col(0), Ky, pe)
+    Tx = _cyclic_t(F, beta, pe)
+    t = block_diag(F, [Tx, _times_matrix(F, gamma, pe) @ Tx])
     B1 = hstack([Kx, Ky])
     if not gram(B1, G, B1).det():
         raise InternalInvariantError("paired cyclic Gram is degenerate", {})
@@ -304,11 +342,12 @@ def _self_paired_block(form, beta, a, G, p_, e, whole):
     p_low = ppow(p_, e - 1, F)
     # keys enter as they are: Mat.column would read them as GF(p) scalars
     probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
-    cols = [U.col(j) for j in range(U.ncols)]
+    cols = [list(c) for c in zip(*U.rows)]
+    apply = F.matvec(a.rows)
 
     @cache
     def krylov(i):
-        return krylov_matrix(a, cols[i], D)
+        return _columns(F, _powers(apply, cols[i], D - 1))
 
     @cache
     def paired(j):
@@ -337,12 +376,12 @@ def _self_paired_block(form, beta, a, G, p_, e, whole):
     if x is None:
         raise InternalInvariantError("component has no full-height vector", {})
     w = krylov(x) @ probe
-    y = next((j for j, u in enumerate(cols) if _val(G, w, u)), None)
+    y = next((j for j, c in enumerate(gram(w, G, U).rows[0]) if c), None)
     if y is None:
         raise InternalInvariantError(
             "no partner pairs with the degenerate cyclic space", {}
         )
-    return _cyclic_pair_block(form, beta, a, G, krylov(x), krylov(y), p_, e)
+    return _cyclic_pair_block(form, beta, G, krylov(x), krylov(y), p_, e)
 
 
 def _orthocomplement(G, basis):

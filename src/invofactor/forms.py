@@ -38,6 +38,7 @@ from .linalg import (
     monomial_rows,
     vstack,
 )
+from .poly import factorize
 
 _KINDS = ("symplectic", "orthogonal", "hermitian")
 
@@ -290,6 +291,27 @@ def _gen_isometry(form, rng):
         return _rank_one_update(form, v, (zeta - F.one) / norm)
 
 
+def _norm_preimage(F, beta):
+    """The least w, by key, with w * conj(w) = beta, or None.
+
+    Over the fixed field B, w = a + b W with W^2 + g1 W + g0 = 0 has norm
+    a^2 - g1 a b + g0 b^2 and key key(a) + q key(b).  So the least w is the
+    least root a of a^2 - g1 b a + (g0 b^2 - beta) at the least b for which
+    one exists; about half of all b have one, so few factorizations run."""
+    B, q = F._base, F.q
+    if beta.key >= q:  # beta is not in B, and no norm is beta
+        return None
+    g0, g1 = B.elem(F._qg0).key, B.elem(F._qg1).key
+    mul = B.mul
+    for b in range(q):
+        c0 = B.sub(mul(g0, mul(b, b)), beta.key)
+        quad = [c0, B.neg(mul(g1, b)), 1]
+        roots = [B.neg(f[0]) for f, _ in factorize(quad, B) if len(f) == 2]
+        if roots:
+            return FieldElem(F, min(roots) + q * b)
+    return None
+
+
 def _dilation(form, beta):
     """One similitude of ratio beta on a standard space."""
     F = form.tower
@@ -297,7 +319,7 @@ def _dilation(form, beta):
     if beta == F.one:
         return Mat.identity(F, n)
     if form.standard == "hermitian":
-        w = next((e for e in F.elements() if e * e.conj() == beta), None)
+        w = _norm_preimage(F, beta)
         if w is None:
             raise InternalInvariantError("norm is not surjective", {"beta": beta.serialize()})
         return Mat.diag(F, [w] * n)

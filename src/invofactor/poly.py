@@ -130,12 +130,6 @@ def pgcd(f, g, F):
     return pmonic(f, F)
 
 
-def plcm(f, g, F):
-    if not f or not g:
-        return []
-    return pmonic(pmul(pdivmod(f, pgcd(f, g, F), F)[0], g, F), F)
-
-
 def ppowmod(f, e, m, F):
     base = pmod(f, m, F)
     out = None

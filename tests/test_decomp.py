@@ -4,6 +4,7 @@ companion-block normal form."""
 import random
 
 import pytest
+from test_kernels import TOWERS
 
 from invofactor import decomp as dec
 from invofactor import field_make
@@ -41,6 +42,50 @@ def test_minimal_polynomial_against_oracle(params):
         mp = minimal_polynomial(A)
         assert mp == oracle_minpoly(A)
         assert poly_at(mp, A).is_zero()
+
+
+def _invertible(F, n, rng):
+    while True:
+        P = rand_mat(F, n, rng)
+        if P.det():
+            return P
+
+
+def _structured(F, n, rng):
+    """A scalar matrix, a block diagonal repeating one random block (with a
+    smaller random block to fill n), and c I + N for N nilpotent with
+    Jordan blocks of random sizes: minimal polynomials of degree well below
+    n, where most columns add nothing to the polynomial found so far."""
+    c = F.from_int(rng.randrange(1, F.order))
+    yield Mat.identity(F, n) * c
+    b = rng.randrange(1, 5)
+    blocks = [rand_mat(F, b, rng)] * (n // b)
+    if n % b:
+        blocks.append(rand_mat(F, n % b, rng))
+    yield block_diag(F, blocks)
+    rows = [[c if i == j else F.zero for j in range(n)] for i in range(n)]
+    start = 0
+    while start < n:
+        size = rng.randrange(1, n - start + 1)
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = F.one
+        start += size
+    yield Mat.from_rows(F, rows)
+
+
+@pytest.mark.parametrize("spec", [t[1] for t in TOWERS], ids=[t[0] for t in TOWERS])
+def test_structured_minimal_polynomial_against_oracle(spec):
+    # up to n = 12 on every tower class, each matrix plain and conjugated by
+    # a random invertible matrix
+    F = field_make(*spec)
+    rng = random.Random(f"structured:{F.order}")
+    for n in (12, rng.randrange(2, 12)):
+        for A in _structured(F, n, rng):
+            P = _invertible(F, n, rng)
+            for B in (A, P @ A @ P.inv()):
+                mp = minimal_polynomial(B)
+                assert mp == oracle_minpoly(B)
+                assert poly_at(mp, B).is_zero()
 
 
 def test_companion_minpoly_roundtrip():
@@ -154,10 +199,13 @@ def test_frobenius_form_known_shapes():
 
 
 def test_minimal_polynomial_packs_its_matrix_once(monkeypatch):
-    # all column spans apply the one matvec of g, and over a prime field
-    # (g with at least fields._PACK_ROWS rows) a Krylov step is one packed
-    # product, not a dot product per row.  mp(diag(5 I_2, J_4(7))) over
-    # GF(101) has degree 5 < 6, so every column gets a span
+    # all column spans and residuals apply the one matvec of g, and over a
+    # prime field (g with at least fields._PACK_ROWS rows) a Krylov step is
+    # one packed product, not a dot product per row.  mp(diag(5 I_2, J_4(7)))
+    # over GF(101) has degree 5 < 6, so every column is reached; e_1's
+    # residual (g - 5) e_1 is zero and spans nothing, and each other column
+    # spans only its residual, so the annihilators spanned multiply to mp.
+    # Spanning every column in full made 6 spans of total degree 12
     F = field_make(101)
     n = 6
     rows = [[0] * n for _ in range(n)]
@@ -175,8 +223,9 @@ def test_minimal_polynomial_packs_its_matrix_once(monkeypatch):
         return real_matvec(rs)
 
     def span(F_, apply, w):
-        spans.append(w)
-        return real_span(F_, apply, w)
+        K, ann = real_span(F_, apply, w)
+        spans.append(pdeg(ann))
+        return K, ann
 
     def dot(xs, ys):
         raise AssertionError("a Krylov step made a per-row dot product")
@@ -187,4 +236,5 @@ def test_minimal_polynomial_packs_its_matrix_once(monkeypatch):
     mp = minimal_polynomial(g)
     monkeypatch.undo()
     assert mp == pmul([F.neg(5), 1], ppow([F.neg(7), 1], 4, F), F)
-    assert len(spans) == n and len(built) == 1
+    assert len(built) == 1
+    assert len(spans) == 5 and sum(spans) == pdeg(mp) == 5

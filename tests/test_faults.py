@@ -73,9 +73,9 @@ def _plus_one_at(M, i, j):
 def _corrupt_cyclic_t(monkeypatch, hits):
     real = fac._cyclic_t
 
-    def faulty(F, beta, C):
+    def faulty(F, beta, ann):
         hits.append(1)
-        return _plus_one_at(real(F, beta, C), 0, 0)
+        return _plus_one_at(real(F, beta, ann), 0, 0)
 
     monkeypatch.setattr(fac, "_cyclic_t", faulty)
 
@@ -129,9 +129,9 @@ def _non_conjugating_frobenius_form(monkeypatch, hits):
 def _perturbed_gamma(monkeypatch, hits):
     real = fac._gamma
 
-    def faulty(F, beta, a, G, x, y, pe):
+    def faulty(F, beta, G, x, Ky, pe):
         hits.append(1)
-        return padd(real(F, beta, a, G, x, y, pe), [1], F)
+        return padd(real(F, beta, G, x, Ky, pe), [1], F)
 
     monkeypatch.setattr(fac, "_gamma", faulty)
 

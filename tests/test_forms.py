@@ -1,10 +1,18 @@
 """Forms layer against classical group orders and hand-checked members."""
 
 import random
+import time
 
 import pytest
 
-from invofactor import BudgetExceededError, InputError, NotInGroupError, field_make
+from invofactor import (
+    BudgetExceededError,
+    InputError,
+    NotInGroupError,
+    field_make,
+    forms,
+    verify_certificate,
+)
 from invofactor.forms import (
     SesquiForm,
     anti_unitary_enumerate,
@@ -183,6 +191,47 @@ def test_sampled_elements_lie_in_enumerated_group():
     all_elems = set(group_enumerate(sp))
     for g in group_sample(sp, seed=4, count=12):
         assert g in all_elems
+
+
+@pytest.mark.parametrize(
+    "params", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (5, 2), (101, 1)],
+    ids=["GF2", "GF3", "GF4", "GF7", "GF8", "GF25", "GF101"],
+)
+def test_norm_preimage_is_the_least_key_of_that_norm(params):
+    # the hermitian dilation's w solves a quadratic over the fixed field for
+    # b = 0, 1, ...; the reference is the scan it replaced: the least key w
+    # with w conj(w) = beta, for every beta of the fixed field (one pass
+    # over the tower records the first key of each norm)
+    E = field_make(*params, "quadratic")
+    first = {}
+    for w in E.elements():
+        first.setdefault(w * w.conj(), w)
+    assert len(first) == E.q
+    for k in range(E.q):
+        beta = E.from_int(k)
+        assert forms._norm_preimage(E, beta) == first[beta]
+    # no norm lies outside the fixed field
+    assert forms._norm_preimage(E, E.from_int(E.q)) is None
+    form = hermitian_form(E, 2)
+    for k in range(2, E.q):
+        beta = E.from_int(k)
+        assert forms._dilation(form, beta) == Mat.diag(E, [first[beta]] * 2)
+
+
+@pytest.mark.parametrize(
+    "make, params, beta",
+    [(hermitian_form, (1000003, 1, "quadratic"), 2), (orthogonal_minus_form, (1000003,), 3)],
+    ids=["U4-GF1000003^2", "GO4minus-GF1000003"],
+)
+def test_sampling_and_factoring_at_large_q_is_fast(make, params, beta):
+    # the hermitian dilation used to walk about q keys before its first
+    # product; sampling, factoring and verifying now take well under a second
+    t0 = time.perf_counter()
+    form = make(field_make(*params), 4)
+    for g in group_sample(form, beta=beta, seed="large-q", count=3):
+        assert form.similitude_ratio(g) == form.tower.scalar(beta)
+        assert verify_certificate(form, g, factor(form, g)).passed
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_least_nonsquare_and_norm_one():

@@ -7,8 +7,9 @@ knows nothing of keys beyond their definition (base-p digits of the
 coordinates): it multiplies coordinate lists as polynomials over GF(p)
 modulo the tower's base modulus, and pairs over the base field modulo the
 extension modulus, with conj taken as x -> x^q.  All pairs are checked for
-orders up to 64, seeded samples above that.  This is the only test that
-runs the coordinate kernels above the table bound.
+orders up to 64, seeded samples above that.  TOWERS, one tower per class,
+also drives the linalg, minimal-polynomial and companion-coordinate tests
+(test_linalg.py, test_decomp.py, test_cyclic.py).
 """
 
 import itertools

@@ -17,7 +17,7 @@ from invofactor import (
     verify_certificate,
 )
 from invofactor.forms import SesquiForm
-from invofactor.linalg import Mat, poly_at
+from invofactor.linalg import Mat, gram, poly_at
 from invofactor.poly import pdeg, ppow
 
 fac = importlib.import_module("invofactor.factor")
@@ -62,18 +62,18 @@ def _reference_block(form, beta, a, G, p_, e):
             x = v
         K, ann = dec.krylov_span(a, v)
         assert ann == pe
-        gram = K.T @ G @ K.conj()
-        if gram.det():
+        kg = K.T @ G @ K.conj()
+        if kg.det():
             return fac._cyclic_block(F, beta, K, ann), (i, j, c), singular
-        if j is not None and not gram.is_zero():
+        if j is not None and not kg.is_zero():
             singular.add((i, j))
     Kx, _ = dec.krylov_span(a, x)
     w = probe @ x
-    y = next(u for u in cols if fac._val(G, w, u))
+    y = next(u for u in cols if gram(w, G, u)[0, 0])
     Ky, anny = dec.krylov_span(a, y)
     if (Ky.T @ G @ Ky.conj()).det():
         return fac._cyclic_block(F, beta, Ky, anny), None, singular
-    return fac._cyclic_pair_block(form, beta, a, G, Kx, Ky, p_, e), None, singular
+    return fac._cyclic_pair_block(form, beta, G, Kx, Ky, p_, e), None, singular
 
 
 def _int_rows(rows, p):
@@ -313,12 +313,13 @@ def test_self_paired_blocks_span_few_krylov_spaces(monkeypatch, n):
     g = -Mat.identity(form.tower, n)
     cert = factor(form, g)
     assert verify_certificate(form, g, cert).passed
-    # minimal_polynomial spans every basis vector of each complement (6 + 4
-    # + 2 for n = 6); the blocks take their Krylov matrices from the scan's
-    # per-column cache and span nothing.  The per-candidate scan spanned
-    # over a thousand
-    assert len(calls) <= 20
-    assert len(calls) == sum(range(n, 0, -2))
+    # the minimal polynomial T + 1 of the space and of each complement (n/2
+    # calls) comes from e_0's span, and every other residual (g + 1) e_j is
+    # zero; the blocks take their Krylov matrices from the scan's per-column
+    # cache, made by matvec, and span nothing.  Spanning every column of
+    # each complement made 6 + 4 + 2 spans for n = 6, and the per-candidate
+    # scan spanned over a thousand
+    assert len(calls) == n // 2
 
 
 def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
