@@ -38,13 +38,15 @@ cyclic or cyclic-pair block.  The Krylov matrices themselves come from one
 matvec of a per block.
 
 This module is the one place that splits a space into primary components
-(_kernel_matrix of p^e(a), the one Horner evaluation of a polynomial at a
-matrix).  factor factors mp(g) once per element, and the
-builders take its factors: a paired block's complement (the other primary
-components, by Wall) takes the rest, and a self-paired block's complement
-divides its minimal polynomial by them (poly.multiplicities).  A paired
-block's conjugator gets a restricted to one component, which is primary
-and needs no factors (decomp.frobenius_form).
+(_component: ker p^e(a) by the one Horner evaluation of a polynomial at a
+matrix, or the standard basis when p^e is all of mp(a)).  factor factors
+mp(g) once per element, and the builders take its factors: a paired
+block's complement (the other primary components, by Wall) takes the rest,
+and a self-paired block's complement divides its minimal polynomial by
+them (poly.multiplicities).  A paired block's conjugator gets a restricted
+to one component, which is primary and needs no factors
+(decomp.frobenius_form); each companion block of f is conjugated onto its
+transpose by the Hankel matrix of f's coefficients, with no inverse.
 
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made before factor returns it;
@@ -104,13 +106,15 @@ class _Block:
         self.data = data
 
 
-def _kernel_matrix(f, g):
-    # a basis of ker f(g), as columns
-    cols = poly_at(f, g).right_kernel_basis()
+def _component(a, fac, p_, e):
+    # a basis of ker p^e(a), as columns, for fac the factors of mp(a): the
+    # standard basis when p^e is all of mp(a), so that p^e(a) = 0
+    F = a.tower
+    if len(fac) == 1:
+        return Mat.identity(F, a.nrows)
+    cols = poly_at(ppow(p_, e, F), a).right_kernel_basis()
     if not cols:
-        raise InternalInvariantError(
-            "expected a nonzero kernel", {"poly": pserialize(f, g.tower)}
-        )
+        raise InternalInvariantError("expected a nonzero kernel", {"factor": pserialize(p_, F)})
     return hstack(cols)
 
 
@@ -121,8 +125,8 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
             "reciprocal factor missing or with mismatched multiplicity",
             {"factor": pserialize(p_, F), "reciprocal": pserialize(ps, F)},
         )
-    U = _kernel_matrix(ppow(p_, e, F), a)
-    Us = _kernel_matrix(ppow(ps, e, F), a)
+    U = _component(a, fac, p_, e)
+    Us = _component(a, fac, ps, e)
     r = U.ncols
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
@@ -311,11 +315,9 @@ def _scan_pairs(F, D, ncols, cross):
     return None
 
 
-def _self_paired_block(form, beta, a, G, p_, e, whole):
-    """A cyclic or cyclic-pair block inside the component U = ker p^e(a).
-
-    whole says that p^e is all of mp(a), so p^e(a) = 0 and U is the whole
-    space, taken as its standard basis without evaluating p^e(a).
+def _self_paired_block(form, beta, a, G, p_, e, fac):
+    """A cyclic or cyclic-pair block inside the component U = ker p^e(a),
+    for fac the factors of mp(a).
 
     The scan looks for a full-height v = col_i + c * col_j whose cyclic
     space has a nondegenerate Gram: the columns alone first, then the pair
@@ -338,7 +340,7 @@ def _self_paired_block(form, beta, a, G, p_, e, whole):
     F = form.tower
     pe = ppow(p_, e, F)
     D = pdeg(pe)
-    U = Mat.identity(F, a.nrows) if whole else _kernel_matrix(pe, a)
+    U = _component(a, fac, p_, e)
     p_low = ppow(p_, e - 1, F)
     # keys enter as they are: Mat.column would read them as GF(p) scalars
     probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
@@ -404,7 +406,7 @@ def _split(form, beta, a, G, lift, blocks, fac):
             break
     else:
         p_, e = fac[0]
-        basis, t, data = _self_paired_block(form, beta, a, G, p_, e, len(fac) == 1)
+        basis, t, data = _self_paired_block(form, beta, a, G, p_, e, fac)
         fac_c = None
     lb = lift @ basis
     data["basis"] = lb.serialize()
@@ -564,30 +566,23 @@ def factor_det_refined(form, g):
 # symmetric conjugators (a X = X a^T with X symmetric invertible)
 
 
-def _hankel_candidate(F, f):
-    # Hankel matrix H[i][j] = h_{i+j} of the impulse-seeded linear recurrence
-    # of f: h_k is the top coefficient of T^k reduced mod f, so H is the Gram
-    # matrix of the pairing (x, y) -> top-coeff(x * y mod f) in the monomial
-    # basis.  It is symmetric, anti-triangular with unit anti-diagonal (hence
-    # always invertible), and compatibility of that pairing with
-    # multiplication by T gives C^T H = H C, i.e. H^(-1) conjugates the
-    # companion matrix onto its transpose.
+def _symmetrizer(F, f):
+    # the Hankel matrix S[i][j] = f[i + j + 1] of f's own coefficients (zero
+    # past deg f): symmetric, anti-triangular with unit anti-diagonal (hence
+    # invertible), and C S = S C^T for the companion C of f (Taussky and
+    # Zassenhaus, Pacific J. Math. 9, 1959)
     m = pdeg(f)
-    c = [F.neg(x) for x in f[:m]]
-    h = [0] * (2 * m - 1)
-    h[m - 1] = 1
-    for k in range(m, 2 * m - 1):
-        h[k] = F.dot(c, h[k - m : k])
+    h = f[1:] + [0] * m
     return Mat(F, tuple(tuple(h[i : i + m]) for i in range(m)))
 
 
 def _symmetric_conjugator(a):
     # unchecked, for a primary a: P^(-1) a P is the block diagonal of the
-    # companions C_f and each H_f^(-1) conjugates C_f onto C_f^T, so
-    # P diag(H_f^(-1)) P^T conjugates a onto a^T
+    # companions C_f and each S_f conjugates C_f onto C_f^T, so
+    # P diag(S_f) P^T conjugates a onto a^T
     F = a.tower
     P, invariants = frobenius_form(a)
-    return P @ block_diag(F, [_hankel_candidate(F, f).inv() for f in invariants]) @ P.T
+    return P @ block_diag(F, [_symmetrizer(F, f) for f in invariants]) @ P.T
 
 
 def symmetric_conjugator(a):
@@ -598,10 +593,7 @@ def symmetric_conjugator(a):
     the a_i."""
     F = a.tower
     fac = factorize(minimal_polynomial(a), F)
-    if len(fac) == 1:  # a is primary: its one component is the whole space
-        Us = [Mat.identity(F, a.nrows)]
-    else:
-        Us = [_kernel_matrix(ppow(p_, e, F), a) for p_, e in fac]
+    Us = [_component(a, fac, p_, e) for p_, e in fac]
     B = hstack(Us)
     X = B @ block_diag(F, [_symmetric_conjugator(restrict(a, U)) for U in Us]) @ B.T
     if X.T != X or a @ X != X @ a.T or not X.det():

@@ -27,8 +27,10 @@ key vectors and matrices, so that a dot product reduces once per entry; and
 matvec(rows), the map w -> rows . w (w read as zero-padded when shorter
 than the rows), made once for a matrix that many vectors are multiplied by.
 FieldElem is a thin (tower, key) wrapper for the public API; Mat rows and
-poly.py's polynomials are raw keys.  poly.py also finds the base modulus
-and the inverses of the GF(p^k) coordinate kernel.
+poly.py's polynomials are raw keys.  poly.py serves the tower's searches:
+is_irreducible_poly tests the candidates for both moduli, least_root gives
+square roots (the least root of T^2 - a), and pinvmod the inverses of the
+GF(p^k) coordinate kernel.
 
 Every modulus is the least one in integer-key order (the key of a monic
 T^d + c_{d-1} T^{d-1} + ... + c_0 is sum(c_i * p^i), and extension moduli
@@ -46,7 +48,7 @@ from array import array
 from functools import reduce
 
 from .errors import FieldConstructionError, InputError
-from .poly import _prime_divisors, is_irreducible_poly, pinvmod, pnormal
+from .poly import _prime_divisors, is_irreducible_poly, least_root, pinvmod, pnormal
 
 # non-prime working fields up to this order run on log/antilog tables; the
 # largest non-prime field in the benchmark workloads is GF(2^12)
@@ -657,36 +659,19 @@ class FieldTower:
         if ext == "trivial":
             _ext_coord_kernel(self)
         else:
-            self._base = field_make(p, k, "trivial")
-            g0, g1 = self._least_quadratic_modulus(self._base)
-            self._qg0, self._qg1 = g0.coords, g1.coords
+            base = self._base = field_make(p, k, "trivial")
+            self._qg0, self._qg1 = map(base.coords, self._least_quadratic_modulus(base))
             _quad_coord_kernel(self)
         if self.order <= TABLE_ORDER:
             _table_kernel(self)
 
     @staticmethod
     def _least_quadratic_modulus(base):
-        # least (key(g0), key(g1)) with W^2 + g1*W + g0 irreducible over F:
-        # odd p: the discriminant g1^2 - 4*g0 is a non-square;
-        # p = 2: g1 != 0 and the absolute trace of g0 / g1^2 is 1.
-        # g0 = 0 never qualifies (g1^2 is a square; the trace of 0 is 0)
-        for n0 in range(1, base.order):
-            g0 = base.from_int(n0)
-            for n1 in range(base.order):
-                g1 = base.from_int(n1)
-                if base.p == 2:
-                    if not g1:
-                        continue
-                    acc, y = base.zero, g0 / (g1 * g1)
-                    for _ in range(base.k):
-                        acc = acc + y
-                        y = y * y
-                    ok = acc == base.one
-                else:
-                    ok = not base.is_square(g1 * g1 - 4 * g0)
-                if ok:
-                    return g0, g1
-        raise FieldConstructionError("no quadratic extension modulus found")
+        # the least (key(g0), key(g1)) with W^2 + g1*W + g0 irreducible over
+        # F, as keys; g0 = 0 never qualifies (W divides)
+        order = range(base.order)
+        return next((n0, n1) for n0 in order[1:] for n1 in order
+                    if is_irreducible_poly([n0, n1, 1], base))
 
     # -- public API -----------------------------------------------------------
 
@@ -735,40 +720,10 @@ class FieldTower:
         return (not a) or a ** ((self.order - 1) // 2) == self.one
 
     def sqrt(self, a):
-        """Canonical square root (least integer key), or None for non-squares."""
-        if self.p == 2:
-            return a ** (self.order // 2)
-        if not a:
-            return self.zero
-        Q = self.order
-        if a ** ((Q - 1) // 2) != self.one:
-            return None
-        if Q % 4 == 3:
-            r = a ** ((Q + 1) // 4)
-        else:
-            # Tonelli-Shanks, seeded with the least non-square
-            m, s = Q - 1, 0
-            while m % 2 == 0:
-                m //= 2
-                s += 1
-            z = next(e for e in self.elements() if e and not self.is_square(e))
-            c = z**m
-            r = a ** ((m + 1) // 2)
-            t = a**m
-            M = s
-            while t != self.one:
-                t2, i = t, 0
-                while t2 != self.one:
-                    t2 = t2 * t2
-                    i += 1
-                b = c ** (1 << (M - i - 1))
-                M = i
-                c = b * b
-                t = t * c
-                r = r * b
-        assert r * r == a
-        alt = -r
-        return r if r.key <= alt.key else alt
+        """Canonical square root (least integer key), or None for non-squares:
+        the least root of T^2 - a."""
+        r = least_root([self.neg(a.key), 0, 1], self)
+        return None if r is None else FieldElem(self, r)
 
     def descriptor(self):
         d = {"p": self.p, "k": self.k, "ext": self.ext,

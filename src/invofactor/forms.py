@@ -38,7 +38,7 @@ from .linalg import (
     monomial_rows,
     vstack,
 )
-from .poly import factorize
+from .poly import least_root
 
 _KINDS = ("symplectic", "orthogonal", "hermitian")
 
@@ -305,10 +305,9 @@ def _norm_preimage(F, beta):
     mul = B.mul
     for b in range(q):
         c0 = B.sub(mul(g0, mul(b, b)), beta.key)
-        quad = [c0, B.neg(mul(g1, b)), 1]
-        roots = [B.neg(f[0]) for f, _ in factorize(quad, B) if len(f) == 2]
-        if roots:
-            return FieldElem(F, min(roots) + q * b)
+        a = least_root([c0, B.neg(mul(g1, b)), 1], B)
+        if a is not None:
+            return FieldElem(F, a + q * b)
     return None
 
 
@@ -351,6 +350,8 @@ def _dilation(form, beta):
 
 def group_sample(form, beta=None, seed=0, count=1):
     """`count` similitudes of ratio beta (default 1) by a seeded generator walk."""
+    if type(count) is not int or count < 0:
+        raise InputError(f"count must be a non-negative integer, got {count!r}")
     F = form.tower
     beta = F.one if beta is None else form._as_elem(beta)
     rng = random.Random(seed)

@@ -17,8 +17,10 @@ map h -> h^Q mod f of each squarefree part f, a matrix built once from
 x^Q: the distinct-degree steps past the first, and the norm (odd Q) or
 relative trace (characteristic 2) that equal-degree splitting takes, are
 matrix-vector products, so x^Q is the only power with exponent Q.
-is_irreducible_poly, a check on the distinct-degree step, serves the search
-for tower moduli in fields.py.
+is_irreducible_poly, a check on the distinct-degree step, tests the
+candidates for both tower moduli in fields.py; least_root, the least-key
+root among factorize's linear factors, gives fields.py's square roots and
+forms.py's norm preimages.
 """
 
 from __future__ import annotations
@@ -400,6 +402,12 @@ def factorize(f, F, seed=0):
             "factor product differs from input", {"input": pserialize(f, F)}
         )
     return out
+
+
+def least_root(f, F):
+    """The root of f with the least key, from factorize's linear factors, or
+    None when f has no root in the working field."""
+    return min((F.neg(g[0]) for g, _ in factorize(f, F) if len(g) == 2), default=None)
 
 
 def multiplicities(f, irreducibles, F):

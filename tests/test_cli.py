@@ -1,5 +1,6 @@
 """Command line: interchange format, exit codes, byte-stable output."""
 
+import io
 import json
 import time
 
@@ -237,6 +238,14 @@ def test_survey_sampled_and_guards(tmp_path, capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+def test_survey_with_a_negative_sample_count_exits_two(capsys):
+    argv = ["survey", "--kind", "sp", "--n", "2", "--q", "3", "--sample", "-1", "--seed", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "count" in err
+    assert "total:" not in out and "Traceback" not in err
+
+
 def test_survey_over_a_large_prime_field_parses_q_quickly(capsys):
     # q = 2^31 - 1 is prime: reading it as a prime power must stop trial
     # division at sqrt(q) instead of trying every divisor up to q
@@ -269,6 +278,34 @@ def test_enumerate_counts_the_group(tmp_path, capsys):
                  "--json-out", str(out_path)]) == 0
     assert "count: 6" in capsys.readouterr().out
     assert len(json.loads(out_path.read_text())) == 6
+
+
+def test_enumerate_without_json_out_prints_the_list(capsys):
+    # the element list goes to stdout and the count to stderr
+    assert main(["enumerate", "--kind", "sp", "--n", "2", "--q", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert len(json.loads(out)) == 6
+    assert err == "count: 6\n"
+
+
+def test_factor_reads_the_instance_from_stdin(tmp_path, monkeypatch, capsys):
+    inst = _write(tmp_path, "inst.json", SP3_INSTANCE)
+    assert main(["factor", inst]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SP3_INSTANCE)))
+    assert main(["factor", "-"]) == 0
+    assert capsys.readouterr() == want
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    # the certificate's directory does not exist: open() raises OSError
+    inst = _write(tmp_path, "inst.json", SP3_INSTANCE)
+    missing = tmp_path / "missing" / "c.json"
+    assert main(["factor", inst, "--out", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err and not out
+    assert not missing.parent.exists()
 
 
 def test_unknown_kind_is_an_argparse_error(capsys):

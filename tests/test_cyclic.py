@@ -123,10 +123,10 @@ def test_gamma_equals_the_inverse_construction(monkeypatch):
     real_block, real_gamma = fac._self_paired_block, fac._gamma
     current, calls = [], []
 
-    def block(form, beta, a, G, p_, e, whole):
+    def block(form, beta, a, G, p_, e, factors):
         current.append(a)
         try:
-            return real_block(form, beta, a, G, p_, e, whole)
+            return real_block(form, beta, a, G, p_, e, factors)
         finally:
             current.pop()
 

@@ -9,7 +9,7 @@ from test_kernels import TOWERS
 from invofactor import decomp as dec
 from invofactor import field_make
 from invofactor.decomp import companion, frobenius_form, krylov_span, minimal_polynomial, restrict
-from invofactor.factor import _kernel_matrix
+from invofactor.factor import _component
 from invofactor.linalg import Mat, block_diag, hstack, poly_at, vstack
 from invofactor.poly import factorize, pdeg, pmod, pmul, pnormal, ppow
 
@@ -157,7 +157,8 @@ def test_primary_components_structure():
         n = rng.randrange(2, 6)
         A = rand_mat(F, n, rng)
         mp = minimal_polynomial(A)
-        comps = [(p_, e, _kernel_matrix(ppow(p_, e, F), A)) for p_, e in factorize(mp, F)]
+        fac = factorize(mp, F)
+        comps = [(p_, e, _component(A, fac, p_, e)) for p_, e in fac]
         assert sum(b.ncols for _, _, b in comps) == n
         for p_, e, basis in comps:
             X = restrict(A, basis)  # raises if not invariant
@@ -173,8 +174,9 @@ def test_frobenius_form_properties():
         for _ in range(20):
             n = rng.randrange(1, 6)
             M = rand_mat(F, n, rng)
-            for p_, e in factorize(minimal_polynomial(M), F):
-                A = restrict(M, _kernel_matrix(ppow(p_, e, F), M))
+            fac = factorize(minimal_polynomial(M), F)
+            for p_, e in fac:
+                A = restrict(M, _component(M, fac, p_, e))
                 B, factors = frobenius_form(A)
                 assert B.det()
                 assert sum(pdeg(f) for f in factors) == A.nrows

@@ -6,6 +6,7 @@ import sys
 import time
 
 import pytest
+from test_kernels import TOWERS
 
 from invofactor import (
     DetRefinementError,
@@ -31,9 +32,9 @@ from invofactor import (
     verify_certificate,
 )
 from invofactor.decomp import companion, restrict
-from invofactor.factor import _hankel_candidate, _kernel_matrix, _symmetric_conjugator
+from invofactor.factor import _symmetric_conjugator, _symmetrizer
 from invofactor.fields import _least_irreducible
-from invofactor.linalg import Mat, block_diag
+from invofactor.linalg import Mat, block_diag, hstack, poly_at
 from invofactor.poly import ppow
 
 F2 = field_make(2)
@@ -255,22 +256,77 @@ def test_symmetric_conjugator_seeded():
             assert a @ X == X @ a.T
 
 
+def reference_hankel(F, f):
+    # Hankel matrix H[i][j] = h_{i+j} of the impulse-seeded linear recurrence
+    # of f: h_k is the top coefficient of T^k reduced mod f, so H is the Gram
+    # matrix of the pairing (x, y) -> top-coeff(x * y mod f) in the monomial
+    # basis, with C^T H = H C; its inverse conjugates C onto C^T
+    m = len(f) - 1
+    c = [F.neg(x) for x in f[:m]]
+    h = [0] * (2 * m - 1)
+    h[m - 1] = 1
+    for k in range(m, 2 * m - 1):
+        h[k] = F.dot(c, h[k - m : k])
+    return Mat(F, tuple(tuple(h[i : i + m]) for i in range(m)))
+
+
 def test_symmetric_conjugator_hankel_inverse():
-    # companion of (T - 2)(T + 1) over GF(5): the raw Hankel matrix is not an
-    # intertwiner here, but its inverse always is -- that is what ships
+    # companion of (T - 2)(T + 1) over GF(5): the recurrence Hankel matrix is
+    # not an intertwiner here, but its inverse is, and that inverse is the
+    # symmetrizer read off f
     f = [3, 4, 1]
     C = companion(F5, f)
-    H = _hankel_candidate(F5, f)
+    H = reference_hankel(F5, f)
     assert C @ H != H @ C.T
     X = H.inv()
     assert X.T == X and C @ X == X @ C.T
+    assert _symmetrizer(F5, f) == X == Mat.from_rows(F5, [[4, 1], [1, 0]])
     assert symmetric_conjugator(C).T == symmetric_conjugator(C)
-    # the Hankel inverse is the only construction: it must intertwine for
-    # any companion, characteristic 2 and repeated roots included
+    # the symmetrizer is the only construction: it must intertwine for any
+    # companion, characteristic 2 and repeated roots included
     for F, f in ((F4, [1, 1, 1]), (F3, [2, 0, 1, 1]), (F3, [1, 2, 1])):
         C = companion(F, f)
-        X = _hankel_candidate(F, f).inv()
+        X = _symmetrizer(F, f)
+        assert X == reference_hankel(F, f).inv()
         assert X.T == X and C @ X == X @ C.T and X.det()
+
+
+@pytest.mark.parametrize("spec", [t[1] for t in TOWERS], ids=[t[0] for t in TOWERS])
+def test_symmetrizer_is_the_hankel_inverse_on_every_tower(spec):
+    F = field_make(*spec)
+    rng = random.Random(f"symmetrizer:{spec}")
+    for m in range(1, 7):
+        for _ in range(4):
+            f = [rng.randrange(F.order) for _ in range(m)] + [1]
+            S = _symmetrizer(F, f)
+            C = companion(F, f)
+            assert S.T == S
+            assert S == reference_hankel(F, f).inv()
+            assert C @ S == S @ C.T
+
+
+def test_symmetric_conjugator_inverts_no_matrix(monkeypatch):
+    # a primary a with three invariant factors, (T - 2)^3, (T - 2)^2 and
+    # T - 2 over GF(101): each block's conjugator is read off its factor
+    F = field_make(101)
+    a = block_diag(F, [companion(F, ppow([99, 1], e, F)) for e in (3, 2, 1)])
+    rng = random.Random(8)
+    while True:
+        h = Mat.from_rows(F, [[F.from_int(rng.randrange(101)) for _ in range(6)] for _ in range(6)])
+        if h.det():
+            break
+    a = h @ a @ h.inv()
+    calls = []
+    real = Mat.inv
+
+    def counted(self):
+        calls.append(self.nrows)
+        return real(self)
+
+    monkeypatch.setattr(Mat, "inv", counted)
+    X = _symmetric_conjugator(a)
+    assert calls == []
+    assert X.T == X and a @ X == X @ a.T and X.det()
 
 
 def test_symmetric_conjugator_of_a_primary_matrix_evaluates_no_polynomial(monkeypatch):
@@ -280,7 +336,7 @@ def test_symmetric_conjugator_of_a_primary_matrix_evaluates_no_polynomial(monkey
     p = _least_irreducible(F, 4)
     a = companion(F, ppow(p, 3, F))
     # the construction through ker p^3(a), which the identity replaces
-    U = _kernel_matrix(ppow(p, 3, F), a)
+    U = hstack(poly_at(ppow(p, 3, F), a).right_kernel_basis())
     want = U @ block_diag(F, [_symmetric_conjugator(restrict(a, U))]) @ U.T
     fac = sys.modules["invofactor.factor"]
     calls = []

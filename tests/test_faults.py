@@ -182,25 +182,30 @@ def _minpoly_missing_a_factor(monkeypatch, hits):
 
 
 def _wrong_hankel(monkeypatch, hits):
-    real = fac._hankel_candidate
+    # the companion symmetrizer, a Hankel matrix, made non-symmetric
+    real = fac._symmetrizer
 
     def faulty(F, f):
         hits.append(1)
-        H = real(F, f)
-        return _plus_one_at(H, H.nrows - 1, 0)
+        S = real(F, f)
+        return _plus_one_at(S, S.nrows - 1, 0)
 
-    monkeypatch.setattr(fac, "_hankel_candidate", faulty)
+    monkeypatch.setattr(fac, "_symmetrizer", faulty)
 
 
 def _wrong_component_basis(monkeypatch, hits):
-    # a component basis with a vector outside ker p^e(a)
-    real = fac._kernel_matrix
+    # a component basis with a vector outside ker p^e(a); a lone component
+    # is the whole space, where every vector lies, and is left alone
+    real = fac._component
 
-    def faulty(f, a):
+    def faulty(a, factors, p_, e):
+        U = real(a, factors, p_, e)
+        if len(factors) == 1:
+            return U
         hits.append(1)
-        return _plus_one_at(real(f, a), 0, 0)
+        return _plus_one_at(U, 0, 0)
 
-    monkeypatch.setattr(fac, "_kernel_matrix", faulty)
+    monkeypatch.setattr(fac, "_component", faulty)
 
 
 def _wrong_cyclic_space(monkeypatch, hits):
@@ -217,8 +222,8 @@ def _wrong_cyclic_space(monkeypatch, hits):
 def _wrong_dual_basis(monkeypatch, hits):
     # the reciprocal component's basis gets a vector outside the component,
     # so the dual-normalized basis of a paired block has the wrong Gram
-    real_block, real_kernel = fac._paired_block, fac._kernel_matrix
-    seen = {"in_paired": None}  # kernels taken inside the current paired block
+    real_block, real_component = fac._paired_block, fac._component
+    seen = {"in_paired": None}  # components taken inside the current paired block
 
     def block(*args):
         seen["in_paired"] = 0
@@ -227,8 +232,8 @@ def _wrong_dual_basis(monkeypatch, hits):
         finally:
             seen["in_paired"] = None
 
-    def kernel(f, a):
-        K = real_kernel(f, a)
+    def component(a, factors, p_, e):
+        K = real_component(a, factors, p_, e)
         if seen["in_paired"] is None:
             return K
         seen["in_paired"] += 1
@@ -238,7 +243,7 @@ def _wrong_dual_basis(monkeypatch, hits):
         return K
 
     monkeypatch.setattr(fac, "_paired_block", block)
-    monkeypatch.setattr(fac, "_kernel_matrix", kernel)
+    monkeypatch.setattr(fac, "_component", component)
 
 
 FAULTS = {
@@ -352,7 +357,7 @@ def test_frobenius_form_evaluates_no_polynomial(monkeypatch):
     # columns with krylov_span, and needs neither the minimal polynomial nor
     # a polynomial evaluated at the matrix, even on non-cyclic inputs that
     # take several peels.  Splitting a space into primary components
-    # (poly_at, _kernel_matrix) is factor's alone
+    # (poly_at, _component) is factor's alone
     calls = []
     for real in (dec.minimal_polynomial, poly_at):
         for name, mod in list(sys.modules.items()):
@@ -373,7 +378,7 @@ def test_frobenius_form_evaluates_no_polynomial(monkeypatch):
         assert invariants == want
         assert B.inv() @ g @ B == block_diag(F3, [dec.companion(F3, f) for f in invariants])
     assert calls == []
-    for name in ("maximal_vector", "multiplicities", "poly_at", "_kernel_matrix"):
+    for name in ("maximal_vector", "multiplicities", "poly_at", "_component"):
         assert not hasattr(dec, name), name
 
 

@@ -11,6 +11,7 @@ from invofactor import (
     NotInGroupError,
     field_make,
     forms,
+    survey,
     verify_certificate,
 )
 from invofactor.forms import (
@@ -183,6 +184,17 @@ def test_group_sample_ratio_and_determinism():
         assert all(form.similitude_ratio(g) == want for g in xs)
         assert xs == group_sample(form, beta=b, seed=11, count=6)
         assert xs != group_sample(form, beta=b, seed=12, count=6)
+
+
+def test_group_sample_rejects_a_negative_count():
+    sp = symplectic_form(field_make(3), 2)
+    assert group_sample(sp, count=0) == []
+    for count in (-1, -5):
+        with pytest.raises(InputError, match="count"):
+            group_sample(sp, count=count)
+    # survey draws its sample through group_sample
+    with pytest.raises(InputError, match="count"):
+        survey(sp, sample=-1, seed=1)
 
 
 def test_sampled_elements_lie_in_enumerated_group():

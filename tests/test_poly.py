@@ -328,3 +328,96 @@ def test_factorize_takes_one_qth_power_per_squarefree_part(monkeypatch):
             assert factorize(f, F) == want
             parts = squarefree_parts(f, F)
             assert exponents.count(F.order) == sum(pdeg(g) >= 2 for g, _ in parts), params
+
+
+# ---------------------------------------------------------------------------
+# least roots
+
+
+def _value(f, x, F):
+    acc = 0
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def _brute_least_root(f, F):
+    return next((x for x in range(F.order) if not _value(f, x, F)), None)
+
+
+@pytest.mark.parametrize(
+    "params", [(3, 1), (2, 2), (3, 1, "quadratic")], ids=["GF3", "GF4", "GF9/GF3"]
+)
+def test_least_root_matches_brute_force_up_to_degree_3(params):
+    # every polynomial of degree <= 3, constants and non-monic ones included
+    F = field_make(*params)
+    Q = F.order
+    for d in range(4):
+        for n in range(Q**d):
+            low = [(n // Q**i) % Q for i in range(d)]
+            for lead in range(1, Q):
+                f = low + [lead]
+                assert poly.least_root(f, F) == _brute_least_root(f, F), f
+
+
+def test_least_root_on_seeded_samples_over_gf1009():
+    # products of linear powers, quadratics T^2 - d with d a non-square and
+    # random monic quadratics and cubics, against a scan of all 1009 keys
+    F = field_make(1009)
+    rng = random.Random("least-root:1009")
+    nonsquares = [d for d in range(1, 1009) if pow(d, 504, 1009) == 1008]
+    met = {"repeated": 0, "rootless": 0}
+    for _ in range(60):
+        f = [rng.randrange(1, 1009)]
+        linear = []
+        for _ in range(rng.randrange(1, 4)):
+            shape = rng.randrange(3)
+            if shape == 0:
+                r, m = rng.randrange(1009), rng.randrange(1, 4)
+                linear.append(m)
+                g = ppow([F.neg(r), 1], m, F)
+            elif shape == 1:
+                g = [F.neg(rng.choice(nonsquares)), 0, 1]
+            else:
+                g = [rng.randrange(1009) for _ in range(rng.randrange(2, 4))] + [1]
+            f = pmul(f, g, F)
+        want = _brute_least_root(f, F)
+        assert poly.least_root(f, F) == want, f
+        met["repeated"] += any(m > 1 for m in linear)
+        met["rootless"] += want is None
+    assert all(met.values()), met
+
+
+def test_least_root_on_seeded_samples_over_gf2_16():
+    # GF(2^16) has too many keys to scan per sample, so each sample is built
+    # with known roots: linear powers times quadratics T^2 + T + c whose
+    # constant has absolute trace 1, which have no root
+    F = field_make(2, 16)
+    rng = random.Random("least-root:2^16")
+
+    def trace(c):
+        t = 0
+        for _ in range(16):
+            t, c = F.add(t, c), F.mul(c, c)
+        return t
+
+    rootless = [c for c in (rng.randrange(F.order) for _ in range(64)) if trace(c) == 1]
+    assert rootless
+    met = {"repeated": 0, "rootless": 0}
+    for _ in range(24):
+        f = [rng.randrange(1, F.order)]
+        roots = []
+        for _ in range(rng.randrange(4)):
+            r, m = rng.randrange(F.order), rng.randrange(1, 4)
+            roots.append(r)
+            f = pmul(f, ppow([r, 1], m, F), F)  # T - r = T + r in characteristic 2
+            met["repeated"] += m > 1
+        for _ in range(rng.randrange(0 if roots else 1, 3)):
+            f = pmul(f, [rng.choice(rootless), 1, 1], F)
+        got = poly.least_root(f, F)
+        assert got == min(roots, default=None), f
+        if got is None:
+            met["rootless"] += 1
+        else:
+            assert not _value(f, got, F)
+    assert all(met.values()), met

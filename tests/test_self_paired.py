@@ -17,7 +17,7 @@ from invofactor import (
     verify_certificate,
 )
 from invofactor.forms import SesquiForm
-from invofactor.linalg import Mat, gram, poly_at
+from invofactor.linalg import Mat, gram, hstack, poly_at
 from invofactor.poly import pdeg, ppow
 
 fac = importlib.import_module("invofactor.factor")
@@ -42,6 +42,11 @@ def _candidate_vectors(F, ncols, limit=512):
                     return
 
 
+def _reference_component(a, pe):
+    # ker pe(a) by evaluating pe at a, with no whole-space shortcut
+    return hstack(poly_at(pe, a).right_kernel_basis())
+
+
 def _reference_block(form, beta, a, G, p_, e):
     """The reference scan: every candidate vector gets its own krylov_span
     and Gram determinant.  Returns the block, the accepted candidate (None
@@ -49,7 +54,7 @@ def _reference_block(form, beta, a, G, p_, e):
     pairs met before it with a nonzero but singular Gram."""
     F = form.tower
     pe = ppow(p_, e, F)
-    U = fac._kernel_matrix(pe, a)
+    U = _reference_component(a, pe)
     probe = poly_at(ppow(p_, e - 1, F), a)
     cols = [U.col(j) for j in range(U.ncols)]
     x = None
@@ -166,8 +171,8 @@ def test_scan_matches_the_per_candidate_algorithm(monkeypatch):
         "D=3": 0,
     }
 
-    def both(form, beta, a, G, p_, e, whole):
-        got = real(form, beta, a, G, p_, e, whole)
+    def both(form, beta, a, G, p_, e, factors):
+        got = real(form, beta, a, G, p_, e, factors)
         want, hit, singular = _reference_block(form, beta, a, G, p_, e)
         assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
         F = form.tower
@@ -175,7 +180,7 @@ def test_scan_matches_the_per_candidate_algorithm(monkeypatch):
         seen["D=3"] += D == 3
         if hit is None:
             seen["fallback"] += 1
-            ncols = fac._kernel_matrix(ppow(p_, e, F), a).ncols
+            ncols = _reference_component(a, ppow(p_, e, F)).ncols
             seen["exhausted"] += ncols * (ncols - 1) // 2 * (F.order - 1) > 512
         elif hit[1] is None:
             seen["column"] += 1
@@ -218,10 +223,10 @@ def test_scan_charges_pairs_that_cannot_hit(monkeypatch):
         evaluated.append(t)
         return real_gram(F, t, c)
 
-    def block(form, beta, a, G, p_, e, whole):
+    def block(form, beta, a, G, p_, e, factors):
         pairs.clear()
         evaluated.clear()
-        got = real_block(form, beta, a, G, p_, e, whole)
+        got = real_block(form, beta, a, G, p_, e, factors)
         F = form.tower
         D = pdeg(ppow(p_, e, F))
         for t in pairs:
@@ -356,11 +361,11 @@ def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
         met["pair_hits"] += K.col(0) not in scan["cols"]
         return real_cyclic(F, beta, K, ann)
 
-    def block(form, beta, a, G, p_, e, whole):
-        U = Mat.identity(G.tower, a.nrows) if whole else fac._kernel_matrix(ppow(p_, e, G.tower), a)
+    def block(form, beta, a, G, p_, e, factors):
+        U = fac._component(a, factors, p_, e)
         current.append({"G": G, "products": 0, "inside": False, "cols": [U.col(j) for j in range(U.ncols)]})
         try:
-            return real_block(form, beta, a, G, p_, e, whole)
+            return real_block(form, beta, a, G, p_, e, factors)
         finally:
             current.pop()
 

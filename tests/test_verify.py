@@ -1,5 +1,6 @@
 """Certificate re-checking, tamper detection, involution oracles, surveys."""
 
+import importlib
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
+from invofactor.cli import main
 from invofactor.forms import SesquiForm
 from invofactor.linalg import Mat, monomial_rows
 
@@ -163,6 +165,42 @@ def test_survey_exhaustive_summary():
         "refined": False,
         "total": 24,
     }
+
+
+def test_survey_aborts_on_the_first_failing_certificate(monkeypatch, capsys):
+    # survey's factor returns certificates with a tampered h2: the first one
+    # aborts the survey, and the error names the first failed identity and
+    # carries the element, the certificate and the report
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factor
+    bad = []
+
+    def tampered(form, g, det_refined=False):
+        cert = real(form, g, det_refined=det_refined)
+        cert = _tamper(cert, "h2", cert.h2 + Mat.from_rows(form.tower, [[0, 1], [0, 0]]))
+        bad.append((g, cert))
+        return cert
+
+    monkeypatch.setattr(fac, "factor", tampered)
+    sp = symplectic_form(F3, 2)
+    with pytest.raises(VerificationError) as info:
+        survey(sp)
+    assert len(bad) == 1
+    g, cert = bad[0]
+    report = verify_certificate(sp, g, cert)
+    assert info.value.check == report.failures()[0][0]
+    assert info.value.context == {
+        "g": g.serialize(),
+        "cert": cert.serialize(),
+        "report": report.serialize(),
+    }
+    # the command line exits 1 and writes that context to stderr as JSON
+    bad.clear()
+    assert main(["survey", "--kind", "sp", "--n", "2", "--q", "3", "--exhaustive"]) == 1
+    out, err = capsys.readouterr()
+    first, rest = err.split("\n", 1)
+    assert first.startswith("error: ") and "total:" not in out
+    assert json.loads(rest) == info.value.context
 
 
 def test_survey_sampled_is_reproducible():
