@@ -74,6 +74,12 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _human(path):
+    # the stream for human-readable lines: stderr when the JSON goes to
+    # stdout, so that stdout holds one JSON document
+    return sys.stderr if path == "-" else sys.stdout
+
+
 def _elem(tower, v, what):
     if isinstance(v, bool) or not isinstance(v, (int, list)):
         raise InputError(f"{what}: entries must be integers or coordinate arrays")
@@ -198,12 +204,9 @@ def _cmd_factor(args):
         f"cases: {_histogram_line(case_histogram(cert.blocks))}",
         f"det(h1): {det_label(form.tower, cert.h1.det())}",
     ]
-    if args.out:
-        _write_text(args.out, text)
-        print("\n".join(summary))
-    else:
-        sys.stdout.write(text)
-        print("\n".join(summary), file=sys.stderr)
+    out = args.out or "-"
+    _write_text(out, text)
+    print("\n".join(summary), file=_human(out))
     return 0
 
 
@@ -211,10 +214,11 @@ def _cmd_verify(args):
     form, g, _ = _parse_instance(_read_doc(args.instance))
     cert = cert_from_serialized(_read_doc(args.cert))
     report = verify_certificate(form, g, cert, det_refined=True if args.refined else None)
+    human = _human(args.json_out)
     for name, ok, wit in report.checks:
-        print(("PASS " if ok else "FAIL ") + name)
+        print(("PASS " if ok else "FAIL ") + name, file=human)
         if not ok:
-            print(f"  witness: {json.dumps(wit, sort_keys=True)}")
+            print(f"  witness: {json.dumps(wit, sort_keys=True)}", file=human)
     if args.json_out:
         _write_text(args.json_out, _canon_json(report.serialize()))
     return 0 if report.passed else 1
@@ -235,12 +239,15 @@ def _cmd_survey(args):
     mode = summary["mode"]
     if not isinstance(mode, str):
         mode = f"sample={mode['sample']} seed={mode['seed']}"
-    print(f"group: {args.kind} n={args.n} q={args.q} beta={args.beta}")
-    print(f"mode: {mode}")
-    print(f"total: {summary['total']}")
-    print(f"cases: {_histogram_line(summary['cases'])}")
-    print(f"dets: {_histogram_line(summary['dets'])}")
-    print(f"failures: {summary['failures']}")
+    lines = [
+        f"group: {args.kind} n={args.n} q={args.q} beta={args.beta}",
+        f"mode: {mode}",
+        f"total: {summary['total']}",
+        f"cases: {_histogram_line(summary['cases'])}",
+        f"dets: {_histogram_line(summary['dets'])}",
+        f"failures: {summary['failures']}",
+    ]
+    print("\n".join(lines), file=_human(args.json_out))
     if args.json_out:
         _write_text(args.json_out, _canon_json(summary))
     return 0
@@ -249,13 +256,9 @@ def _cmd_survey(args):
 def _cmd_enumerate(args):
     form = _standard_form(args.kind, args.n, args.q)
     mats = [g.serialize() for g in group_enumerate(form, args.beta, budget=args.budget)]
-    text = _canon_json(mats)
-    if args.json_out:
-        _write_text(args.json_out, text)
-        print(f"count: {len(mats)}")
-    else:
-        sys.stdout.write(text)
-        print(f"count: {len(mats)}", file=sys.stderr)
+    out = args.json_out or "-"
+    _write_text(out, _canon_json(mats))
+    print(f"count: {len(mats)}", file=_human(out))
     return 0
 
 
@@ -285,7 +288,7 @@ def _build_parser():
     p = sub.add_parser("factor", help="factor one instance into a certificate")
     p.add_argument("instance", help="instance JSON path, or - for stdin")
     p.add_argument("--refined", action="store_true", help="force det(h1) = (-1)^(n/2)")
-    p.add_argument("--out", help="write the certificate here instead of stdout")
+    p.add_argument("--out", help="write the certificate here (- or none: stdout)")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("verify", help="re-check a certificate against an instance")
@@ -294,7 +297,7 @@ def _build_parser():
     p.add_argument(
         "--refined", action="store_true", help="also require det(h1) = (-1)^(n/2)"
     )
-    p.add_argument("--json-out", help="also write the check report as JSON")
+    p.add_argument("--json-out", help="also write the check report as JSON (- for stdout)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("survey", help="factor + verify a whole group or a sample")
@@ -308,7 +311,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--refined", action="store_true")
     p.add_argument("--budget", type=int, default=10**7)
-    p.add_argument("--json-out", help="write the summary as JSON")
+    p.add_argument("--json-out", help="write the summary as JSON (- for stdout)")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("enumerate", help="dump every similitude of the given ratio")
@@ -317,7 +320,7 @@ def _build_parser():
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--beta", type=int, default=1)
     p.add_argument("--budget", type=int, default=10**7)
-    p.add_argument("--json-out", help="write the element list as JSON")
+    p.add_argument("--json-out", help="write the element list here (- or none: stdout)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("demo", help="emit a worked 2x2 symplectic example")

@@ -29,6 +29,14 @@ under the ratio-twisted reciprocal p -> p~ (roots move to beta/conj(root)):
                 involution is the v-side cyclic map plus a gamma-corrected
                 cyclic map on the partner side.
 
+Which of the last two a component can carry is often fixed by the form
+(Wall 1963): under an alternating form an odd D is degenerate, and over a
+trivial conj in odd characteristic a linear p = T - mu with
+(-1)^(e-1) eps = -1 (orthogonal with e even, symplectic with e odd) has a
+socle vector orthogonal to its whole cyclic space.  Such a forced
+component skips the scan and takes a cyclic pair from its first
+full-height column (_forced_pair).
+
 Cyclic spaces are worked in companion coordinates.  In the Krylov basis
 K(v) = [v, gv, ..., g^(D-1) v], g acts by the companion matrix C of v's
 annihilator p^e, so C^(-1), the powers g^m y = K(y) C^m e_0 that gamma's
@@ -42,7 +50,9 @@ This module is the one place that splits a space into primary components
 matrix, or the standard basis when p^e is all of mp(a)).  factor factors
 mp(g) once per element, and the builders take its factors: a paired
 block's complement (the other primary components, by Wall) takes the rest,
-and a self-paired block's complement divides its minimal polynomial by
+and so does a self-paired block's complement when the factors are one
+(p, 1), since p(a) = 0 with p irreducible makes its minimal polynomial p.
+Any other self-paired block's complement divides its minimal polynomial by
 them (poly.multiplicities).  A paired block's conjugator gets a restricted
 to one component, which is primary and needs no factors
 (decomp.frobenius_form); each companion block of f is conjugated onto its
@@ -315,6 +325,22 @@ def _scan_pairs(F, D, ncols, cross):
     return None
 
 
+def _forced_pair(form, p_, e):
+    """True when no full-height vector of a self-paired p-primary component
+    spans a nondegenerate cyclic space (Wall 1963), so that the component
+    can only carry cyclic pairs.  D = deg p^e is the cyclic space's
+    dimension.  Under an alternating form an odd D is degenerate in every
+    characteristic.  Over a trivial conj in odd characteristic, with
+    p = T - mu, the socle vector w = (a - mu)^(e-1) v of Z = K(v) satisfies
+    <w, v> = (-1)^(e-1) eps <w, v> (as (a - mu)* = -mu a^(-1) (a - mu) and
+    a w = mu w) and is orthogonal to (a - mu) Z, so Z is degenerate when
+    (-1)^(e-1) eps = -1: orthogonal with e even, symplectic with e odd."""
+    if form.kind == "symplectic" and pdeg(p_) * e % 2:
+        return True
+    F = form.tower
+    return not F.has_conj and F.p != 2 and pdeg(p_) == 1 and (-1) ** (e - 1) * form.eps == -1
+
+
 def _self_paired_block(form, beta, a, G, p_, e, fac):
     """A cyclic or cyclic-pair block inside the component U = ker p^e(a),
     for fac the factors of mp(a).
@@ -336,7 +362,11 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
     shown to vanish for every c (see _scan_pairs).
     When no candidate is nondegenerate, the first full-height column x and a
     column y pairing with p^(e-1)(a) x (so y is full height, as p is
-    self-paired) give a cyclic pair from the cached K_x and K_y."""
+    self-paired) give a cyclic pair from the cached K_x and K_y.  A
+    component that _forced_pair marks has no nondegenerate candidate, so it
+    stops at the first full-height column and takes that cyclic pair with
+    no Gram determinant and no pair scan: the same block the full search
+    ends in."""
     F = form.tower
     pe = ppow(p_, e, F)
     D = pdeg(pe)
@@ -360,17 +390,21 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
         # G_ij as a flat list of keys
         return [x for r in (krylov(i).T @ paired(j)).rows for x in r]
 
+    forced = _forced_pair(form, p_, e)
     x = hit = None
     for i in range(len(cols)):
         if (krylov(i) @ probe).is_zero():
             continue
         if x is None:
             x = i
+        if forced:
+            break
         if _nondegenerate(F, D, cross(i, i)):
             hit = i, None, 0
             break
     else:
-        hit = _scan_pairs(F, D, len(cols), cross)
+        if not forced:
+            hit = _scan_pairs(F, D, len(cols), cross)
     if hit is not None:
         i, j, c = hit
         K = krylov(i) if j is None else krylov(i) + krylov(j) * F.from_int(c)
@@ -407,7 +441,8 @@ def _split(form, beta, a, G, lift, blocks, fac):
     else:
         p_, e = fac[0]
         basis, t, data = _self_paired_block(form, beta, a, G, p_, e, fac)
-        fac_c = None
+        # p(a) = 0 with p irreducible leaves the complement mp(a) = p
+        fac_c = fac if len(fac) == 1 and e == 1 else None
     lb = lift @ basis
     data["basis"] = lb.serialize()
     data["local_involution"] = t.serialize()

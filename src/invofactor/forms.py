@@ -328,10 +328,12 @@ def _dilation(form, beta):
     if form.standard == "orthogonal_minus":
         delta = least_nonsquare(F)
         W = None
+        # the first x with (x^2 - beta) / delta a square; the squareness test
+        # is one power, so the root search runs once
         for x in F.elements():
             y2 = (x * x - beta) / delta
-            y = F.sqrt(y2)
-            if y is not None:
+            if F.is_square(y2):
+                y = F.sqrt(y2)
                 W = Mat.from_rows(F, [[x, delta * y], [y, x]])
                 break
         if W is None:

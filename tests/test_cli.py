@@ -288,6 +288,32 @@ def test_enumerate_without_json_out_prints_the_list(capsys):
     assert err == "count: 6\n"
 
 
+def test_json_sent_to_stdout_is_alone_there(tmp_path, capsys):
+    # with - as the JSON path, stdout is exactly one JSON document and the
+    # human lines go to stderr; before, factor and enumerate appended their
+    # summary to it and verify and survey printed theirs in front
+    inst = _write(tmp_path, "inst.json", SP3_INSTANCE)
+    cert = str(tmp_path / "cert.json")
+    assert main(["factor", inst, "--out", cert]) == 0
+    capsys.readouterr()
+    survey = ["survey", "--kind", "sp", "--n", "2", "--q", "3", "--exhaustive"]
+    enum = ["enumerate", "--kind", "sp", "--n", "2", "--q", "2"]
+    cases = [
+        (["factor", inst, "--out", "-"], "det(h1): -1", lambda d: d["format"]),
+        (["verify", inst, cert, "--json-out", "-"], "PASS h1_involution", lambda d: d["passed"]),
+        (survey + ["--json-out", "-"], "total: 24", lambda d: d["total"] == 24),
+        (enum + ["--json-out", "-"], "count: 6", lambda d: len(d) == 6),
+    ]
+    for argv, human, check in cases:
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert check(json.loads(out)), argv
+        assert human in err and human not in out, argv
+    # the file targets keep the human lines on stdout
+    assert main(survey + ["--json-out", str(tmp_path / "s.json")]) == 0
+    assert "total: 24" in capsys.readouterr().out
+
+
 def test_factor_reads_the_instance_from_stdin(tmp_path, monkeypatch, capsys):
     inst = _write(tmp_path, "inst.json", SP3_INSTANCE)
     assert main(["factor", inst]) == 0

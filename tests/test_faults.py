@@ -7,7 +7,8 @@ point where an interior re-check used to guard it, and factors elements that
 reach that step.  The last tests pin the single verification point: one
 `core_checks` per `factor`, no irreducibility re-test, and no witness
 serialization on a passing verification; and the single factorization:
-one `factorize` per `factor`, inherited by paired complements, while
+one `factorize` per `factor`, inherited by paired complements and by the
+complements of self-paired blocks with one factor (p, 1), while
 `frobenius_form` works on one primary component and evaluates no
 polynomial."""
 
@@ -332,24 +333,40 @@ def test_factor_factors_the_minimal_polynomial_once(monkeypatch):
 
 def test_paired_complements_inherit_their_factors(monkeypatch):
     # the complement of a paired block is the sum of the other primary
-    # components, so its factors are fac without p and p~; minimal_polynomial
-    # runs on g and on the complement of each self-paired block only
-    calls = []
-    real = fac.minimal_polynomial
+    # components, so its factors are fac without p and p~; a self-paired
+    # block whose fac is [(p, 1)] leaves p(a) = 0 on its complement, whose
+    # minimal polynomial is then p.  minimal_polynomial runs on g and on the
+    # complement of each other self-paired block only
+    calls, homogeneous = [], []
+    real, real_block = fac.minimal_polynomial, fac._self_paired_block
 
     def counted(g):
         calls.append(1)
         return real(g)
 
+    def block(form, beta, a, G, p_, e, factors):
+        homogeneous.append(factors == [(p_, 1)])
+        return real_block(form, beta, a, G, p_, e, factors)
+
     monkeypatch.setattr(fac, "minimal_polynomial", counted)
-    inherited = 0
+    monkeypatch.setattr(fac, "_self_paired_block", block)
+    met = {"paired": 0, "self_paired": 0, "spanned": 0}
     for form, g in ELEMENTS:
         calls.clear()
+        homogeneous.clear()
         cert = factor(form, g)
-        cases = [b["case"] for b in cert.blocks[:-1]]  # the blocks with a complement
-        assert len(calls) == 1 + sum(c != "paired" for c in cases)
-        inherited += cases.count("paired")
-    assert inherited
+        fixed = iter(homogeneous)
+        spanned = 0
+        for b in cert.blocks[:-1]:  # the blocks with a complement
+            if b["case"] == "paired":
+                met["paired"] += 1
+            elif next(fixed):
+                met["self_paired"] += 1
+            else:
+                spanned += 1
+        assert len(calls) == 1 + spanned
+        met["spanned"] += spanned
+    assert all(met.values()), met
 
 
 def test_frobenius_form_evaluates_no_polynomial(monkeypatch):

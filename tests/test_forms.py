@@ -28,7 +28,7 @@ from invofactor.forms import (
     symplectic_form,
 )
 from invofactor.factor import factor
-from invofactor.linalg import Mat, monomial_rows
+from invofactor.linalg import Mat, block_diag, monomial_rows
 
 
 def test_standard_gram_matrices():
@@ -244,6 +244,53 @@ def test_sampling_and_factoring_at_large_q_is_fast(make, params, beta):
         assert form.similitude_ratio(g) == form.tower.scalar(beta)
         assert verify_certificate(form, g, factor(form, g)).passed
     assert time.perf_counter() - t0 < 10.0
+
+
+def _minus_dilation_reference(F, n, beta):
+    # the loop the squareness test replaced: a root search for every x
+    delta = least_nonsquare(F)
+    for x in F.elements():
+        y = F.sqrt((x * x - beta) / delta)
+        if y is not None:
+            W = Mat.from_rows(F, [[x, delta * y], [y, x]])
+            m = (n - 2) // 2
+            return block_diag(F, [Mat.diag(F, [beta] * m + [F.one] * m), W])
+
+
+@pytest.mark.parametrize("p", [7, 1009, 1000003])
+def test_minus_dilation_searches_one_root(monkeypatch, p):
+    # the orthogonal-minus dilation tests squareness (one power) for each x
+    # and searches a root only at the first square: the same matrix as the
+    # root search for every x, with one F.sqrt per dilation
+    F = field_make(p)
+    met = set()
+    for beta in (F.scalar(4), F.scalar(4) * least_nonsquare(F)):
+        met.add(F.is_square(beta))
+        for n in (4, 6):
+            form = orthogonal_minus_form(F, n)
+            want = _minus_dilation_reference(F, n, beta)
+            calls = []
+            real = type(F).sqrt
+
+            def counted(self, a):
+                calls.append(a)
+                return real(self, a)
+
+            with monkeypatch.context() as m:
+                m.setattr(type(F), "sqrt", counted)
+                got = forms._dilation(form, beta)
+            assert got == want and len(calls) == 1
+            assert form.similitude_ratio(got) == beta
+    assert met == {True, False}
+
+
+def test_anti_ratio_rejects_a_wrong_shape_or_tower():
+    F5 = field_make(5)
+    form = symplectic_form(F5, 4)
+    assert form.anti_ratio(Mat.identity(F5, 4)) is not None
+    assert form.anti_ratio(Mat.identity(F5, 2)) is None
+    assert form.anti_ratio(Mat.zeros(F5, 4, 2)) is None
+    assert form.anti_ratio(Mat.identity(field_make(7), 4)) is None
 
 
 def test_least_nonsquare_and_norm_one():

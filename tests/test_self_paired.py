@@ -1,8 +1,10 @@
 """The self-paired candidate scan against a per-candidate reference scan:
 the same blocks, far fewer Krylov spans, and pairs that cannot hit charged
-without testing their candidates."""
+without testing their candidates; and Wall's parity rule against brute
+force: a component the form forces onto cyclic pairs is never scanned."""
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.forms import SesquiForm
+from invofactor.forms import SesquiForm, group_enumerate
 from invofactor.linalg import Mat, gram, hstack, poly_at
 from invofactor.poly import pdeg, ppow
 
@@ -318,13 +320,15 @@ def test_self_paired_blocks_span_few_krylov_spaces(monkeypatch, n):
     g = -Mat.identity(form.tower, n)
     cert = factor(form, g)
     assert verify_certificate(form, g, cert).passed
-    # the minimal polynomial T + 1 of the space and of each complement (n/2
-    # calls) comes from e_0's span, and every other residual (g + 1) e_j is
-    # zero; the blocks take their Krylov matrices from the scan's per-column
-    # cache, made by matvec, and span nothing.  Spanning every column of
-    # each complement made 6 + 4 + 2 spans for n = 6, and the per-candidate
-    # scan spanned over a thousand
-    assert len(calls) == n // 2
+    # the minimal polynomial T + 1 of the space comes from e_0's span, and
+    # every other residual (g + 1) e_j is zero; each complement inherits the
+    # factor T + 1, as (g + 1) g|comp = 0 with T + 1 irreducible, so only
+    # factor spans.  The blocks take their Krylov matrices from the scan's
+    # per-column cache, made by matvec, and span nothing.  A minimal
+    # polynomial per complement made n/2 spans, spanning every column of
+    # each complement 6 + 4 + 2 for n = 6, and the per-candidate scan over
+    # a thousand
+    assert len(calls) == 1
 
 
 def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
@@ -376,3 +380,168 @@ def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
     for form, g in _cases():
         assert verify_certificate(form, g, factor(form, g)).passed
     assert met["pair_hits"], met
+
+
+def _krylov(a, v, D):
+    cols = [v]
+    for _ in range(D - 1):
+        cols.append(a @ cols[-1])
+    return hstack(cols)
+
+
+def _brute_force_hits(form, a, G, p_, e):
+    """Every full-height vector of ker p^e(a), and whether each spans a
+    nondegenerate cyclic space, by running over all its vectors."""
+    F = form.tower
+    pe = ppow(p_, e, F)
+    D = pdeg(pe)
+    U = _reference_component(a, pe)
+    probe = poly_at(ppow(p_, e - 1, F), a)
+    for coeffs in itertools.product(range(F.order), repeat=U.ncols):
+        v = U @ Mat(F, tuple((c,) for c in coeffs))
+        if not (probe @ v).is_zero():
+            K = _krylov(a, v, D)
+            yield bool((K.T @ G @ K.conj()).det())
+
+
+def _column_and_pair_search_hits(form, a, G, p_, e):
+    # the search a forced component no longer runs: every full-height
+    # column, then the pair candidates of _scan_pairs
+    F = form.tower
+    pe = ppow(p_, e, F)
+    D = pdeg(pe)
+    U = _reference_component(a, pe)
+    probe = poly_at(ppow(p_, e - 1, F), a)
+    cols = [U.col(j) for j in range(U.ncols)]
+    Ks = [_krylov(a, c, D) for c in cols]
+
+    def cross(i, j):
+        return [x for r in (Ks[i].T @ G @ Ks[j].conj()).rows for x in r]
+
+    for i, c in enumerate(cols):
+        if not (probe @ c).is_zero() and fac._nondegenerate(F, D, cross(i, i)):
+            return True
+    return fac._scan_pairs(F, D, len(cols), cross) is not None
+
+
+# (label, form, beta, elements): the first elements of each group in
+# canonical order, all of Sp4(F2); GSp4(F5) meets its first forced
+# component, for the eigenvalues +-2 of ratio 4, at element 625
+PARITY_GROUPS = [
+    ("Sp4(F3)", symplectic_form(field_make(3), 4), 1, 150),
+    ("Sp4(F2)", symplectic_form(field_make(2), 4), 1, 720),
+    ("GSp4(F5),b=4", symplectic_form(field_make(5), 4), 4, 640),
+    ("GO4+(F3)", orthogonal_plus_form(field_make(3), 4), 1, 150),
+    ("GO4-(F3)", orthogonal_minus_form(field_make(3), 4), 1, 150),
+    ("GO4+(F5)", orthogonal_plus_form(field_make(5), 4), 1, 150),
+]
+
+
+@pytest.mark.parametrize("label, form, beta, count", PARITY_GROUPS, ids=[g[0] for g in PARITY_GROUPS])
+def test_parity_rule_matches_brute_force(monkeypatch, label, form, beta, count):
+    # every component the rule forces has no full-height vector with a
+    # nondegenerate cyclic space, so the column and pair search it skips
+    # finds nothing either.  In odd characteristic over a trivial conj the
+    # rule is sharp for linear p: an unforced component has such a vector
+    real = fac._self_paired_block
+    met = {"forced": 0, "sharp": 0}
+
+    def block(form, beta, a, G, p_, e, factors):
+        F = form.tower
+        if fac._forced_pair(form, p_, e):
+            hits = list(_brute_force_hits(form, a, G, p_, e))
+            assert hits and not any(hits), (label, p_, e)
+            assert not _column_and_pair_search_hits(form, a, G, p_, e)
+            met["forced"] += 1
+        elif F.p != 2 and pdeg(p_) == 1:
+            assert any(_brute_force_hits(form, a, G, p_, e)), (label, p_, e)
+            met["sharp"] += 1
+        return real(form, beta, a, G, p_, e, factors)
+
+    monkeypatch.setattr(fac, "_self_paired_block", block)
+    for g in itertools.islice(group_enumerate(form, beta), count):
+        factor(form, g)
+    # GO4-(F3) has Witt index 1, so no unipotent of Jordan type (2, 2) and
+    # nothing the rule forces
+    assert met["forced"] or label == "GO4-(F3)", met
+    assert met["sharp"] or label == "Sp4(F2)", met
+
+
+def _siegel(F):
+    # [[I, S], [0, I]] with S = [[0, 1], [-1, 0]] alternating: an isometry of
+    # the split orthogonal GO4+ with Jordan type (2, 2)
+    return Mat.from_rows(F, [[1, 0, 0, 1], [0, 1, F.p - 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def _structured_cases():
+    # the repeated-eigenvalue shapes over GF(1009): -I on Sp6 and GO4+, the
+    # unipotent diag(J_m, J_m^-T) on Sp4, Sp6 and GO4+ (an isometry of both
+    # standard forms) and the Siegel unipotent of GO4+, plain and
+    # conjugated by a sampled isometry
+    F = field_make(1009)
+    go = orthogonal_plus_form(F, 4)
+    yield symplectic_form(F, 6), -Mat.identity(F, 6)
+    yield go, -Mat.identity(F, 4)
+    shapes = [(symplectic_form(F, n), _shapes(F, n)[4]) for n in (4, 6)]
+    shapes += [(go, _shapes(F, 4)[4]), (go, _siegel(F))]
+    for form, g in shapes:
+        h = group_sample(form, seed="parity", count=1)[0]
+        yield form, g
+        yield form, h @ g @ h.inv()
+
+
+def test_forced_components_are_not_scanned(monkeypatch):
+    # a component the form forces onto cyclic pairs goes from its first
+    # full-height column to the cyclic-pair path: no Gram determinant and no
+    # pair scan runs inside it, while unforced components still scan
+    real_block, real_scan, real_nondeg = fac._self_paired_block, fac._scan_pairs, fac._nondegenerate
+    inside = []
+    met = {"forced": 0, "unforced_scans": 0}
+
+    def block(form, beta, a, G, p_, e, factors):
+        inside.append(fac._forced_pair(form, p_, e))
+        met["forced"] += inside[-1]
+        try:
+            return real_block(form, beta, a, G, p_, e, factors)
+        finally:
+            inside.pop()
+
+    def scan(*args):
+        assert not inside[-1]
+        met["unforced_scans"] += 1
+        return real_scan(*args)
+
+    def nondegenerate(*args):
+        assert not inside[-1]
+        return real_nondeg(*args)
+
+    monkeypatch.setattr(fac, "_self_paired_block", block)
+    monkeypatch.setattr(fac, "_scan_pairs", scan)
+    monkeypatch.setattr(fac, "_nondegenerate", nondegenerate)
+    for form, g in _structured_cases():
+        assert verify_certificate(form, g, factor(form, g)).passed
+    assert met["forced"] and met["unforced_scans"], met
+
+
+def test_scalar_elements_span_one_minimal_polynomial(monkeypatch):
+    # on +-I and c*I every complement inherits the factor T - c: p(a) = 0
+    # with p irreducible fixes the complement's minimal polynomial
+    calls = []
+    real = fac.minimal_polynomial
+
+    def counted(g):
+        calls.append(1)
+        return real(g)
+
+    monkeypatch.setattr(fac, "minimal_polynomial", counted)
+    for p, k in ((1009, 1), (65537, 1), (2, 12)):
+        F = field_make(p, k)
+        forms = [symplectic_form(F, n) for n in (4, 6)]
+        if p != 2:
+            forms += [orthogonal_plus_form(F, 4), orthogonal_minus_form(F, 4)]
+        for form in forms:
+            eye = Mat.identity(F, form.n)
+            for g in (eye, -eye, eye * F.from_int(5)):
+                calls.clear()
+                cert = factor(form, g)
+                assert len(cert.blocks) > 1 and len(calls) == 1
