@@ -49,14 +49,16 @@ This module is the one place that splits a space into primary components
 (_component: ker p^e(a) by the one Horner evaluation of a polynomial at a
 matrix, or the standard basis when p^e is all of mp(a)).  factor factors
 mp(g) once per element, and the builders take its factors: a paired
-block's complement (the other primary components, by Wall) takes the rest,
-and so does a self-paired block's complement when the factors are one
-(p, 1), since p(a) = 0 with p irreducible makes its minimal polynomial p.
-Any other self-paired block's complement divides its minimal polynomial by
-them (poly.multiplicities).  A paired block's conjugator gets a restricted
-to one component, which is primary and needs no factors
-(decomp.frobenius_form); each companion block of f is conjugated onto its
-transpose by the Hankel matrix of f's coefficients, with no inverse.
+block's complement (the other primary components, by Wall) takes the rest.
+A self-paired block of a factor (p, 1) leaves a complement that holds the
+other primary components whole (they are orthogonal to ker p(a)) and the
+rest of ker p(a), where p(a) = 0; so the complement keeps the factors, less
+(p, 1) when the block fills ker p(a).  Any other self-paired block's
+complement divides its minimal polynomial by them (poly.multiplicities).
+A paired block's conjugator gets a restricted to one component, which is
+primary and needs no factors (decomp.frobenius_form); each companion block
+of f is conjugated onto its transpose by the Hankel matrix of f's
+coefficients, with no inverse.
 
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made before factor returns it;
@@ -343,7 +345,7 @@ def _forced_pair(form, p_, e):
 
 def _self_paired_block(form, beta, a, G, p_, e, fac):
     """A cyclic or cyclic-pair block inside the component U = ker p^e(a),
-    for fac the factors of mp(a).
+    for fac the factors of mp(a), and the dimension of U.
 
     The scan looks for a full-height v = col_i + c * col_j whose cyclic
     space has a nondegenerate Gram: the columns alone first, then the pair
@@ -408,7 +410,7 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
     if hit is not None:
         i, j, c = hit
         K = krylov(i) if j is None else krylov(i) + krylov(j) * F.from_int(c)
-        return _cyclic_block(F, beta, K, pe)
+        return (*_cyclic_block(F, beta, K, pe), U.ncols)
     if x is None:
         raise InternalInvariantError("component has no full-height vector", {})
     w = krylov(x) @ probe
@@ -417,7 +419,7 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
         raise InternalInvariantError(
             "no partner pairs with the degenerate cyclic space", {}
         )
-    return _cyclic_pair_block(form, beta, G, krylov(x), krylov(y), p_, e)
+    return (*_cyclic_pair_block(form, beta, G, krylov(x), krylov(y), p_, e), U.ncols)
 
 
 def _orthocomplement(G, basis):
@@ -440,9 +442,14 @@ def _split(form, beta, a, G, lift, blocks, fac):
             break
     else:
         p_, e = fac[0]
-        basis, t, data = _self_paired_block(form, beta, a, G, p_, e, fac)
-        # p(a) = 0 with p irreducible leaves the complement mp(a) = p
-        fac_c = fac if len(fac) == 1 and e == 1 else None
+        basis, t, data, dim = _self_paired_block(form, beta, a, G, p_, e, fac)
+        # with e = 1 the complement holds the other primary components whole
+        # (they are orthogonal to U = ker p(a)) and what the block leaves of
+        # U, where p(a) = 0 with p irreducible
+        if e == 1:
+            fac_c = fac if dim > basis.ncols else fac[1:]
+        else:
+            fac_c = None
     lb = lift @ basis
     data["basis"] = lb.serialize()
     data["local_involution"] = t.serialize()

@@ -10,13 +10,18 @@ the power bases of the tower GF(p) -> F -> E, the key is sum(c_i * p^i).
 Key 0 is zero, key 1 is one, and a key below p is that scalar.  The tower
 does all arithmetic on keys with one kernel, chosen from the field's shape:
 
-- prime fields: native ints mod p; matrix products with enough output
-  entries pack their wider side into 64-bit slots of one int per vector,
-  so an output row (or column) is one big-int multiply-accumulate, and a
-  matrix-vector map packs its matrix once for every vector;
+- prime fields: native ints mod p; a matrix product packs its wider side
+  into slots of one int per vector, so an output row (or column) is one
+  big-int multiply-accumulate, and a matrix-vector map packs its matrix
+  once for every vector.  The slots are bytes, and one bytes.translate
+  reduces a whole output vector mod p, when every slot sum fits a byte
+  (small p and inner dimension); otherwise they are 64 bits wide and
+  used only by products with enough output entries;
 - other fields of order <= TABLE_ORDER: log/antilog tables over a primitive
   element, with Zech logarithms for addition in odd characteristic (XOR of
-  keys in characteristic 2) and a table for conj;
+  keys in characteristic 2) and a table for conj.  In characteristic 2 up
+  to order 256 keys are bytes, and matrix products scale whole rows by
+  bytes.translate through multiplication tables and sum them by XOR;
 - larger fields: coordinate kernels, GF(p^k) as polynomials mod the base
   modulus multiplied by Kronecker substitution (coordinates packed into
   slots of one int), E as pairs over F made from F's kernel.
@@ -61,11 +66,12 @@ _DOT_TERMS = 1 << 16
 # coordinate kernels pack keys c coordinates at a time through a table of
 # p^c <= _CHUNK entries, or one at a time with no table when p^2 > _CHUNK
 _CHUNK = 1 << 8
-# a prime-field matmul packs when its output has this many entries: in a
-# microbenchmark on CPython 3.11, packing won from about 18 output entries
-# (3 x 6, 2 x 9, 1 x 18) and tied or lost at 16 and below (4 x 4, 2 x 8)
+# a prime-field matmul whose slot sums do not fit a byte packs into 64-bit
+# slots when its output has this many entries: in a microbenchmark on
+# CPython 3.11, packing won from about 18 output entries (3 x 6, 2 x 9,
+# 1 x 18) and tied or lost at 16 and below (4 x 4, 2 x 8)
 _PACK_ENTRIES = 18
-# a prime-field matvec packs a matrix with this many rows: packing costs
+# the same for a prime-field matvec, by the matrix's rows: packing costs
 # about one unpacked product, and each packed product then took 0.8x the
 # time of the per-row dot products at 3 rows and 0.3x at 12; 2 rows tied
 _PACK_ROWS = 3
@@ -134,16 +140,24 @@ def _least_irreducible(P, d):
 
 
 def _prime_kernel(t):
-    """Native ints mod p.  A product whose output has at least _PACK_ENTRIES
-    entries, and whose slot sums stay below 2^64, packs its wider side into
-    64-bit slots, one int per vector (Kronecker substitution), so each
-    output row (or column) is one big-int multiply-accumulate and one
-    reduction mod p per entry; matvec packs its matrix's columns once for
-    all the vectors it is applied to."""
+    """Native ints mod p.  A product packs its wider side into slots of one
+    int per vector (Kronecker substitution), so each output row (or column)
+    is one big-int multiply-accumulate; matvec packs its matrix's columns
+    once for all the vectors it is applied to.  The slots are bytes when
+    every slot sum fits one, k (p-1)^2 <= 255 for inner dimension k (k up to
+    255 at p = 2, 63 at p = 3, 15 at p = 5, 7 at p = 7), and one
+    bytes.translate through the table x -> x mod p then reduces a whole
+    output vector.  Otherwise, while slot sums stay below 2^64, a product
+    with at least _PACK_ENTRIES output entries (a matvec with _PACK_ROWS
+    rows) packs into 64-bit slots reduced mod p one entry at a time, and
+    smaller ones make one dot product per entry."""
     p = t.p
     mul = operator.mul
-    # the largest inner dimension k whose sums fit a slot: k (p-1)^2 < 2^64
+    # the largest inner dimensions k whose slot sums fit: k (p-1)^2 < 2^8, 2^64
+    byte_terms = 255 // (p - 1) ** 2
     terms = ((1 << 64) - 1) // (p - 1) ** 2
+    # x -> x mod p on bytes, for the byte lane (which needs p <= 16)
+    mod_p = (bytes(range(p)) * (256 // p + 1))[:256] if byte_terms else None
     dots = _matvec_by_dots(t)
 
     def inv(a):
@@ -156,30 +170,43 @@ def _prime_kernel(t):
             a, n = inv(a), -n
         return pow(a, n, p)
 
-    def pack(xs):
-        # the keys xs in 64-bit slots of one int, the first in the lowest
-        return int.from_bytes(array("Q", xs).tobytes(), sys.byteorder)
+    def byte_keys(s, n):
+        return list(s.to_bytes(n, "little").translate(mod_p))
 
-    def unpack(s, n):
+    def word_keys(s, n):
         return [x % p for x in memoryview(s.to_bytes(8 * n, sys.byteorder)).cast("Q")]
+
+    def lane(k, outputs, least):
+        # the slot packing and unpacking for inner dimension k, or None for
+        # dot products: words need at least `least` outputs to pay off
+        if k <= byte_terms:
+            return _byte_slots, byte_keys
+        if outputs >= least and k <= terms:
+            return _word_slots, word_keys
+        return None
 
     def matmul(ar, br):
         m, n = len(ar), len(br[0])
-        if m * n < _PACK_ENTRIES or len(br) > terms:
+        slots = lane(len(br), m * n, _PACK_ENTRIES)
+        if slots is None:
             cols = list(zip(*br))
             return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in ar)
+        pack, keys = slots
         if n >= m:  # wide: pack the rows of B, one sum per output row
             prows = [pack(r) for r in br]
-            return tuple(tuple(unpack(sum(map(mul, r, prows)), n)) for r in ar)
+            return tuple(tuple(keys(sum(map(mul, r, prows)), n)) for r in ar)
         # tall: pack the columns of A, one sum per output column
         pcols = [pack(c) for c in zip(*ar)]
-        return tuple(zip(*[unpack(sum(map(mul, c, pcols)), m) for c in zip(*br)]))
+        return tuple(zip(*[keys(sum(map(mul, c, pcols)), m) for c in zip(*br)]))
 
     def matvec(rows):
-        if len(rows) < _PACK_ROWS or len(rows[0]) > terms:
+        n = len(rows)
+        slots = lane(len(rows[0]), n, _PACK_ROWS)
+        if slots is None:
             return dots(rows)
-        pcols, n = [pack(c) for c in zip(*rows)], len(rows)
-        return lambda w: unpack(sum(map(mul, w, pcols)), n)
+        pack, keys = slots
+        pcols = [pack(c) for c in zip(*rows)]
+        return lambda w: keys(sum(map(mul, w, pcols)), n)
 
     t.add = lambda a, b: (a + b) % p
     t.sub = lambda a, b: (a - b) % p
@@ -193,6 +220,16 @@ def _prime_kernel(t):
     t.sub_scaled = lambda ys, c, xs: [(y - c * x) % p for y, x in zip(ys, xs)]
     t.matmul = matmul
     t.matvec = matvec
+
+
+def _byte_slots(xs):
+    # the keys xs, each below 2^8, in byte slots of one int, the first lowest
+    return int.from_bytes(bytes(xs), "little")
+
+
+def _word_slots(xs):
+    # the keys xs in 64-bit slots of one int, the first lowest
+    return int.from_bytes(array("Q", xs).tobytes(), sys.byteorder)
 
 
 def _matvec_by_dots(t):
@@ -380,7 +417,10 @@ def _table_kernel(t):
     zeros) runs to index 2Z, so exp2[log a + log b] is a*b with no test for
     zero.  In odd characteristic zech[d] = log(1 + g^d) (Z where that is 0)
     gives a + b = g^(la + zech[lb - la]); dot products sum packed keys and
-    reduce mod p once per entry."""
+    reduce mod p once per entry.  In characteristic 2 with Q <= 256, matmul
+    and matvec work on rows of bytes (_byte_lane_kernel); odd
+    characteristic keeps the log-sum products, as an interleaved
+    coordinate-plane byte lane measured slower on GF(243) and GF(169)."""
     p, Q = t.p, t.order
     n1 = Q - 1
     g = _primitive_element(t)
@@ -489,7 +529,57 @@ def _table_kernel(t):
     t.dot = dot
     t.scale = scale
     t.sub_scaled = sub_scaled
+    if p == 2 and Q <= 256:
+        _byte_lane_kernel(t, _Scalers(exp2, log))
+    else:
+        t.matmul = matmul
+
+
+class _Scalers(dict):
+    """The translate table x -> a*x of each key a of a field of order <=
+    256, as 256 bytes, built from the log tables on first use."""
+
+    def __init__(self, exp2, log):
+        super().__init__()
+        self.exp2, self.log = exp2, log
+
+    def __missing__(self, a):
+        la, exp2 = self.log[a], self.exp2
+        tab = self[a] = bytes([exp2[la + lx] for lx in self.log]).ljust(256, b"\0")
+        return tab
+
+
+def _byte_lane_kernel(t, scalers):
+    """matmul and matvec of a characteristic-2 field of order <= 256: keys
+    are bytes and + is XOR, so a key vector scaled by a is one
+    bytes.translate through scalers[a], and a sum of scaled vectors is the
+    XOR of them read as ints (the multiplication tables of Reed-Solomon
+    coders)."""
+    from_bytes = int.from_bytes
+
+    def combine(vecs, coeffs):
+        # sum of coeffs[i] * vecs[i] (vecs as bytes), as an int of byte slots
+        acc = 0
+        for c, v in zip(coeffs, vecs):
+            if c:
+                acc ^= from_bytes(v.translate(scalers[c]), "little")
+        return acc
+
+    def matmul(ar, br):
+        m, n = len(ar), len(br[0])
+        if n >= m:  # wide: scale the rows of B, one sum per output row
+            rows = [bytes(r) for r in br]
+            return tuple(tuple(combine(rows, r).to_bytes(n, "little")) for r in ar)
+        # tall: scale the columns of A, one sum per output column
+        cols = [bytes(c) for c in zip(*ar)]
+        return tuple(zip(*[combine(cols, c).to_bytes(m, "little") for c in zip(*br)]))
+
+    def matvec(rows):
+        cols, m = [bytes(c) for c in zip(*rows)], len(rows)
+        return lambda w: list(combine(cols, w).to_bytes(m, "little"))
+
     t.matmul = matmul
+    t.matvec = matvec
 
 
 def _packed_keys(p, Q, width=_SLOT):

@@ -8,7 +8,7 @@ reach that step.  The last tests pin the single verification point: one
 `core_checks` per `factor`, no irreducibility re-test, and no witness
 serialization on a passing verification; and the single factorization:
 one `factorize` per `factor`, inherited by paired complements and by the
-complements of self-paired blocks with one factor (p, 1), while
+complements of self-paired blocks of a factor (p, 1), while
 `frobenius_form` works on one primary component and evaluates no
 polynomial."""
 
@@ -334,9 +334,10 @@ def test_factor_factors_the_minimal_polynomial_once(monkeypatch):
 def test_paired_complements_inherit_their_factors(monkeypatch):
     # the complement of a paired block is the sum of the other primary
     # components, so its factors are fac without p and p~; a self-paired
-    # block whose fac is [(p, 1)] leaves p(a) = 0 on its complement, whose
-    # minimal polynomial is then p.  minimal_polynomial runs on g and on the
-    # complement of each other self-paired block only
+    # block of (p, 1) leaves the other primary components whole and
+    # p(a) = 0 on the rest of ker p(a), so its complement keeps fac (less
+    # (p, 1) when the block fills ker p(a)).  minimal_polynomial runs on g
+    # and on the complement of each self-paired block with e > 1 only
     calls, homogeneous = [], []
     real, real_block = fac.minimal_polynomial, fac._self_paired_block
 
@@ -345,7 +346,7 @@ def test_paired_complements_inherit_their_factors(monkeypatch):
         return real(g)
 
     def block(form, beta, a, G, p_, e, factors):
-        homogeneous.append(factors == [(p_, 1)])
+        homogeneous.append(e == 1)
         return real_block(form, beta, a, G, p_, e, factors)
 
     monkeypatch.setattr(fac, "minimal_polynomial", counted)

@@ -101,12 +101,18 @@ class RefField:
 
 
 # one tower per class: prime, GF(p^k) and quadratic, both sides of the table
-# bound, characteristic 2 among them
+# bound, characteristic 2 among them; small primes and characteristic-2
+# fields of order up to 256 multiply matrices in byte slots (prime-7's
+# products of inner dimension 8 and up do not), GF(512) is one past that
 TOWERS = [
     ("prime-2", (2, 1, "trivial")),
+    ("prime-3", (3, 1, "trivial")),
+    ("prime-5", (5, 1, "trivial")),
     ("prime-7", (7, 1, "trivial")),
     ("prime-2^31-1", (2**31 - 1, 1, "trivial")),
     ("ext-GF16", (2, 4, "trivial")),
+    ("ext-GF256", (2, 8, "trivial")),
+    ("ext-GF512", (2, 9, "trivial")),
     ("ext-GF27", (3, 3, "trivial")),
     ("ext-GF243", (3, 5, "trivial")),
     ("ext-GF4096", (2, 12, "trivial")),
@@ -138,6 +144,15 @@ def test_tower_classes_sit_on_the_intended_side_of_the_table_bound():
     ]
     assert over == [name for name, _ in TOWERS if "-over-" in name]
     assert any(field_make(*spec).p == 2 for name, spec in TOWERS if "-over-" in name)
+
+
+def test_characteristic_2_byte_lane_stops_at_order_256():
+    on = [
+        name
+        for name, spec in TOWERS
+        if field_make(*spec).matmul.__qualname__.startswith("_byte_lane_kernel.")
+    ]
+    assert on == ["ext-GF16", "ext-GF256", "quad-GF4", "quad-GF64"]
 
 
 def _pairs(F, rng):
@@ -289,48 +304,84 @@ def _entrywise(A, B, p):
 
 
 @pytest.fixture
-def packs(monkeypatch):
-    # counts the vectors the prime kernel packs into 64-bit slots
-    out, real = [], fields.array
+def lanes(monkeypatch):
+    # the slots the prime kernel packs vectors into, one entry per packed
+    # vector: "byte" or "word" (64 bits); a product of dot products packs none
+    out = []
+    for name, lane in (("_byte_slots", "byte"), ("_word_slots", "word")):
+        def counted(xs, real=getattr(fields, name), lane=lane):
+            out.append(lane)
+            return real(xs)
 
-    def counted(code, xs):
-        out.append(code)
-        return real(code, xs)
-
-    monkeypatch.setattr(fields, "array", counted)
+        monkeypatch.setattr(fields, name, counted)
     return out
 
 
+def _lane(p, k, entries):
+    # the lane a prime-field product of inner dimension k takes
+    if k * (p - 1) ** 2 <= 255:
+        return {"byte"}
+    return {"word"} if entries >= fields._PACK_ENTRIES else set()
+
+
 @pytest.mark.parametrize("p", [2, 7, 65537])
-def test_packed_matmul_matches_entrywise_sums(p, packs):
+def test_packed_matmul_matches_entrywise_sums(p, lanes):
     # every output shape 1..13 x 1..13, wide (packing B's rows) and tall
-    # (packing A's columns), on both sides of fields._PACK_ENTRIES
+    # (packing A's columns): byte slots whenever every slot sum fits a byte,
+    # whatever the shape; otherwise 64-bit slots from fields._PACK_ENTRIES
+    # output entries on and dot products below
     F = field_make(p)
     rng = random.Random(f"packed:{p}")
+    seen = []
     for m in range(1, 14):
         for n in range(1, 14):
             k = rng.randrange(1, 14)
             A = tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(m))
             B = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(k))
-            packs.clear()
+            lanes.clear()
             assert F.matmul(A, B) == _entrywise(A, B, p)
-            assert bool(packs) == (m * n >= fields._PACK_ENTRIES)
+            assert set(lanes) == _lane(p, k, m * n)
+            seen.append(frozenset(lanes))
+    if p == 7:  # k = 7 is the byte bound, so all three lanes run
+        assert set(seen) == {frozenset(), frozenset({"byte"}), frozenset({"word"})}
 
 
-def test_packed_products_at_the_slot_bound(packs):
+def test_packed_products_at_the_slot_bound(lanes):
     # every entry p - 1 makes each slot sum k (p - 1)^2, the most it can
     # hold; below 2^64 no slot carries, so GF(2^31 - 1) packs up to inner
     # dimension 4 and sums dimension 5 per entry, and GF(65537) packs 13
     for p, k, packed in ((2**31 - 1, 3, True), (2**31 - 1, 4, True), (2**31 - 1, 5, False), (65537, 13, True)):
         assert (k * (p - 1) ** 2 < 2**64) == packed
+        want = {"word"} if packed else set()
         F = field_make(p)
         A, B = ((p - 1,) * k,) * 6, ((p - 1,) * 6,) * k
-        packs.clear()
+        lanes.clear()
         assert F.matmul(A, B) == _entrywise(A, B, p)
-        assert bool(packs) == packed
-        packs.clear()
+        assert set(lanes) == want
+        lanes.clear()
         assert F.matvec(A)([p - 1] * k) == [k * (p - 1) ** 2 % p] * 6
-        assert bool(packs) == packed
+        assert set(lanes) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_byte_lane_products_at_the_slot_bound(p, lanes):
+    # all entries p - 1 make each slot sum k (p - 1)^2: at k = 255 // (p-1)^2
+    # that is the largest sum a byte holds, and one past it the product
+    # takes 64-bit slots; wide (6 x 9) and tall (9 x 6) outputs alike
+    F = field_make(p)
+    top = 255 // (p - 1) ** 2
+    for k, want in ((top, {"byte"}), (top + 1, {"word"})):
+        for m, n in ((6, 9), (9, 6)):
+            A, B = ((p - 1,) * k,) * m, ((p - 1,) * n,) * k
+            lanes.clear()
+            assert F.matmul(A, B) == _entrywise(A, B, p)
+            assert set(lanes) == want
+        # a vector shorter than the rows stands for its zero-padded self
+        lanes.clear()
+        apply = F.matvec(((p - 1,) * k,) * 6)
+        assert set(lanes) == want
+        for length in (k, k - 1, 1):
+            assert apply([p - 1] * length) == [length * (p - 1) ** 2 % p] * 6
 
 
 def test_matvec_matches_dot_products(tower):

@@ -19,7 +19,7 @@ from invofactor import (
     verify_certificate,
 )
 from invofactor.forms import SesquiForm, group_enumerate
-from invofactor.linalg import Mat, gram, hstack, poly_at
+from invofactor.linalg import Mat, block_diag, gram, hstack, poly_at
 from invofactor.poly import pdeg, ppow
 
 fac = importlib.import_module("invofactor.factor")
@@ -545,3 +545,39 @@ def test_scalar_elements_span_one_minimal_polynomial(monkeypatch):
                 calls.clear()
                 cert = factor(form, g)
                 assert len(cert.blocks) > 1 and len(calls) == 1
+
+
+def test_simple_factor_complements_keep_their_factors(monkeypatch):
+    # diag(A, A^-T) with A = diag(1, 1, -1, -1) on Sp8(F1009): each
+    # eigenspace is 4-dimensional and each self-paired block of T - 1 or
+    # T + 1 is a cyclic pair of dimension 2.  The first block leaves half of
+    # its eigenspace, so its complement keeps both factors; the second fills
+    # it, so the next complement keeps the other factor alone.  Only g's own
+    # minimal polynomial is computed, where spanning each complement with
+    # two factors took three
+    F = field_make(1009)
+    calls, fac_seen = [], []
+    real, real_block = fac.minimal_polynomial, fac._self_paired_block
+
+    def counted(g):
+        calls.append(1)
+        return real(g)
+
+    def block(form, beta, a, G, p_, e, factors):
+        fac_seen.append([(pdeg(q), m) for q, m in factors])
+        return real_block(form, beta, a, G, p_, e, factors)
+
+    monkeypatch.setattr(fac, "minimal_polynomial", counted)
+    monkeypatch.setattr(fac, "_self_paired_block", block)
+    A = Mat.diag(F, [F.scalar(c) for c in (1, 1, -1, -1)])
+    form = symplectic_form(F, 8)
+    g = block_diag(F, [A, A.inv().T])
+    h = group_sample(form, seed="simple", count=1)[0]
+    for g in (g, h @ g @ h.inv()):
+        calls.clear()
+        fac_seen.clear()
+        cert = factor(form, g)
+        assert verify_certificate(form, g, cert).passed
+        assert [b["case"] for b in cert.blocks] == ["cyclic_pair"] * 4
+        assert fac_seen == [[(1, 1), (1, 1)]] * 2 + [[(1, 1)]] * 2
+        assert len(calls) == 1
