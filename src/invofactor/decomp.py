@@ -7,7 +7,7 @@ Everything here is deterministic: vector searches run over the standard
 columns in order, never over random probes.  Results hold by construction
 and are not re-checked here; the guards that remain turn an impossible
 intermediate (an unsolvable system, a complement of the wrong size) into
-InternalInvariantError instead of a crash.  krylov_span, which the others
+InternalInvariantError instead of a crash.  _krylov_span, which the others
 build on, eliminates incrementally: each new power g^d v is reduced once
 against the echelon rows of the vectors before it, so a span of dimension d
 costs d products with g and O(n * d^2) key operations, with no re-solving.
@@ -26,21 +26,6 @@ from .linalg import Mat, hstack, vstack
 from .poly import pdeg, pmul
 
 
-def companion(tower, f):
-    """Companion matrix of the key polynomial f: sends basis vector i to
-    i+1, the last to -coefficients."""
-    d = pdeg(f)
-    assert d >= 1 and f[-1] == 1, "companion needs a monic of positive degree"
-    rows = []
-    for i in range(d):
-        row = [0] * d
-        if i > 0:
-            row[i - 1] = 1
-        row[d - 1] = tower.neg(f[i])
-        rows.append(tuple(row))
-    return Mat(tower, tuple(rows))
-
-
 def restrict(g, basis):
     """The matrix of g on the invariant subspace spanned by basis columns."""
     X = basis.solve_right(g @ basis)
@@ -52,22 +37,9 @@ def restrict(g, basis):
     return X
 
 
-def krylov_span(g, v):
-    """(basis, annihilator): basis columns v, gv, ..., g^(d-1) v, and the
-    monic least annihilator of v under g (a poly.py key list).
-
-    Elimination is incremental: echelon rows, each scaled to 1 at its pivot,
-    are kept with their combinations of the Krylov vectors, and each new
-    g^d v is reduced once against them (one product with g and O(n * d) key
-    operations per step).  The first g^d v that reduces to zero gives the
-    annihilator: its combination is monic of degree d."""
-    assert not v.is_zero(), "Krylov span of the zero vector"
-    F = g.tower
-    return _krylov_span(F, F.matvec(g.rows), [r[0] for r in v.rows])
-
-
 def _krylov_span(F, apply, w):
-    # krylov_span of the key vector w, with apply(w) = g w
+    # (basis, annihilator) of the key vector w, apply(w) = g w: columns w,
+    # gw, ..., g^(d-1) w, and the monic least annihilator of w
     inv, scale, sub_scaled = F.inv, F.scale, F.sub_scaled
     cols = []
     echelon = []  # (pivot, row with 1 at the pivot, its combination)
@@ -88,7 +60,7 @@ def _krylov_span(F, apply, w):
 
 
 def _column_spans(g):
-    # krylov_span(g, e_j) for the standard columns e_j, in order, all from
+    # _krylov_span of the standard columns e_j, in order, all from
     # one matvec of g
     F, n = g.tower, g.nrows
     apply = F.matvec(g.rows)

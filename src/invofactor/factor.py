@@ -48,13 +48,14 @@ matvec of a per block.
 This module is the one place that splits a space into primary components
 (_component: ker p^e(a) by the one Horner evaluation of a polynomial at a
 matrix, or the standard basis when p^e is all of mp(a)).  factor factors
-mp(g) once per element, and the builders take its factors: a paired
-block's complement (the other primary components, by Wall) takes the rest.
-A self-paired block of a factor (p, 1) leaves a complement that holds the
-other primary components whole (they are orthogonal to ker p(a)) and the
-rest of ker p(a), where p(a) = 0; so the complement keeps the factors, less
-(p, 1) when the block fills ker p(a).  Any other self-paired block's
-complement divides its minimal polynomial by them (poly.multiplicities).
+mp(g) once per element, and every complement inherits those factors less
+the ones whose components its block filled: the other primary components
+lie whole in the complement (Wall), so a paired block drops p and p~, and a
+self-paired block drops p when it fills U = ker p^e(a).  Otherwise the
+complement keeps what is left of U with p at the exponent the block used,
+which is then an upper bound: ker p^e(a) is the same U for every e at or
+above the true exponent, and the next self-paired search steps e down to
+its first full-height column.
 A paired block's conjugator gets a restricted to one component, which is
 primary and needs no factors (decomp.frobenius_form); each companion block
 of f is conjugated onto its transpose by the Hankel matrix of f's
@@ -97,7 +98,6 @@ from .linalg import (
 )
 from .poly import (
     factorize,
-    multiplicities,
     pdeg,
     pmod,
     pnormal,
@@ -105,6 +105,7 @@ from .poly import (
     pserialize,
     twisted_reciprocal,
 )
+from .verify import det_target
 
 CERT_FORMAT = "invofactor-cert-v1"
 
@@ -131,6 +132,7 @@ def _component(a, fac, p_, e):
 
 
 def _paired_block(form, beta, a, G, p_, e, ps, fac):
+    # the block, and its complement's factors: fac without p and p~
     F = form.tower
     if (ps, e) not in fac:
         raise InternalInvariantError(
@@ -164,7 +166,7 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
         "multiplicity": e,
         "intertwiner": X.serialize(),
     }
-    return B1, t, data
+    return B1, t, data, [(q, m) for q, m in fac if q != p_ and q != ps]
 
 
 def _t_times(F, pe, v):
@@ -345,11 +347,15 @@ def _forced_pair(form, p_, e):
 
 def _self_paired_block(form, beta, a, G, p_, e, fac):
     """A cyclic or cyclic-pair block inside the component U = ker p^e(a),
-    for fac the factors of mp(a), and the dimension of U.
+    for fac the factors of mp(a) with p's exponent e an upper bound, and the
+    factors its complement inherits: fac without p when the block fills U,
+    else fac with p at the exponent the block used.
 
-    The scan looks for a full-height v = col_i + c * col_j whose cyclic
-    space has a nondegenerate Gram: the columns alone first, then the pair
-    candidates of _scan_pairs.  The map v -> K(v) = [v, av, ..., a^(D-1) v]
+    U is ker p^e(a) for every e at or above p's true exponent, and has a
+    full-height column only there, so the search steps e down until one is.
+    It looks for a full-height v = col_i + c * col_j whose cyclic space has
+    a nondegenerate Gram: the columns alone first, then the pair candidates
+    of _scan_pairs.  The map v -> K(v) = [v, av, ..., a^(D-1) v]
     (D = deg p^e) is linear, so the tests combine per-column data, made
     once when a candidate first needs it: K_i, P_i = p^(e-1)(a) col_i (a
     combination of the columns of K_i, as deg p^(e-1) < D) and
@@ -370,56 +376,59 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
     no Gram determinant and no pair scan: the same block the full search
     ends in."""
     F = form.tower
-    pe = ppow(p_, e, F)
-    D = pdeg(pe)
     U = _component(a, fac, p_, e)
-    p_low = ppow(p_, e - 1, F)
-    # keys enter as they are: Mat.column would read them as GF(p) scalars
-    probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
     cols = [list(c) for c in zip(*U.rows)]
     apply = F.matvec(a.rows)
+    for e in range(e, 0, -1):
+        pe = ppow(p_, e, F)
+        D = pdeg(pe)
+        p_low = ppow(p_, e - 1, F)
+        # keys enter as they are: Mat.column would read them as GF(p) scalars
+        probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
 
-    @cache
-    def krylov(i):
-        return _columns(F, _powers(apply, cols[i], D - 1))
+        @cache
+        def krylov(i):
+            return _columns(F, _powers(apply, cols[i], D - 1))
 
-    @cache
-    def paired(j):
-        return conj_product(G, krylov(j))
+        @cache
+        def paired(j):
+            return conj_product(G, krylov(j))
 
-    @cache
-    def cross(i, j):
-        # G_ij as a flat list of keys
-        return [x for r in (krylov(i).T @ paired(j)).rows for x in r]
+        @cache
+        def cross(i, j):
+            # G_ij as a flat list of keys
+            return [x for r in (krylov(i).T @ paired(j)).rows for x in r]
 
-    forced = _forced_pair(form, p_, e)
-    x = hit = None
-    for i in range(len(cols)):
-        if (krylov(i) @ probe).is_zero():
-            continue
-        if x is None:
-            x = i
-        if forced:
-            break
-        if _nondegenerate(F, D, cross(i, i)):
-            hit = i, None, 0
+        forced = _forced_pair(form, p_, e)
+        x = hit = None
+        for i in range(len(cols)):
+            if (krylov(i) @ probe).is_zero():
+                continue
+            if x is None:
+                x = i
+            if forced:
+                break
+            if _nondegenerate(F, D, cross(i, i)):
+                hit = i, None, 0
+                break
+        if x is not None:
             break
     else:
-        if not forced:
-            hit = _scan_pairs(F, D, len(cols), cross)
+        raise InternalInvariantError("component has no full-height vector", {})
+    if hit is None and not forced:
+        hit = _scan_pairs(F, D, len(cols), cross)
     if hit is not None:
         i, j, c = hit
         K = krylov(i) if j is None else krylov(i) + krylov(j) * F.from_int(c)
-        return (*_cyclic_block(F, beta, K, pe), U.ncols)
-    if x is None:
-        raise InternalInvariantError("component has no full-height vector", {})
-    w = krylov(x) @ probe
-    y = next((j for j, c in enumerate(gram(w, G, U).rows[0]) if c), None)
-    if y is None:
-        raise InternalInvariantError(
-            "no partner pairs with the degenerate cyclic space", {}
-        )
-    return (*_cyclic_pair_block(form, beta, G, krylov(x), krylov(y), p_, e), U.ncols)
+        block = _cyclic_block(F, beta, K, pe)
+    else:
+        w = krylov(x) @ probe
+        y = next((j for j, c in enumerate(gram(w, G, U).rows[0]) if c), None)
+        if y is None:
+            raise InternalInvariantError("no partner pairs with the degenerate cyclic space", {})
+        block = _cyclic_pair_block(form, beta, G, krylov(x), krylov(y), p_, e)
+    rest = [(q, m) for q, m in fac if q != p_]
+    return (*block, rest if block[0].ncols == U.ncols else [(p_, e)] + rest)
 
 
 def _orthocomplement(G, basis):
@@ -430,26 +439,17 @@ def _orthocomplement(G, basis):
 
 
 def _split(form, beta, a, G, lift, blocks, fac):
-    # fac factors mp(a); a complement's minimal polynomial divides mp(a)
+    # fac factors mp(a), with self-paired exponents as upper bounds
     F = form.tower
     if not fac:
         raise InternalInvariantError("minimal polynomial is constant", {})
     for p_, e in fac:
         ps = twisted_reciprocal(p_, beta.key, F)
         if ps != p_:
-            basis, t, data = _paired_block(form, beta, a, G, p_, e, ps, fac)
-            fac_c = [(q, m) for q, m in fac if q != p_ and q != ps]
+            basis, t, data, fac_c = _paired_block(form, beta, a, G, p_, e, ps, fac)
             break
     else:
-        p_, e = fac[0]
-        basis, t, data, dim = _self_paired_block(form, beta, a, G, p_, e, fac)
-        # with e = 1 the complement holds the other primary components whole
-        # (they are orthogonal to U = ker p(a)) and what the block leaves of
-        # U, where p(a) = 0 with p irreducible
-        if e == 1:
-            fac_c = fac if dim > basis.ncols else fac[1:]
-        else:
-            fac_c = None
+        basis, t, data, fac_c = _self_paired_block(form, beta, a, G, *fac[0], fac)
     lb = lift @ basis
     data["basis"] = lb.serialize()
     data["local_involution"] = t.serialize()
@@ -462,21 +462,11 @@ def _split(form, beta, a, G, lift, blocks, fac):
     Gc = gram(comp, G, comp)
     if not Gc.det():
         raise InternalInvariantError("orthogonal complement is degenerate", {})
-    ac = restrict(a, comp)
-    if fac_c is None:
-        fac_c = multiplicities(minimal_polynomial(ac), [p for p, _ in fac], F)
-    _split(form, beta, ac, Gc, lift @ comp, blocks, fac_c)
+    _split(form, beta, restrict(a, comp), Gc, lift @ comp, blocks, fac_c)
 
 
-def _refine_dets(form, blocks):
-    F = form.tower
-    n = form.n
-    if form.kind != "orthogonal":
-        raise InputError("determinant refinement applies to orthogonal spaces")
-    if n % 2:
-        raise InputError("determinant refinement is defined for even dimension")
-    target = F.one if (n // 2) % 2 == 0 else -F.one
-    total = F.one
+def _refine_dets(target, blocks):
+    total = target.tower.one
     for b in blocks:
         d = b.t.det()
         b.data["t_det"] = d.serialize()
@@ -556,19 +546,25 @@ def factor(form, g, det_refined=False):
     """Factor a similitude g as h1 * h2 (h1 a twist-1 ratio-1 involution,
     h2 a twist-1 map with h2 * conj(h2) = beta).  Returns a FactorCert.
 
-    With det_refined=True (orthogonal spaces of even dimension n), also
-    arrange det(h1) = (-1)^(n/2) by negating the local involution of one
+    With det_refined=True (orthogonal spaces of even dimension n; other
+    spaces raise InputError before any block is built), also arrange
+    det(h1) = (-1)^(n/2) by negating the local involution of one
     odd-dimensional block.  DetRefinementError is raised when every block
     has even dimension (so negation cannot change its determinant) and the
     block determinants multiply to the wrong sign; see factor_det_refined."""
     if not isinstance(g, Mat) or g.tower is not form.tower:
         raise InputError("g must be a matrix over the form's field tower")
+    if det_refined and det_target(form) is None:
+        raise InputError(
+            "determinant refinement applies to orthogonal spaces of even dimension, "
+            f"not to {form.kind} of dimension {form.n}"
+        )
     beta = form.similitude_ratio(g)
     blocks = []
     fac = factorize(minimal_polynomial(g), form.tower)
     _split(form, beta, g, form.J, Mat.identity(form.tower, form.n), blocks, fac)
     if det_refined:
-        _refine_dets(form, blocks)
+        _refine_dets(det_target(form), blocks)
     B = hstack([b.lift for b in blocks])
     M = block_diag(form.tower, [b.t for b in blocks])
     try:

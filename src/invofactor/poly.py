@@ -409,19 +409,3 @@ def least_root(f, F):
     None when f has no root in the working field."""
     return min((F.neg(g[0]) for g, _ in factorize(f, F) if len(g) == 2), default=None)
 
-
-def multiplicities(f, irreducibles, F):
-    """factorize's [(g, mult)] for a monic f whose irreducible factors are
-    among the given ones, found by division and kept in their order."""
-    out = []
-    for g in irreducibles:
-        q, r = pdivmod(f, g, F)
-        m = 0
-        while not r:
-            f, m = q, m + 1
-            q, r = pdivmod(f, g, F)
-        if m:
-            out.append((g, m))
-    if len(f) > 1:
-        raise InternalInvariantError("factor outside the irreducibles", {"rest": pserialize(f, F)})
-    return out

@@ -28,6 +28,15 @@ CHECK_NAMES = (
 )
 
 
+def det_target(form):
+    """The determinant (-1)^(n/2) that a det-refined h1 must have, or None
+    where determinant refinement does not apply: it applies to orthogonal
+    spaces of even dimension n only."""
+    if form.kind != "orthogonal" or form.n % 2:
+        return None
+    return form.tower.one if (form.n // 2) % 2 == 0 else -form.tower.one
+
+
 def _checks(form, g, beta, h1, h2, det_refined=False):
     """[(name, passed, witness-or-None)] for the defining identities."""
     F = form.tower
@@ -86,13 +95,17 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
         lambda: {"h1_times_conj_h2": prod.serialize(), "g": g.serialize()},
     )
     if det_refined:
-        target = F.one if (n // 2) % 2 == 0 else -F.one
+        target = det_target(form)
         d = h1.det()
-        add(
-            "h1_det_sign",
-            d == target,
-            lambda: {"det_h1": d.serialize(), "target": target.serialize()},
-        )
+        if target is None:  # out of scope
+            wit = {"kind": form.kind, "n": n, "scope": "orthogonal, even n"}
+            add("h1_det_sign", False, lambda: wit)
+        else:
+            add(
+                "h1_det_sign",
+                d == target,
+                lambda: {"det_h1": d.serialize(), "target": target.serialize()},
+            )
     return out
 
 

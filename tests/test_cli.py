@@ -197,6 +197,26 @@ def test_verify_refined_checks_the_determinant_sign(tmp_path, capsys):
     assert "PASS h1_det_sign" in capsys.readouterr().out
 
 
+def test_refinement_outside_its_scope(tmp_path, capsys):
+    # Sp4(F5): verify --refined fails h1_det_sign naming the space, and
+    # factor --refined is rejected as bad input
+    doc = {
+        "field": {"p": 5},
+        "epsilon": -1,
+        "gram": [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
+        "g": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 4, 1]],
+    }
+    inst = _write(tmp_path, "sp4.json", doc)
+    cert = str(tmp_path / "cert.json")
+    assert main(["factor", inst, "--out", cert]) == 0
+    capsys.readouterr()
+    assert main(["verify", inst, cert, "--refined"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL h1_det_sign" in out and '"kind": "symplectic", "n": 4' in out
+    assert main(["factor", inst, "--refined", "--out", cert]) == 2
+    assert "symplectic of dimension 4" in capsys.readouterr().err
+
+
 def test_survey_cli_reports_and_is_byte_stable(tmp_path, capsys):
     out_path = tmp_path / "summary.json"
     argv = [

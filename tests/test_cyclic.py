@@ -13,6 +13,7 @@ import importlib
 import random
 
 import pytest
+from test_decomp import companion
 from test_kernels import TOWERS
 from test_self_paired import _shapes
 
@@ -24,7 +25,6 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.decomp import companion
 from invofactor.forms import SesquiForm
 from invofactor.linalg import Mat, block_diag, gram, hstack, poly_at
 from invofactor.poly import pdeg, pmod, pnormal

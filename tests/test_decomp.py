@@ -1,5 +1,6 @@
 """Endomorphism structure: oracle checks for minimal polynomials and the
-companion-block normal form."""
+companion-block normal form.  companion and krylov_span are reference code
+for these and the other test modules; the library needs neither."""
 
 import random
 
@@ -8,10 +9,34 @@ from test_kernels import TOWERS
 
 from invofactor import decomp as dec
 from invofactor import field_make
-from invofactor.decomp import companion, frobenius_form, krylov_span, minimal_polynomial, restrict
+from invofactor.decomp import frobenius_form, minimal_polynomial, restrict
 from invofactor.factor import _component
 from invofactor.linalg import Mat, block_diag, hstack, poly_at, vstack
 from invofactor.poly import factorize, pdeg, pmod, pmul, pnormal, ppow
+
+
+def companion(tower, f):
+    """Companion matrix of the key polynomial f: sends basis vector i to
+    i+1, the last to -coefficients."""
+    d = pdeg(f)
+    assert d >= 1 and f[-1] == 1, "companion needs a monic of positive degree"
+    rows = []
+    for i in range(d):
+        row = [0] * d
+        if i > 0:
+            row[i - 1] = 1
+        row[d - 1] = tower.neg(f[i])
+        rows.append(tuple(row))
+    return Mat(tower, tuple(rows))
+
+
+def krylov_span(g, v):
+    """(basis, annihilator): basis columns v, gv, ..., g^(d-1) v, and the
+    monic least annihilator of v under g (a poly.py key list), from the
+    library's incremental elimination."""
+    assert not v.is_zero(), "Krylov span of the zero vector"
+    F = g.tower
+    return dec._krylov_span(F, F.matvec(g.rows), [r[0] for r in v.rows])
 
 
 def rand_mat(F, n, rng):

@@ -1,11 +1,13 @@
 """Factorization engine: frozen anchors, exhaustive small groups, conjugators."""
 
+import importlib
 import json
 import random
 import sys
 import time
 
 import pytest
+from test_decomp import companion
 from test_kernels import TOWERS
 
 from invofactor import (
@@ -22,6 +24,7 @@ from invofactor import (
     group_sample,
     hermitian_form,
     oracle_involution_set,
+    orthogonal_form,
     orthogonal_minus_form,
     orthogonal_plus_form,
     standard_reverser,
@@ -31,12 +34,13 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.decomp import companion, restrict
+from invofactor.decomp import restrict
 from invofactor.factor import _symmetric_conjugator, _symmetrizer
 from invofactor.fields import _least_irreducible
 from invofactor.linalg import Mat, block_diag, hstack, poly_at
 from invofactor.poly import ppow
 
+fac = importlib.import_module("invofactor.factor")
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
@@ -228,12 +232,20 @@ def test_det_refinement_obstruction_is_genuine():
 def test_det_refinement_rejects_wrong_spaces():
     with pytest.raises(InputError):
         factor_det_refined(symplectic_form(F3, 2), Mat.identity(F3, 2))
-    from invofactor import orthogonal_form
-
     J = Mat.diag(F3, [F3.one, F3.one, F3.one])
     odd = orthogonal_form(F3, J)
     with pytest.raises(InputError):
         factor_det_refined(odd, Mat.identity(F3, 3))
+
+
+def test_det_refinement_scope_is_tested_before_any_block(monkeypatch):
+    # the space is rejected before the construction starts, not after it
+    splits = []
+    monkeypatch.setattr(fac, "_split", lambda *args: splits.append(args))
+    for form in (symplectic_form(F5, 2), orthogonal_form(F5, Mat.identity(F5, 3))):
+        with pytest.raises(InputError, match=f"{form.kind} of dimension {form.n}"):
+            factor(form, Mat.identity(F5, form.n), det_refined=True)
+    assert splits == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ point where an interior re-check used to guard it, and factors elements that
 reach that step.  The last tests pin the single verification point: one
 `core_checks` per `factor`, no irreducibility re-test, and no witness
 serialization on a passing verification; and the single factorization:
-one `factorize` per `factor`, inherited by paired complements and by the
-complements of self-paired blocks of a factor (p, 1), while
-`frobenius_form` works on one primary component and evaluates no
-polynomial."""
+one `factorize` and one `minimal_polynomial` per `factor`, whose factors
+every complement inherits less those its block filled (a self-paired
+exponent passing on as an upper bound), while `frobenius_form` works on
+one primary component and evaluates no polynomial."""
 
 import importlib
 import sys
 
 import pytest
+from test_decomp import companion
+from test_self_paired import _used_exponent
 
 from invofactor import (
     InternalInvariantError,
@@ -332,13 +334,15 @@ def test_factor_factors_the_minimal_polynomial_once(monkeypatch):
 
 
 def test_paired_complements_inherit_their_factors(monkeypatch):
-    # the complement of a paired block is the sum of the other primary
-    # components, so its factors are fac without p and p~; a self-paired
-    # block of (p, 1) leaves the other primary components whole and
-    # p(a) = 0 on the rest of ker p(a), so its complement keeps fac (less
-    # (p, 1) when the block fills ker p(a)).  minimal_polynomial runs on g
-    # and on the complement of each self-paired block with e > 1 only
-    calls, homogeneous = [], []
+    # every complement inherits fac less the factors whose components its
+    # block filled: the complement of a paired block is the sum of the other
+    # primary components, so its factors are fac without p and p~; a
+    # self-paired block leaves the other primary components whole and what
+    # it leaves of ker p^e(a), where p^e(a) = 0, so its complement keeps fac
+    # (less p when the block fills ker p^e(a)) with e read as a bound.
+    # minimal_polynomial runs on g alone, below self-paired blocks of every
+    # exponent
+    calls, exponents = [], []
     real, real_block = fac.minimal_polynomial, fac._self_paired_block
 
     def counted(g):
@@ -346,33 +350,28 @@ def test_paired_complements_inherit_their_factors(monkeypatch):
         return real(g)
 
     def block(form, beta, a, G, p_, e, factors):
-        homogeneous.append(e == 1)
-        return real_block(form, beta, a, G, p_, e, factors)
+        got = real_block(form, beta, a, G, p_, e, factors)
+        exponents.append(_used_exponent(p_, got))
+        return got
 
     monkeypatch.setattr(fac, "minimal_polynomial", counted)
     monkeypatch.setattr(fac, "_self_paired_block", block)
-    met = {"paired": 0, "self_paired": 0, "spanned": 0}
+    met = {"paired": 0, "self_paired_e1": 0, "self_paired_higher": 0}
     for form, g in ELEMENTS:
         calls.clear()
-        homogeneous.clear()
+        exponents.clear()
         cert = factor(form, g)
-        fixed = iter(homogeneous)
-        spanned = 0
-        for b in cert.blocks[:-1]:  # the blocks with a complement
-            if b["case"] == "paired":
-                met["paired"] += 1
-            elif next(fixed):
-                met["self_paired"] += 1
-            else:
-                spanned += 1
-        assert len(calls) == 1 + spanned
-        met["spanned"] += spanned
+        used = iter(exponents)
+        shapes = [None if b["case"] == "paired" else next(used) for b in cert.blocks]
+        for e in shapes[:-1]:  # the blocks with a complement
+            met["paired" if e is None else "self_paired_e1" if e == 1 else "self_paired_higher"] += 1
+        assert len(calls) == 1
     assert all(met.values()), met
 
 
 def test_frobenius_form_evaluates_no_polynomial(monkeypatch):
-    # decomp gets one primary component: frobenius_form scans the standard
-    # columns with krylov_span, and needs neither the minimal polynomial nor
+    # decomp gets one primary component: frobenius_form spans the standard
+    # columns with _krylov_span, and needs neither the minimal polynomial nor
     # a polynomial evaluated at the matrix, even on non-cyclic inputs that
     # take several peels.  Splitting a space into primary components
     # (poly_at, _component) is factor's alone
@@ -394,7 +393,7 @@ def test_frobenius_form_evaluates_no_polynomial(monkeypatch):
     for g, want in shapes.values():
         B, invariants = dec.frobenius_form(g)
         assert invariants == want
-        assert B.inv() @ g @ B == block_diag(F3, [dec.companion(F3, f) for f in invariants])
+        assert B.inv() @ g @ B == block_diag(F3, [companion(F3, f) for f in invariants])
     assert calls == []
     for name in ("maximal_vector", "multiplicities", "poly_at", "_component"):
         assert not hasattr(dec, name), name

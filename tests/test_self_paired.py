@@ -8,11 +8,14 @@ import itertools
 import random
 
 import pytest
+from test_decomp import krylov_span
 
 from invofactor import (
     factor,
     field_make,
     group_sample,
+    hermitian_form,
+    orthogonal_form,
     orthogonal_minus_form,
     orthogonal_plus_form,
     symplectic_form,
@@ -20,7 +23,7 @@ from invofactor import (
 )
 from invofactor.forms import SesquiForm, group_enumerate
 from invofactor.linalg import Mat, block_diag, gram, hstack, poly_at
-from invofactor.poly import pdeg, ppow
+from invofactor.poly import pdeg, pdivmod, ppow, twisted_reciprocal
 
 fac = importlib.import_module("invofactor.factor")
 dec = importlib.import_module("invofactor.decomp")
@@ -42,6 +45,12 @@ def _candidate_vectors(F, ncols, limit=512):
                 count += 1
                 if count >= limit:
                     return
+
+
+def _used_exponent(p_, block):
+    # the exponent a self-paired block used: its annihilator is p^e.  The
+    # block is called with p's exponent as an upper bound
+    return (len(block[2]["annihilator"]) - 1) // pdeg(p_)
 
 
 def _reference_component(a, pe):
@@ -67,17 +76,17 @@ def _reference_block(form, beta, a, G, p_, e):
             continue
         if x is None:
             x = v
-        K, ann = dec.krylov_span(a, v)
+        K, ann = krylov_span(a, v)
         assert ann == pe
         kg = K.T @ G @ K.conj()
         if kg.det():
             return fac._cyclic_block(F, beta, K, ann), (i, j, c), singular
         if j is not None and not kg.is_zero():
             singular.add((i, j))
-    Kx, _ = dec.krylov_span(a, x)
+    Kx, _ = krylov_span(a, x)
     w = probe @ x
     y = next(u for u in cols if gram(w, G, u)[0, 0])
-    Ky, anny = dec.krylov_span(a, y)
+    Ky, anny = krylov_span(a, y)
     if (Ky.T @ G @ Ky.conj()).det():
         return fac._cyclic_block(F, beta, Ky, anny), None, singular
     return fac._cyclic_pair_block(form, beta, G, Kx, Ky, p_, e), None, singular
@@ -175,6 +184,7 @@ def test_scan_matches_the_per_candidate_algorithm(monkeypatch):
 
     def both(form, beta, a, G, p_, e, factors):
         got = real(form, beta, a, G, p_, e, factors)
+        e = _used_exponent(p_, got)
         want, hit, singular = _reference_block(form, beta, a, G, p_, e)
         assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
         F = form.tower
@@ -230,7 +240,7 @@ def test_scan_charges_pairs_that_cannot_hit(monkeypatch):
         evaluated.clear()
         got = real_block(form, beta, a, G, p_, e, factors)
         F = form.tower
-        D = pdeg(ppow(p_, e, F))
+        D = pdeg(ppow(p_, _used_exponent(p_, got), F))
         for t in pairs:
             n = sum(u is t for u in evaluated)
             if not any(x for part in t for x in part):
@@ -309,7 +319,7 @@ def test_pair_gram_is_the_gram_of_the_combined_krylov_matrix(params):
 @pytest.mark.parametrize("n", [4, 6])
 def test_self_paired_blocks_span_few_krylov_spaces(monkeypatch, n):
     calls = []
-    real = dec._krylov_span  # every span, krylov_span's and _column_spans'
+    real = dec._krylov_span  # every span, minimal_polynomial's and _column_spans'
 
     def counted(F, apply, w):
         calls.append(len(w))
@@ -447,6 +457,8 @@ def test_parity_rule_matches_brute_force(monkeypatch, label, form, beta, count):
     met = {"forced": 0, "sharp": 0}
 
     def block(form, beta, a, G, p_, e, factors):
+        got = real(form, beta, a, G, p_, e, factors)
+        e = _used_exponent(p_, got)
         F = form.tower
         if fac._forced_pair(form, p_, e):
             hits = list(_brute_force_hits(form, a, G, p_, e))
@@ -456,7 +468,7 @@ def test_parity_rule_matches_brute_force(monkeypatch, label, form, beta, count):
         elif F.p != 2 and pdeg(p_) == 1:
             assert any(_brute_force_hits(form, a, G, p_, e)), (label, p_, e)
             met["sharp"] += 1
-        return real(form, beta, a, G, p_, e, factors)
+        return got
 
     monkeypatch.setattr(fac, "_self_paired_block", block)
     for g in itertools.islice(group_enumerate(form, beta), count):
@@ -494,25 +506,30 @@ def test_forced_components_are_not_scanned(monkeypatch):
     # a component the form forces onto cyclic pairs goes from its first
     # full-height column to the cyclic-pair path: no Gram determinant and no
     # pair scan runs inside it, while unforced components still scan
+    # (whether a component is forced depends on the exponent the block
+    # used, known once it returns)
     real_block, real_scan, real_nondeg = fac._self_paired_block, fac._scan_pairs, fac._nondegenerate
     inside = []
     met = {"forced": 0, "unforced_scans": 0}
 
     def block(form, beta, a, G, p_, e, factors):
-        inside.append(fac._forced_pair(form, p_, e))
-        met["forced"] += inside[-1]
+        inside.append({"scans": 0, "nondegenerate": 0})
         try:
-            return real_block(form, beta, a, G, p_, e, factors)
+            got = real_block(form, beta, a, G, p_, e, factors)
         finally:
-            inside.pop()
+            calls = inside.pop()
+        forced = fac._forced_pair(form, p_, _used_exponent(p_, got))
+        met["forced"] += forced
+        met["unforced_scans"] += calls["scans"]
+        assert not forced or calls == {"scans": 0, "nondegenerate": 0}, calls
+        return got
 
     def scan(*args):
-        assert not inside[-1]
-        met["unforced_scans"] += 1
+        inside[-1]["scans"] += 1
         return real_scan(*args)
 
     def nondegenerate(*args):
-        assert not inside[-1]
+        inside[-1]["nondegenerate"] += 1
         return real_nondeg(*args)
 
     monkeypatch.setattr(fac, "_self_paired_block", block)
@@ -581,3 +598,108 @@ def test_simple_factor_complements_keep_their_factors(monkeypatch):
         assert [b["case"] for b in cert.blocks] == ["cyclic_pair"] * 4
         assert fac_seen == [[(1, 1), (1, 1)]] * 2 + [[(1, 1)]] * 2
         assert len(calls) == 1
+
+
+def multiplicities(f, irreducibles, F):
+    """factorize's [(g, mult)] for a monic f whose irreducible factors are
+    among the given ones, found by division and kept in their order: the
+    reference for the exponents a complement's factors carry."""
+    out = []
+    for g in irreducibles:
+        q, r = pdivmod(f, g, F)
+        m = 0
+        while not r:
+            f, m = q, m + 1
+            q, r = pdivmod(f, g, F)
+        if m:
+            out.append((g, m))
+    assert len(f) == 1, "factor outside the irreducibles"
+    return out
+
+
+def _jordan_3_1(F):
+    # g = (I + N)(I - N)^-1 on the identity Gram of GF(5)^4, with N skew and
+    # nilpotent (1^2 + 2^2 = 0 mod 5): an isometry of Jordan type (3, 1)
+    # for the eigenvalue 1
+    N = Mat.from_rows(F, _int_rows([[0, 1, 2, 0], [-1, 0, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 0]], F.p))
+    eye = Mat.identity(F, 4)
+    return orthogonal_form(F, eye), (eye + N) @ (eye - N).inv()
+
+
+def test_self_paired_blocks_use_the_true_exponent(monkeypatch):
+    # a self-paired block gets p's exponent as an upper bound and uses p's
+    # multiplicity in the minimal polynomial of the restricted matrix; the
+    # factors it is given are those of that minimal polynomial, in order,
+    # each exponent at or above the true one and exact for paired factors
+    real = fac._self_paired_block
+    met = {"exact": 0, "bound": 0}
+
+    def block(form, beta, a, G, p_, e, factors):
+        got = real(form, beta, a, G, p_, e, factors)
+        F = form.tower
+        want = multiplicities(dec.minimal_polynomial(a), [q for q, _ in factors], F)
+        assert [q for q, _ in want] == [q for q, _ in factors]
+        for (q, m), (_, bound) in zip(want, factors):
+            assert m <= bound and (m == bound or twisted_reciprocal(q, beta.key, F) == q)
+        assert _used_exponent(p_, got) == want[0][1]
+        met["exact" if want[0][1] == e else "bound"] += 1
+        return got
+
+    monkeypatch.setattr(fac, "_self_paired_block", block)
+    cases = list(_cases()) + list(_structured_cases()) + [_jordan_3_1(field_make(5))]
+    for form, g in cases:
+        assert verify_certificate(form, g, factor(form, g)).passed
+    assert all(met.values()), met
+
+
+def test_search_steps_down_to_the_true_exponent(monkeypatch):
+    # the Jordan (3, 1) isometry: a cyclic block of (T - 1)^3, then its
+    # complement, a line, inherits (T - 1, 3) and its search steps from 3
+    # through 2 to 1 (one _forced_pair test per exponent searched).  Only
+    # g's own minimal polynomial is computed, where spanning the complement
+    # took a second
+    F = field_make(5)
+    form, g = _jordan_3_1(F)
+    searched, calls = [], []
+    real_forced, real_mp = fac._forced_pair, fac.minimal_polynomial
+
+    def forced(form, p_, e):
+        searched.append(e)
+        return real_forced(form, p_, e)
+
+    def counted(g):
+        calls.append(1)
+        return real_mp(g)
+
+    monkeypatch.setattr(fac, "_forced_pair", forced)
+    monkeypatch.setattr(fac, "minimal_polynomial", counted)
+    cert = factor(form, g)
+    assert verify_certificate(form, g, cert).passed
+    assert [(b["case"], b["dim"]) for b in cert.blocks] == [("cyclic", 3), ("cyclic", 1)]
+    assert searched == [3, 3, 2, 1]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: symplectic_form(field_make(101), 64), lambda: hermitian_form(field_make(7, 1, "quadratic"), 32)],
+    ids=["Sp64(F101)", "U32(F49)"],
+)
+def test_large_products_compute_one_minimal_polynomial(monkeypatch, make):
+    # the product of two group_sample elements (seed 1): 25 blocks on Sp64,
+    # 13 on U32, and one minimal polynomial for all of them
+    calls = []
+    real = fac.minimal_polynomial
+
+    def counted(g):
+        calls.append(1)
+        return real(g)
+
+    monkeypatch.setattr(fac, "minimal_polynomial", counted)
+    form = make()
+    a, b = group_sample(form, seed=1, count=2)
+    g = a @ b
+    cert = factor(form, g)
+    assert verify_certificate(form, g, cert).passed
+    assert len(cert.blocks) == (25 if form.kind == "symplectic" else 13)
+    assert len(calls) == 1

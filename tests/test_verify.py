@@ -18,6 +18,7 @@ from invofactor import (
     group_sample,
     hermitian_form,
     oracle_involution_set,
+    orthogonal_form,
     orthogonal_minus_form,
     orthogonal_plus_form,
     standard_reverser,
@@ -124,6 +125,23 @@ def test_refined_flag_adds_det_check():
     assert names[-1] == "h1_det_sign"
     refined = factor(op, g, det_refined=True)
     assert verify_certificate(op, g, refined).passed
+
+
+def test_det_sign_check_outside_its_scope_fails_naming_the_space():
+    # determinant refinement applies to orthogonal spaces of even dimension:
+    # on Sp2(F5) and GO3(F5) a certificate checked as refined (by the flag
+    # or by its own det_refined) fails h1_det_sign whatever det(h1) is, and
+    # the witness names the kind and n
+    for form in (symplectic_form(F5, 2), orthogonal_form(F5, Mat.identity(F5, 3))):
+        g = Mat.identity(F5, form.n)
+        cert = factor(form, g)
+        edited = FactorCert(form, g, cert.beta, cert.h1, cert.h2, True, cert.blocks)
+        reports = [verify_certificate(form, g, cert, det_refined=True), verify_certificate(form, g, edited)]
+        for report in reports:
+            failures = dict(report.failures())
+            assert list(failures) == ["h1_det_sign"]
+            assert failures["h1_det_sign"]["kind"] == form.kind
+            assert failures["h1_det_sign"]["n"] == form.n
 
 
 def test_oracle_involution_set_contents():
