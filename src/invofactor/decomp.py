@@ -13,16 +13,18 @@ against the echelon rows of the vectors before it, so a span of dimension d
 costs d products with g and O(n * d^2) key operations, with no re-solving.
 The products with g go through the tower's matvec of g, made once for all
 the column spans of minimal_polynomial and of each frobenius_form peel.
-minimal_polynomial spans only what each column adds: the residual m(g) e_j
-under the polynomial m found so far, so a column whose annihilator divides
-m costs deg m products and no elimination, and the spanned annihilators
-multiply to the result with no gcd.
+poly_column evaluates a polynomial at g one column at a time, by Horner's
+rule through that matvec.  minimal_polynomial spans only what each column
+adds: the residual m(g) e_j under the polynomial m found so far, so a
+column whose annihilator divides m costs deg m products and no
+elimination, and the spanned annihilators multiply to the result with no
+gcd.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .linalg import Mat, hstack, vstack
+from .linalg import Mat, hstack
 from .poly import pdeg, pmul
 
 
@@ -68,22 +70,30 @@ def _column_spans(g):
         yield _krylov_span(F, apply, [int(i == j) for i in range(n)])
 
 
+def poly_column(F, apply, f, j, n):
+    """f(g) e_j for a nonzero key polynomial f, by Horner's rule on key
+    vectors of length n through apply(w) = g w."""
+    r = [0] * n
+    r[j] = f[-1]
+    for c in reversed(f[:-1]):
+        r = apply(r)
+        if c:
+            r[j] = F.add(r[j], c)
+    return r
+
+
 def minimal_polynomial(g):
     """Least monic polynomial annihilating g.
 
     lcm(m, ann v) = m * ann(m(g) v), so each standard column e_j spans only
     its residual m(g) e_j under the product m of the annihilators so far,
-    made by Horner's rule on vectors through the one matvec of g.  A zero
-    residual spans nothing."""
+    made by poly_column through the one matvec of g.  A zero residual spans
+    nothing."""
     F, n = g.tower, g.nrows
-    apply, add = F.matvec(g.rows), F.add
+    apply = F.matvec(g.rows)
     mp = [1]
     for j in range(n):
-        r = [0] * n
-        r[j] = 1
-        for c in reversed(mp[:-1]):
-            r = apply(r)
-            r[j] = add(r[j], c)
+        r = poly_column(F, apply, mp, j, n)
         if any(r):
             mp = pmul(mp, _krylov_span(F, apply, r)[1], F)
             if pdeg(mp) == n:
@@ -122,10 +132,11 @@ def frobenius_form(g):
         phi_t = K.T.solve_right(rhs)
         if phi_t is None:
             raise InternalInvariantError("dual functional system is inconsistent", {})
-        rows = [phi_t.T]
+        apply_t = F.matvec(tuple(zip(*h.rows)))
+        rows = [[r[0] for r in phi_t.rows]]
         for _ in range(d - 1):
-            rows.append(rows[-1] @ h)
-        comp = vstack(rows).right_kernel_basis()
+            rows.append(apply_t(rows[-1]))
+        comp = Mat(F, tuple(map(tuple, rows))).right_kernel_basis()
         if len(comp) != m - d:
             raise InternalInvariantError(
                 "invariant complement has wrong dimension", {"got": len(comp)}

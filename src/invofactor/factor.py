@@ -46,8 +46,8 @@ cyclic or cyclic-pair block.  The Krylov matrices themselves come from one
 matvec of a per block.
 
 This module is the one place that splits a space into primary components
-(_component: ker p^e(a) by the one Horner evaluation of a polynomial at a
-matrix, or the standard basis when p^e is all of mp(a)).  factor factors
+(_component: ker p^e(a), p^e(a) made by columns through one matvec of a,
+or the standard basis when p^e is all of mp(a)).  factor factors
 mp(g) once per element, and every complement inherits those factors less
 the ones whose components its block filled: the other primary components
 lie whole in the complement (Wall), so a paired block drops p and p~, and a
@@ -77,7 +77,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain, combinations
 
-from .decomp import frobenius_form, minimal_polynomial, restrict
+from .decomp import frobenius_form, minimal_polynomial, poly_column, restrict
 from .errors import (
     DetRefinementError,
     InputError,
@@ -93,7 +93,6 @@ from .linalg import (
     gram,
     hstack,
     mat_from_serialized,
-    poly_at,
     vstack,
 )
 from .poly import (
@@ -122,10 +121,11 @@ class _Block:
 def _component(a, fac, p_, e):
     # a basis of ker p^e(a), as columns, for fac the factors of mp(a): the
     # standard basis when p^e is all of mp(a), so that p^e(a) = 0
-    F = a.tower
+    F, n = a.tower, a.nrows
     if len(fac) == 1:
-        return Mat.identity(F, a.nrows)
-    cols = poly_at(ppow(p_, e, F), a).right_kernel_basis()
+        return Mat.identity(F, n)
+    apply, pe = F.matvec(a.rows), ppow(p_, e, F)
+    cols = _columns(F, [poly_column(F, apply, pe, j, n) for j in range(n)]).right_kernel_basis()
     if not cols:
         raise InternalInvariantError("expected a nonzero kernel", {"factor": pserialize(p_, F)})
     return hstack(cols)

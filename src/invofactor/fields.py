@@ -21,7 +21,8 @@ does all arithmetic on keys with one kernel, chosen from the field's shape:
   element, with Zech logarithms for addition in odd characteristic (XOR of
   keys in characteristic 2) and a table for conj.  In characteristic 2 up
   to order 256 keys are bytes, and matrix products scale whole rows by
-  bytes.translate through multiplication tables and sum them by XOR;
+  bytes.translate through multiplication tables and sum them by XOR; other
+  tabled fields take a matrix's logs once per matvec and matmul;
 - larger fields: coordinate kernels, GF(p^k) as polynomials mod the base
   modulus multiplied by Kronecker substitution (coordinates packed into
   slots of one int), E as pairs over F made from F's kernel.
@@ -418,9 +419,10 @@ def _table_kernel(t):
     zero.  In odd characteristic zech[d] = log(1 + g^d) (Z where that is 0)
     gives a + b = g^(la + zech[lb - la]); dot products sum packed keys and
     reduce mod p once per entry.  In characteristic 2 with Q <= 256, matmul
-    and matvec work on rows of bytes (_byte_lane_kernel); odd
-    characteristic keeps the log-sum products, as an interleaved
-    coordinate-plane byte lane measured slower on GF(243) and GF(169)."""
+    and matvec work on rows of bytes (_byte_lane_kernel).  Other fields keep
+    log-sums (a coordinate-plane byte lane measured slower on GF(243) and
+    GF(169)): matvec(rows) takes the logs of rows once, and matmul is the
+    matvec of B^T applied to each row of A."""
     p, Q = t.p, t.order
     n1 = Q - 1
     g = _primitive_element(t)
@@ -515,13 +517,14 @@ def _table_kernel(t):
     def dot(xs, ys):
         return total(map(prod, map(add_, map(lg, xs), map(lg, ys))))
 
-    def matmul(ar, br):
-        lcols = [[log[x] for x in c] for c in zip(*br)]
-        rows = []
-        for r in ar:
-            lr = [log[x] for x in r]
-            rows.append(tuple(total(map(prod, map(add_, lr, lc))) for lc in lcols))
-        return tuple(rows)
+    def matvec(rows):
+        lrows = [list(map(lg, r)) for r in rows]
+
+        def apply(w):
+            lw = list(map(lg, w))
+            return [total(map(prod, map(add_, lr, lw))) for lr in lrows]
+
+        return apply
 
     t.mul = mul
     t.inv = inv
@@ -532,7 +535,8 @@ def _table_kernel(t):
     if p == 2 and Q <= 256:
         _byte_lane_kernel(t, _Scalers(exp2, log))
     else:
-        t.matmul = matmul
+        t.matmul = lambda ar, br: tuple(map(tuple, map(matvec(zip(*br)), ar)))
+        t.matvec = matvec
 
 
 class _Scalers(dict):
@@ -812,6 +816,8 @@ class FieldTower:
     def sqrt(self, a):
         """Canonical square root (least integer key), or None for non-squares:
         the least root of T^2 - a."""
+        if a.tower is not self:
+            raise InputError("cannot mix elements of different field towers")
         r = least_root([self.neg(a.key), 0, 1], self)
         return None if r is None else FieldElem(self, r)
 
@@ -849,9 +855,10 @@ def field_from_descriptor(d):
     """Rebuild a tower from its descriptor, insisting on the canonical moduli."""
     try:
         tower = field_make(d["p"], d["k"], d.get("ext", "trivial"))
+        base_modulus = d["base_modulus"]
     except (KeyError, TypeError) as e:
         raise InputError(f"bad field descriptor: {e}") from e
-    if list(tower.base_modulus) != d["base_modulus"]:
+    if list(tower.base_modulus) != base_modulus:
         raise InputError("field descriptor base modulus is not canonical")
     if tower.ext == "quadratic":
         if [list(tower._qg0), list(tower._qg1)] != d.get("ext_modulus"):

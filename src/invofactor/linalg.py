@@ -14,6 +14,7 @@ Every Gram product of the library, G conj(B) and A^T G conj(B), goes
 through conj_product and gram.  They read G's pattern: when each row of G
 has one nonzero entry, as every standard space's Gram has, G conj(B) is a
 gather of scaled rows and a Gram costs one matrix product instead of two.
+Mat has no powers: polynomials act on vectors (decomp.poly_column).
 """
 
 from __future__ import annotations
@@ -133,22 +134,6 @@ class Mat:
         if self.tower is not other.tower or len(self.rows[0]) != len(other.rows):
             raise InputError("matmul shape or tower mismatch")
         return Mat(self.tower, self.tower.matmul(self.rows, other.rows))
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if self.nrows != self.ncols:
-            raise InputError("matrix power needs a square matrix")
-        if n < 0:
-            return self.inv() ** (-n)
-        acc = Mat.identity(self.tower, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc @ base
-            base = base @ base
-            n >>= 1
-        return acc
 
     def _compat(self, other):
         if not isinstance(other, Mat) or other.tower is not self.tower or other.shape != self.shape:
@@ -376,20 +361,3 @@ def gram(A, G, B):
     arithmetic is associative, so the result does not depend on the path."""
     return A.T @ conj_product(G, B)
 
-
-def poly_at(f, A):
-    """Evaluate a poly.py key polynomial at a square matrix (Horner)."""
-    F = A.tower
-    n = A.nrows
-    if not f:
-        return Mat.zeros(F, n, n)
-    add = F.add
-    # the leading coefficient is a key: Mat.diag would reduce it mod p
-    acc = Mat(F, tuple(tuple(f[-1] if i == j else 0 for j in range(n)) for i in range(n)))
-    for c in reversed(f[:-1]):
-        rows = [list(r) for r in (acc @ A).rows]
-        if c:
-            for i in range(n):
-                rows[i][i] = add(rows[i][i], c)
-        acc = Mat(F, tuple(tuple(r) for r in rows))
-    return acc

@@ -13,7 +13,7 @@ import importlib
 import random
 
 import pytest
-from test_decomp import companion
+from test_decomp import companion, poly_at
 from test_kernels import TOWERS
 from test_self_paired import _shapes
 
@@ -26,7 +26,7 @@ from invofactor import (
     verify_certificate,
 )
 from invofactor.forms import SesquiForm
-from invofactor.linalg import Mat, block_diag, gram, hstack, poly_at
+from invofactor.linalg import Mat, block_diag, gram, hstack
 from invofactor.poly import pdeg, pmod, pnormal
 
 fac = importlib.import_module("invofactor.factor")

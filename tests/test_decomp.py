@@ -1,6 +1,7 @@
 """Endomorphism structure: oracle checks for minimal polynomials and the
-companion-block normal form.  companion and krylov_span are reference code
-for these and the other test modules; the library needs neither."""
+companion-block normal form.  companion, krylov_span and poly_at are
+reference code for these and the other test modules; the library needs
+none of them (it evaluates polynomials on vectors, decomp.poly_column)."""
 
 import random
 
@@ -11,7 +12,7 @@ from invofactor import decomp as dec
 from invofactor import field_make
 from invofactor.decomp import frobenius_form, minimal_polynomial, restrict
 from invofactor.factor import _component
-from invofactor.linalg import Mat, block_diag, hstack, poly_at, vstack
+from invofactor.linalg import Mat, block_diag, hstack, vstack
 from invofactor.poly import factorize, pdeg, pmod, pmul, pnormal, ppow
 
 
@@ -37,6 +38,23 @@ def krylov_span(g, v):
     assert not v.is_zero(), "Krylov span of the zero vector"
     F = g.tower
     return dec._krylov_span(F, F.matvec(g.rows), [r[0] for r in v.rows])
+
+
+def poly_at(f, A):
+    """The key polynomial f evaluated at the square matrix A, by Horner's
+    rule on whole matrices."""
+    F = A.tower
+    n = A.nrows
+    if not f:
+        return Mat.zeros(F, n, n)
+    # the leading coefficient is a key: Mat.diag would reduce it mod p
+    acc = Mat(F, tuple(tuple(f[-1] if i == j else 0 for j in range(n)) for i in range(n)))
+    for c in reversed(f[:-1]):
+        rows = [list(r) for r in (acc @ A).rows]
+        for i in range(n):
+            rows[i][i] = F.add(rows[i][i], c)
+        acc = Mat(F, tuple(tuple(r) for r in rows))
+    return acc
 
 
 def rand_mat(F, n, rng):
@@ -188,6 +206,52 @@ def test_primary_components_structure():
         for p_, e, basis in comps:
             X = restrict(A, basis)  # raises if not invariant
             assert minimal_polynomial(X) == ppow(p_, e, F)
+
+
+@pytest.mark.parametrize("spec", [t[1] for t in TOWERS], ids=[t[0] for t in TOWERS])
+def test_poly_column_is_a_column_of_the_reference_evaluation(spec):
+    # f(A) e_j through the tower's matvec against Horner's rule on whole
+    # matrices, for non-monic f whose coefficient keys reach p and beyond
+    # (keys, not GF(p) scalars), with zero coefficients among them
+    F = field_make(*spec)
+    rng = random.Random(f"poly_column:{spec}")
+    for n in (1, 3, 5):
+        A = rand_mat(F, n, rng)
+        apply = F.matvec(A.rows)
+        fs = [[F.order - 1], [F.order - 1, 0, F.order - 1]]
+        fs += [[rng.randrange(F.order) for _ in range(d)] + [rng.randrange(1, F.order)] for d in (1, 2, 4)]
+        for f in fs:
+            got = [dec.poly_column(F, apply, f, j, n) for j in range(n)]
+            assert Mat(F, tuple(zip(*got))) == poly_at(f, A)
+
+
+def test_component_evaluates_its_polynomial_by_one_matvec(monkeypatch):
+    # _component builds p^e(a) column by column through one matvec of a,
+    # with no matrix product, and spans the kernel of the reference p^e(a):
+    # over GF(7), a = diag(C((T^2 + 1)^2), C(T - 3), C(T - 3)), whose
+    # components are not the whole space
+    F = field_make(7)
+    a = block_diag(F, [companion(F, ppow([1, 0, 1], 2, F)), companion(F, [4, 1]), companion(F, [4, 1])])
+    fac = factorize(minimal_polynomial(a), F)
+    assert sorted(fac) == [([1, 0, 1], 2), ([4, 1], 1)]
+    real_matvec = F.matvec
+    for p_, e in fac:
+        want = hstack(poly_at(ppow(p_, e, F), a).right_kernel_basis())
+        built = []
+
+        def matvec(rows):
+            built.append(rows)
+            return real_matvec(rows)
+
+        def matmul(self, other):
+            raise AssertionError("_component made a matrix product")
+
+        monkeypatch.setattr(F, "matvec", matvec)
+        monkeypatch.setattr(Mat, "__matmul__", matmul)
+        U = _component(a, fac, p_, e)
+        monkeypatch.undo()
+        assert built == [a.rows]
+        assert U == want
 
 
 def test_frobenius_form_properties():

@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from test_decomp import companion
+from test_decomp import companion, poly_at
 from test_kernels import TOWERS
 
 from invofactor import (
@@ -37,7 +37,7 @@ from invofactor import (
 from invofactor.decomp import restrict
 from invofactor.factor import _symmetric_conjugator, _symmetrizer
 from invofactor.fields import _least_irreducible
-from invofactor.linalg import Mat, block_diag, hstack, poly_at
+from invofactor.linalg import Mat, block_diag, hstack
 from invofactor.poly import ppow
 
 fac = importlib.import_module("invofactor.factor")
@@ -352,13 +352,13 @@ def test_symmetric_conjugator_of_a_primary_matrix_evaluates_no_polynomial(monkey
     want = U @ block_diag(F, [_symmetric_conjugator(restrict(a, U))]) @ U.T
     fac = sys.modules["invofactor.factor"]
     calls = []
-    real = fac.poly_at
+    real = fac.poly_column
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(fac, "poly_at", counted)
+    monkeypatch.setattr(fac, "poly_column", counted)
     assert symmetric_conjugator(a) == want
     assert calls == []
 

@@ -30,7 +30,7 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.linalg import Mat, block_diag, poly_at
+from invofactor.linalg import Mat, block_diag
 from invofactor.poly import padd, pdivmod, pmul
 
 fac = importlib.import_module("invofactor.factor")
@@ -374,9 +374,9 @@ def test_frobenius_form_evaluates_no_polynomial(monkeypatch):
     # columns with _krylov_span, and needs neither the minimal polynomial nor
     # a polynomial evaluated at the matrix, even on non-cyclic inputs that
     # take several peels.  Splitting a space into primary components
-    # (poly_at, _component) is factor's alone
+    # (poly_column of p^e, _component) is factor's alone
     calls = []
-    for real in (dec.minimal_polynomial, poly_at):
+    for real in (dec.minimal_polynomial, dec.poly_column):
         for name, mod in list(sys.modules.items()):
             if name.startswith("invofactor.") and getattr(mod, real.__name__, None) is real:
 

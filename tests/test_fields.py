@@ -315,6 +315,22 @@ def test_tower_caching_and_descriptor_roundtrip():
         field_from_descriptor(bad)
 
 
+def test_descriptor_missing_base_modulus_is_an_input_error():
+    with pytest.raises(InputError, match="base_modulus"):
+        field_from_descriptor({"p": 3, "k": 1})
+    with pytest.raises(InputError, match="'k'"):
+        field_from_descriptor({"p": 3, "base_modulus": [0, 1]})
+
+
+def test_sqrt_rejects_an_element_of_another_tower():
+    # as is_square and FieldElem arithmetic do, instead of reading its key
+    F, a = field_make(7), field_make(3, 2).from_int(5)
+    with pytest.raises(InputError, match="different field towers"):
+        F.is_square(a)
+    with pytest.raises(InputError, match="different field towers"):
+        F.sqrt(a)
+
+
 def test_elem_validation():
     F = field_make(3, 1, "quadratic")
     assert F.elem([4, -1]) == F.elem([1, 2])  # inputs reduce mod p

@@ -299,6 +299,25 @@ def test_matrix_kernels_match_entrywise_sums(tower):
     assert singular_seen
 
 
+@pytest.mark.parametrize("name", ["ext-GF27", "ext-GF243", "quad-GF49", "ext-GF4096", "quad-GF4096/GF64"])
+def test_table_matmul_matches_entrywise_dots(name):
+    # tabled fields off the byte lane (odd characteristic, and
+    # characteristic 2 past order 256) multiply by applying the prepared
+    # matvec of B^T to each row of A; every entry is still the dot product
+    # of its row and column, on wide, tall and square shapes with zeros
+    F = field_make(*dict(TOWERS)[name])
+    assert F.matmul.__qualname__.startswith("_table_kernel.")
+    assert F.matvec.__qualname__.startswith("_table_kernel.")
+    rng = random.Random(f"table-matmul:{name}")
+
+    def rand(m, n):
+        return [[rng.randrange(F.order) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(m)]
+
+    for m, k, n in ((1, 1, 1), (2, 5, 7), (7, 5, 2), (6, 6, 6), (3, 13, 4)):
+        A, B = rand(m, k), rand(k, n)
+        assert F.matmul(A, B) == tuple(tuple(F.dot(r, c) for c in zip(*B)) for r in A)
+
+
 def _entrywise(A, B, p):
     return tuple(tuple(sum(a * b for a, b in zip(r, c)) % p for c in zip(*B)) for r in A)
 
