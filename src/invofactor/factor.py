@@ -118,13 +118,14 @@ class _Block:
         self.data = data
 
 
-def _component(a, fac, p_, e):
-    # a basis of ker p^e(a), as columns, for fac the factors of mp(a): the
-    # standard basis when p^e is all of mp(a), so that p^e(a) = 0
+def _component(a, apply, fac, p_, e):
+    # a basis of ker p^e(a), as columns, for fac the factors of mp(a) and
+    # apply the tower's matvec of a: the standard basis when p^e is all of
+    # mp(a), so that p^e(a) = 0
     F, n = a.tower, a.nrows
     if len(fac) == 1:
         return Mat.identity(F, n)
-    apply, pe = F.matvec(a.rows), ppow(p_, e, F)
+    pe = ppow(p_, e, F)
     cols = _columns(F, [poly_column(F, apply, pe, j, n) for j in range(n)]).right_kernel_basis()
     if not cols:
         raise InternalInvariantError("expected a nonzero kernel", {"factor": pserialize(p_, F)})
@@ -139,8 +140,9 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
             "reciprocal factor missing or with mismatched multiplicity",
             {"factor": pserialize(p_, F), "reciprocal": pserialize(ps, F)},
         )
-    U = _component(a, fac, p_, e)
-    Us = _component(a, fac, ps, e)
+    apply = F.matvec(a.rows)
+    U = _component(a, apply, fac, p_, e)
+    Us = _component(a, apply, fac, ps, e)
     r = U.ncols
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
@@ -376,9 +378,9 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
     no Gram determinant and no pair scan: the same block the full search
     ends in."""
     F = form.tower
-    U = _component(a, fac, p_, e)
-    cols = [list(c) for c in zip(*U.rows)]
     apply = F.matvec(a.rows)
+    U = _component(a, apply, fac, p_, e)
+    cols = [list(c) for c in zip(*U.rows)]
     for e in range(e, 0, -1):
         pe = ppow(p_, e, F)
         D = pdeg(pe)
@@ -631,7 +633,8 @@ def symmetric_conjugator(a):
     the a_i."""
     F = a.tower
     fac = factorize(minimal_polynomial(a), F)
-    Us = [_component(a, fac, p_, e) for p_, e in fac]
+    apply = F.matvec(a.rows)
+    Us = [_component(a, apply, fac, p_, e) for p_, e in fac]
     B = hstack(Us)
     X = B @ block_diag(F, [_symmetric_conjugator(restrict(a, U)) for U in Us]) @ B.T
     if X.T != X or a @ X != X @ a.T or not X.det():

@@ -22,7 +22,9 @@ does all arithmetic on keys with one kernel, chosen from the field's shape:
   keys in characteristic 2) and a table for conj.  In characteristic 2 up
   to order 256 keys are bytes, and matrix products scale whole rows by
   bytes.translate through multiplication tables and sum them by XOR; other
-  tabled fields take a matrix's logs once per matvec and matmul;
+  tabled fields take a matrix's logs once per matvec and matmul, and in
+  odd characteristic sum products in 8-bit coordinate slots reduced by one
+  bytes.translate;
 - larger fields: coordinate kernels, GF(p^k) as polynomials mod the base
   modulus multiplied by Kronecker substitution (coordinates packed into
   slots of one int), E as pairs over F made from F's kernel.
@@ -31,7 +33,10 @@ The kernel is a set of functions on keys held by the tower: add, sub, neg,
 mul, inv, conj and pow on single keys; dot, scale, sub_scaled and matmul on
 key vectors and matrices, so that a dot product reduces once per entry; and
 matvec(rows), the map w -> rows . w (w read as zero-padded when shorter
-than the rows), made once for a matrix that many vectors are multiplied by.
+than the rows), made once for a matrix that many vectors are multiplied by;
+and the row form of elimination with its two steps, row, row_scale and
+row_sub: bytes where the byte lanes run (GF(p) for p <= 13, characteristic
+2 up to order 256), lists of keys elsewhere (_list_rows).
 FieldElem is a thin (tower, key) wrapper for the public API; Mat rows and
 poly.py's polynomials are raw keys.  poly.py serves the tower's searches:
 is_irreducible_poly tests the candidates for both moduli, least_root gives
@@ -72,6 +77,10 @@ _CHUNK = 1 << 8
 # CPython 3.11, packing won from about 18 output entries (3 x 6, 2 x 9,
 # 1 x 18) and tied or lost at 16 and below (4 x 4, 2 x 8)
 _PACK_ENTRIES = 18
+# the same for byte slots: over GF(2), GF(3), GF(5) and GF(7) with inner
+# dimension 2 to 8, byte slots took a median 1.14x the time of dot products
+# at 3 output entries, 1.04x at 4, 0.88x at 5 and 0.77x at 8
+_BYTE_ENTRIES = 5
 # the same for a prime-field matvec, by the matrix's rows: packing costs
 # about one unpacked product, and each packed product then took 0.8x the
 # time of the per-row dot products at 3 rows and 0.3x at 12; 2 rows tied
@@ -148,17 +157,21 @@ def _prime_kernel(t):
     every slot sum fits one, k (p-1)^2 <= 255 for inner dimension k (k up to
     255 at p = 2, 63 at p = 3, 15 at p = 5, 7 at p = 7), and one
     bytes.translate through the table x -> x mod p then reduces a whole
-    output vector.  Otherwise, while slot sums stay below 2^64, a product
-    with at least _PACK_ENTRIES output entries (a matvec with _PACK_ROWS
-    rows) packs into 64-bit slots reduced mod p one entry at a time, and
-    smaller ones make one dot product per entry."""
+    output vector; a product packs bytes from _BYTE_ENTRIES output entries
+    on, a matvec from _PACK_ROWS rows.  Otherwise, while slot sums stay
+    below 2^64, a product with at least _PACK_ENTRIES output entries (a
+    matvec with _PACK_ROWS rows) packs into 64-bit slots reduced mod p one
+    entry at a time.  Smaller products make one dot product per entry.
+
+    Elimination rows are bytes for p <= 13: a row step row - f * pivot is
+    row + (p - f) * pivot on the rows read as ints, whose slot sums are at
+    most p (p - 1) <= 255, and one translate reduces the result."""
     p = t.p
     mul = operator.mul
     # the largest inner dimensions k whose slot sums fit: k (p-1)^2 < 2^8, 2^64
     byte_terms = 255 // (p - 1) ** 2
     terms = ((1 << 64) - 1) // (p - 1) ** 2
-    # x -> x mod p on bytes, for the byte lane (which needs p <= 16)
-    mod_p = (bytes(range(p)) * (256 // p + 1))[:256] if byte_terms else None
+    mod_p = _mod_table(p) if byte_terms else None  # the byte lane needs p <= 16
     dots = _matvec_by_dots(t)
 
     def inv(a):
@@ -179,16 +192,17 @@ def _prime_kernel(t):
 
     def lane(k, outputs, least):
         # the slot packing and unpacking for inner dimension k, or None for
-        # dot products: words need at least `least` outputs to pay off
+        # dot products: least = (bytes, words) are the outputs each lane
+        # needs to pay off
         if k <= byte_terms:
-            return _byte_slots, byte_keys
-        if outputs >= least and k <= terms:
+            return (_byte_slots, byte_keys) if outputs >= least[0] else None
+        if outputs >= least[1] and k <= terms:
             return _word_slots, word_keys
         return None
 
     def matmul(ar, br):
         m, n = len(ar), len(br[0])
-        slots = lane(len(br), m * n, _PACK_ENTRIES)
+        slots = lane(len(br), m * n, (_BYTE_ENTRIES, _PACK_ENTRIES))
         if slots is None:
             cols = list(zip(*br))
             return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in ar)
@@ -202,7 +216,7 @@ def _prime_kernel(t):
 
     def matvec(rows):
         n = len(rows)
-        slots = lane(len(rows[0]), n, _PACK_ROWS)
+        slots = lane(len(rows[0]), n, (_PACK_ROWS, _PACK_ROWS))
         if slots is None:
             return dots(rows)
         pack, keys = slots
@@ -221,6 +235,19 @@ def _prime_kernel(t):
     t.sub_scaled = lambda ys, c, xs: [(y - c * x) % p for y, x in zip(ys, xs)]
     t.matmul = matmul
     t.matvec = matvec
+    if p * (p - 1) <= 255:
+        from_bytes = int.from_bytes
+
+        def row_scale(row, c):
+            return (c * from_bytes(row, "little")).to_bytes(len(row), "little").translate(mod_p)
+
+        def row_sub(row, f, pivot):
+            s = from_bytes(row, "little") + (p - f) * from_bytes(pivot, "little")
+            return s.to_bytes(len(row), "little").translate(mod_p)
+
+        t.row, t.row_scale, t.row_sub = bytes, row_scale, row_sub
+    else:
+        _list_rows(t)
 
 
 def _byte_slots(xs):
@@ -244,6 +271,19 @@ def _matvec_by_dots(t):
 
 def _identity(a):
     return a
+
+
+def _mod_table(p):
+    # the translate table x -> x mod p on bytes
+    return (bytes(range(p)) * (256 // p + 1))[:256]
+
+
+def _list_rows(t):
+    """Elimination rows as lists of keys, stepped by the tower's scale and
+    sub_scaled.  Every kernel installs row, row_scale and row_sub: the row
+    form, row_scale(row, c), the row scaled by c, and row_sub(row, f,
+    pivot), row - f * pivot, each returning the new row."""
+    t.row, t.row_scale, t.row_sub = list, t.scale, t.sub_scaled
 
 
 def _ext_coord_kernel(t):
@@ -305,7 +345,7 @@ def _ext_coord_kernel(t):
 
     def sub_scaled(ys, c, xs):
         nc = packed(t.neg(c))
-        return [fold(packed(y) + nc * packed(x)) for y, x in zip(ys, xs)]
+        return [fold(packed(y) + nc * packed(x)) if x else y for y, x in zip(ys, xs)]
 
     def matmul(ar, br):
         cols = [[packed(x) for x in col] for col in zip(*br)]
@@ -332,6 +372,7 @@ def _ext_coord_kernel(t):
     t.sub_scaled = sub_scaled
     t.matmul = matmul
     t.matvec = _matvec_by_dots(t)
+    _list_rows(t)
 
 
 def _quad_coord_kernel(t):
@@ -394,6 +435,7 @@ def _quad_coord_kernel(t):
 
     t.conj = conj
     t.inv = inv
+    _list_rows(t)
     assert conj(conj(q)) == q, "conj is not an involution"
 
 
@@ -417,12 +459,20 @@ def _table_kernel(t):
     log[0] is the sentinel Z = 2(Q-1) and exp2 (g^i for i < 2(Q-1), then
     zeros) runs to index 2Z, so exp2[log a + log b] is a*b with no test for
     zero.  In odd characteristic zech[d] = log(1 + g^d) (Z where that is 0)
-    gives a + b = g^(la + zech[lb - la]); dot products sum packed keys and
-    reduce mod p once per entry.  In characteristic 2 with Q <= 256, matmul
-    and matvec work on rows of bytes (_byte_lane_kernel).  Other fields keep
-    log-sums (a coordinate-plane byte lane measured slower on GF(243) and
-    GF(169)): matvec(rows) takes the logs of rows once, and matmul is the
-    matvec of B^T applied to each row of A."""
+    gives a + b = g^(la + zech[lb - la]).  A dot product maps each log-sum
+    to its product's key packed into coordinate slots and adds the packed
+    keys.  Up to 255 // (p-1) of them fit 8-bit slots without a carry, and
+    one translate through x -> x mod p and one lookup of the coordinate
+    bytes give the key of their sum; longer sums take _SLOT-bit slots,
+    reduced one coordinate at a time (in a microbenchmark on CPython 3.11,
+    reducing them in 8-bit chunks took 2-4x as long, and a 16 x 16 matvec
+    over GF(61^2) 2.3x).  In
+    characteristic 2 a dot product is the XOR of the products; with
+    Q <= 256, matmul and matvec work on rows of bytes (_byte_lane_kernel),
+    and so does elimination.  Other fields keep log-sums (a coordinate-plane
+    byte lane measured slower on GF(243) and GF(169)): matvec(rows) takes
+    the logs of rows once, and matmul is the matvec of B^T applied to each
+    row of A."""
     p, Q = t.p, t.order
     n1 = Q - 1
     g = _primitive_element(t)
@@ -467,8 +517,8 @@ def _table_kernel(t):
         xor = operator.xor
         prod = exp2.__getitem__  # log a + log b -> key of a*b
 
-        def total(terms):
-            return reduce(xor, terms, 0)
+        def total(lsums, n):
+            return reduce(xor, map(prod, lsums), 0)
 
         def sub_scaled(ys, c, xs):
             lc = log[c]
@@ -477,14 +527,21 @@ def _table_kernel(t):
         t.add = t.sub = xor
         t.neg = _identity
     else:
-        packed = _packed_keys(p, Q)
-        red = _packed_reducer(p, t.deg)
+        deg, mod_p = t.deg, _mod_table(p)
+        cap = 255 // (p - 1)  # packed keys whose 8-bit slot sums fit a byte
+        key_of = {bytes(_digits(x, p, deg)): x for x in range(Q)}.__getitem__
+        red = _packed_reducer(p, deg)
         half = n1 // 2  # log(-1)
         zech = [log[x - x % p + (x + 1) % p] for x in exp]
-        prod = [packed[x] for x in exp2].__getitem__  # log a + log b -> packed a*b
+        # log a + log b -> a*b packed in 8-bit and in _SLOT-bit slots
+        prod8, prod = ([packed[x] for x in exp2].__getitem__
+                       for packed in (_packed_keys(p, Q, 8), _packed_keys(p, Q)))
 
-        def total(terms):
-            return red(sum(terms))
+        def total(lsums, n):
+            # the key of the sum of the products of at most n log-sums
+            if n <= cap:
+                return key_of(sum(map(prod8, lsums)).to_bytes(deg, "little").translate(mod_p))
+            return red(sum(map(prod, lsums)))
 
         def add(a, b):
             if not a:
@@ -515,14 +572,15 @@ def _table_kernel(t):
         t.neg = lambda a: exp2[log[a] + half]
 
     def dot(xs, ys):
-        return total(map(prod, map(add_, map(lg, xs), map(lg, ys))))
+        return total(map(add_, map(lg, xs), map(lg, ys)), len(xs))
 
     def matvec(rows):
         lrows = [list(map(lg, r)) for r in rows]
 
         def apply(w):
             lw = list(map(lg, w))
-            return [total(map(prod, map(add_, lr, lw))) for lr in lrows]
+            n = len(lw)
+            return [total(map(add_, lr, lw), n) for lr in lrows]
 
         return apply
 
@@ -537,6 +595,7 @@ def _table_kernel(t):
     else:
         t.matmul = lambda ar, br: tuple(map(tuple, map(matvec(zip(*br)), ar)))
         t.matvec = matvec
+        _list_rows(t)
 
 
 class _Scalers(dict):
@@ -554,11 +613,12 @@ class _Scalers(dict):
 
 
 def _byte_lane_kernel(t, scalers):
-    """matmul and matvec of a characteristic-2 field of order <= 256: keys
-    are bytes and + is XOR, so a key vector scaled by a is one
-    bytes.translate through scalers[a], and a sum of scaled vectors is the
-    XOR of them read as ints (the multiplication tables of Reed-Solomon
-    coders)."""
+    """matmul, matvec and elimination rows of a characteristic-2 field of
+    order <= 256: keys are bytes and + is XOR, so a key vector scaled by a
+    is one bytes.translate through scalers[a], and a sum of scaled vectors
+    is the XOR of them read as ints (the multiplication tables of
+    Reed-Solomon coders).  A row step row - f * pivot is one translate of
+    the pivot and one XOR."""
     from_bytes = int.from_bytes
 
     def combine(vecs, coeffs):
@@ -582,8 +642,16 @@ def _byte_lane_kernel(t, scalers):
         cols, m = [bytes(c) for c in zip(*rows)], len(rows)
         return lambda w: list(combine(cols, w).to_bytes(m, "little"))
 
+    def row_scale(row, c):
+        return row.translate(scalers[c])
+
+    def row_sub(row, f, pivot):
+        s = from_bytes(row, "little") ^ from_bytes(pivot.translate(scalers[f]), "little")
+        return s.to_bytes(len(row), "little")
+
     t.matmul = matmul
     t.matvec = matvec
+    t.row, t.row_scale, t.row_sub = bytes, row_scale, row_sub
 
 
 def _packed_keys(p, Q, width=_SLOT):

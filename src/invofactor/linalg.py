@@ -15,6 +15,13 @@ through conj_product and gram.  They read G's pattern: when each row of G
 has one nonzero entry, as every standard space's Gram has, G conj(B) is a
 gather of scaled rows and a Gram costs one matrix product instead of two.
 Mat has no powers: polynomials act on vectors (decomp.poly_column).
+
+rref and det run one elimination loop each on the tower's row form and its
+two row operations (fields.py), row_scale and row_sub on whole rows: bytes
+stepped by one big-int multiply-add and one translate over GF(p), p <= 13,
+bytes stepped by one translate and one XOR over characteristic-2 fields of
+order <= 256, lists of keys (scale and sub_scaled) otherwise.  inv,
+solve_right and right_kernel_basis go through rref.
 """
 
 from __future__ import annotations
@@ -174,8 +181,8 @@ class Mat:
     def rref(self):
         """Reduced row echelon form: (R, pivot column list)."""
         F = self.tower
-        inv, scale, sub_scaled = F.inv, F.scale, F.sub_scaled
-        rows = [list(r) for r in self.rows]
+        inv, row_scale, row_sub = F.inv, F.row_scale, F.row_sub
+        rows = list(map(F.row, self.rows))
         m, n = self.nrows, self.ncols
         piv = []
         r = 0
@@ -184,21 +191,18 @@ class Mat:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            # the pivot row is zero left of c, so only columns c.. change
-            prow = rows[r]
-            prow[c:] = scale(prow[c:], inv(prow[c]))
-            tail = prow[c:]
+            # steps take whole rows; the pivot row is zero left of c
+            prow = rows[r] = row_scale(rows[r], inv(rows[r][c]))
             for i in range(m):
                 if i != r:
-                    row = rows[i]
-                    f = row[c]
+                    f = rows[i][c]
                     if f:
-                        row[c:] = sub_scaled(row[c:], f, tail)
+                        rows[i] = row_sub(rows[i], f, prow)
             piv.append(c)
             r += 1
             if r == m:
                 break
-        return Mat(F, tuple(tuple(row) for row in rows)), piv
+        return Mat(F, tuple(map(tuple, rows))), piv
 
     def rank(self):
         return len(self.rref()[1])
@@ -207,25 +211,25 @@ class Mat:
         if self.nrows != self.ncols:
             raise InputError("determinant needs a square matrix")
         F = self.tower
-        mul, inv, sub_scaled = F.mul, F.inv, F.sub_scaled
-        rows = [list(r) for r in self.rows]
+        mul, inv, row_sub = F.mul, F.inv, F.row_sub
+        rows = list(map(F.row, self.rows))
         n = self.nrows
         d = 1
         for c in range(n):
-            pr = next((i for i in range(c, n) if rows[i][c]), None)
+            # rows[c:] hold what is left to eliminate, columns c.. only
+            pr = next((i for i in range(c, n) if rows[i][0]), None)
             if pr is None:
                 return F.zero
             if pr != c:
                 rows[c], rows[pr] = rows[pr], rows[c]
                 d = F.neg(d)
-            pivot = rows[c][c]
-            d = mul(d, pivot)
-            pinv = inv(pivot)
-            tail = rows[c][c:]
+            prow = rows[c]
+            d = mul(d, prow[0])
+            pinv = inv(prow[0])
             for i in range(c + 1, n):
                 row = rows[i]
-                if row[c]:
-                    row[c:] = sub_scaled(row[c:], mul(row[c], pinv), tail)
+                f = row[0]
+                rows[i] = (row_sub(row, mul(f, pinv), prow) if f else row)[1:]
         return FieldElem(F, d)
 
     def inv(self):

@@ -16,7 +16,11 @@ re-checked against the input.  Both splitting steps run on the Frobenius
 map h -> h^Q mod f of each squarefree part f, a matrix built once from
 x^Q: the distinct-degree steps past the first, and the norm (odd Q) or
 relative trace (characteristic 2) that equal-degree splitting takes, are
-matrix-vector products, so x^Q is the only power with exponent Q.
+matrix-vector products.  Over GF(p) and in characteristic 2, x^Q is the
+only power with exponent Q.  Over GF(p^k), p odd and k >= 2, the only
+power with exponent p is x^p, and none has exponent Q or (Q-1)/2: the
+p-power map h -> h^p mod f, built once from x^p, gives x^Q and the
+equal-degree power.
 is_irreducible_poly, a check on the distinct-degree step, tests the
 candidates for both tower moduli in fields.py; least_root, the least-key
 root among factorize's linear factors, gives fields.py's square roots and
@@ -269,9 +273,14 @@ class _Frobenius:
     column i is x^(iQ) mod f, and one application is a matrix-vector
     product (von zur Gathen and Shoup, Comput. Complexity 2, 1992).
 
-    Column 1, x^Q, is the one ppowmod; it is taken on first use.  The other
-    columns are built only when the map is first applied, by a second
-    distinct-degree step or an equal-degree split of degree d >= 2: most
+    Over GF(p^k) with p odd and k >= 2 it also keeps sigma, the p-power map
+    h -> h^p mod f.  sigma is semilinear, sigma(sum c_i x^i) =
+    sum c_i^p x^(ip), so one application raises each coefficient to the
+    p-th power and multiplies by the matrix whose column i is x^(ip) mod f.
+    x^Q is then x^p followed by k - 1 applications of sigma, and x^p is the
+    one ppowmod; elsewhere x^Q is.  That power is taken on first use.  The
+    other columns are built only when their map is first applied, by a
+    second distinct-degree step or an equal-degree split: most
     tower-modulus candidates have a root, and is_irreducible_poly stops at
     x^Q for them."""
 
@@ -279,28 +288,65 @@ class _Frobenius:
         self.f, self.F = f, F
         self.cols = []  # x^(iQ) mod f, for i < len(cols)
         self._apply = None  # the tower's matvec of the matrix
+        # x^(ip) mod f, for sigma; None where sigma is not used
+        self.pcols = [] if F.p != 2 and F.deg > 1 else None
+        self._papply = None
 
     def xq(self):
         if not self.cols:
             f, F = self.f, self.F
-            self.cols = [pmod([1], f, F), ppowmod([0, 1], F.order, f, F)]
+            if self.pcols is None:
+                xq = ppowmod([0, 1], F.order, f, F)
+            else:
+                xq = self.xp()
+                for _ in range(F.deg - 1):
+                    xq = self.sigma(xq)
+            self.cols = [pmod([1], f, F), xq]
         return self.cols[1]
+
+    def xp(self):
+        if not self.pcols:
+            f, F = self.f, self.F
+            self.pcols = [pmod([1], f, F), ppowmod([0, 1], F.p, f, F)]
+        return self.pcols[1]
 
     def __call__(self, h):
         """h^Q mod f, for h reduced mod f."""
         if self._apply is None:
-            self._apply = self.F.matvec(self._matrix())
+            self.xq()
+            self._apply = self.F.matvec(_power_rows(self.f, self.F, self.cols))
         return pnormal(self._apply(h))
 
-    def _matrix(self):
-        # column i is x^(iQ) = K^i 1 for K, multiplication by x^Q mod f, so
-        # each column past x^Q is one product with K's matrix; K's column j,
-        # x^j x^Q mod f, is its column j - 1 times x, one shift and one
-        # scaled subtraction of f
-        f, F, n = self.f, self.F, len(self.f) - 1
+    def sigma(self, h):
+        """h^p mod f, for h reduced mod f (p odd, k >= 2)."""
+        F = self.F
+        if self._papply is None:
+            self.xp()
+            self._papply = F.matvec(_power_rows(self.f, F, self.pcols))
+        pw, p = F.pow, F.p
+        return pnormal(self._papply([pw(c, p) for c in h]))
+
+    def mod(self, g):
+        """The maps on F[x]/(g) for a factor g of f, from the columns built
+        so far reduced mod g, so no power is raised again."""
+        F, n = self.F, max(2, len(g) - 1)
+        sub = _Frobenius(g, F)
+        sub.cols = [pmod(c, g, F) for c in self.cols[:n]]
+        if self.pcols:
+            sub.pcols = [pmod(c, g, F) for c in self.pcols[:n]]
+        return sub
+
+
+def _power_rows(f, F, cols):
+    # the rows of the matrix whose column i is x^(ie) mod f, i < deg f, from
+    # cols = [1, x^e, ...] mod f, which it extends.  Column i is K^i 1 for
+    # K, multiplication by x^e mod f, so each missing column is one product
+    # with K's matrix; K's column j, x^j x^e mod f, is its column j - 1
+    # times x, one shift and one scaled subtraction of f
+    n = len(f) - 1
+    if len(cols) < n:
         low = f[:n]
-        xq = self.xq()
-        c = xq + [0] * (n - len(xq))
+        c = cols[1] + [0] * (n - len(cols[1]))
         kcols = [c]
         for _ in range(n - 1):
             top = c[-1]
@@ -309,17 +355,9 @@ class _Frobenius:
                 c = F.sub_scaled(c, top, low)
             kcols.append(c)
         apply = F.matvec(list(zip(*kcols)))
-        cols = self.cols
         while len(cols) < n:
             cols.append(pnormal(apply(cols[-1])))
-        return [[col[j] if j < len(col) else 0 for col in cols[:n]] for j in range(n)]
-
-    def mod(self, g):
-        """The map on F[x]/(g) for a factor g of f, from the columns built
-        so far reduced mod g, so x^Q is not raised again."""
-        sub = _Frobenius(g, self.F)
-        sub.cols = [pmod(c, g, self.F) for c in self.cols[: max(2, len(g) - 1)]]
-        return sub
+    return [[col[j] if j < len(col) else 0 for col in cols[:n]] for j in range(n)]
 
 
 def _distinct_degree(frob):
@@ -345,15 +383,19 @@ def _edf(f, d, frob, rng):
     # split monic squarefree f, all of whose irreducible factors have degree
     # d, with frob the Frobenius map mod a multiple of f.  Mod each factor,
     # a field GF(Q^d), the norm r^(1 + Q + ... + Q^(d-1)) of a random r lies
-    # in GF(Q), and its ((Q-1)/2)-th power is r^((Q^d-1)/2): 0, 1 or -1.  In
-    # characteristic 2 the relative trace r + r^Q + ... + r^(Q^(d-1)) plus
-    # its m - 1 successive squares (Q = 2^m) is the absolute trace, 0 or 1
+    # in GF(Q), and its ((Q-1)/2)-th power is r^((Q^d-1)/2): 0, 1 or -1.
+    # Over GF(p^k) with sigma, that power of s is the product of sigma^i(s),
+    # i < k, raised to (p-1)/2, as (Q-1)/2 = (1 + p + ... + p^(k-1)) (p-1)/2.
+    # In characteristic 2 the relative trace r + r^Q + ... + r^(Q^(d-1))
+    # plus its m - 1 successive squares (Q = 2^m) is the absolute trace, 0
+    # or 1
     n = len(f) - 1
     if n == d:
         return [f]
     F = frob.F
     Q = F.order
-    if d > 1 and frob.f != f:
+    semilinear = frob.pcols is not None
+    if (d > 1 or semilinear) and frob.f != f:
         frob = frob.mod(f)
     while True:
         r = pnormal([rng.randrange(Q) for _ in range(n)])
@@ -370,8 +412,14 @@ def _edf(f, d, frob, rng):
                 s = padd(s, sq, F)
             g = pgcd(s, f, F)
         else:
-            s = ppowmod(acc, (Q - 1) // 2, f, F)
-            g = pgcd(psub(s, [1], F), f, F)
+            s, e = acc, (Q - 1) // 2
+            if semilinear:
+                t = acc
+                for _ in range(F.deg - 1):
+                    t = frob.sigma(t)
+                    s = pmod(pmul(s, t, F), f, F)
+                e = (F.p - 1) // 2
+            g = pgcd(psub(ppowmod(s, e, f, F), [1], F), f, F)
         if 1 < len(g) <= n:
             rest = pdivmod(f, g, F)[0]
             return _edf(g, d, frob, rng) + _edf(rest, d, frob, rng)

@@ -158,6 +158,50 @@ def test_sampled_larger_spaces():
             assert cert.beta == form.tower.scalar(beta)
 
 
+def test_blocks_prepare_one_matvec_of_their_matrix(monkeypatch):
+    # a paired block prepares the tower's matvec of its a once for both its
+    # components, and a self-paired block once for its component and its
+    # Krylov matrices
+    runs = (
+        (symplectic_form(F3, 4), 1),
+        (symplectic_form(F5, 4), 2),
+        (hermitian_form(E9, 3), 1),
+        (orthogonal_plus_form(F3, 4), 2),
+        (orthogonal_minus_form(F5, 4), 3),
+        (symplectic_form(field_make(3, 5), 4), 1),
+    )
+    current, counts = [], []
+
+    def watch(name):
+        real = getattr(fac, name)
+
+        def block(form, beta, a, *rest):
+            current.append(a.rows)
+            counts.append([name, 0])
+            try:
+                return real(form, beta, a, *rest)
+            finally:
+                current.pop()
+
+        monkeypatch.setattr(fac, name, block)
+
+    watch("_paired_block")
+    watch("_self_paired_block")
+    for F in {form.tower for form, _ in runs}:
+
+        def matvec(rows, real_matvec=F.matvec):
+            if current and rows == current[-1]:
+                counts[-1][1] += 1
+            return real_matvec(rows)
+
+        monkeypatch.setattr(F, "matvec", matvec)
+    for form, beta in runs:
+        for g in group_sample(form, beta=beta, seed=7, count=12):
+            _ok(form, g, factor(form, g))
+    assert {name for name, _ in counts} == {"_paired_block", "_self_paired_block"}
+    assert all(n == 1 for _, n in counts), [c for c in counts if c[1] != 1]
+
+
 def test_transvection_over_a_large_prime_field_is_fast():
     # a degenerate cyclic space sends the construction to the scaled-pair
     # candidate scan; it must stop after its limit instead of listing all

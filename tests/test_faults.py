@@ -201,8 +201,8 @@ def _wrong_component_basis(monkeypatch, hits):
     # is the whole space, where every vector lies, and is left alone
     real = fac._component
 
-    def faulty(a, factors, p_, e):
-        U = real(a, factors, p_, e)
+    def faulty(a, apply, factors, p_, e):
+        U = real(a, apply, factors, p_, e)
         if len(factors) == 1:
             return U
         hits.append(1)
@@ -235,8 +235,8 @@ def _wrong_dual_basis(monkeypatch, hits):
         finally:
             seen["in_paired"] = None
 
-    def component(a, factors, p_, e):
-        K = real_component(a, factors, p_, e)
+    def component(a, apply, factors, p_, e):
+        K = real_component(a, apply, factors, p_, e)
         if seen["in_paired"] is None:
             return K
         seen["in_paired"] += 1

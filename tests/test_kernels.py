@@ -103,12 +103,16 @@ class RefField:
 # one tower per class: prime, GF(p^k) and quadratic, both sides of the table
 # bound, characteristic 2 among them; small primes and characteristic-2
 # fields of order up to 256 multiply matrices in byte slots (prime-7's
-# products of inner dimension 8 and up do not), GF(512) is one past that
+# products of inner dimension 8 and up do not), GF(512) is one past that.
+# Elimination rows are bytes over the same characteristic-2 fields and over
+# GF(p) up to p = 13; GF(17) is the first prime past that
 TOWERS = [
     ("prime-2", (2, 1, "trivial")),
     ("prime-3", (3, 1, "trivial")),
     ("prime-5", (5, 1, "trivial")),
     ("prime-7", (7, 1, "trivial")),
+    ("prime-13", (13, 1, "trivial")),
+    ("prime-17", (17, 1, "trivial")),
     ("prime-2^31-1", (2**31 - 1, 1, "trivial")),
     ("ext-GF16", (2, 4, "trivial")),
     ("ext-GF256", (2, 8, "trivial")),
@@ -153,6 +157,15 @@ def test_characteristic_2_byte_lane_stops_at_order_256():
         if field_make(*spec).matmul.__qualname__.startswith("_byte_lane_kernel.")
     ]
     assert on == ["ext-GF16", "ext-GF256", "quad-GF4", "quad-GF64"]
+
+
+def test_elimination_row_lane_stops_at_p_13_and_order_256():
+    # rows are bytes where a row step's slot sums fit one (GF(p), p <= 13)
+    # and in characteristic 2 up to order 256; lists of keys elsewhere
+    on = [name for name, spec in TOWERS if field_make(*spec).row is bytes]
+    assert on == ["prime-2", "prime-3", "prime-5", "prime-7", "prime-13",
+                  "ext-GF16", "ext-GF256", "quad-GF4", "quad-GF64"]
+    assert all(field_make(*spec).row is list for name, spec in TOWERS if name not in on)
 
 
 def _pairs(F, rng):
@@ -247,6 +260,29 @@ def test_long_dot_products_reduce_in_chunks():
         assert R.coords(F.dot([a] * n, [a] * n)) == want
 
 
+@pytest.mark.parametrize("spec, cap", [((3, 5, "trivial"), 127), ((7, 1, "quadratic"), 42)])
+def test_odd_table_sums_fill_8_bit_slots(spec, cap):
+    # an odd-characteristic table sum of up to 255 // (p - 1) terms adds
+    # packed keys in 8-bit coordinate slots and reduces them by one
+    # translate; all-(p-1) coordinates make each slot as large as it gets:
+    # exactly full at cap terms.  Longer sums take 32-bit slots
+    F = field_make(*spec)
+    R = RefField(F)
+    assert 255 // (F.p - 1) == cap
+    a = F.order - 1  # every coordinate p - 1
+    assert set(R.coords(a)) == {F.p - 1}
+    for n in (cap, cap + 1, 3 * cap + 2):
+        want = R.coords(0)
+        for _ in range(n % F.p):
+            want = R.add(want, R.coords(a))
+        assert R.coords(F.dot([a] * n, [1] * n)) == want
+        assert R.coords(F.dot([1] * n, [a] * n)) == want
+        apply = F.matvec([[a] * n] * 3)
+        assert [R.coords(x) for x in apply([1] * n)] == [want] * 3
+        # a vector shorter than the rows sums only its own length
+        assert [R.coords(x) for x in apply([1] * (n - 1))] == [R.coords(F.dot([a] * (n - 1), [1] * (n - 1)))] * 3
+
+
 def _rand_mat(F, n, rng):
     return Mat.from_rows(F, [[F.from_int(rng.randrange(F.order)) for _ in range(n)] for _ in range(n)])
 
@@ -339,7 +375,7 @@ def lanes(monkeypatch):
 def _lane(p, k, entries):
     # the lane a prime-field product of inner dimension k takes
     if k * (p - 1) ** 2 <= 255:
-        return {"byte"}
+        return {"byte"} if entries >= fields._BYTE_ENTRIES else set()
     return {"word"} if entries >= fields._PACK_ENTRIES else set()
 
 
@@ -347,8 +383,8 @@ def _lane(p, k, entries):
 def test_packed_matmul_matches_entrywise_sums(p, lanes):
     # every output shape 1..13 x 1..13, wide (packing B's rows) and tall
     # (packing A's columns): byte slots whenever every slot sum fits a byte,
-    # whatever the shape; otherwise 64-bit slots from fields._PACK_ENTRIES
-    # output entries on and dot products below
+    # from fields._BYTE_ENTRIES output entries on; otherwise 64-bit slots
+    # from fields._PACK_ENTRIES output entries on; dot products below
     F = field_make(p)
     rng = random.Random(f"packed:{p}")
     seen = []
@@ -416,3 +452,99 @@ def test_matvec_matches_dot_products(tower):
             w = [rng.randrange(F.order) for _ in range(length)]
             padded = w + [0] * (k - length)
             assert apply(w) == [F.dot(r, padded) for r in rows]
+
+
+def _ref_rref(F, rows):
+    # reduced row echelon form on lists of keys, one entry at a time
+    rows = [list(r) for r in rows]
+    m, n = len(rows), len(rows[0])
+    piv, r = [], 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = F.scale(rows[r], F.inv(rows[r][c]))
+        for i in range(m):
+            if i != r and rows[i][c]:
+                rows[i] = F.sub_scaled(rows[i], rows[i][c], rows[r])
+        piv.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), piv
+
+
+def _ref_det(F, rows):
+    rows = [list(r) for r in rows]
+    n, d = len(rows), 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            d = F.neg(d)
+        d = F.mul(d, rows[c][c])
+        pinv = F.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                rows[i] = F.sub_scaled(rows[i], F.mul(rows[i][c], pinv), rows[c])
+    return d
+
+
+def _elimination_inputs(F, rng):
+    # random shapes with entries drawn from 0, 1, p - 1 and anything, and
+    # matrices of p - 1 under a column of ones: each row step then adds
+    # (p - 1) (p - 1) to p - 1 in every slot, p (p - 1) in all, the most a
+    # byte row holds at p = 13
+    top = F.p - 1
+    pool = [0, 1, top, top, None]
+
+    def entry():
+        x = rng.choice(pool)
+        return rng.randrange(F.order) if x is None else x
+
+    out = []
+    for m, n in ((1, 1), (3, 3), (4, 7), (7, 4), (8, 8), (8, 8)):
+        out.append(tuple(tuple(entry() for _ in range(n)) for _ in range(m)))
+    for m, n in ((5, 5), (4, 9), (9, 3)):
+        out.append(tuple((1,) + (top,) * (n - 1) for _ in range(m)))
+        out.append(tuple((1,) + tuple(top if (i + j) % 3 else 0 for j in range(n - 1)) for i in range(m)))
+    return out
+
+
+def test_elimination_matches_list_row_reference(tower):
+    # rref, det, inv, solve_right and right_kernel_basis run on the tower's
+    # row form (bytes on the row lane) and agree with plain list rows
+    F = tower
+    rng = random.Random(f"elimination:{F!r}")
+    for rows in _elimination_inputs(F, rng):
+        A = Mat(F, rows)
+        m, n = len(rows), len(rows[0])
+        R, piv = _ref_rref(F, rows)
+        assert A.rref() == (Mat(F, R), piv)
+        kernel = []
+        for fc in (c for c in range(n) if c not in piv):
+            v = [0] * n
+            v[fc] = 1
+            for r, pc in enumerate(piv):
+                v[pc] = F.neg(R[r][fc])
+            kernel.append(Mat(F, tuple((x,) for x in v)))
+        assert A.right_kernel_basis() == kernel
+        b = tuple((rng.choice((0, 1, F.p - 1, rng.randrange(F.order))),) for _ in range(m))
+        Rb, pivb = _ref_rref(F, [r + c for r, c in zip(rows, b)])
+        if pivb and pivb[-1] >= n:
+            assert A.solve_right(Mat(F, b)) is None
+        else:
+            x = [[0] for _ in range(n)]
+            for r, pc in enumerate(pivb):
+                x[pc] = list(Rb[r][n:])
+            assert A.solve_right(Mat(F, b)) == Mat(F, tuple(map(tuple, x)))
+        if m == n:
+            assert A.det().int_key == _ref_det(F, rows)
+            eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            Ri, pivi = _ref_rref(F, [r + e for r, e in zip(rows, eye)])
+            if pivi == list(range(n)):
+                assert A.inv() == Mat(F, tuple(r[n:] for r in Ri))
+            else:
+                with pytest.raises(SingularMatrixError):
+                    A.inv()

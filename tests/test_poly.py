@@ -7,6 +7,8 @@ import random
 import pytest
 
 from invofactor import field_make, poly
+from test_kernels import TOWERS
+
 from invofactor.poly import (
     _Frobenius,
     factorize,
@@ -229,6 +231,8 @@ KERNEL_CLASSES = [
     ("tabled-GF16", (2, 4)),
     ("tabled-GF243", (3, 5)),
     ("tabled-GF49/GF7", (7, 1, "quadratic")),
+    ("tabled-GF125", (5, 3)),
+    ("tabled-GF49", (7, 2)),
     ("coord-GF3^11", (3, 11)),
     ("coord-GF2^17", (2, 17)),
     ("quad-coord-GF101^2", (101, 1, "quadratic")),
@@ -301,9 +305,38 @@ def test_frobenius_map_is_the_qth_power(params):
             assert sub(h) == ppowmod(h, Q, factor, F)
 
 
+P_POWER_TOWERS = [(name, spec) for name, spec in TOWERS if field_make(*spec).p != 2 and field_make(*spec).deg > 1]
+
+
+@pytest.mark.parametrize("spec", [s for _, s in P_POWER_TOWERS], ids=[n for n, _ in P_POWER_TOWERS])
+def test_p_power_map_is_the_pth_power(spec):
+    # sigma: h -> h^p mod f, semilinear, on every odd-characteristic tower
+    # of degree >= 2 over GF(p); also reduced mod a factor, and on a modulus
+    # that is not squarefree
+    F = field_make(*spec)
+    p = F.p
+    rng = random.Random(f"sigma:{spec}")
+    a, b = random_monic(F, 3, rng), random_monic(F, 2, rng)
+    moduli = [(random_monic(F, 1, rng), None), (b, None), (random_monic(F, 6, rng), None)]
+    moduli += [(pmul(a, b, F), a), (pmul(pmul(b, b, F), a, F), b)]
+    for f, factor in moduli:
+        frob = _Frobenius(f, F)
+        for _ in range(3):
+            h = pnormal([rng.randrange(F.order) for _ in range(pdeg(f))])
+            assert frob.sigma(h) == ppowmod(h, p, f, F), pserialize(f, F)
+        assert frob.xq() == ppowmod([0, 1], F.order, f, F)
+        if factor:
+            sub = frob.mod(factor)
+            h = pnormal([rng.randrange(F.order) for _ in range(pdeg(factor))])
+            assert sub.sigma(h) == ppowmod(h, p, factor, F)
+
+
 def test_factorize_takes_one_qth_power_per_squarefree_part(monkeypatch):
     # x^Q is the one power with exponent Q; every later distinct-degree step
-    # and every equal-degree split of degree d >= 2 applies the Frobenius map
+    # and every equal-degree split of degree d >= 2 applies the Frobenius map.
+    # Over GF(p^k), p odd and k >= 2, x^p is the one power with exponent p,
+    # and the p-power map gives x^Q and the equal-degree power (Q-1)/2, so
+    # no power has either exponent
     exponents = []
     real = poly.ppowmod
 
@@ -313,7 +346,7 @@ def test_factorize_takes_one_qth_power_per_squarefree_part(monkeypatch):
 
     monkeypatch.setattr(poly, "ppowmod", counted)
     rng = random.Random("one x^Q")
-    for params in [(3, 1), (2, 4), (101, 1), (7, 1, "quadratic")]:
+    for params in [(3, 1), (2, 4), (101, 1), (7, 1, "quadratic"), (5, 3)]:
         F = field_make(*params)
         irr = {d: random_irreducibles(F, d, 2, rng) for d in (1, 2, 3, 4, 5)}
         cases = [
@@ -327,7 +360,12 @@ def test_factorize_takes_one_qth_power_per_squarefree_part(monkeypatch):
             exponents.clear()
             assert factorize(f, F) == want
             parts = squarefree_parts(f, F)
-            assert exponents.count(F.order) == sum(pdeg(g) >= 2 for g, _ in parts), params
+            want_powers = sum(pdeg(g) >= 2 for g, _ in parts)
+            if F.p != 2 and F.deg > 1:
+                assert exponents.count(F.p) == want_powers, params
+                assert F.order not in exponents and (F.order - 1) // 2 not in exponents, params
+            else:
+                assert exponents.count(F.order) == want_powers, params
 
 
 # ---------------------------------------------------------------------------
