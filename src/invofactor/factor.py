@@ -48,7 +48,8 @@ matvec of a per block.
 This module is the one place that splits a space into primary components
 (_component: ker p^e(a), p^e(a) made by columns through one matvec of a,
 or the standard basis when p^e is all of mp(a)).  factor factors
-mp(g) once per element, and every complement inherits those factors less
+mp(g) once per element (inside a survey, once per distinct mp(g): see
+_shared), and every complement inherits those factors less
 the ones whose components its block filled: the other primary components
 lie whole in the complement (Wall), so a paired block drops p and p~, and a
 self-paired block drops p when it fills U = ker p^e(a).  Otherwise the
@@ -66,7 +67,10 @@ core_checks on the assembled certificate, made before factor returns it;
 a block that breaks its identities fails there and raises
 InternalInvariantError.  The guards left inside the construction only stop
 an impossible intermediate (a missing reciprocal factor, an empty kernel, a
-degenerate pairing) from turning into a crash or an input error.  The block
+degenerate pairing) from turning into a crash or an input error.  A
+complement's Gram is not tested: each block builder has shown its block
+nondegenerate (the cyclic hit, the invertible pairing, the cyclic pair's
+Gram), and a complement is nondegenerate exactly when its block is.  The block
 transcripts are descriptive and are not verified.  All searches are
 deterministic, so factoring the same element twice yields byte-identical
 certificates.
@@ -74,6 +78,8 @@ certificates.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import cache
 from itertools import chain, combinations
 
@@ -109,6 +115,43 @@ from .verify import det_target
 CERT_FORMAT = "invofactor-cert-v1"
 
 
+# results shared among the elements of one survey, by function and
+# arguments (polynomials as key tuples); None outside a survey
+_survey_memo = ContextVar("survey_memo", default=None)
+
+
+@contextmanager
+def _shared_within_survey():
+    """Inside this context, factor computes each factorization of a minimal
+    polynomial, and each per-factor polynomial and cyclic involution, once.
+
+    survey holds it for its loop, where many elements share a minimal
+    polynomial; the memo ends with the context, so a later call, or a
+    later survey, computes afresh."""
+    token = _survey_memo.set({})
+    try:
+        yield
+    finally:
+        _survey_memo.reset(token)
+
+
+def _shared(fn, *args):
+    # fn(*args), made once per survey for each distinct args; outside one,
+    # fn(*args) itself.  A result is a polynomial, a factor list [(p, e)]
+    # or a Mat; the lists are handed out as copies, so no caller shares a
+    # stored one, and a Mat is immutable
+    memo = _survey_memo.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *[tuple(a) if type(a) is list else a for a in args])
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = fn(*args)
+    if type(out) is not list:
+        return out
+    return [(list(p_), e) for p_, e in out] if out and type(out[0]) is tuple else list(out)
+
+
 class _Block:
     __slots__ = ("lift", "t", "data")
 
@@ -125,7 +168,7 @@ def _component(a, apply, fac, p_, e):
     F, n = a.tower, a.nrows
     if len(fac) == 1:
         return Mat.identity(F, n)
-    pe = ppow(p_, e, F)
+    pe = _shared(ppow, p_, e, F)
     cols = _columns(F, [poly_column(F, apply, pe, j, n) for j in range(n)]).right_kernel_basis()
     if not cols:
         raise InternalInvariantError("expected a nonzero kernel", {"factor": pserialize(p_, F)})
@@ -208,7 +251,7 @@ def _cyclic_t(F, beta, ann):
 def _cyclic_block(F, beta, K, ann):
     # K is the Krylov basis of a vector with annihilator ann, so a acts on it
     # by the companion matrix of ann
-    t = _cyclic_t(F, beta, ann)
+    t = _shared(_cyclic_t, F, beta, ann)
     return K, t, {"case": "cyclic", "dim": K.ncols, "annihilator": pserialize(ann, F)}
 
 
@@ -252,9 +295,9 @@ def _gamma(F, beta, G, x, Ky, pe):
 
 def _cyclic_pair_block(form, beta, G, Kx, Ky, p_, e):
     F = form.tower
-    pe = ppow(p_, e, F)
+    pe = _shared(ppow, p_, e, F)
     gamma = _gamma(F, beta, G, Kx.col(0), Ky, pe)
-    Tx = _cyclic_t(F, beta, pe)
+    Tx = _shared(_cyclic_t, F, beta, pe)
     t = block_diag(F, [Tx, _times_matrix(F, gamma, pe) @ Tx])
     B1 = hstack([Kx, Ky])
     if not gram(B1, G, B1).det():
@@ -382,9 +425,9 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
     U = _component(a, apply, fac, p_, e)
     cols = [list(c) for c in zip(*U.rows)]
     for e in range(e, 0, -1):
-        pe = ppow(p_, e, F)
+        pe = _shared(ppow, p_, e, F)
         D = pdeg(pe)
-        p_low = ppow(p_, e - 1, F)
+        p_low = _shared(ppow, p_, e - 1, F)
         # keys enter as they are: Mat.column would read them as GF(p) scalars
         probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
 
@@ -446,7 +489,7 @@ def _split(form, beta, a, G, lift, blocks, fac):
     if not fac:
         raise InternalInvariantError("minimal polynomial is constant", {})
     for p_, e in fac:
-        ps = twisted_reciprocal(p_, beta.key, F)
+        ps = _shared(twisted_reciprocal, p_, beta.key, F)
         if ps != p_:
             basis, t, data, fac_c = _paired_block(form, beta, a, G, p_, e, ps, fac)
             break
@@ -461,10 +504,7 @@ def _split(form, beta, a, G, lift, blocks, fac):
     comp = _orthocomplement(G, basis)
     if comp is None:
         raise InternalInvariantError("block does not close the space", {})
-    Gc = gram(comp, G, comp)
-    if not Gc.det():
-        raise InternalInvariantError("orthogonal complement is degenerate", {})
-    _split(form, beta, restrict(a, comp), Gc, lift @ comp, blocks, fac_c)
+    _split(form, beta, restrict(a, comp), gram(comp, G, comp), lift @ comp, blocks, fac_c)
 
 
 def _refine_dets(target, blocks):
@@ -563,7 +603,7 @@ def factor(form, g, det_refined=False):
         )
     beta = form.similitude_ratio(g)
     blocks = []
-    fac = factorize(minimal_polynomial(g), form.tower)
+    fac = _shared(factorize, minimal_polynomial(g), form.tower)
     _split(form, beta, g, form.J, Mat.identity(form.tower, form.n), blocks, fac)
     if det_refined:
         _refine_dets(det_target(form), blocks)

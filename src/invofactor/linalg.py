@@ -20,7 +20,8 @@ rref and det run one elimination loop each on the tower's row form and its
 two row operations (fields.py), row_scale and row_sub on whole rows: bytes
 stepped by one big-int multiply-add and one translate over GF(p), p <= 13,
 bytes stepped by one translate and one XOR over characteristic-2 fields of
-order <= 256, lists of keys (scale and sub_scaled) otherwise.  inv,
+order <= 256, lists of keys (scale and sub_scaled) otherwise.  det takes a
+1x1 or 2x2 matrix in closed form, as ad - bc, without the loop.  inv,
 solve_right and right_kernel_basis go through rref.
 """
 
@@ -41,6 +42,31 @@ def _key(tower, x):
     if isinstance(x, int):
         return x % tower.p
     raise InputError(f"bad matrix entry {x!r}")
+
+
+def _eliminated_det(F, rows):
+    # det of a square matrix of keys by one elimination loop on the tower's
+    # row form; Mat.det takes 1x1 and 2x2 in closed form
+    mul, inv, row_sub = F.mul, F.inv, F.row_sub
+    rows = list(map(F.row, rows))
+    n = len(rows)
+    d = 1
+    for c in range(n):
+        # rows[c:] hold what is left to eliminate, columns c.. only
+        pr = next((i for i in range(c, n) if rows[i][0]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            d = F.neg(d)
+        prow = rows[c]
+        d = mul(d, prow[0])
+        pinv = inv(prow[0])
+        for i in range(c + 1, n):
+            row = rows[i]
+            f = row[0]
+            rows[i] = (row_sub(row, mul(f, pinv), prow) if f else row)[1:]
+    return d
 
 
 class Mat:
@@ -70,7 +96,7 @@ class Mat:
 
     @staticmethod
     def identity(tower, n):
-        return Mat(tower, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return Mat(tower, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)))
 
     @staticmethod
     def zeros(tower, m, n):
@@ -211,26 +237,12 @@ class Mat:
         if self.nrows != self.ncols:
             raise InputError("determinant needs a square matrix")
         F = self.tower
-        mul, inv, row_sub = F.mul, F.inv, F.row_sub
-        rows = list(map(F.row, self.rows))
-        n = self.nrows
-        d = 1
-        for c in range(n):
-            # rows[c:] hold what is left to eliminate, columns c.. only
-            pr = next((i for i in range(c, n) if rows[i][0]), None)
-            if pr is None:
-                return F.zero
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                d = F.neg(d)
-            prow = rows[c]
-            d = mul(d, prow[0])
-            pinv = inv(prow[0])
-            for i in range(c + 1, n):
-                row = rows[i]
-                f = row[0]
-                rows[i] = (row_sub(row, mul(f, pinv), prow) if f else row)[1:]
-        return FieldElem(F, d)
+        if self.nrows == 2:
+            (a, b), (c, d) = self.rows
+            return FieldElem(F, F.sub(F.mul(a, d), F.mul(b, c)))
+        if self.nrows == 1:
+            return FieldElem(F, self.rows[0][0])
+        return FieldElem(F, _eliminated_det(F, self.rows))
 
     def inv(self):
         if self.nrows != self.ncols:

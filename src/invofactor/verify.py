@@ -6,6 +6,10 @@ construction transcript.  Failures become named report entries with a
 serialized witness, never exceptions, so a tampered certificate yields a
 readable diagnosis.  `survey` drives factor-and-verify over a whole group
 (or a seeded sample) and aborts loudly on the first failing certificate.
+A survey factors each distinct minimal polynomial once: factor keeps its
+factorizations, and the polynomials and cyclic involutions of each factor,
+in a memo that lives for the survey's loop only, so the certificates are
+those of bare factor calls.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
     VerificationError carrying the offending element and its transcript.
     Returns a JSON-ready summary: totals, failure count (always 0 on a
     normal return), block-case histogram, and det(h1) histogram."""
-    from .factor import factor
+    from .factor import factor, _shared_within_survey
 
     F = form.tower
     beta_elem = F.one if beta is None else form._as_elem(beta)
@@ -209,22 +213,23 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
     total = 0
     cases = {}
     dets = {}
-    for g in elements:
-        cert = factor(form, g, det_refined=refined)
-        report = verify_certificate(form, g, cert)
-        if not report.passed:
-            raise VerificationError(
-                report.failures()[0][0],
-                {
-                    "g": g.serialize(),
-                    "cert": cert.serialize(),
-                    "report": report.serialize(),
-                },
-            )
-        total += 1
-        case_histogram(cert.blocks, cases)
-        label = det_label(F, cert.h1.det())
-        dets[label] = dets.get(label, 0) + 1
+    with _shared_within_survey():
+        for g in elements:
+            cert = factor(form, g, det_refined=refined)
+            report = verify_certificate(form, g, cert)
+            if not report.passed:
+                raise VerificationError(
+                    report.failures()[0][0],
+                    {
+                        "g": g.serialize(),
+                        "cert": cert.serialize(),
+                        "report": report.serialize(),
+                    },
+                )
+            total += 1
+            case_histogram(cert.blocks, cases)
+            label = det_label(F, cert.h1.det())
+            dets[label] = dets.get(label, 0) + 1
     return {
         "beta": beta_elem.serialize(),
         "cases": dict(sorted(cases.items())),

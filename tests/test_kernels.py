@@ -19,7 +19,7 @@ import pytest
 
 from invofactor import SingularMatrixError, field_make, fields
 from invofactor.fields import _DOT_TERMS, TABLE_ORDER
-from invofactor.linalg import Mat
+from invofactor.linalg import Mat, _eliminated_det
 from invofactor.poly import pmul
 
 ALL_PAIRS_ORDER = 64
@@ -548,3 +548,22 @@ def test_elimination_matches_list_row_reference(tower):
             else:
                 with pytest.raises(SingularMatrixError):
                     A.inv()
+
+
+def test_small_determinants_match_the_elimination_loop(tower):
+    # det takes a 1x1 or 2x2 matrix in closed form, ad - bc, and skips the
+    # elimination loop; both give the same key, singular matrices included
+    F = tower
+    rng = random.Random(f"small-det:{F!r}")
+    keys = sorted({0, 1, F.p - 1, *(rng.randrange(F.order) for _ in range(4))})
+    mats = [((a,),) for a in keys]
+    mats += [((a, b), (c, d)) for a, b, c, d in itertools.product(keys, repeat=4)]
+    for x, y in itertools.product(keys, repeat=2):
+        s = rng.randrange(F.order)
+        mats += [((x, y), (F.mul(s, x), F.mul(s, y))), ((0, x), (0, y)), ((x, y), (0, 0))]
+    singular = 0
+    for rows in mats:
+        d = Mat(F, rows).det().int_key
+        assert d == _eliminated_det(F, rows), rows
+        singular += not d
+    assert singular > len(keys) ** 2

@@ -27,6 +27,7 @@ from invofactor import (
     verify_certificate,
 )
 from invofactor.cli import main
+from invofactor.decomp import minimal_polynomial
 from invofactor.forms import SesquiForm
 from invofactor.linalg import Mat, monomial_rows
 
@@ -219,6 +220,97 @@ def test_survey_aborts_on_the_first_failing_certificate(monkeypatch, capsys):
     first, rest = err.split("\n", 1)
     assert first.startswith("error: ") and "total:" not in out
     assert json.loads(rest) == info.value.context
+
+
+def _counted_factorize(monkeypatch):
+    # the minimal polynomials factor sends to factorize, as key tuples
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factorize
+    seen = []
+
+    def counted(f, F, *args, **kwargs):
+        seen.append(tuple(f))
+        return real(f, F, *args, **kwargs)
+
+    monkeypatch.setattr(fac, "factorize", counted)
+    return seen
+
+
+def test_a_survey_factorizes_each_minimal_polynomial_once(monkeypatch):
+    seen = _counted_factorize(monkeypatch)
+    go = orthogonal_plus_form(F3, 4)
+    summary = survey(go, beta=2)
+    distinct = {tuple(minimal_polynomial(g)) for g in group_enumerate(go, beta=2)}
+    assert summary["total"] > 10 * len(distinct)
+    assert sorted(seen) == sorted(distinct)
+
+
+def test_bare_factor_calls_each_factorize(monkeypatch):
+    seen = _counted_factorize(monkeypatch)
+    sp = symplectic_form(F5, 2)
+    g = Mat.from_rows(F5, [[1, 1], [0, 1]])
+    assert factor(sp, g).serialize() == factor(sp, g).serialize()
+    assert seen == [tuple(minimal_polynomial(g))] * 2
+
+
+def test_an_aborted_survey_leaves_no_memo_behind(monkeypatch):
+    # a survey whose first certificate fails raises; the memo it held ends
+    # with it, so the next bare factor call factorizes again
+    seen = _counted_factorize(monkeypatch)
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factor
+    met = []
+
+    def tampered(form, g, det_refined=False):
+        cert = real(form, g, det_refined=det_refined)
+        met.append(g)
+        return _tamper(cert, "h2", cert.h2 + Mat.from_rows(form.tower, [[0, 1], [0, 0]]))
+
+    monkeypatch.setattr(fac, "factor", tampered)
+    sp = symplectic_form(F3, 2)
+    with pytest.raises(VerificationError):
+        survey(sp)
+    assert len(met) == len(seen) == 1
+    real(sp, met[0])
+    real(sp, met[0])
+    assert seen == seen[:1] * 3
+
+
+def test_the_memo_hands_out_copies():
+    # a caller that changes its factor list changes neither the memo nor
+    # what the next caller gets
+    fac = importlib.import_module("invofactor.factor")
+    g = Mat.from_rows(F5, [[2, 1], [0, 3]])
+    f = minimal_polynomial(g)
+    with fac._shared_within_survey():
+        first = fac._shared(fac.factorize, f, F5)
+        first[0][0].append(4)
+        first.append(([1], 1))
+        assert fac._shared(fac.factorize, f, F5) == fac.factorize(f, F5)
+        power = fac._shared(fac.ppow, f, 2, F5)
+        power.append(4)
+        assert fac._shared(fac.ppow, f, 2, F5) == fac.ppow(f, 2, F5)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [symplectic_form(field_make(7), 2), hermitian_form(field_make(2, 1, "quadratic"), 3)],
+    ids=["Sp2(F7)", "U3(F4)"],
+)
+def test_survey_certificates_are_those_of_bare_factor_calls(monkeypatch, form):
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factor
+    made = []
+
+    def kept(form, g, det_refined=False):
+        made.append(real(form, g, det_refined=det_refined))
+        return made[-1]
+
+    monkeypatch.setattr(fac, "factor", kept)
+    assert survey(form)["total"] == len(made) > 0
+    for cert in made:
+        bare = real(form, cert.g)
+        assert json.dumps(cert.serialize()) == json.dumps(bare.serialize())
 
 
 def test_survey_sampled_is_reproducible():
