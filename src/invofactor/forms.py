@@ -11,14 +11,17 @@ matrix form of "phi(x) = A conj(x) reverses arguments":
 <phi(x), phi(y)> = beta * <y, x>.  Involutions h with h^2 = mu satisfy
 A * conj(A) = mu * I.
 
-Sampling walks are seeded and deterministic; enumeration visits matrices
-in a fixed canonical order (columns ascending by integer key, kernel
-coefficients ascending), so runs reproduce exactly.
+Sampling walks are seeded and deterministic.  Enumeration searches column
+by column on key vectors, with one elimination per search node and a Mat
+made only for each matrix it yields; it visits matrices in a fixed
+canonical order (the first column ascending by integer key, each later one
+by the key of its kernel coefficients), so runs reproduce exactly.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .errors import (
     BudgetExceededError,
@@ -373,71 +376,72 @@ def group_sample(form, beta=None, seed=0, count=1):
 # exhaustive enumeration by column DFS against a target Gram matrix
 
 
-def _vectors(tower, n):
-    for key in range(tower.order**n):
-        k = key
-        entries = []
-        for _ in range(n):
-            entries.append(tower.from_int(k % tower.order))
-            k //= tower.order
-        yield Mat.column(tower, entries)
+def _gram_column_solver(form, P, beta, budget):
+    """All matrices M whose columns pair as <m_i, m_j> = beta * P[i, j], in
+    canonical order.  Such M are automatically invertible when P is.
 
-
-def _gram_column_solver(form, target, budget):
-    """All matrices M with pairwise column products <m_i, m_j> = target[i][j],
-    in canonical order.  Such M are automatically invertible when target is."""
+    The search runs on key vectors and makes a Mat only of what it yields.
+    Column 0's candidates are the little-endian digits of 0 .. q^n - 1.
+    Below the root, column i solves A x = b, where A's rows are the pairing
+    rows (J conj(m_j))^T of the columns chosen so far and b_j is the
+    target <m_i, m_j>: one rref of [A | b] gives x0 (free coordinates zero)
+    and the kernel basis K, one vector per free column, and the candidates
+    are x0 + K t for t the little-endian digits of 0 .. q^d - 1, each made
+    by one matvec of [K | x0] prepared per node.  A pairing row is one
+    matvec of J prepared per solver, and <x, x> its dot product with x.
+    Every candidate, zero included, charges the budget once."""
     F = form.tower
-    n = form.n
-    J = form.J
-    spent = [0]
+    beta = F.one if beta is None else form._as_elem(beta)
+    target = [F.scale(r, beta.key) for r in P.rows]
+    n, q = form.n, F.order
+    pairing, dot, neg = F.matvec(form.J.rows), F.dot, F.neg
+    conj = F.conj if F.has_conj else None
+    digits = range(q)
+    spent = 0
 
-    def charge(k=1):
-        spent[0] += k
-        if spent[0] > budget:
-            raise BudgetExceededError(f"enumeration exceeded budget {budget}")
+    def solutions(rows):
+        # x0 + K t for every t in key order, or none when A x = b is
+        # inconsistent; K's columns stand reversed before x0, as product()
+        # runs its last digit fastest
+        i = len(rows)
+        R, piv = Mat(F, tuple((*w, target[i][j]) for j, w in enumerate(rows))).rref()
+        if n in piv:
+            return ()
+        free = [c for c in range(n) if c not in piv][::-1]
+        d = len(free)
+        kx = [None] * n
+        for k, c in enumerate(free):
+            kx[c] = (0,) * k + (1,) + (0,) * (d - k)
+        for r, c in zip(R.rows, piv):
+            kx[c] = (*(neg(r[f]) for f in free), r[n])
+        apply = F.matvec(kx)
+        return (apply((*t, 1)) for t in product(digits, repeat=d))
 
-    def extend(cols, rows):
+    def extend(cols, rows, candidates):
+        nonlocal spent
         i = len(cols)
-        if i == n:
-            yield hstack(cols)
-            return
-        diag_want = target[i, i]
-        if i == 0:
-            for v in _vectors(F, n):
-                charge()
-                if v.is_zero():
-                    continue
-                if form.value(v, v) == diag_want:
-                    w = conj_product(J, v).T
-                    yield from extend([v], [w])
-            return
-        A = vstack(rows)
-        b = Mat.column(F, [target[i, j] for j in range(i)])
-        x0 = A.solve_right(b)
-        if x0 is None:
-            return
-        # A has i < n rows, so its kernel is never empty
-        kerb = A.right_kernel_basis()
-        for coeffs in _vectors(F, len(kerb)):
-            charge()
-            x = x0
-            for t, kv in zip(coeffs.col_entries(0), kerb):
-                if t:
-                    x = x + kv * t
-            if x.is_zero() or form.value(x, x) != diag_want:
+        want = target[i][i]
+        for x in candidates:
+            spent += 1
+            if spent > budget:
+                raise BudgetExceededError(f"enumeration exceeded budget {budget}")
+            if not any(x):
                 continue
-            w = conj_product(J, x).T
-            yield from extend(cols + [x], rows + [w])
+            w = pairing(list(map(conj, x)) if conj else x)
+            if dot(x, w) != want:
+                continue
+            if i + 1 == n:
+                yield Mat(F, tuple(zip(*cols, x)))
+            else:
+                below = rows + [w]
+                yield from extend(cols + [x], below, solutions(below))
 
-    yield from extend([], [])
+    yield from extend([], [], (t[::-1] for t in product(digits, repeat=n)))
 
 
 def group_enumerate(form, beta=None, budget=10**7):
     """Every similitude of the given ratio, canonically ordered."""
-    beta = form.tower.one if beta is None else form._as_elem(beta)
-    target = form.J * beta
-    for M in _gram_column_solver(form, target, budget):
-        yield M
+    yield from _gram_column_solver(form, form.J, beta, budget)
 
 
 def anti_unitary_enumerate(form, beta=None, budget=10**7):
@@ -445,7 +449,5 @@ def anti_unitary_enumerate(form, beta=None, budget=10**7):
 
     These are the twist-1 similitudes of ratio beta.
     """
-    beta = form.tower.one if beta is None else form._as_elem(beta)
-    target = form.J.conj() * (form.eps_elem * beta)
-    for M in _gram_column_solver(form, target, budget):
-        yield M
+    # form._anti is eps * conj(J)
+    yield from _gram_column_solver(form, form._anti, beta, budget)

@@ -1,5 +1,8 @@
 """Forms layer against classical group orders and hand-checked members."""
 
+import hashlib
+import itertools
+import json
 import random
 import time
 
@@ -137,6 +140,117 @@ def test_enumeration_budget():
     sp = symplectic_form(F5, 2)
     with pytest.raises(BudgetExceededError):
         list(group_enumerate(sp, budget=3))
+
+
+def _changed_basis_sp4_f2():
+    # Sp4(F2) in the basis of a fixed P; its Gram P^T J P has a dense row
+    F2 = field_make(2)
+    P = Mat.from_rows(F2, [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    J = P.T @ symplectic_form(F2, 4).J @ P
+    assert monomial_rows(J) is None
+    return SesquiForm(F2, "symplectic", J)
+
+
+# each sequence's SHA-256 (of the JSON list of serialized matrices, compact
+# separators) and the least budget that completes it, recorded from the
+# Mat-per-candidate enumerator the key-vector search replaced: a change to
+# the order or to the one charge per candidate fails here
+ENUMERATIONS = {
+    "sp2-F5": (
+        lambda b: group_enumerate(symplectic_form(field_make(5), 2), budget=b),
+        120, 145, "0eedd2ea12f1f7fbc1a753d52a354565fa2868e1cb7a889eda11fa00e3429e46",
+    ),
+    "go4plus-F3-ratio2": (
+        lambda b: group_enumerate(orthogonal_plus_form(field_make(3), 4), 2, budget=b),
+        1152, 7857, "50d91575609c77f6883274fe10ac458ae4d720b7ebfde0cd4ea1fe2edd351289",
+    ),
+    "go4minus-F3-ratio2": (
+        lambda b: group_enumerate(orthogonal_minus_form(field_make(3), 4), 2, budget=b),
+        1440, 4401, "f969d76ca9e9735a4a442685bf61eef1c235c6fa895d1b001d790de23da76fb9",
+    ),
+    "u2-F9": (
+        lambda b: group_enumerate(hermitian_form(field_make(3, 1, "quadratic"), 2), budget=b),
+        96, 297, "c4e5d78ee1d035ab3f62374ad764c3c5121b47e97b9a8ea21e971c01acd2d057",
+    ),
+    "changed-basis-sp4-F2": (
+        lambda b: group_enumerate(_changed_basis_sp4_f2(), budget=b),
+        720, 1336, "87da8a944838ca49d5fc8f916a5faddb036d87c41d1ca3cad1202e8094b70f2b",
+    ),
+    "anti-u2-F4": (
+        lambda b: anti_unitary_enumerate(hermitian_form(field_make(2, 1, "quadratic"), 2), budget=b),
+        18, 40, "3f0d809b702c8ecb50a973d81eaa9b5d25a0e947984e4bb7d2808f7a57646ba0",
+    ),
+    "anti-sp2-F3": (
+        lambda b: anti_unitary_enumerate(symplectic_form(field_make(3), 2), budget=b),
+        24, 33, "3c5ed4c331c02473cd148494e95205183068511d84d21771bec3ae02a04987ef",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATIONS))
+def test_enumeration_order_and_budget_are_pinned(name):
+    run, count, budget, digest = ENUMERATIONS[name]
+    got = list(run(budget))
+    assert len(got) == count
+    blob = json.dumps([M.serialize() for M in got], separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    with pytest.raises(BudgetExceededError):
+        list(run(budget - 1))
+
+
+@pytest.mark.parametrize(
+    "form, beta, order",
+    [
+        (symplectic_form(field_make(5), 2), 1, 120),
+        (orthogonal_minus_form(field_make(5), 2), 2, 12),
+        (hermitian_form(field_make(2, 1, "quadratic"), 2), 1, 18),
+    ],
+    ids=["sp2-F5", "go2minus-F5-ratio2", "u2-F4"],
+)
+def test_enumeration_equals_the_brute_force_filter(form, beta, order):
+    # every one of the q^(n^2) matrices, kept when its similitude ratio is beta
+    F, n = form.tower, form.n
+    want = set()
+    for keys in itertools.product(range(F.order), repeat=n * n):
+        g = Mat(F, tuple(keys[i * n : (i + 1) * n] for i in range(n)))
+        if form.is_similitude(g, beta):
+            want.add(g)
+    assert len(want) == order
+    assert set(group_enumerate(form, beta)) == want
+
+
+def test_enumeration_makes_no_matrix_per_candidate(monkeypatch):
+    # candidates are key vectors: no Mat arithmetic, no per-node solve and
+    # kernel, no Mat-valued form value; each non-root node runs one rref
+    sp2 = symplectic_form(field_make(5), 2)
+    go4 = orthogonal_plus_form(field_make(3), 4)
+
+    def forbid(name):
+        def hook(*args, **kwargs):
+            raise AssertionError(f"{name} ran during enumeration")
+
+        return hook
+
+    for cls, name in [
+        (Mat, "__matmul__"),
+        (Mat, "__add__"),
+        (Mat, "__mul__"),
+        (Mat, "solve_right"),
+        (Mat, "right_kernel_basis"),
+        (SesquiForm, "value"),
+    ]:
+        monkeypatch.setattr(cls, name, forbid(f"{cls.__name__}.{name}"))
+    rref, rrefs = Mat.rref, []
+
+    def counted(self):
+        rrefs.append(self)
+        return rref(self)
+
+    monkeypatch.setattr(Mat, "rref", counted)
+    assert len(list(group_enumerate(sp2))) == 120
+    # the root keeps the 24 nonzero vectors, each a node of one rref
+    assert len(rrefs) == 24
+    assert len(list(group_enumerate(go4, 2))) == 1152
 
 
 def test_hand_members():
