@@ -10,24 +10,23 @@ the power bases of the tower GF(p) -> F -> E, the key is sum(c_i * p^i).
 Key 0 is zero, key 1 is one, and a key below p is that scalar.  The tower
 does all arithmetic on keys with one kernel, chosen from the field's shape:
 
-- prime fields: native ints mod p; a matrix product packs its wider side
-  into slots of one int per vector, so an output row (or column) is one
-  big-int multiply-accumulate, and a matrix-vector map packs its matrix
-  once for every vector.  The slots are bytes, and one bytes.translate
-  reduces a whole output vector mod p, when every slot sum fits a byte
-  (small p and inner dimension); otherwise they are 64 bits wide and
-  used only by products with enough output entries;
+- prime fields: native ints mod p; matrix products and matrix-vector maps
+  pack keys into byte or 64-bit slots, one big-int multiply-accumulate per
+  output row;
 - other fields of order <= TABLE_ORDER: log/antilog tables over a primitive
   element, with Zech logarithms for addition in odd characteristic (XOR of
   keys in characteristic 2) and a table for conj.  In characteristic 2 up
   to order 256 keys are bytes, and matrix products scale whole rows by
   bytes.translate through multiplication tables and sum them by XOR; other
   tabled fields take a matrix's logs once per matvec and matmul, and in
-  odd characteristic sum products in 8-bit coordinate slots reduced by one
-  bytes.translate;
+  odd characteristic sum products in coordinate slots;
 - larger fields: coordinate kernels, GF(p^k) as polynomials mod the base
-  modulus multiplied by Kronecker substitution (coordinates packed into
-  slots of one int), E as pairs over F made from F's kernel.
+  modulus multiplied by Kronecker substitution in coordinate slots, E as
+  pairs over F made from F's kernel.
+
+Every slot lane, and poly.pmul, uses the one slot format of poly.py: keys
+(key_slots) or one key's coordinates (coord_slots, coord_reader) in w-bit
+slots of one int, summed without carry and reduced mod p once.
 
 The kernel is a set of functions on keys held by the tower: add, sub, neg,
 mul, inv, conj and pow on single keys; dot, scale, sub_scaled and matmul on
@@ -54,12 +53,11 @@ and "least non-square" searches all use it.
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
 from functools import reduce
 
 from .errors import FieldConstructionError, InputError
-from .poly import _prime_divisors, is_irreducible_poly, least_root, pinvmod, pnormal
+from .poly import (_prime_divisors, coord_reader, coord_slots, is_irreducible_poly, key_slots,
+                   least_root, pinvmod, pnormal)
 
 # non-prime working fields up to this order run on log/antilog tables; the
 # largest non-prime field in the benchmark workloads is GF(2^12)
@@ -151,27 +149,23 @@ def _least_irreducible(P, d):
 
 def _prime_kernel(t):
     """Native ints mod p.  A product packs its wider side into slots of one
-    int per vector (Kronecker substitution), so each output row (or column)
-    is one big-int multiply-accumulate; matvec packs its matrix's columns
-    once for all the vectors it is applied to.  The slots are bytes when
-    every slot sum fits one, k (p-1)^2 <= 255 for inner dimension k (k up to
-    255 at p = 2, 63 at p = 3, 15 at p = 5, 7 at p = 7), and one
-    bytes.translate through the table x -> x mod p then reduces a whole
-    output vector; a product packs bytes from _BYTE_ENTRIES output entries
-    on, a matvec from _PACK_ROWS rows.  Otherwise, while slot sums stay
-    below 2^64, a product with at least _PACK_ENTRIES output entries (a
-    matvec with _PACK_ROWS rows) packs into 64-bit slots reduced mod p one
-    entry at a time.  Smaller products make one dot product per entry.
+    int per vector, so each output row (or column) is one big-int
+    multiply-accumulate; matvec packs its matrix's columns once for all the
+    vectors it is applied to.  lane() picks the slot width: bytes when every
+    slot sum fits one, k (p-1)^2 <= 255 for inner dimension k, from
+    _BYTE_ENTRIES output entries (a matvec from _PACK_ROWS rows); else 64
+    bits while slot sums stay below 2^64, from _PACK_ENTRIES output entries
+    (_PACK_ROWS rows); else one dot product per entry.
 
     Elimination rows are bytes for p <= 13: a row step row - f * pivot is
     row + (p - f) * pivot on the rows read as ints, whose slot sums are at
-    most p (p - 1) <= 255, and one translate reduces the result."""
+    most p (p - 1) <= 255."""
     p = t.p
     mul = operator.mul
     # the largest inner dimensions k whose slot sums fit: k (p-1)^2 < 2^8, 2^64
     byte_terms = 255 // (p - 1) ** 2
     terms = ((1 << 64) - 1) // (p - 1) ** 2
-    mod_p = _mod_table(p) if byte_terms else None  # the byte lane needs p <= 16
+    slots = {w: key_slots(p, w) for w in ((8, 64) if byte_terms else (64,))}
     dots = _matvec_by_dots(t)
 
     def inv(a):
@@ -184,44 +178,37 @@ def _prime_kernel(t):
             a, n = inv(a), -n
         return pow(a, n, p)
 
-    def byte_keys(s, n):
-        return list(s.to_bytes(n, "little").translate(mod_p))
-
-    def word_keys(s, n):
-        return [x % p for x in memoryview(s.to_bytes(8 * n, sys.byteorder)).cast("Q")]
-
     def lane(k, outputs, least):
-        # the slot packing and unpacking for inner dimension k, or None for
-        # dot products: least = (bytes, words) are the outputs each lane
-        # needs to pay off
+        # the slot width for inner dimension k, or None for dot products:
+        # least = (bytes, words) are the outputs each width needs to pay off
         if k <= byte_terms:
-            return (_byte_slots, byte_keys) if outputs >= least[0] else None
-        if outputs >= least[1] and k <= terms:
-            return _word_slots, word_keys
-        return None
+            return 8 if outputs >= least[0] else None
+        return 64 if outputs >= least[1] and k <= terms else None
 
     def matmul(ar, br):
         m, n = len(ar), len(br[0])
-        slots = lane(len(br), m * n, (_BYTE_ENTRIES, _PACK_ENTRIES))
-        if slots is None:
+        w = lane(len(br), m * n, (_BYTE_ENTRIES, _PACK_ENTRIES))
+        if w is None:
             cols = list(zip(*br))
             return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in ar)
-        pack, keys = slots
+        pack, read = slots[w]
         if n >= m:  # wide: pack the rows of B, one sum per output row
             prows = [pack(r) for r in br]
-            return tuple(tuple(keys(sum(map(mul, r, prows)), n)) for r in ar)
+            return tuple(tuple(read(sum(map(mul, r, prows)), n)) for r in ar)
         # tall: pack the columns of A, one sum per output column
         pcols = [pack(c) for c in zip(*ar)]
-        return tuple(zip(*[keys(sum(map(mul, c, pcols)), m) for c in zip(*br)]))
+        return tuple(zip(*[read(sum(map(mul, c, pcols)), m) for c in zip(*br)]))
 
     def matvec(rows):
         n = len(rows)
-        slots = lane(len(rows[0]), n, (_PACK_ROWS, _PACK_ROWS))
-        if slots is None:
+        w = lane(len(rows[0]), n, (_PACK_ROWS, _PACK_ROWS))
+        if w is None:
             return dots(rows)
-        pack, keys = slots
+        pack, read = slots[w]
         pcols = [pack(c) for c in zip(*rows)]
-        return lambda w: keys(sum(map(mul, w, pcols)), n)
+        if w == 8:  # bytes as a list
+            return lambda v: list(read(sum(map(mul, v, pcols)), n))
+        return lambda v: read(sum(map(mul, v, pcols)), n)
 
     t.add = lambda a, b: (a + b) % p
     t.sub = lambda a, b: (a - b) % p
@@ -236,28 +223,11 @@ def _prime_kernel(t):
     t.matmul = matmul
     t.matvec = matvec
     if p * (p - 1) <= 255:
-        from_bytes = int.from_bytes
-
-        def row_scale(row, c):
-            return (c * from_bytes(row, "little")).to_bytes(len(row), "little").translate(mod_p)
-
-        def row_sub(row, f, pivot):
-            s = from_bytes(row, "little") + (p - f) * from_bytes(pivot, "little")
-            return s.to_bytes(len(row), "little").translate(mod_p)
-
-        t.row, t.row_scale, t.row_sub = bytes, row_scale, row_sub
+        fb, read = int.from_bytes, slots[8][1]
+        t.row, t.row_scale = bytes, lambda row, c: read(c * fb(row, "little"), len(row))
+        t.row_sub = lambda row, f, pv: read(fb(row, "little") + (p - f) * fb(pv, "little"), len(row))
     else:
         _list_rows(t)
-
-
-def _byte_slots(xs):
-    # the keys xs, each below 2^8, in byte slots of one int, the first lowest
-    return int.from_bytes(bytes(xs), "little")
-
-
-def _word_slots(xs):
-    # the keys xs in 64-bit slots of one int, the first lowest
-    return int.from_bytes(array("Q", xs).tobytes(), sys.byteorder)
 
 
 def _matvec_by_dots(t):
@@ -271,11 +241,6 @@ def _matvec_by_dots(t):
 
 def _identity(a):
     return a
-
-
-def _mod_table(p):
-    # the translate table x -> x mod p on bytes
-    return (bytes(range(p)) * (256 // p + 1))[:256]
 
 
 def _list_rows(t):
@@ -298,13 +263,13 @@ def _ext_coord_kernel(t):
     m = t.base_modulus
     W = (2 * _DOT_TERMS * k * (p - 1) ** 2).bit_length()  # no slot carries
     mask, low = (1 << W) - 1, (1 << (W * k)) - 1
-    key_of = _packed_reducer(p, k, W)
+    key_of, pack = coord_reader(p, k, W), key_slots(p, W)[0]
     # keys are packed c coordinates at a time through a table of p^c entries
     c = 1
     while c < k and p ** (c + 1) <= _CHUNK:
         c += 1
     C = p**c
-    spread = _packed_keys(p, C, W) if c > 1 else range(p)
+    spread = coord_slots(p, C, W) if c > 1 else range(p)
     shifts = [W * c * j for j in range(-(-k // c))]
 
     def packed(a):
@@ -318,7 +283,7 @@ def _ext_coord_kernel(t):
     top = [-x % p for x in m[:k]]
     r, rtab = top, []
     for _ in range(k - 1):
-        rtab.append(sum(x << (W * i) for i, x in enumerate(r)))
+        rtab.append(pack(r))
         r = [(x + r[-1] * y) % p for x, y in zip([0] + r[:-1], top)]
 
     def fold(s):
@@ -359,7 +324,7 @@ def _ext_coord_kernel(t):
         t.add = t.sub = operator.xor
         t.neg = _identity
     else:
-        pk = sum(p << (W * i) for i in range(k))  # p in every slot: a - b >= 0
+        pk = pack([p] * k)  # p in every slot: a - b >= 0
         t.add = lambda a, b: key_of(packed(a) + packed(b))
         t.sub = lambda a, b: key_of(packed(a) + pk - packed(b))
         t.neg = lambda a: key_of(pk - packed(a))
@@ -460,13 +425,9 @@ def _table_kernel(t):
     zeros) runs to index 2Z, so exp2[log a + log b] is a*b with no test for
     zero.  In odd characteristic zech[d] = log(1 + g^d) (Z where that is 0)
     gives a + b = g^(la + zech[lb - la]).  A dot product maps each log-sum
-    to its product's key packed into coordinate slots and adds the packed
-    keys.  Up to 255 // (p-1) of them fit 8-bit slots without a carry, and
-    one translate through x -> x mod p and one lookup of the coordinate
-    bytes give the key of their sum; longer sums take _SLOT-bit slots,
-    reduced one coordinate at a time (in a microbenchmark on CPython 3.11,
-    reducing them in 8-bit chunks took 2-4x as long, and a 16 x 16 matvec
-    over GF(61^2) 2.3x).  In
+    to its product's key in coordinate slots and adds them: 8-bit slots for
+    up to 255 // (p-1) products, _SLOT-bit slots for more (reading those in
+    8-bit chunks measured 2-4x slower on CPython 3.11).  In
     characteristic 2 a dot product is the XOR of the products; with
     Q <= 256, matmul and matvec work on rows of bytes (_byte_lane_kernel),
     and so does elimination.  Other fields keep log-sums (a coordinate-plane
@@ -513,12 +474,15 @@ def _table_kernel(t):
         lc = log[c]
         return [exp2[lc + log[x]] for x in xs]
 
+    # the key of the sum of the products of the log-sums lsums is
+    # read(acc(map(prod, lsums))), one Python call per sum, with (read, acc,
+    # prod) = short for up to cap products and long for more: the XOR of the
+    # keys in characteristic 2 (iter passes them on), else their sum in
+    # coordinate slots, 8-bit ones for up to cap products
     if p == 2:
         xor = operator.xor
-        prod = exp2.__getitem__  # log a + log b -> key of a*b
-
-        def total(lsums, n):
-            return reduce(xor, map(prod, lsums), 0)
+        cap = 0
+        short = long = (lambda prods: reduce(xor, prods, 0), iter, exp2.__getitem__)
 
         def sub_scaled(ys, c, xs):
             lc = log[c]
@@ -527,21 +491,11 @@ def _table_kernel(t):
         t.add = t.sub = xor
         t.neg = _identity
     else:
-        deg, mod_p = t.deg, _mod_table(p)
-        cap = 255 // (p - 1)  # packed keys whose 8-bit slot sums fit a byte
-        key_of = {bytes(_digits(x, p, deg)): x for x in range(Q)}.__getitem__
-        red = _packed_reducer(p, deg)
+        cap = 255 // (p - 1)
+        short, long = ((coord_reader(p, t.deg, w), sum, [packed[x] for x in exp2].__getitem__)
+                       for w, packed in ((8, coord_slots(p, Q, 8)), (_SLOT, coord_slots(p, Q, _SLOT))))
         half = n1 // 2  # log(-1)
         zech = [log[x - x % p + (x + 1) % p] for x in exp]
-        # log a + log b -> a*b packed in 8-bit and in _SLOT-bit slots
-        prod8, prod = ([packed[x] for x in exp2].__getitem__
-                       for packed in (_packed_keys(p, Q, 8), _packed_keys(p, Q)))
-
-        def total(lsums, n):
-            # the key of the sum of the products of at most n log-sums
-            if n <= cap:
-                return key_of(sum(map(prod8, lsums)).to_bytes(deg, "little").translate(mod_p))
-            return red(sum(map(prod, lsums)))
 
         def add(a, b):
             if not a:
@@ -572,15 +526,16 @@ def _table_kernel(t):
         t.neg = lambda a: exp2[log[a] + half]
 
     def dot(xs, ys):
-        return total(map(add_, map(lg, xs), map(lg, ys)), len(xs))
+        read, acc, prod = short if len(xs) <= cap else long
+        return read(acc(map(prod, map(add_, map(lg, xs), map(lg, ys)))))
 
     def matvec(rows):
         lrows = [list(map(lg, r)) for r in rows]
 
         def apply(w):
             lw = list(map(lg, w))
-            n = len(lw)
-            return [total(map(add_, lr, lw), n) for lr in lrows]
+            read, acc, prod = short if len(lw) <= cap else long
+            return [read(acc(map(prod, map(add_, lr, lw)))) for lr in lrows]
 
         return apply
 
@@ -652,29 +607,6 @@ def _byte_lane_kernel(t, scalers):
     t.matmul = matmul
     t.matvec = matvec
     t.row, t.row_scale, t.row_sub = bytes, row_scale, row_sub
-
-
-def _packed_keys(p, Q, width=_SLOT):
-    """For every key below Q, an int holding its coordinate i in bits
-    [width*i, width*(i+1)); sums of these add coordinatewise."""
-    packed = [0] * Q
-    for x in range(1, Q):
-        packed[x] = (packed[x // p] << width) + x % p
-    return packed
-
-
-def _packed_reducer(p, deg, width=_SLOT):
-    """The key of a sum of packed keys: each coordinate reduced mod p."""
-    mask = (1 << width) - 1
-    shifts = [width * i for i in reversed(range(deg))]
-
-    def red(s):
-        key = 0
-        for sh in shifts:
-            key = key * p + ((s >> sh) & mask) % p
-        return key
-
-    return red
 
 
 def _primitive_element(t):
@@ -864,11 +796,13 @@ class FieldTower:
         return FieldElem(self, _key(coords, self.p))
 
     def scalar(self, c):
+        if type(c) is not int:
+            raise InputError(f"expected an integer, got {c!r}")
         return FieldElem(self, c % self.p)
 
     def from_int(self, n):
-        if not 0 <= n < self.order:
-            raise InputError(f"element key out of range: {n}")
+        if type(n) is not int or not 0 <= n < self.order:
+            raise InputError(f"expected an integer key in [0, {self.order}), got {n!r}")
         return FieldElem(self, n)
 
     def elements(self):

@@ -3,10 +3,16 @@
 A polynomial is a little-endian list of integer element keys (fields.py)
 with no trailing zeros; [] is zero.  Every function takes the tower F and
 does all arithmetic through its key operations, so a prime tower's
-polynomials run on native ints (products by Kronecker substitution: one
-integer product per polynomial product), and the same functions find the
-tower moduli in fields.py.  Apart from pnormal, which strips its argument
-in place, results are fresh lists and arguments are never modified.
+polynomials run on native ints, and the same functions find the tower
+moduli in fields.py.  Apart from pnormal, which strips its argument in
+place, results are fresh lists and arguments are never modified.
+
+The one slot format, of pmul over GF(p) and of every packed lane in
+fields.py, is here: keys (key_slots) or one key's GF(p) coordinates
+(coord_slots, coord_reader) in w-bit slots of one int, the first lowest,
+summed without carry and reduced mod p once (Kronecker substitution).
+Kernels call these factories when they are built, so no call on a hot
+path branches on w; pmul, which picks w per product, takes them cached.
 
 Factorization (squarefree / distinct-degree / equal-degree) is seeded and
 deterministic for a fixed seed.  Equal-degree splitting only stops on a
@@ -30,6 +36,9 @@ forms.py's norm preimages.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
+from functools import cache
 
 from .errors import InternalInvariantError
 
@@ -67,7 +76,14 @@ def pmul(f, g, F):
     if not f or not g:
         return []
     if F.deg == 1:
-        return _kronecker_mul(f, g, F.p)
+        # one integer product, its slots wide enough that no coefficient of
+        # f*g carries
+        p = F.p
+        w = (min(len(f), len(g)) * (p - 1) ** 2).bit_length()
+        w = 8 if w <= 8 else 64 if w <= 64 else w
+        pack, read = key_slots(p, w)
+        out = read(pack(f) * pack(g), len(f) + len(g) - 1)
+        return list(out) if w == 8 else out
     if len(f) < len(g):
         f, g = g, f
     n, m = len(f), len(g)
@@ -81,21 +97,61 @@ def pmul(f, g, F):
     return out  # no zero divisors: the leading coefficient is nonzero
 
 
-def _kronecker_mul(f, g, p):
-    # over GF(p): coefficients in w-bit slots of one int each, so a single
-    # integer product carries every coefficient of f*g with no overlap
-    w = (min(len(f), len(g)) * (p - 1) ** 2).bit_length()
-    a = b = 0
-    for c in reversed(f):
-        a = (a << w) | c
-    for c in reversed(g):
-        b = (b << w) | c
-    s, mask = a * b, (1 << w) - 1
-    out = []
-    for _ in range(len(f) + len(g) - 1):
-        out.append((s & mask) % p)
-        s >>= w
-    return out
+@cache
+def key_slots(p, w):
+    """(pack, read): pack(xs) puts the keys xs, each below 2^w, in w-bit
+    slots of one int; read(s, n) gives the first n slots of s, each mod p,
+    as bytes for w = 8 (one translate) and as a list otherwise."""
+    if w == 8:
+        mod_p = (bytes(range(p)) * (256 // p + 1))[:256]
+        return (lambda xs: int.from_bytes(bytes(xs), "little"),
+                lambda s, n: s.to_bytes(n, "little").translate(mod_p))
+    if w == 64:
+        return (lambda xs: int.from_bytes(array("Q", xs).tobytes(), sys.byteorder),
+                lambda s, n: [x % p for x in memoryview(s.to_bytes(8 * n, sys.byteorder)).cast("Q")])
+    mask = (1 << w) - 1
+
+    def pack(xs):
+        s = 0
+        for x in reversed(xs):
+            s = (s << w) | x
+        return s
+
+    def read(s, n):
+        out = []
+        for _ in range(n):
+            out.append((s & mask) % p)
+            s >>= w
+        return out
+
+    return pack, read
+
+
+def coord_slots(p, Q, w):
+    """For every key below Q, its GF(p) coordinates in w-bit slots of one int."""
+    packed = [0] * Q
+    for x in range(1, Q):
+        packed[x] = (packed[x // p] << w) + x % p
+    return packed
+
+
+def coord_reader(p, d, w):
+    """key(s): the key whose d coordinates are the w-bit slots of s, each mod
+    p; for w = 8 one translate and one lookup of the coordinate bytes."""
+    if w == 8:
+        mod_p = (bytes(range(p)) * (256 // p + 1))[:256]
+        key_of = {s.to_bytes(d, "little"): x for x, s in enumerate(coord_slots(p, p**d, 8))}.__getitem__
+        return lambda s: key_of(s.to_bytes(d, "little").translate(mod_p))
+    mask = (1 << w) - 1
+    shifts = [w * i for i in reversed(range(d))]
+
+    def key(s):
+        out = 0
+        for sh in shifts:
+            out = out * p + ((s >> sh) & mask) % p
+        return out
+
+    return key
 
 
 def pdivmod(f, g, F):

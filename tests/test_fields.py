@@ -341,3 +341,19 @@ def test_elem_validation():
             F.elem(bad)
     with pytest.raises(InputError):
         F.from_int(9)
+
+
+def test_scalar_and_from_int_take_only_ints():
+    # as elem does: a float, string or bool is an InputError, not an element
+    # whose key is that object, nor an error from inside the kernel
+    for F in (field_make(7), field_make(3, 2), field_make(3, 1, "quadratic")):
+        for bad in (1.5, 4.0, "3", True, None, [1]):
+            with pytest.raises(InputError):
+                F.from_int(bad)
+            with pytest.raises(InputError):
+                F.scalar(bad)
+        assert F.from_int(F.order - 1).key == F.order - 1
+        assert F.scalar(-1).key == F.p - 1
+        for bad in (-1, F.order):
+            with pytest.raises(InputError):
+                F.from_int(bad)

@@ -127,6 +127,7 @@ TOWERS = [
     ("quad-GF49", (7, 1, "quadratic")),
     ("quad-GF64", (2, 3, "quadratic")),
     ("quad-GF4096/GF64", (2, 6, "quadratic")),
+    ("quad-GF61^2", (61, 1, "quadratic")),
     ("quad-over-GF101^2", (101, 1, "quadratic")),
     ("quad-over-GF257^2", (257, 1, "quadratic")),
     ("quad-over-GF2^18", (2, 9, "quadratic")),
@@ -260,12 +261,14 @@ def test_long_dot_products_reduce_in_chunks():
         assert R.coords(F.dot([a] * n, [a] * n)) == want
 
 
-@pytest.mark.parametrize("spec, cap", [((3, 5, "trivial"), 127), ((7, 1, "quadratic"), 42)])
+@pytest.mark.parametrize("spec, cap", [((3, 5, "trivial"), 127), ((7, 1, "quadratic"), 42),
+                                       ((61, 1, "quadratic"), 4)])
 def test_odd_table_sums_fill_8_bit_slots(spec, cap):
     # an odd-characteristic table sum of up to 255 // (p - 1) terms adds
     # packed keys in 8-bit coordinate slots and reduces them by one
     # translate; all-(p-1) coordinates make each slot as large as it gets:
-    # exactly full at cap terms.  Longer sums take 32-bit slots
+    # exactly full at cap terms.  Longer sums take 32-bit slots; over
+    # GF(61^2) that is from 5 terms on, so even short sums cross it
     F = field_make(*spec)
     R = RefField(F)
     assert 255 // (F.p - 1) == cap
@@ -361,14 +364,22 @@ def _entrywise(A, B, p):
 @pytest.fixture
 def lanes(monkeypatch):
     # the slots the prime kernel packs vectors into, one entry per packed
-    # vector: "byte" or "word" (64 bits); a product of dot products packs none
+    # vector: "byte" or "word" (64 bits); a product of dot products packs
+    # none.  A kernel takes its packers from the factory when its tower is
+    # built, so the factory is wrapped and every tower is built afresh
     out = []
-    for name, lane in (("_byte_slots", "byte"), ("_word_slots", "word")):
-        def counted(xs, real=getattr(fields, name), lane=lane):
-            out.append(lane)
-            return real(xs)
 
-        monkeypatch.setattr(fields, name, counted)
+    def slots(p, w, real=fields.key_slots):
+        (pack, read), lane = real(p, w), {8: "byte", 64: "word"}[w]
+
+        def counted(xs):
+            out.append(lane)
+            return pack(xs)
+
+        return counted, read
+
+    monkeypatch.setattr(fields, "key_slots", slots)
+    monkeypatch.setattr(fields, "_TOWER_CACHE", {})
     return out
 
 

@@ -30,6 +30,30 @@ from invofactor.poly import (
 )
 
 
+def test_prime_field_products_at_the_slot_bound(monkeypatch):
+    # pmul over GF(p) is one integer product in w-bit slots, w the bit length
+    # of the largest coefficient sum min(len f, len g) (p - 1)^2; with every
+    # coefficient p - 1 the middle coefficients reach it, so a slot one bit
+    # too narrow would carry.  Byte, 64-bit and other widths all run here
+    widths = set()
+
+    def slots(p, w, real=poly.key_slots):
+        widths.add(w if w in (8, 64) else "other")
+        return real(p, w)
+
+    monkeypatch.setattr(poly, "key_slots", slots)
+    for p in (2, 3, 7, 13, 17, 65537, 2**31 - 1, 2**61 - 1):
+        F = field_make(p)
+        for n in range(1, 41):
+            for m in sorted({1, 2, n, 40}):
+                want = [0] * (n + m - 1)
+                for i in range(n):
+                    for j in range(m):
+                        want[i + j] += (p - 1) * (p - 1)
+                assert pmul([p - 1] * n, [p - 1] * m, F) == [c % p for c in want]
+    assert widths == {8, 64, "other"}
+
+
 def monics(F, d):
     for n in range(F.order**d):
         cs, m = [], n
