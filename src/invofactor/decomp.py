@@ -7,8 +7,12 @@ Everything here is deterministic: vector searches run over the standard
 columns in order, never over random probes.  Results hold by construction
 and are not re-checked here; the guards that remain turn an impossible
 intermediate (an unsolvable system, a complement of the wrong size) into
-InternalInvariantError instead of a crash.  _krylov_span, which the others
-build on, eliminates incrementally: each new power g^d v is reduced once
+InternalInvariantError instead of a crash.  restrict solves nothing: every
+invariant subspace it gets has a kernel basis (Mat.right_kernel) whose rows
+at the free columns form the identity, so the matrix of g on it is those
+rows of g times the basis.  frobenius_form peels its complements that way,
+and lifts nothing through the identity at the top.  _krylov_span, which the
+others build on, eliminates incrementally: each new power g^d v is reduced once
 against the echelon rows of the vectors before it, so a span of dimension d
 costs d products with g and O(n * d^2) key operations, with no re-solving.
 The products with g go through the tower's matvec of g, made once for all
@@ -28,15 +32,19 @@ from .linalg import Mat, hstack
 from .poly import pdeg, pmul
 
 
-def restrict(g, basis):
-    """The matrix of g on the invariant subspace spanned by basis columns."""
-    X = basis.solve_right(g @ basis)
-    if X is None:
-        raise InternalInvariantError(
-            "claimed invariant subspace is not invariant",
-            {"basis": basis.serialize()},
-        )
-    return X
+def restrict(g, basis, free):
+    """The matrix X of g on the invariant subspace spanned by the columns of
+    basis, whose rows at free form the identity (Mat.right_kernel).
+
+    g basis = basis X, and the rows of basis X at free are X itself, so X is
+    g[free] basis: one k x n by n x k product, no solve.  Invariance is not
+    checked here; a wrong X fails the final check of factor (or of
+    symmetric_conjugator).  A basis with every row free is the identity,
+    and X is g."""
+    if len(free) == g.nrows:
+        return g
+    rows = g.rows
+    return Mat(g.tower, tuple(rows[i] for i in free)) @ basis
 
 
 def _krylov_span(F, apply, w):
@@ -113,7 +121,8 @@ def frobenius_form(g):
     invariant factor's degree (which the next one divides) or the dimension."""
     F = g.tower
     blocks = []
-    h, lift, top = g, Mat.identity(F, g.nrows), g.nrows
+    # lift maps h's coordinates to g's; None while h is g itself
+    h, lift, top = g, None, g.nrows
     while True:
         m = h.nrows
         K, ann = None, [1]
@@ -122,7 +131,7 @@ def frobenius_form(g):
                 K, ann = Kj, annj
                 if pdeg(ann) == min(top, m):
                     break
-        blocks.append((lift @ K, ann))
+        blocks.append((K if lift is None else lift @ K, ann))
         d = pdeg(ann)
         if d == m:
             break
@@ -136,11 +145,10 @@ def frobenius_form(g):
         rows = [[r[0] for r in phi_t.rows]]
         for _ in range(d - 1):
             rows.append(apply_t(rows[-1]))
-        comp = Mat(F, tuple(map(tuple, rows))).right_kernel_basis()
-        if len(comp) != m - d:
+        C, free = Mat(F, tuple(map(tuple, rows))).right_kernel()
+        if len(free) != m - d:
             raise InternalInvariantError(
-                "invariant complement has wrong dimension", {"got": len(comp)}
+                "invariant complement has wrong dimension", {"got": len(free)}
             )
-        C = hstack(comp)
-        h, lift, top = restrict(h, C), lift @ C, d
+        h, lift, top = restrict(h, C, free), C if lift is None else lift @ C, d
     return hstack([b for b, _ in blocks]), [f for _, f in blocks]

@@ -162,17 +162,18 @@ class _Block:
 
 
 def _component(a, apply, fac, p_, e):
-    # a basis of ker p^e(a), as columns, for fac the factors of mp(a) and
-    # apply the tower's matvec of a: the standard basis when p^e is all of
-    # mp(a), so that p^e(a) = 0
+    # (basis, free): a basis of ker p^e(a), as columns, and the rows of it
+    # that form the identity (decomp.restrict), for fac the factors of
+    # mp(a) and apply the tower's matvec of a: the standard basis when p^e
+    # is all of mp(a), so that p^e(a) = 0
     F, n = a.tower, a.nrows
     if len(fac) == 1:
-        return Mat.identity(F, n)
+        return Mat.identity(F, n), range(n)
     pe = _shared(ppow, p_, e, F)
-    cols = _columns(F, [poly_column(F, apply, pe, j, n) for j in range(n)]).right_kernel_basis()
-    if not cols:
+    U, free = _columns(F, [poly_column(F, apply, pe, j, n) for j in range(n)]).right_kernel()
+    if not free:
         raise InternalInvariantError("expected a nonzero kernel", {"factor": pserialize(p_, F)})
-    return hstack(cols)
+    return U, free
 
 
 def _paired_block(form, beta, a, G, p_, e, ps, fac):
@@ -184,13 +185,13 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
             {"factor": pserialize(p_, F), "reciprocal": pserialize(ps, F)},
         )
     apply = F.matvec(a.rows)
-    U = _component(a, apply, fac, p_, e)
-    Us = _component(a, apply, fac, ps, e)
+    U, free = _component(a, apply, fac, p_, e)
+    Us, _ = _component(a, apply, fac, ps, e)
     r = U.ncols
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
     # a restricted to its p-primary component has minimal polynomial p^e
-    X = _symmetric_conjugator(restrict(a, U))
+    X = _symmetric_conjugator(restrict(a, U, free))
     M = gram(U, G, Us)  # M[i, k] = <u_i, u'_k>
     try:
         coeffs = M.conj().inv() * form.eps_elem
@@ -422,7 +423,7 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
     ends in."""
     F = form.tower
     apply = F.matvec(a.rows)
-    U = _component(a, apply, fac, p_, e)
+    U, _ = _component(a, apply, fac, p_, e)
     cols = [list(c) for c in zip(*U.rows)]
     for e in range(e, 0, -1):
         pe = _shared(ppow, p_, e, F)
@@ -477,14 +478,18 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
 
 
 def _orthocomplement(G, basis):
-    ker = (basis.T @ G).right_kernel_basis()
-    if not ker:
+    # (comp, free) as Mat.right_kernel gives them, for the complement
+    # conj(ker basis^T G); conj keeps 0 and 1, so comp's rows at free are
+    # still the identity.  None when the complement is zero
+    K, free = (basis.T @ G).right_kernel()
+    if not free:
         return None
-    return hstack([k.conj() for k in ker])
+    return K.conj(), free
 
 
 def _split(form, beta, a, G, lift, blocks, fac):
-    # fac factors mp(a), with self-paired exponents as upper bounds
+    # fac factors mp(a), with self-paired exponents as upper bounds; lift
+    # maps a's coordinates to the space's, None at the top, where a is g
     F = form.tower
     if not fac:
         raise InternalInvariantError("minimal polynomial is constant", {})
@@ -495,16 +500,18 @@ def _split(form, beta, a, G, lift, blocks, fac):
             break
     else:
         basis, t, data, fac_c = _self_paired_block(form, beta, a, G, *fac[0], fac)
-    lb = lift @ basis
+    lb = basis if lift is None else lift @ basis
     data["basis"] = lb.serialize()
     data["local_involution"] = t.serialize()
     blocks.append(_Block(lb, t, data))
     if basis.ncols == a.nrows:
         return
-    comp = _orthocomplement(G, basis)
-    if comp is None:
+    out = _orthocomplement(G, basis)
+    if out is None:
         raise InternalInvariantError("block does not close the space", {})
-    _split(form, beta, restrict(a, comp), gram(comp, G, comp), lift @ comp, blocks, fac_c)
+    comp, free = out
+    lc = comp if lift is None else lift @ comp
+    _split(form, beta, restrict(a, comp, free), gram(comp, G, comp), lc, blocks, fac_c)
 
 
 def _refine_dets(target, blocks):
@@ -604,7 +611,7 @@ def factor(form, g, det_refined=False):
     beta = form.similitude_ratio(g)
     blocks = []
     fac = _shared(factorize, minimal_polynomial(g), form.tower)
-    _split(form, beta, g, form.J, Mat.identity(form.tower, form.n), blocks, fac)
+    _split(form, beta, g, form.J, None, blocks, fac)
     if det_refined:
         _refine_dets(det_target(form), blocks)
     B = hstack([b.lift for b in blocks])
@@ -675,8 +682,8 @@ def symmetric_conjugator(a):
     fac = factorize(minimal_polynomial(a), F)
     apply = F.matvec(a.rows)
     Us = [_component(a, apply, fac, p_, e) for p_, e in fac]
-    B = hstack(Us)
-    X = B @ block_diag(F, [_symmetric_conjugator(restrict(a, U)) for U in Us]) @ B.T
+    B = hstack([U for U, _ in Us])
+    X = B @ block_diag(F, [_symmetric_conjugator(restrict(a, U, free)) for U, free in Us]) @ B.T
     if X.T != X or a @ X != X @ a.T or not X.det():
         raise InternalInvariantError("symmetric conjugator construction failed", {})
     return X

@@ -625,7 +625,8 @@ class FieldElem:
     """One element of a FieldTower's working field: the tower and the key.
 
     Immutable; arithmetic dispatches to the tower's key kernel.  Plain ints
-    coerce (reduced mod p), so `2 * a - 1` means what it reads as.
+    coerce (reduced mod p), so `2 * a - 1` means what it reads as; a bool is
+    not a scalar, and mixing one in raises InputError.
     """
 
     __slots__ = ("tower", "key")
@@ -640,6 +641,8 @@ class FieldElem:
                 raise InputError("cannot mix elements of different field towers")
             return other.key
         if isinstance(other, int):
+            if isinstance(other, bool):
+                raise InputError(f"a bool is not a field scalar: {other!r}")
             return other % self.tower.p
         return None
 

@@ -33,6 +33,7 @@ from .errors import (
 from .fields import FieldElem, field_from_descriptor
 from .linalg import (
     Mat,
+    anchor,
     block_diag,
     conj_product,
     gram,
@@ -103,19 +104,20 @@ class SesquiForm:
         beta is read at P's first nonzero entry in row-major order.  When
         every row of P has one nonzero entry (monomial_rows), S matches row
         by row along that pattern: each row of S has its one nonzero entry
-        beta * P[i, j] at P's column j.  Otherwise beta * P is built and
-        compared whole."""
+        beta * P[i, j] at P's column j.  Otherwise each row of S is compared
+        with beta times P's row, on keys; the anchor entry and its inverse
+        are read once per P (linalg.anchor)."""
         F = self.tower
         pattern = monomial_rows(P)
         if pattern is None:
-            anchor = next(
-                ((i, j) for i in range(self.n) for j in range(self.n) if P[i, j]), None
-            )
-            assert anchor is not None
-            beta = S[anchor] / P[anchor]
-            if not beta:
+            i, j, inv = anchor(P)
+            b = F.mul(S.rows[i][j], inv)
+            if not b:
                 return None
-            return beta if S == P * beta else None
+            scale = F.scale
+            if any(scale(pr, b) != list(sr) for pr, sr in zip(P.rows, S.rows)):
+                return None
+            return FieldElem(F, b)
         j0, c0 = pattern[0]
         b = F.mul(S.rows[0][j0], F.inv(c0))
         if not b:

@@ -4,8 +4,12 @@ Every check recomputes its identity directly from the supplied space, the
 element, and the certificate's (beta, h1, h2); nothing is trusted from the
 construction transcript.  Failures become named report entries with a
 serialized witness, never exceptions, so a tampered certificate yields a
-readable diagnosis.  `survey` drives factor-and-verify over a whole group
-(or a seeded sample) and aborts loudly on the first failing certificate.
+readable diagnosis.  The checks run on key rows: three Grams, h1 conj(h1),
+and one stacked product [h2; h1] conj(h2) that gives h2 conj(h2) and
+h1 conj(h2) together, compared with I, beta I and g entry by entry; a Mat
+and a witness are made only for a failing check.  `survey` drives
+factor-and-verify over a whole group (or a seeded sample) and aborts loudly
+on the first failing certificate.
 A survey factors each distinct minimal polynomial once: factor keeps its
 factorizations, and the polynomials and cyclic involutions of each factor,
 in a memo that lives for the survey's loop only, so the certificates are
@@ -41,6 +45,12 @@ def det_target(form):
     return form.tower.one if (form.n // 2) % 2 == 0 else -form.tower.one
 
 
+def _is_scalar(rows, b):
+    # whether the square key rows are b * I: b on the diagonal, 0 elsewhere
+    zeros = len(rows) - (b != 0)
+    return all(r[i] == b and r.count(0) == zeros for i, r in enumerate(rows))
+
+
 def _checks(form, g, beta, h1, h2, det_refined=False):
     """[(name, passed, witness-or-None)] for the defining identities."""
     F = form.tower
@@ -68,7 +78,6 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
         # witness() serializes the offending matrices; a passing check skips it
         out.append((name, bool(ok), None if ok else witness()))
 
-    eye = Mat.identity(F, n)
     try:
         sim_ok = form.is_similitude(g, beta)
     except InputError:
@@ -79,24 +88,30 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
         lambda: {"g": g.serialize(), "beta": beta.serialize()},
     )
     add("h1_twist1_ratio_one", form.anti_ratio(h1) == F.one, lambda: {"h1": h1.serialize()})
-    sq1 = h1 @ h1.conj()
-    add("h1_involution", sq1 == eye, lambda: {"h1_times_conj_h1": sq1.serialize()})
+    # the products stay key rows; a Mat is made only for a failing witness
+    sq1 = F.matmul(h1.rows, h1.conj().rows)
+    add(
+        "h1_involution",
+        _is_scalar(sq1, 1),
+        lambda: {"h1_times_conj_h1": Mat(F, sq1).serialize()},
+    )
     add(
         "h2_twist1_ratio_beta",
         form.anti_ratio(h2) == beta,
         lambda: {"h2": h2.serialize(), "beta": beta.serialize()},
     )
-    sq2 = h2 @ h2.conj()
+    # one product [h2; h1] conj(h2) gives h2 conj(h2) over h1 conj(h2)
+    both = F.matmul(h2.rows + h1.rows, h2.conj().rows)
+    sq2, prod = both[:n], both[n:]
     add(
         "h2_square_is_beta",
-        sq2 == eye * beta,
-        lambda: {"h2_times_conj_h2": sq2.serialize(), "beta": beta.serialize()},
+        _is_scalar(sq2, beta.key),
+        lambda: {"h2_times_conj_h2": Mat(F, sq2).serialize(), "beta": beta.serialize()},
     )
-    prod = h1 @ h2.conj()
     add(
         "h1_h2_product_is_g",
-        prod == g,
-        lambda: {"h1_times_conj_h2": prod.serialize(), "g": g.serialize()},
+        prod == g.rows,
+        lambda: {"h1_times_conj_h2": Mat(F, prod).serialize(), "g": g.serialize()},
     )
     if det_refined:
         target = det_target(form)

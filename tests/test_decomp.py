@@ -4,12 +4,20 @@ reference code for these and the other test modules; the library needs
 none of them (it evaluates polynomials on vectors, decomp.poly_column)."""
 
 import random
+import sys
 
 import pytest
 from test_kernels import TOWERS
 
 from invofactor import decomp as dec
-from invofactor import field_make
+from invofactor import (
+    factor,
+    field_make,
+    group_sample,
+    hermitian_form,
+    symmetric_conjugator,
+    symplectic_form,
+)
 from invofactor.decomp import frobenius_form, minimal_polynomial, restrict
 from invofactor.factor import _component
 from invofactor.linalg import Mat, block_diag, hstack, vstack
@@ -202,10 +210,11 @@ def test_primary_components_structure():
         mp = minimal_polynomial(A)
         fac = factorize(mp, F)
         apply = F.matvec(A.rows)
-        comps = [(p_, e, _component(A, apply, fac, p_, e)) for p_, e in fac]
-        assert sum(b.ncols for _, _, b in comps) == n
-        for p_, e, basis in comps:
-            X = restrict(A, basis)  # raises if not invariant
+        comps = [(p_, e, *_component(A, apply, fac, p_, e)) for p_, e in fac]
+        assert sum(b.ncols for _, _, b, _ in comps) == n
+        for p_, e, basis, free in comps:
+            X = restrict(A, basis, free)
+            assert basis @ X == A @ basis
             assert minimal_polynomial(X) == ppow(p_, e, F)
 
 
@@ -251,10 +260,11 @@ def test_component_evaluates_its_polynomial_by_one_matvec(monkeypatch):
         apply = real_matvec(a.rows)
         monkeypatch.setattr(F, "matvec", matvec)
         monkeypatch.setattr(Mat, "__matmul__", matmul)
-        U = _component(a, apply, fac, p_, e)
+        U, free = _component(a, apply, fac, p_, e)
         monkeypatch.undo()
         assert built == []
         assert U == want
+        assert Mat(F, tuple(U.rows[i] for i in free)) == Mat.identity(F, U.ncols)
 
 
 def test_frobenius_form_properties():
@@ -269,7 +279,7 @@ def test_frobenius_form_properties():
             fac = factorize(minimal_polynomial(M), F)
             apply = F.matvec(M.rows)
             for p_, e in fac:
-                A = restrict(M, _component(M, apply, fac, p_, e))
+                A = restrict(M, *_component(M, apply, fac, p_, e))
                 B, factors = frobenius_form(A)
                 assert B.det()
                 assert sum(pdeg(f) for f in factors) == A.nrows
@@ -278,6 +288,55 @@ def test_frobenius_form_properties():
                     assert not pmod(factors[i], factors[i + 1], F)
                 want = block_diag(F, [companion(F, f) for f in factors])
                 assert B.inv() @ A @ B == want
+
+
+@pytest.mark.parametrize("spec", [t[1] for t in TOWERS], ids=[t[0] for t in TOWERS])
+def test_restrict_equals_the_solved_restriction(monkeypatch, spec):
+    # restrict reads g on an invariant subspace off the unit rows of its
+    # kernel basis; on every basis the library restricts to, it equals the
+    # X that solves basis X = g basis: primary components (through
+    # symmetric_conjugator), complements of factor's blocks (conj of a kernel
+    # basis) and the complements frobenius_form peels.  a = P^(-1) diag(C(T),
+    # C(T), C(T^2 + T + 1)) P has two proper components, and ker a has two
+    # invariant factors T, so frobenius_form peels one
+    F = field_make(*spec)
+    rng = random.Random(f"restrict:{spec}")
+    fac_mod = sys.modules["invofactor.factor"]
+    real, real_ortho = dec.restrict, fac_mod._orthocomplement
+    complements, seen = [], []
+
+    def checked(where):
+        def restrict(g, basis, free):
+            X = real(g, basis, free)
+            assert X == basis.solve_right(g @ basis)
+            kind = "complement" if any(basis is c for c in complements) else where
+            seen.append((kind, len(free) < g.nrows))
+            return X
+
+        return restrict
+
+    def orthocomplement(G, basis):
+        out = real_ortho(G, basis)
+        if out is not None:
+            complements.append(out[0])
+        return out
+
+    monkeypatch.setattr(dec, "restrict", checked("frobenius"))
+    monkeypatch.setattr(fac_mod, "restrict", checked("component"))
+    monkeypatch.setattr(fac_mod, "_orthocomplement", orthocomplement)
+    D = block_diag(F, [companion(F, [0, 1]), companion(F, [0, 1]), companion(F, [1, 1, 1])])
+    while True:
+        P = rand_mat(F, 4, rng)
+        if P.det():
+            break
+    symmetric_conjugator(P.inv() @ D @ P)
+    form = hermitian_form(F, 3) if F.has_conj else symplectic_form(F, 4)
+    for g in group_sample(form, seed=f"restrict:{spec}", count=8):
+        factor(form, g)
+        if ("complement", True) in seen:
+            break
+    proper = {kind for kind, part in seen if part}
+    assert proper == {"component", "complement", "frobenius"}, seen
 
 
 def test_frobenius_form_known_shapes():

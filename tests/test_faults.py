@@ -202,11 +202,11 @@ def _wrong_component_basis(monkeypatch, hits):
     real = fac._component
 
     def faulty(a, apply, factors, p_, e):
-        U = real(a, apply, factors, p_, e)
+        U, free = real(a, apply, factors, p_, e)
         if len(factors) == 1:
-            return U
+            return U, free
         hits.append(1)
-        return _plus_one_at(U, 0, 0)
+        return _plus_one_at(U, 0, 0), free
 
     monkeypatch.setattr(fac, "_component", faulty)
 
@@ -236,17 +236,32 @@ def _wrong_dual_basis(monkeypatch, hits):
             seen["in_paired"] = None
 
     def component(a, apply, factors, p_, e):
-        K = real_component(a, apply, factors, p_, e)
+        K, free = real_component(a, apply, factors, p_, e)
         if seen["in_paired"] is None:
-            return K
+            return K, free
         seen["in_paired"] += 1
         if seen["in_paired"] == 2:  # U, then Us
             hits.append(1)
-            return _plus_one_at(K, 0, 0)
-        return K
+            return _plus_one_at(K, 0, 0), free
+        return K, free
 
     monkeypatch.setattr(fac, "_paired_block", block)
     monkeypatch.setattr(fac, "_component", component)
+
+
+def _wrong_restriction(monkeypatch, hits):
+    # restrict reads its rows off the basis's unit rows and checks no
+    # invariance: one row of the restricted matrix comes back changed, in
+    # factor's blocks and complements and in frobenius_form's peels
+    real = dec.restrict
+
+    def faulty(g, basis, free):
+        hits.append(1)
+        X = real(g, basis, free)
+        return _plus_one_at(X, X.nrows - 1, 0)
+
+    monkeypatch.setattr(fac, "restrict", faulty)
+    monkeypatch.setattr(dec, "restrict", faulty)
 
 
 FAULTS = {
@@ -264,6 +279,7 @@ FAULTS = {
     "component_basis": _wrong_component_basis,
     "cyclic_space": _wrong_cyclic_space,
     "dual_basis": _wrong_dual_basis,
+    "restriction_row": _wrong_restriction,
 }
 
 

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from invofactor import FieldConstructionError, InputError, field_from_descriptor, field_make
+from invofactor.linalg import Mat
 
 # ---------------------------------------------------------------------------
 # oracle: polynomial irreducibility over GF(p) by trial division.  Written
@@ -357,3 +358,32 @@ def test_scalar_and_from_int_take_only_ints():
         for bad in (-1, F.order):
             with pytest.raises(InputError):
                 F.from_int(bad)
+
+
+def test_a_bool_is_no_scalar_anywhere():
+    # scalar, from_int and elem refuse a bool; so do element arithmetic and
+    # equality, matrix entries and scalar products of matrices, instead of
+    # reading True as 1
+    for F in (field_make(7), field_make(3, 2), field_make(3, 1, "quadratic")):
+        one = F.one
+        M = Mat.identity(F, 2)
+        ops = [
+            lambda: one + True,
+            lambda: True + one,
+            lambda: one - False,
+            lambda: False - one,
+            lambda: one * True,
+            lambda: True * one,
+            lambda: one / True,
+            lambda: True / one,
+            lambda: one == True,  # noqa: E712
+            lambda: Mat.from_rows(F, [[True]]),
+            lambda: Mat.diag(F, [one, True]),
+            lambda: Mat.column(F, [False, one]),
+            lambda: M * True,
+            lambda: True * M,
+        ]
+        for op in ops:
+            with pytest.raises(InputError, match="bool|bad matrix entry"):
+                op()
+        assert one + 1 == F.scalar(2) and (M * 1).rows == M.rows

@@ -377,7 +377,7 @@ def test_pair_scan_makes_one_product_with_the_gram_per_column(monkeypatch):
         return real_cyclic(F, beta, K, ann)
 
     def block(form, beta, a, G, p_, e, factors):
-        U = fac._component(a, a.tower.matvec(a.rows), factors, p_, e)
+        U, _ = fac._component(a, a.tower.matvec(a.rows), factors, p_, e)
         current.append({"G": G, "products": 0, "inside": False, "cols": [U.col(j) for j in range(U.ncols)]})
         try:
             return real_block(form, beta, a, G, p_, e, factors)

@@ -2,13 +2,16 @@
 
 import importlib
 import json
+import random
 
 import pytest
+from test_faults import _plus_one_at
 
 from invofactor import (
     BudgetExceededError,
     CHECK_NAMES,
     FactorCert,
+    InputError,
     VerificationError,
     check_cert,
     core_checks,
@@ -344,8 +347,9 @@ DENSE_SP4, DENSE_SP4_G = _changed_basis(SP4, SP4_G, SP4_BASIS)
 
 def test_verify_makes_one_product_per_gram_on_standard_spaces(monkeypatch):
     # the three Grams (g, h1, h2) gather rows of conj(A) along J's pattern
-    # and multiply once; the three products h1 conj(h1), h2 conj(h2) and
-    # h1 conj(h2) are the rest.  A dense Gram pays two products per Gram
+    # and multiply once; h1 conj(h1), and one stacked [h2; h1] conj(h2) for
+    # h2 conj(h2) and h1 conj(h2), are the rest.  A dense Gram pays two
+    # products per Gram
     assert monomial_rows(SP4.J) is not None and monomial_rows(DENSE_SP4.J) is None
     calls = []
 
@@ -363,7 +367,7 @@ def test_verify_makes_one_product_per_gram_on_standard_spaces(monkeypatch):
         calls.clear()
         assert verify_certificate(form, g, cert).passed
         monkeypatch.undo()
-        assert len(calls) == (9 if form is DENSE_SP4 else 6), calls
+        assert len(calls) == (8 if form is DENSE_SP4 else 5), calls
 
 
 def _off_pattern_tamper(form, h):
@@ -407,3 +411,145 @@ def test_off_pattern_gram_changes_fail_the_twist1_checks_by_name():
         bad = getattr(dense_cert, attr) @ Y
         report = verify_certificate(DENSE_SP4, DENSE_SP4_G, _tamper(dense_cert, attr, bad))
         assert check in {name for name, _ in report.failures()}
+
+
+def _whole_ratio(S, P):
+    # the beta with S = beta * P, read at P's first nonzero entry and
+    # compared as whole matrices of FieldElems, or None
+    n = P.nrows
+    i, j = next((i, j) for i in range(n) for j in range(n) if P[i, j])
+    beta = S[i, j] / P[i, j]
+    return beta if beta and S == P * beta else None
+
+
+def _reference_report(form, g, cert, refined=None):
+    # the serialized report as whole Mats give it: every product made in
+    # full, each ratio by _whole_ratio, I and beta * I built and compared
+    F, n = form.tower, form.n
+    beta, h1, h2 = cert.beta, cert.h1, cert.h2
+    refined = cert.det_refined if refined is None else refined
+    live = verify_certificate(form, g, cert, det_refined=refined).serialize()
+    if not live["checks"][0]["passed"]:  # shapes: the one check that ran
+        return live
+    checks = [("shapes_match_the_space", True, None)]
+    ratio = _whole_ratio(form.gram(g), form.J)
+    try:
+        sim = ratio is not None and ratio == form._as_elem(beta)
+    except InputError:
+        sim = False
+    checks.append(("g_is_similitude_of_beta", sim, {"g": g.serialize(), "beta": beta.serialize()}))
+    anti = form.J.conj() * form.eps_elem
+    checks.append(("h1_twist1_ratio_one", _whole_ratio(form.gram(h1), anti) == F.one, {"h1": h1.serialize()}))
+    eye = Mat.identity(F, n)
+    sq1 = h1 @ h1.conj()
+    checks.append(("h1_involution", sq1 == eye, {"h1_times_conj_h1": sq1.serialize()}))
+    wit = {"h2": h2.serialize(), "beta": beta.serialize()}
+    checks.append(("h2_twist1_ratio_beta", _whole_ratio(form.gram(h2), anti) == beta, wit))
+    sq2 = h2 @ h2.conj()
+    wit = {"h2_times_conj_h2": sq2.serialize(), "beta": beta.serialize()}
+    checks.append(("h2_square_is_beta", sq2 == eye * beta, wit))
+    prod = h1 @ h2.conj()
+    checks.append(("h1_h2_product_is_g", prod == g, {"h1_times_conj_h2": prod.serialize(), "g": g.serialize()}))
+    out = {"passed": None, "checks": []}
+    for name, ok, wit in checks:
+        out["checks"].append({"name": name, "passed": ok} if ok else {"name": name, "passed": ok, "witness": wit})
+    if refined:
+        out["checks"].append(live["checks"][-1])  # h1_det_sign is unchanged
+    out["passed"] = all(c["passed"] for c in out["checks"])
+    return out
+
+
+def _tampered_certificates():
+    # (form, g, cert, refined) for every tamper of this file, and two more:
+    # the dense instance's h1 times 2 (its ratio read at the anchor is 4) and
+    # the standard one's h2 with one off-diagonal entry changed
+    out = []
+    sp = symplectic_form(F3, 2)
+    g = Mat.from_rows(F3, [[1, 1], [0, 1]])
+    cert = factor(sp, g)
+    out += [
+        (sp, g, _tamper(cert, "h2", cert.h2 + Mat.from_rows(F3, [[0, 1], [0, 0]])), None),
+        (sp, g, _tamper(cert, "h1", cert.h1 * F3.scalar(2)), None),
+        (sp, g, _tamper(cert, "beta", F3.scalar(2)), None),
+        (sp, g, _tamper(cert, "beta", F3.zero), None),
+    ]
+    sp5 = symplectic_form(F5, 2)
+    out.append((sp5, Mat.identity(F5, 2), cert, None))
+    out.append((sp5, Mat.from_rows(F5, [[1, 0], [0, 0]]), factor(sp5, Mat.from_rows(F5, [[1, 1], [0, 1]])), None))
+    op = orthogonal_plus_form(F3, 2)
+    out.append((op, Mat.identity(F3, 2), factor(op, Mat.identity(F3, 2)), True))
+    for form in (symplectic_form(F5, 2), orthogonal_form(F5, Mat.identity(F5, 3))):
+        out.append((form, Mat.identity(F5, form.n), factor(form, Mat.identity(F5, form.n)), True))
+    sp4_cert, dense_cert = factor(SP4, SP4_G), factor(DENSE_SP4, DENSE_SP4_G)
+    for attr in ("h1", "h2"):
+        bad, X = _off_pattern_tamper(SP4, getattr(sp4_cert, attr))
+        out.append((SP4, SP4_G, _tamper(sp4_cert, attr, bad), None))
+        bad = getattr(dense_cert, attr) @ (SP4_BASIS.inv() @ X @ SP4_BASIS)
+        out.append((DENSE_SP4, DENSE_SP4_G, _tamper(dense_cert, attr, bad), None))
+    out.append((DENSE_SP4, DENSE_SP4_G, _tamper(dense_cert, "h1", dense_cert.h1 * F5.scalar(2)), None))
+    out.append((SP4, SP4_G, _tamper(sp4_cert, "h2", _plus_one_at(sp4_cert.h2, 0, 1)), None))
+    hu = hermitian_form(E9, 3)
+    g = group_sample(hu, seed=2)[0]
+    cert = factor(hu, g)
+    out.append((hu, g, _tamper(cert, "h2", cert.h2 * E9.from_int(4)), None))
+    return out
+
+
+def test_tampered_certificates_fail_by_the_same_names_and_witnesses():
+    # the key-row checks report exactly what whole-Mat checks report
+    cases = _tampered_certificates()
+    for form, g, cert, refined in cases:
+        report = verify_certificate(form, g, cert, det_refined=refined)
+        assert not report.passed
+        assert report.serialize() == _reference_report(form, g, cert, refined)
+    dense_names = {n for n, _ in verify_certificate(*cases[-3][:3]).failures()}
+    assert "h1_twist1_ratio_one" in dense_names, dense_names
+    off_names = {n for n, _ in verify_certificate(*cases[-2][:3]).failures()}
+    assert "h2_square_is_beta" in off_names, off_names
+
+
+# the survey-small groups: label, form, ratio, number of elements
+SURVEY_GROUPS = (
+    ("Sp2(F7)", symplectic_form(field_make(7), 2), 1, 336),
+    ("GSp2(F5)", symplectic_form(F5, 2), 2, 120),
+    ("Sp2(F9)", symplectic_form(field_make(3, 2), 2), 1, 720),
+    ("Sp4(F2)", symplectic_form(field_make(2), 4), 1, 720),
+    ("U3(F4)", hermitian_form(field_make(2, 1, "quadratic"), 3), 1, 648),
+    ("GO4+(F3)", orthogonal_plus_form(F3, 4), 2, 1152),
+)
+
+
+def _in_random_basis(form, rng):
+    # the space in a seeded basis P: Gram P^T J conj(P), dense when n > 2
+    F, n = form.tower, form.n
+    while True:
+        P = Mat(F, tuple(tuple(rng.randrange(F.order) for _ in range(n)) for _ in range(n)))
+        J = P.T @ form.J @ P.conj()
+        if P.det() and (n == 2 or monomial_rows(J) is None):
+            return SesquiForm(F, form.kind, J)
+
+
+@pytest.mark.parametrize("label", [t[0] for t in SURVEY_GROUPS])
+def test_match_ratio_agrees_with_the_whole_matrix_comparison(label):
+    # on every element's Gram of each survey-small group, in a seeded dense
+    # basis, against J and against the twist-1 Gram eps * conj(J); then on
+    # Grams tampered at P's anchor and off it.  An alternating 2x2 Gram is
+    # row-monomial in every basis, so the Sp2 groups take the pattern path
+    _, std, beta, order = next(t for t in SURVEY_GROUPS if t[0] == label)
+    form = _in_random_basis(std, random.Random(f"match-ratio:{label}"))
+    n = form.n
+    assert (monomial_rows(form.J) is None) == (n > 2)
+    anti = form.J.conj() * form.eps_elem
+    count = 0
+    for g in group_enumerate(form, form._as_elem(beta)):
+        S = form.gram(g)
+        for P in (form.J, form._anti):
+            tampered = [S]
+            if count < 20:
+                i, j = next((i, j) for i in range(n) for j in range(n) if P.rows[i][j])
+                tampered += [_plus_one_at(S, i, j), _plus_one_at(S, n - 1 - i, n - 1 - j)]
+            for T in tampered:
+                got, want = form._match_ratio(T, P), _whole_ratio(T, P)
+                assert (got is None) == (want is None) and (got is None or got == want)
+        count += 1
+    assert form._anti == anti and count == order
