@@ -8,13 +8,14 @@ columns in order, never over random probes.  Results hold by construction
 and are not re-checked here; the guards that remain turn an impossible
 intermediate (an unsolvable system, a complement of the wrong size) into
 InternalInvariantError instead of a crash.  restrict solves nothing: every
-invariant subspace it gets has a kernel basis (Mat.right_kernel) whose rows
-at the free columns form the identity, so the matrix of g on it is those
-rows of g times the basis.  frobenius_form peels its complements that way,
-and lifts nothing through the identity at the top.  _krylov_span, which the
-others build on, eliminates incrementally: each new power g^d v is reduced once
-against the echelon rows of the vectors before it, so a span of dimension d
-costs d products with g and O(n * d^2) key operations, with no re-solving.
+invariant subspace it gets has a kernel basis (Mat.right_kernel_basis)
+whose rows at the free columns form the identity, so the matrix of g on it
+is those rows of g times the basis.  frobenius_form peels its complements
+that way, and lifts nothing through the identity at the top.  _krylov_span,
+which the others build on, eliminates incrementally: each new power g^d v
+is reduced once against the echelon rows of the vectors before it, so a
+span of dimension d costs d products with g and O(n * d^2) key operations,
+with no re-solving.
 The products with g go through the tower's matvec of g, made once for all
 the column spans of minimal_polynomial and of each frobenius_form peel.
 poly_column evaluates a polynomial at g one column at a time, by Horner's
@@ -34,7 +35,7 @@ from .poly import pdeg, pmul
 
 def restrict(g, basis, free):
     """The matrix X of g on the invariant subspace spanned by the columns of
-    basis, whose rows at free form the identity (Mat.right_kernel).
+    basis, whose rows at free form the identity (Mat.right_kernel_basis).
 
     g basis = basis X, and the rows of basis X at free are X itself, so X is
     g[free] basis: one k x n by n x k product, no solve.  Invariance is not
@@ -145,7 +146,7 @@ def frobenius_form(g):
         rows = [[r[0] for r in phi_t.rows]]
         for _ in range(d - 1):
             rows.append(apply_t(rows[-1]))
-        C, free = Mat(F, tuple(map(tuple, rows))).right_kernel()
+        C, free = Mat(F, tuple(map(tuple, rows))).right_kernel_basis()
         if len(free) != m - d:
             raise InternalInvariantError(
                 "invariant complement has wrong dimension", {"got": len(free)}

@@ -170,7 +170,8 @@ def _component(a, apply, fac, p_, e):
     if len(fac) == 1:
         return Mat.identity(F, n), range(n)
     pe = _shared(ppow, p_, e, F)
-    U, free = _columns(F, [poly_column(F, apply, pe, j, n) for j in range(n)]).right_kernel()
+    cols = [poly_column(F, apply, pe, j, n) for j in range(n)]
+    U, free = _columns(F, cols).right_kernel_basis()
     if not free:
         raise InternalInvariantError("expected a nonzero kernel", {"factor": pserialize(p_, F)})
     return U, free
@@ -478,10 +479,10 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
 
 
 def _orthocomplement(G, basis):
-    # (comp, free) as Mat.right_kernel gives them, for the complement
+    # (comp, free) as Mat.right_kernel_basis gives them, for the complement
     # conj(ker basis^T G); conj keeps 0 and 1, so comp's rows at free are
     # still the identity.  None when the complement is zero
-    K, free = (basis.T @ G).right_kernel()
+    K, free = (basis.T @ G).right_kernel_basis()
     if not free:
         return None
     return K.conj(), free

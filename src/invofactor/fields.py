@@ -626,7 +626,8 @@ class FieldElem:
 
     Immutable; arithmetic dispatches to the tower's key kernel.  Plain ints
     coerce (reduced mod p), so `2 * a - 1` means what it reads as; a bool is
-    not a scalar, and mixing one in raises InputError.
+    not a scalar: arithmetic with one raises InputError, and no element
+    equals one.
     """
 
     __slots__ = ("tower", "key")
@@ -703,6 +704,8 @@ class FieldElem:
         return FieldElem(self.tower, self.tower.conj(self.key))
 
     def __eq__(self, other):
+        if isinstance(other, bool):
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -33,7 +33,6 @@ from .errors import (
 from .fields import FieldElem, field_from_descriptor
 from .linalg import (
     Mat,
-    anchor,
     block_diag,
     conj_product,
     gram,
@@ -105,13 +104,13 @@ class SesquiForm:
         every row of P has one nonzero entry (monomial_rows), S matches row
         by row along that pattern: each row of S has its one nonzero entry
         beta * P[i, j] at P's column j.  Otherwise each row of S is compared
-        with beta times P's row, on keys; the anchor entry and its inverse
-        are read once per P (linalg.anchor)."""
+        with beta times P's row, on keys."""
         F = self.tower
         pattern = monomial_rows(P)
         if pattern is None:
-            i, j, inv = anchor(P)
-            b = F.mul(S.rows[i][j], inv)
+            r = P.rows[0]  # nonzero, as P is nonsingular
+            j = r.index(next(filter(None, r)))
+            b = F.mul(S.rows[0][j], F.inv(r[j]))
             if not b:
                 return None
             scale = F.scale

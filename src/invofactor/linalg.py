@@ -14,8 +14,6 @@ Every Gram product of the library, G conj(B) and A^T G conj(B), goes
 through conj_product and gram.  They read G's pattern: when each row of G
 has one nonzero entry, as every standard space's Gram has, G conj(B) is a
 gather of scaled rows and a Gram costs one matrix product instead of two.
-The pattern, and a dense G's first nonzero entry with its inverse (anchor,
-where a similitude ratio is read), are kept on G once found.
 Mat has no powers: polynomials act on vectors (decomp.poly_column).
 
 rref and det run one elimination loop each on the tower's row form and its
@@ -24,10 +22,10 @@ stepped by one big-int multiply-add and one translate over GF(p), p <= 13,
 bytes stepped by one translate and one XOR over characteristic-2 fields of
 order <= 256, lists of keys (scale and sub_scaled) otherwise.  det takes a
 1x1 or 2x2 matrix in closed form, as ad - bc, without the loop.  inv,
-solve_right and right_kernel go through rref.  right_kernel returns its
-basis with the free columns, at which the basis rows form the identity:
-restricting to an invariant kernel reads those rows (decomp.restrict)
-instead of solving.
+solve_right and right_kernel_basis go through rref.  right_kernel_basis
+returns its basis with the free columns, at which the basis rows form the
+identity: restricting to an invariant kernel reads those rows
+(decomp.restrict) instead of solving.
 """
 
 from __future__ import annotations
@@ -75,9 +73,8 @@ def _eliminated_det(F, rows):
 
 
 class Mat:
-    # _monomial and _anchor cache monomial_rows(self) and anchor(self); each
-    # is unset until first asked
-    __slots__ = ("tower", "rows", "_monomial", "_anchor")
+    # _monomial caches monomial_rows(self); it is unset until first asked
+    __slots__ = ("tower", "rows", "_monomial")
 
     def __init__(self, tower, rows):
         self.tower = tower
@@ -274,7 +271,7 @@ class Mat:
             out[pc] = R.rows[r][n:]
         return Mat(self.tower, tuple(tuple(r) for r in out))
 
-    def right_kernel(self):
+    def right_kernel_basis(self):
         """(K, free): the columns of K span the right kernel, one per free
         (non-pivot) column fc, with 1 at fc and 0 at the other free columns.
         So the rows of K at free form the identity, and for an invariant
@@ -290,11 +287,6 @@ class Mat:
             for r, pc in enumerate(piv):
                 rows[pc][k] = neg(R.rows[r][fc])
         return Mat(self.tower, tuple(map(tuple, rows))), free
-
-    def right_kernel_basis(self):
-        """Columns spanning the right kernel, as a list of n x 1 Mats."""
-        K, free = self.right_kernel()
-        return [K.col(k) for k in range(len(free))]
 
     def serialize(self):
         coords = self.tower.coords
@@ -361,18 +353,6 @@ def monomial_rows(G):
         c = max(r)  # keys are nonnegative, so the one nonzero is the largest
         out.append((r.index(c), c))
     G._monomial = out
-    return out
-
-
-def anchor(G):
-    """(i, j, inverse key) of the first nonzero entry G[i, j] in row-major
-    order, for a nonzero G.  Like monomial_rows, the answer is kept on G, so
-    a form's dense Gram is searched, and its entry inverted, once."""
-    out = getattr(G, "_anchor", None)
-    if out is None:
-        i, r = next((i, r) for i, r in enumerate(G.rows) if any(r))
-        j = next(j for j, x in enumerate(r) if x)
-        out = G._anchor = (i, j, G.tower.inv(r[j]))
     return out
 
 

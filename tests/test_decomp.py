@@ -247,7 +247,7 @@ def test_component_evaluates_its_polynomial_by_one_matvec(monkeypatch):
     assert sorted(fac) == [([1, 0, 1], 2), ([4, 1], 1)]
     real_matvec = F.matvec
     for p_, e in fac:
-        want = hstack(poly_at(ppow(p_, e, F), a).right_kernel_basis())
+        want = poly_at(ppow(p_, e, F), a).right_kernel_basis()[0]
         built = []
 
         def matvec(rows):

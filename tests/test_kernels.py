@@ -533,14 +533,13 @@ def test_elimination_matches_list_row_reference(tower):
         m, n = len(rows), len(rows[0])
         R, piv = _ref_rref(F, rows)
         assert A.rref() == (Mat(F, R), piv)
-        kernel = []
-        for fc in (c for c in range(n) if c not in piv):
-            v = [0] * n
-            v[fc] = 1
+        free = [c for c in range(n) if c not in piv]
+        kernel = [[0] * len(free) for _ in range(n)]
+        for k, fc in enumerate(free):
+            kernel[fc][k] = 1
             for r, pc in enumerate(piv):
-                v[pc] = F.neg(R[r][fc])
-            kernel.append(Mat(F, tuple((x,) for x in v)))
-        assert A.right_kernel_basis() == kernel
+                kernel[pc][k] = F.neg(R[r][fc])
+        assert A.right_kernel_basis() == (Mat(F, tuple(map(tuple, kernel))), free)
         b = tuple((rng.choice((0, 1, F.p - 1, rng.randrange(F.order))),) for _ in range(m))
         Rb, pivb = _ref_rref(F, [r + c for r, c in zip(rows, b)])
         if pivb and pivb[-1] >= n:

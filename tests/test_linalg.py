@@ -84,19 +84,19 @@ def test_rref_rank_kernel():
     R, piv = A.rref()
     assert piv == [0, 1]
     assert A.rank() == 2
-    ker = A.right_kernel_basis()
-    assert len(ker) == 1
-    assert (A @ ker[0]).is_zero()
+    K, free = A.right_kernel_basis()
+    assert free == [2] and K.shape == (3, 1)
+    assert (A @ K).is_zero()
     rng = random.Random(11)
     for _ in range(25):
         m, n = rng.randrange(1, 5), rng.randrange(1, 6)
         M = rand_mat(F, m, n, rng)
-        ker = M.right_kernel_basis()
-        assert len(ker) == n - M.rank()
-        for v in ker:
-            assert (M @ v).is_zero()
-        if ker:
-            assert hstack(ker).rank() == len(ker)
+        K, free = M.right_kernel_basis()
+        assert K.nrows == n and len(free) == n - M.rank()
+        if free:
+            # the rows at free form the identity, so the columns are independent
+            assert (M @ K).is_zero()
+            assert Mat(F, tuple(K.rows[i] for i in free)) == Mat.identity(F, len(free))
 
 
 def test_solve_right():
