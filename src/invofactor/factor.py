@@ -62,18 +62,24 @@ primary and needs no factors (decomp.frobenius_form); each companion block
 of f is conjugated onto its transpose by the Hankel matrix of f's
 coefficients, with no inverse.
 
+The blocks assemble into h1 = B M conj(B)^(-1), B the block bases side by
+side and M the local involutions on its diagonal, by one elimination:
+h1 conj(B) = B M, so the rref of [conj(B)^T | (B M)^T] is [I | h1^T].
+
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made before factor returns it;
 a block that breaks its identities fails there and raises
-InternalInvariantError.  The guards left inside the construction only stop
-an impossible intermediate (a missing reciprocal factor, an empty kernel, a
-degenerate pairing) from turning into a crash or an input error.  A
-complement's Gram is not tested: each block builder has shown its block
-nondegenerate (the cyclic hit, the invertible pairing, the cyclic pair's
-Gram), and a complement is nondegenerate exactly when its block is.  The block
-transcripts are descriptive and are not verified.  All searches are
-deterministic, so factoring the same element twice yields byte-identical
-certificates.
+InternalInvariantError.  Its beta was read off g by similitude_ratio, so
+the check takes g_is_similitude_of_beta as shown and makes no second Gram
+of g: 2 matrix products on a standard space, 3 on a dense one.  The
+guards left inside the construction only stop an impossible intermediate
+(a missing reciprocal factor, an empty kernel, a degenerate pairing) from
+turning into a crash or an input error.  A complement's Gram is not
+tested: each block builder has shown its block nondegenerate (the cyclic
+hit, the invertible pairing, the cyclic pair's Gram), and a complement is
+nondegenerate exactly when its block is.  The block transcripts are
+descriptive and are not verified.  All searches are deterministic, so
+factoring the same element twice yields byte-identical certificates.
 """
 
 from __future__ import annotations
@@ -617,16 +623,22 @@ def factor(form, g, det_refined=False):
         _refine_dets(det_target(form), blocks)
     B = hstack([b.lift for b in blocks])
     M = block_diag(form.tower, [b.t for b in blocks])
-    try:
-        Binv = B.inv()
-    except SingularMatrixError:
+    # h1 conj(B) = B M, so conj(B)^T h1^T = (B M)^T: one rref of
+    # [conj(B)^T | (B M)^T] gives h1^T, with no inverse and no product with it
+    n = form.n
+    R, piv = hstack([B.conj().T, (B @ M).T]).rref()
+    if piv != list(range(n)):
         # the last block is not orthocomplemented, so its independence is
         # first met here
         raise InternalInvariantError("block bases do not span the space", {})
-    h1 = B @ M @ Binv.conj()
+    h1 = Mat(form.tower, tuple(zip(*(r[n:] for r in R.rows))))
     h2 = h1 @ g.conj()
     cert = FactorCert(form, g, beta, h1, h2, det_refined, [b.data for b in blocks])
-    bad = [name for name, ok in cert.checks() if not ok]
+    # beta is g's ratio, read above, so the check makes no Gram of g
+    from .verify import core_checks
+
+    checks = core_checks(form, g, beta, h1, h2, det_refined, beta_from_g=True)
+    bad = [name for name, ok in checks if not ok]
     if bad:
         raise InternalInvariantError(
             "assembled factorization fails its defining identities",

@@ -11,9 +11,10 @@ each entry: a FieldElem gives its key, and a plain int is read as a GF(p)
 scalar and reduced mod p, so a key above p must never pass through them.
 
 Every Gram product of the library, G conj(B) and A^T G conj(B), goes
-through conj_product and gram.  They read G's pattern: when each row of G
-has one nonzero entry, as every standard space's Gram has, G conj(B) is a
-gather of scaled rows and a Gram costs one matrix product instead of two.
+through conj_product and gram, or starts from left_factors.  They read G's
+pattern: when each row of G has one nonzero entry, as every standard
+space's Gram has, G conj(B) and A^T G are gathers of scaled rows and a
+Gram costs one matrix product instead of two.
 Mat has no powers: polynomials act on vectors (decomp.poly_column).
 
 rref and det run one elimination loop each on the tower's row form and its
@@ -371,6 +372,31 @@ def conj_product(G, B):
     scale = F.scale
     rows = B.conj().rows
     return Mat(F, tuple(rows[j] if c == 1 else tuple(scale(rows[j], c)) for j, c in pattern))
+
+
+def left_factors(G, mats):
+    """The key rows of A^T G for each A of mats, in order, for a nonsingular
+    G: the left factors of the Grams A^T G conj(A), kept as rows so that a
+    caller can stack them with other rows into one product (verify._checks).
+
+    When every row of G has one nonzero entry (monomial_rows), so has every
+    row of G^T, as G is nonsingular: row j of G^T A is row k of A scaled by
+    G[k, j], for the k whose entry sits at column j, and A^T G is its
+    transpose, a gather with no product.  Otherwise it is one stacked
+    product [A_1^T; A_2^T; ...] G."""
+    F, n = G.tower, G.nrows
+    pattern = monomial_rows(G)
+    if pattern is None:
+        rows = F.matmul(sum((tuple(zip(*A.rows)) for A in mats), ()), G.rows)
+        return [rows[i : i + n] for i in range(0, len(rows), n)]
+    scale = F.scale
+    out = []
+    for A in mats:
+        gt_a = [None] * n
+        for r, (j, c) in zip(A.rows, pattern):
+            gt_a[j] = r if c == 1 else scale(r, c)
+        out.append(tuple(zip(*gt_a)))
+    return out
 
 
 def gram(A, G, B):

@@ -4,12 +4,18 @@ Every check recomputes its identity directly from the supplied space, the
 element, and the certificate's (beta, h1, h2); nothing is trusted from the
 construction transcript.  Failures become named report entries with a
 serialized witness, never exceptions, so a tampered certificate yields a
-readable diagnosis.  The checks run on key rows: three Grams, h1 conj(h1),
-and one stacked product [h2; h1] conj(h2) that gives h2 conj(h2) and
-h1 conj(h2) together, compared with I, beta I and g entry by entry; a Mat
-and a witness are made only for a failing check.  `survey` drives
-factor-and-verify over a whole group (or a seeded sample) and aborts loudly
-on the first failing certificate.
+readable diagnosis.  The checks run on key rows, in stacked products.  The
+left factors A^T J of the Grams A^T J conj(A), A = g, h1, h2, are a
+gather on a row-monomial J and one stacked product [g^T; h1^T; h2^T] J on
+a dense one; then (g^T J) conj(g) gives g's Gram, [h1; h1^T J] conj(h1)
+gives h1 conj(h1) and h1's Gram, and [h2; h1; h2^T J] conj(h2) gives
+h2 conj(h2), h1 conj(h2) and h2's Gram: 3 products on a standard space,
+4 on a dense one.  Each ratio is matched by form._match_ratio, and the
+other rows are compared with I, beta I and g entry by entry; a Mat and a
+witness are made only for a failing check.  factor's own check reuses
+the beta it read off g and makes no Gram of g (2 products, or 3).
+`survey` drives factor-and-verify over a whole group (or a seeded sample)
+and aborts loudly on the first failing certificate.
 A survey factors each distinct minimal polynomial once: factor keeps its
 factorizations, and the polynomials and cyclic involutions of each factor,
 in a memo that lives for the survey's loop only, so the certificates are
@@ -22,7 +28,7 @@ import time
 
 from .errors import InputError, VerificationError
 from .forms import anti_unitary_enumerate, group_enumerate, group_sample
-from .linalg import Mat
+from .linalg import Mat, left_factors
 
 CHECK_NAMES = (
     "shapes_match_the_space",
@@ -51,8 +57,12 @@ def _is_scalar(rows, b):
     return all(r[i] == b and r.count(0) == zeros for i, r in enumerate(rows))
 
 
-def _checks(form, g, beta, h1, h2, det_refined=False):
-    """[(name, passed, witness-or-None)] for the defining identities."""
+def _checks(form, g, beta, h1, h2, det_refined=False, beta_from_g=False):
+    """[(name, passed, witness-or-None)] for the defining identities.
+
+    beta_from_g is factor's own: its beta was read off g by
+    form.similitude_ratio, so g_is_similitude_of_beta holds by construction
+    and g's Gram is not made again.  Every other caller checks it."""
     F = form.tower
     n = form.n
     shaped = (
@@ -78,31 +88,41 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
         # witness() serializes the offending matrices; a passing check skips it
         out.append((name, bool(ok), None if ok else witness()))
 
-    try:
-        sim_ok = form.is_similitude(g, beta)
-    except InputError:
-        sim_ok = False
-    add(
-        "g_is_similitude_of_beta",
-        sim_ok,
-        lambda: {"g": g.serialize(), "beta": beta.serialize()},
-    )
-    add("h1_twist1_ratio_one", form.anti_ratio(h1) == F.one, lambda: {"h1": h1.serialize()})
-    # the products stay key rows; a Mat is made only for a failing witness
-    sq1 = F.matmul(h1.rows, h1.conj().rows)
+    def ratio(rows, P):
+        return form._match_ratio(Mat(F, rows), P)
+
+    # the Grams A^T J conj(A) start from the left factors A^T J; each
+    # product below stacks what else multiplies the same conj(A)
+    J, matmul = form.J, F.matmul
+    if beta_from_g:
+        h1t, h2t = left_factors(J, (h1, h2))
+        add("g_is_similitude_of_beta", True, None)
+    else:
+        gt, h1t, h2t = left_factors(J, (g, h1, h2))
+        # the matched ratio is nonzero and conj-fixed, so equality with beta
+        # also rejects a zero beta and one outside the conj-fixed field
+        add(
+            "g_is_similitude_of_beta",
+            ratio(matmul(gt, g.conj().rows), J) == beta,
+            lambda: {"g": g.serialize(), "beta": beta.serialize()},
+        )
+    # [h1; h1^T J] conj(h1) gives h1 conj(h1) over h1's Gram
+    rows = matmul(h1.rows + h1t, h1.conj().rows)
+    sq1, gram1 = rows[:n], rows[n:]
+    add("h1_twist1_ratio_one", ratio(gram1, form._anti) == F.one, lambda: {"h1": h1.serialize()})
     add(
         "h1_involution",
         _is_scalar(sq1, 1),
         lambda: {"h1_times_conj_h1": Mat(F, sq1).serialize()},
     )
+    # [h2; h1; h2^T J] conj(h2) gives h2 conj(h2), h1 conj(h2) and h2's Gram
+    rows = matmul(h2.rows + h1.rows + h2t, h2.conj().rows)
+    sq2, prod, gram2 = rows[:n], rows[n : 2 * n], rows[2 * n :]
     add(
         "h2_twist1_ratio_beta",
-        form.anti_ratio(h2) == beta,
+        ratio(gram2, form._anti) == beta,
         lambda: {"h2": h2.serialize(), "beta": beta.serialize()},
     )
-    # one product [h2; h1] conj(h2) gives h2 conj(h2) over h1 conj(h2)
-    both = F.matmul(h2.rows + h1.rows, h2.conj().rows)
-    sq2, prod = both[:n], both[n:]
     add(
         "h2_square_is_beta",
         _is_scalar(sq2, beta.key),
@@ -128,9 +148,11 @@ def _checks(form, g, beta, h1, h2, det_refined=False):
     return out
 
 
-def core_checks(form, g, beta, h1, h2, det_refined=False):
-    """[(check name, bool)] for the defining identities of g = h1 * h2."""
-    return [(name, ok) for name, ok, _ in _checks(form, g, beta, h1, h2, det_refined)]
+def core_checks(form, g, beta, h1, h2, det_refined=False, beta_from_g=False):
+    """[(check name, bool)] for the defining identities of g = h1 * h2;
+    beta_from_g as in _checks, set by factor only."""
+    checks = _checks(form, g, beta, h1, h2, det_refined, beta_from_g)
+    return [(name, ok) for name, ok, _ in checks]
 
 
 class VerifyReport:
@@ -164,9 +186,19 @@ class VerifyReport:
 def verify_certificate(form, g, cert, det_refined=None):
     """Re-check a certificate against an independently supplied space and
     element.  Only (beta, h1, h2) are taken from the certificate; failures
-    (including shape or field mismatches) become report entries."""
+    (including shape or field mismatches) become report entries.  A g that
+    is not a Mat, a cert that is not a FactorCert and a det_refined other
+    than None, True or False raise InputError."""
+    from .factor import FactorCert
+
     t0 = time.perf_counter()
-    refined = cert.det_refined if det_refined is None else bool(det_refined)
+    if not isinstance(g, Mat):
+        raise InputError("g must be a matrix")
+    if not isinstance(cert, FactorCert):
+        raise InputError(f"not a certificate: {type(cert).__name__}")
+    if det_refined is not None and not isinstance(det_refined, bool):
+        raise InputError(f"det_refined must be None or a bool, got {det_refined!r}")
+    refined = cert.det_refined if det_refined is None else det_refined
     checks = _checks(form, g, cert.beta, cert.h1, cert.h2, refined)
     return VerifyReport(checks, time.perf_counter() - t0)
 
@@ -223,8 +255,9 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
         elements = group_enumerate(form, beta_elem, budget=budget)
         mode = "exhaustive"
     else:
-        elements = group_sample(form, beta_elem, seed=seed, count=int(sample))
-        mode = {"sample": int(sample), "seed": int(seed)}
+        # group_sample rejects a count that is not an int
+        elements = group_sample(form, beta_elem, seed=seed, count=sample)
+        mode = {"sample": sample, "seed": int(seed)}
     total = 0
     cases = {}
     dets = {}

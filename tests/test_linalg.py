@@ -21,6 +21,7 @@ from invofactor.linalg import (
     conj_product,
     gram,
     hstack,
+    left_factors,
     mat_from_serialized,
     monomial_rows,
     vstack,
@@ -192,12 +193,16 @@ def test_gram_primitive_matches_two_products(spec):
     # on every tower class: each standard Gram and a row-monomial one take
     # the gather, a changed-basis Gram the two products, and all equal
     # A^T @ G @ conj(B) made by two products, for square and rectangular
-    # A and B
+    # A and B; left_factors, whose G is nonsingular (the row-monomial one
+    # here is not), equals A^T @ G for each of three A
     F = field_make(*spec)
     rng = random.Random(f"gram:{F!r}")
     n = 4
     standard = _standard_grams(F, n)
     dense = _dense_gram(F, standard[0], rng)
+    for G in standard + [dense]:
+        mats = [rand_mat(F, n, n, rng) for _ in range(3)]
+        assert left_factors(G, mats) == [(A.T @ G).rows for A in mats]
     for G in standard + [_monomial_gram(F, n, rng), dense]:
         pattern = monomial_rows(G)
         assert (pattern is None) == (G is dense)

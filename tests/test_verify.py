@@ -6,6 +6,7 @@ import random
 
 import pytest
 from test_faults import _plus_one_at
+from test_kernels import TOWERS
 
 from invofactor import (
     BudgetExceededError,
@@ -37,6 +38,8 @@ from invofactor.linalg import Mat, monomial_rows
 F3 = field_make(3)
 F5 = field_make(5)
 E9 = field_make(3, 1, "quadratic")
+ver = importlib.import_module("invofactor.verify")
+fields = importlib.import_module("invofactor.fields")
 
 
 def _tamper(cert, attr, new):
@@ -118,6 +121,23 @@ def test_mismatched_instance_reports_shape_check():
     assert set(failures) == {"g_is_similitude_of_beta", "h1_h2_product_is_g"}
     assert set(failures["g_is_similitude_of_beta"]) == {"g", "beta"}
     assert [n for n, _, _ in report.checks] == list(CHECK_NAMES[:-1])
+
+
+def test_verify_certificate_rejects_what_is_no_matrix_certificate_or_flag():
+    sp = symplectic_form(F3, 2)
+    g = Mat.from_rows(F3, [[1, 1], [0, 1]])
+    cert = factor(sp, g)
+    for args, flag in (
+        ((sp, g.rows, cert), None),
+        ((sp, None, cert), None),
+        ((sp, g, None), None),
+        ((sp, g, cert.serialize()), None),
+        ((sp, g, cert), "no"),
+        ((sp, g, cert), 1),
+    ):
+        with pytest.raises(InputError):
+            verify_certificate(*args, det_refined=flag)
+    assert verify_certificate(sp, g, cert, det_refined=False).passed
 
 
 def test_refined_flag_adds_det_check():
@@ -326,6 +346,38 @@ def test_survey_sampled_is_reproducible():
     assert other["total"] == 15  # different seed may or may not change the histogram
 
 
+@pytest.mark.parametrize("sample", [True, 2.5, "3", -1], ids=repr)
+def test_survey_takes_its_sample_count_as_an_int_only(sample):
+    # group_sample judges the count as given: survey converts nothing
+    with pytest.raises(InputError):
+        survey(symplectic_form(F5, 2), sample=sample, seed=1)
+
+
+def test_the_gram_of_g_is_made_once_per_factor_and_twice_per_survey_element(monkeypatch):
+    # factor reads beta off g by similitude_ratio, and its own check takes
+    # that beta as g's ratio; verify_certificate matches g's Gram once more.
+    # A match against J is a Gram of g; the others are h1's and h2's
+    real = SesquiForm._match_ratio
+    on_j = []
+
+    def counted(self, S, P):
+        on_j.append(P is self.J)
+        return real(self, S, P)
+
+    samples = [(SP4, SP4_G), (DENSE_SP4, DENSE_SP4_G)]
+    monkeypatch.setattr(SesquiForm, "_match_ratio", counted)
+    for form, g in samples:
+        on_j.clear()
+        cert = factor(form, g)
+        assert on_j == [True, False, False], on_j
+        on_j.clear()
+        assert verify_certificate(form, g, cert).passed
+        assert on_j == [True, False, False], on_j
+    on_j.clear()
+    summary = survey(symplectic_form(F5, 2), beta=2)
+    assert summary["total"] == 120 and on_j.count(True) == 2 * 120
+
+
 def test_survey_refined_orthogonal():
     om = orthogonal_minus_form(F3, 2)
     summary = survey(om, refined=True)
@@ -346,28 +398,49 @@ DENSE_SP4, DENSE_SP4_G = _changed_basis(SP4, SP4_G, SP4_BASIS)
 
 
 def test_verify_makes_one_product_per_gram_on_standard_spaces(monkeypatch):
-    # the three Grams (g, h1, h2) gather rows of conj(A) along J's pattern
-    # and multiply once; h1 conj(h1), and one stacked [h2; h1] conj(h2) for
-    # h2 conj(h2) and h1 conj(h2), are the rest.  A dense Gram pays two
-    # products per Gram
+    # the left factors A^T J (A = g, h1, h2) gather rows along J's pattern,
+    # or take one stacked product [g^T; h1^T; h2^T] J on a dense J; then
+    # (g^T J) conj(g), [h1; h1^T J] conj(h1) and [h2; h1; h2^T J] conj(h2)
+    # give the three Grams, h1 conj(h1), h2 conj(h2) and h1 conj(h2).
+    # factor's own check makes no Gram of g: its beta was read off g
     assert monomial_rows(SP4.J) is not None and monomial_rows(DENSE_SP4.J) is None
-    calls = []
+    calls, inside = [], []
 
     def counted(ar, br):
-        calls.append((len(ar), len(br[0])))
+        if inside:
+            calls.append((len(ar), len(br[0])))
         return real(ar, br)
 
+    def checked(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_checks(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    real_checks = ver.core_checks
     for form, g in ((SP4, SP4_G), (DENSE_SP4, DENSE_SP4_G), (hermitian_form(E9, 3), None)):
-        F = form.tower
+        F, n = form.tower, form.n
         if g is None:
             g = group_sample(form, seed=2)[0]
-        cert = factor(form, g)
         real = F.matmul
         monkeypatch.setattr(F, "matmul", counted)
+        monkeypatch.setattr(ver, "core_checks", checked)
         calls.clear()
+        cert = factor(form, g)
+        own = list(calls)
+        calls.clear()
+        inside.append(True)
         assert verify_certificate(form, g, cert).passed
+        inside.pop()
         monkeypatch.undo()
-        assert len(calls) == (8 if form is DENSE_SP4 else 5), calls
+        stacked = [(2 * n, n), (3 * n, n)]
+        if form is DENSE_SP4:
+            assert own == [(2 * n, n)] + stacked, own
+            assert calls == [(3 * n, n), (n, n)] + stacked, calls
+        else:
+            assert own == stacked, own
+            assert calls == [(n, n)] + stacked, calls
 
 
 def _off_pattern_tamper(form, h):
@@ -459,6 +532,51 @@ def _reference_report(form, g, cert, refined=None):
     return out
 
 
+def _random_basis(F, n, rng):
+    # a seeded nonsingular n x n matrix over F
+    while True:
+        P = Mat(F, tuple(tuple(rng.randrange(F.order) for _ in range(n)) for _ in range(n)))
+        if P.det():
+            return P
+
+
+def _tower_certificates(F):
+    # (form, g, cert) on F: Sp6 over a trivial tower and U3 over a quadratic
+    # one, at a ratio other than 1 where the conj-fixed field has one; on
+    # the standard space and in a seeded dense basis P, where the space has
+    # Gram P^T J conj(P) and the element is P^(-1) g P
+    rng = random.Random(f"tower-certificates:{F!r}")
+    std = hermitian_form(F, 3) if F.has_conj else symplectic_form(F, 6)
+    beta = F.from_int(2) if F.q > 2 else F.one
+    g = group_sample(std, beta, seed=rng.randrange(1000))[0]
+    while True:
+        P = _random_basis(F, std.n, rng)
+        J = P.T @ std.J @ P.conj()
+        if monomial_rows(J) is None:
+            break
+    dense = SesquiForm(F, std.kind, J)
+    return [(form, h, factor(form, h)) for form, h in ((std, g), (dense, P.inv() @ g @ P))]
+
+
+def _tower_tampers(form, g, cert):
+    # (g, cert) tampered in h1, h2, g and beta: beta zero, another ratio
+    # and, on a quadratic tower, one outside the conj-fixed field
+    F = form.tower
+    beta = cert.beta
+    out = [
+        (g, _tamper(cert, "h1", _plus_one_at(cert.h1, 0, 1))),
+        (g, _tamper(cert, "h2", _plus_one_at(cert.h2, 1, 0))),
+        (_plus_one_at(g, 0, 1), cert),
+        (g, _tamper(cert, "beta", F.zero)),
+        (g, _tamper(cert, "beta", beta + F.one)),
+    ]
+    if F.q > 2:
+        out.append((g, _tamper(cert, "h1", cert.h1 * F.from_int(2))))
+    if F.has_conj:
+        out.append((g, _tamper(cert, "beta", F.from_int(F.q))))
+    return out
+
+
 def _tampered_certificates():
     # (form, g, cert, refined) for every tamper of this file, and two more:
     # the dense instance's h1 times 2 (its ratio read at the anchor is 4) and
@@ -495,10 +613,64 @@ def _tampered_certificates():
     return out
 
 
+def _tower_tampered_certificates():
+    # (form, g, cert, refined) for every tamper of _tower_tampers, on every
+    # tower of test_kernels.TOWERS
+    out = []
+    for _, spec in TOWERS:
+        for form, g, cert in _tower_certificates(field_make(*spec)):
+            out += [(form, h, c, None) for h, c in _tower_tampers(form, g, cert)]
+    return out
+
+
+def test_tower_tampers_reach_every_product_lane(monkeypatch):
+    # g's Gram is a wide product (n x n) and the stacked ones tall (2n x n,
+    # 3n x n), so verifying the tower tampers runs the prime kernel's byte
+    # slots, 64-bit slots and dot products each wide and tall, and both
+    # sides of the characteristic-2 byte lane.  Each kernel takes its
+    # packers when its tower is built, so the factory is wrapped and every
+    # tower is built afresh
+    packed, seen = [], set()
+
+    def slots(p, w, real=fields.key_slots):
+        pack, read = real(p, w)
+
+        def counted(xs):
+            packed.append({8: "byte", 64: "word"}.get(w, w))
+            return pack(xs)
+
+        return counted, read
+
+    monkeypatch.setattr(fields, "key_slots", slots)
+    monkeypatch.setattr(fields, "_TOWER_CACHE", {})
+    for _, spec in TOWERS:
+        F = field_make(*spec)
+        kernel = F.matmul.__qualname__.split(".")[0]
+        if kernel not in ("_prime_kernel", "_byte_lane_kernel"):
+            continue
+
+        def counted(ar, br, real=F.matmul, kernel=kernel):
+            packed.clear()
+            out = real(ar, br)
+            lane = packed[0] if packed else "translate" if kernel == "_byte_lane_kernel" else "dots"
+            seen.add((kernel, lane, "wide" if len(br[0]) >= len(ar) else "tall"))
+            return out
+
+        certs = _tower_certificates(F)
+        monkeypatch.setattr(F, "matmul", counted)
+        for form, g, cert in certs:
+            for h, c in _tower_tampers(form, g, cert):
+                assert not verify_certificate(form, h, c).passed
+    sides = ("wide", "tall")
+    want = {("_prime_kernel", lane, side) for lane in ("byte", "word", "dots") for side in sides}
+    want |= {("_byte_lane_kernel", "translate", side) for side in sides}
+    assert seen == want
+
+
 def test_tampered_certificates_fail_by_the_same_names_and_witnesses():
     # the key-row checks report exactly what whole-Mat checks report
     cases = _tampered_certificates()
-    for form, g, cert, refined in cases:
+    for form, g, cert, refined in cases + _tower_tampered_certificates():
         report = verify_certificate(form, g, cert, det_refined=refined)
         assert not report.passed
         assert report.serialize() == _reference_report(form, g, cert, refined)
