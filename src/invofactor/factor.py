@@ -67,9 +67,11 @@ side and M the local involutions on its diagonal, by one elimination:
 h1 conj(B) = B M, so the rref of [conj(B)^T | (B M)^T] is [I | h1^T].
 
 Blocks are not re-checked one by one.  The one check is the verifier's
-core_checks on the assembled certificate, made before factor returns it;
-a block that breaks its identities fails there and raises
-InternalInvariantError.  Its beta was read off g by similitude_ratio, so
+core_checks on the assembled certificate, made before factor returns it
+outside a survey; inside one, the survey's verify_certificate is the
+check.  Outside a survey, a block that breaks its identities fails there
+and raises InternalInvariantError; inside one, the survey raises
+VerificationError.  Its beta was read off g by similitude_ratio, so
 the check takes g_is_similitude_of_beta as shown and makes no second Gram
 of g: 2 matrix products on a standard space, 3 on a dense one.  The
 guards left inside the construction only stop an impossible intermediate
@@ -129,11 +131,13 @@ _survey_memo = ContextVar("survey_memo", default=None)
 @contextmanager
 def _shared_within_survey():
     """Inside this context, factor computes each factorization of a minimal
-    polynomial, and each per-factor polynomial and cyclic involution, once.
+    polynomial, and each per-factor polynomial and cyclic involution, once,
+    and returns its certificate unchecked.
 
     survey holds it for its loop, where many elements share a minimal
-    polynomial; the memo ends with the context, so a later call, or a
-    later survey, computes afresh."""
+    polynomial and every certificate goes to verify_certificate, which is
+    then the one check.  The memo ends with the context, so a later call,
+    or a later survey, computes afresh and checks its own result."""
     token = _survey_memo.set({})
     try:
         yield
@@ -487,10 +491,9 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
 def _orthocomplement(G, basis):
     # (comp, free) as Mat.right_kernel_basis gives them, for the complement
     # conj(ker basis^T G); conj keeps 0 and 1, so comp's rows at free are
-    # still the identity.  None when the complement is zero
+    # still the identity.  Called for a block smaller than the space only,
+    # where basis^T G has fewer rows than columns, so the kernel is nonzero
     K, free = (basis.T @ G).right_kernel_basis()
-    if not free:
-        return None
     return K.conj(), free
 
 
@@ -513,10 +516,7 @@ def _split(form, beta, a, G, lift, blocks, fac):
     blocks.append(_Block(lb, t, data))
     if basis.ncols == a.nrows:
         return
-    out = _orthocomplement(G, basis)
-    if out is None:
-        raise InternalInvariantError("block does not close the space", {})
-    comp, free = out
+    comp, free = _orthocomplement(G, basis)
     lc = comp if lift is None else lift @ comp
     _split(form, beta, restrict(a, comp, free), gram(comp, G, comp), lc, blocks, fac_c)
 
@@ -607,7 +607,9 @@ def factor(form, g, det_refined=False):
     det(h1) = (-1)^(n/2) by negating the local involution of one
     odd-dimensional block.  DetRefinementError is raised when every block
     has even dimension (so negation cannot change its determinant) and the
-    block determinants multiply to the wrong sign; see factor_det_refined."""
+    block determinants multiply to the wrong sign; see factor_det_refined.
+    The certificate is checked before it is returned, and one that fails
+    raises InternalInvariantError; inside a survey, the survey checks it."""
     if not isinstance(g, Mat) or g.tower is not form.tower:
         raise InputError("g must be a matrix over the form's field tower")
     if det_refined and det_target(form) is None:
@@ -634,6 +636,9 @@ def factor(form, g, det_refined=False):
     h1 = Mat(form.tower, tuple(zip(*(r[n:] for r in R.rows))))
     h2 = h1 @ g.conj()
     cert = FactorCert(form, g, beta, h1, h2, det_refined, [b.data for b in blocks])
+    if _survey_memo.get() is not None:
+        # the survey checks every certificate with verify_certificate
+        return cert
     # beta is g's ratio, read above, so the check makes no Gram of g
     from .verify import core_checks
 

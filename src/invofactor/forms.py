@@ -355,9 +355,13 @@ def _dilation(form, beta):
 
 
 def group_sample(form, beta=None, seed=0, count=1):
-    """`count` similitudes of ratio beta (default 1) by a seeded generator walk."""
+    """`count` similitudes of ratio beta (default 1) by a seeded generator
+    walk.  The seed is an int or a str, taken as given: 3 and "3" seed
+    different walks."""
     if type(count) is not int or count < 0:
         raise InputError(f"count must be a non-negative integer, got {count!r}")
+    if type(seed) not in (int, str):
+        raise InputError(f"seed must be an int or a str, got {seed!r}")
     F = form.tower
     beta = F.one if beta is None else form._as_elem(beta)
     rng = random.Random(seed)

@@ -16,6 +16,10 @@ witness are made only for a failing check.  factor's own check reuses
 the beta it read off g and makes no Gram of g (2 products, or 3).
 `survey` drives factor-and-verify over a whole group (or a seeded sample)
 and aborts loudly on the first failing certificate.
+A survey checks each element once: inside its loop factor returns the
+certificate unchecked, and the survey's verify_certificate, which re-reads
+beta from g and checks every identity, is the check.  The survey also
+matches each certificate's beta with its own.
 A survey factors each distinct minimal polynomial once: factor keeps its
 factorizations, and the polynomials and cyclic involutions of each factor,
 in a memo that lives for the survey's loop only, so the certificates are
@@ -243,8 +247,11 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
     """Factor and fully verify every similitude of ratio beta.
 
     Exhaustive enumeration when sample is None, else `sample` elements from
-    the seeded generator walk.  The first failing certificate aborts with a
-    VerificationError carrying the offending element and its transcript.
+    the seeded generator walk; the seed, an int or a str, is recorded as
+    given.  Each certificate is checked once, by verify_certificate, and its
+    beta matched with the survey's.  The first failing certificate aborts
+    with a VerificationError carrying the offending element and its
+    transcript.
     Returns a JSON-ready summary: totals, failure count (always 0 on a
     normal return), block-case histogram, and det(h1) histogram."""
     from .factor import factor, _shared_within_survey
@@ -255,15 +262,26 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
         elements = group_enumerate(form, beta_elem, budget=budget)
         mode = "exhaustive"
     else:
-        # group_sample rejects a count that is not an int
+        # group_sample rejects a count that is not an int and a seed that is
+        # neither an int nor a str, so the seed recorded is the one sampled
         elements = group_sample(form, beta_elem, seed=seed, count=sample)
-        mode = {"sample": sample, "seed": int(seed)}
+        mode = {"sample": sample, "seed": seed}
     total = 0
     cases = {}
     dets = {}
     with _shared_within_survey():
         for g in elements:
             cert = factor(form, g, det_refined=refined)
+            if cert.beta != beta_elem:
+                # verify_certificate matches g's ratio with the cert's own beta
+                raise VerificationError(
+                    "beta_matches_the_survey",
+                    {
+                        "g": g.serialize(),
+                        "cert": cert.serialize(),
+                        "beta": beta_elem.serialize(),
+                    },
+                )
             report = verify_certificate(form, g, cert)
             if not report.passed:
                 raise VerificationError(

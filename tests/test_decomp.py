@@ -317,8 +317,7 @@ def test_restrict_equals_the_solved_restriction(monkeypatch, spec):
 
     def orthocomplement(G, basis):
         out = real_ortho(G, basis)
-        if out is not None:
-            complements.append(out[0])
+        complements.append(out[0])
         return out
 
     monkeypatch.setattr(dec, "restrict", checked("frobenius"))

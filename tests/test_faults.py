@@ -4,7 +4,8 @@ another exception or a wrong certificate.
 
 Each case below replaces one construction step with a faulty one, at the
 point where an interior re-check used to guard it, and factors elements that
-reach that step.  The last tests pin the single verification point: one
+reach that step, in bare calls and under a survey, where the survey's
+verify_certificate is the check.  The last tests pin the single verification point: one
 `core_checks` per `factor`, no irreducibility re-test, and no witness
 serialization on a passing verification; and the single factorization:
 one `factorize` and one `minimal_polynomial` per `factor`, whose factors
@@ -22,11 +23,13 @@ from test_self_paired import _used_exponent
 from invofactor import (
     InternalInvariantError,
     InvofactorError,
+    VerificationError,
     factor,
     field_make,
     group_sample,
     hermitian_form,
     orthogonal_plus_form,
+    survey,
     symplectic_form,
     verify_certificate,
 )
@@ -301,6 +304,30 @@ def test_a_fault_ends_in_a_named_error_or_a_verified_certificate(monkeypatch, na
     assert hits, name
     assert InternalInvariantError in outcomes, outcomes
     assert set(outcomes) <= {InternalInvariantError, None}, outcomes
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_a_fault_under_a_survey_ends_in_a_named_error(monkeypatch, name):
+    # inside a survey factor returns its certificate unchecked: a fault the
+    # construction meets raises InternalInvariantError, and one that reaches
+    # the certificate fails the survey's verify_certificate
+    groups = {}
+    for form, g in ELEMENTS:
+        groups.setdefault((form, form.similitude_ratio(g)), []).append(g)
+    monkeypatch.setattr(ver, "group_enumerate", lambda form, beta, budget: groups[form, beta])
+    hits = []
+    FAULTS[name](monkeypatch, hits)
+    outcomes = []
+    for form, beta in groups:
+        try:
+            survey(form, beta=beta)
+        except InvofactorError as e:  # any other exception fails the test
+            outcomes.append(type(e))
+            continue
+        outcomes.append(None)
+    assert hits, name
+    assert set(outcomes) - {None}, outcomes
+    assert set(outcomes) <= {InternalInvariantError, VerificationError, None}, outcomes
 
 
 def test_factor_checks_its_result_exactly_once(monkeypatch):

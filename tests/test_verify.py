@@ -336,6 +336,71 @@ def test_survey_certificates_are_those_of_bare_factor_calls(monkeypatch, form):
         assert json.dumps(cert.serialize()) == json.dumps(bare.serialize())
 
 
+@pytest.mark.parametrize(
+    "form",
+    [symplectic_form(field_make(7), 2), hermitian_form(field_make(2, 1, "quadratic"), 3)],
+    ids=["Sp2(F7)", "U3(F4)"],
+)
+def test_a_survey_checks_each_element_once(monkeypatch, form):
+    # inside a survey factor leaves the check to verify_certificate, which
+    # re-reads beta from g; after the survey a bare factor checks its own
+    real = ver._checks
+    from_g = []
+
+    def counted(form, g, beta, h1, h2, det_refined=False, beta_from_g=False):
+        from_g.append(beta_from_g)
+        return real(form, g, beta, h1, h2, det_refined, beta_from_g)
+
+    monkeypatch.setattr(ver, "_checks", counted)
+    summary = survey(form)
+    assert len(from_g) == summary["total"] > 0 and not any(from_g)
+    from_g.clear()
+    factor(form, Mat.identity(form.tower, form.n))
+    assert from_g == [True]
+
+
+def test_survey_rejects_an_element_of_another_ratio(monkeypatch):
+    # verify_certificate matches g's ratio with the certificate's own beta
+    # only, so survey matches that beta with the survey's
+    sp = symplectic_form(F5, 2)
+    g = group_sample(sp, beta=2, seed=1)[0]
+    cert = factor(sp, g)
+    assert verify_certificate(sp, g, cert).passed
+    monkeypatch.setattr(ver, "group_enumerate", lambda form, beta, budget: iter([g]))
+    with pytest.raises(VerificationError) as info:
+        survey(sp)
+    assert info.value.check == "beta_matches_the_survey"
+    assert info.value.context == {"g": g.serialize(), "cert": cert.serialize(), "beta": [1]}
+
+
+@pytest.mark.parametrize("seed", [3, "3", "survey"], ids=repr)
+def test_survey_samples_and_records_its_seed_as_given(monkeypatch, seed):
+    # 3 and "3" seed different walks, and each survey records its own seed
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factor
+    met = []
+
+    def kept(form, g, det_refined=False):
+        met.append(g)
+        return real(form, g, det_refined=det_refined)
+
+    monkeypatch.setattr(fac, "factor", kept)
+    sp = symplectic_form(F5, 4)
+    summary = survey(sp, beta=2, sample=4, seed=seed)
+    assert summary["mode"] == {"sample": 4, "seed": seed}
+    assert met == group_sample(sp, beta=2, seed=seed, count=4)
+    assert group_sample(sp, beta=2, seed=3, count=4) != group_sample(sp, beta=2, seed="3", count=4)
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, None, b"3", (3,)], ids=repr)
+def test_a_seed_is_an_int_or_a_str(seed):
+    sp = symplectic_form(F5, 2)
+    with pytest.raises(InputError):
+        group_sample(sp, seed=seed)
+    with pytest.raises(InputError):
+        survey(sp, sample=1, seed=seed)
+
+
 def test_survey_sampled_is_reproducible():
     sp = symplectic_form(F5, 4)
     one = survey(sp, beta=2, sample=15, seed=21)
