@@ -176,9 +176,7 @@ def _standard_form(kind, n, q):
         return hermitian_form(field_make(p, k, "quadratic"), n)
     if kind == "go-plus":
         return orthogonal_plus_form(field_make(p, k), n)
-    if kind == "go-minus":
-        return orthogonal_minus_form(field_make(p, k), n)
-    raise InputError(f"unknown kind {kind!r}; choose one of {', '.join(_KINDS)}")
+    return orthogonal_minus_form(field_make(p, k), n)
 
 
 def _instance_doc(form, g):
@@ -201,7 +199,7 @@ def _cmd_factor(args):
     text = _canon_json(cert.serialize())
     summary = [
         f"beta: {beta.serialize()}",
-        f"cases: {_histogram_line(case_histogram(cert.blocks))}",
+        f"cases: {_histogram_line(case_histogram(cert.cases))}",
         f"det(h1): {det_label(form.tower, cert.h1.det())}",
     ]
     out = args.out or "-"

@@ -47,12 +47,14 @@ matvec of a per block.
 
 This module is the one place that splits a space into primary components
 (_component: ker p^e(a), p^e(a) made by columns through one matvec of a,
-or the standard basis when p^e is all of mp(a)).  factor factors
-mp(g) once per element (inside a survey, once per distinct mp(g): see
-_shared), and every complement inherits those factors less
-the ones whose components its block filled: the other primary components
-lie whole in the complement (Wall), so a paired block drops p and p~, and a
-self-paired block drops p when it fills U = ker p^e(a).  Otherwise the
+or the standard basis when p^e is all of mp(a)).  factor factors mp(g)
+once per element, and makes each power p^e, twisted reciprocal and cyclic
+involution once per call, through the memo that _shared reads (inside a
+survey, once per distinct argument).  Every complement inherits those
+factors less the ones whose components its block filled: the other
+primary components lie whole in the complement (Wall), so a paired block
+drops p and p~, and a self-paired block drops p when it fills
+U = ker p^e(a).  Otherwise the
 complement keeps what is left of U with p at the exponent the block used,
 which is then an upper bound: ker p^e(a) is the same U for every e at or
 above the true exponent, and the next self-paired search steps e down to
@@ -80,15 +82,18 @@ turning into a crash or an input error.  A complement's Gram is not
 tested: each block builder has shown its block nondegenerate (the cyclic
 hit, the invertible pairing, the cyclic pair's Gram), and a complement is
 nondegenerate exactly when its block is.  The block transcripts are
-descriptive and are not verified.  All searches are deterministic, so
-factoring the same element twice yields byte-identical certificates.
+descriptive and are not verified.  A block keeps its lifted basis, local
+involution and intertwiner as matrices, and they are serialized only when
+the transcript is read: by FactorCert.blocks or serialize, or into the
+context of a DetRefinementError or an InternalInvariantError.  All
+searches are deterministic, so factoring the same element twice yields
+byte-identical certificates.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import cache
 from itertools import chain, combinations
 
 from .decomp import frobenius_form, minimal_polynomial, poly_column, restrict
@@ -123,34 +128,38 @@ from .verify import det_target
 CERT_FORMAT = "invofactor-cert-v1"
 
 
-# results shared among the elements of one survey, by function and
-# arguments (polynomials as key tuples); None outside a survey
-_survey_memo = ContextVar("survey_memo", default=None)
+# results shared within one factor call, or among the elements of one
+# survey, by function and arguments (polynomials as key tuples); None
+# outside both
+_memo = ContextVar("factor_memo", default=None)
 
 
 @contextmanager
 def _shared_within_survey():
     """Inside this context, factor computes each factorization of a minimal
-    polynomial, and each per-factor polynomial and cyclic involution, once,
-    and returns its certificate unchecked.
+    polynomial, and each per-factor polynomial and cyclic involution, once
+    for all its calls, and returns its certificate unchecked.
 
     survey holds it for its loop, where many elements share a minimal
     polynomial and every certificate goes to verify_certificate, which is
     then the one check.  The memo ends with the context, so a later call,
     or a later survey, computes afresh and checks its own result."""
-    token = _survey_memo.set({})
+    token = _memo.set({})
     try:
         yield
     finally:
-        _survey_memo.reset(token)
+        _memo.reset(token)
 
 
 def _shared(fn, *args):
-    # fn(*args), made once per survey for each distinct args; outside one,
-    # fn(*args) itself.  A result is a polynomial, a factor list [(p, e)]
-    # or a Mat; the lists are handed out as copies, so no caller shares a
-    # stored one, and a Mat is immutable
-    memo = _survey_memo.get()
+    # fn(*args), made once per memo for each distinct args: factor opens a
+    # memo for its call when no survey holds one, so each power p^e,
+    # reciprocal and cyclic involution is made once per call, not once per
+    # recursion level and use.  Outside both (the public helpers below
+    # factor), fn(*args) itself.  A result is a polynomial, a factor list
+    # [(p, e)] or a Mat; the lists are handed out as copies, so no caller
+    # shares a stored one, and a Mat is immutable
+    memo = _memo.get()
     if memo is None:
         return fn(*args)
     key = (fn, *[tuple(a) if type(a) is list else a for a in args])
@@ -163,12 +172,22 @@ def _shared(fn, *args):
 
 
 class _Block:
+    # one invariant block: its basis lifted to the space, its local
+    # involution t, and its transcript data, whose Mats (a paired block's
+    # intertwiner) stay Mats until render
     __slots__ = ("lift", "t", "data")
 
     def __init__(self, lift, t, data):
         self.lift = lift
         self.t = t
         self.data = data
+
+    def render(self):
+        """The JSON-ready transcript of the block."""
+        out = {k: v.serialize() if type(v) is Mat else v for k, v in self.data.items()}
+        out["basis"] = self.lift.serialize()
+        out["local_involution"] = self.t.serialize()
+        return out
 
 
 def _component(a, apply, fac, p_, e):
@@ -221,7 +240,7 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
         "factor": pserialize(p_, F),
         "reciprocal": pserialize(ps, F),
         "multiplicity": e,
-        "intertwiner": X.serialize(),
+        "intertwiner": X,
     }
     return B1, t, data, [(q, m) for q, m in fac if q != p_ and q != ps]
 
@@ -443,26 +462,29 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
         # keys enter as they are: Mat.column would read them as GF(p) scalars
         probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
 
-        @cache
+        ks, gs, xs = {}, {}, {}
+
         def krylov(i):
-            return _columns(F, _powers(apply, cols[i], D - 1))
+            if i not in ks:
+                ks[i] = _columns(F, _powers(apply, cols[i], D - 1))
+            return ks[i]
 
-        @cache
-        def paired(j):
-            return conj_product(G, krylov(j))
-
-        @cache
         def cross(i, j):
-            # G_ij as a flat list of keys
-            return [x for r in (krylov(i).T @ paired(j)).rows for x in r]
+            # G_ij as a flat list of keys, G conj(K_j) made once per column j
+            if (i, j) not in xs:
+                if j not in gs:
+                    gs[j] = conj_product(G, krylov(j))
+                xs[i, j] = [x for r in (krylov(i).T @ gs[j]).rows for x in r]
+            return xs[i, j]
 
         forced = _forced_pair(form, p_, e)
         x = hit = None
         for i in range(len(cols)):
-            if (krylov(i) @ probe).is_zero():
+            top = krylov(i) @ probe
+            if top.is_zero():
                 continue
             if x is None:
-                x = i
+                x, w = i, top
             if forced:
                 break
             if _nondegenerate(F, D, cross(i, i)):
@@ -479,7 +501,6 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
         K = krylov(i) if j is None else krylov(i) + krylov(j) * F.from_int(c)
         block = _cyclic_block(F, beta, K, pe)
     else:
-        w = krylov(x) @ probe
         y = next((j for j, c in enumerate(gram(w, G, U).rows[0]) if c), None)
         if y is None:
             raise InternalInvariantError("no partner pairs with the degenerate cyclic space", {})
@@ -510,10 +531,7 @@ def _split(form, beta, a, G, lift, blocks, fac):
             break
     else:
         basis, t, data, fac_c = _self_paired_block(form, beta, a, G, *fac[0], fac)
-    lb = basis if lift is None else lift @ basis
-    data["basis"] = lb.serialize()
-    data["local_involution"] = t.serialize()
-    blocks.append(_Block(lb, t, data))
+    blocks.append(_Block(basis if lift is None else lift @ basis, t, data))
     if basis.ncols == a.nrows:
         return
     comp, free = _orthocomplement(G, basis)
@@ -537,19 +555,23 @@ def _refine_dets(target, blocks):
             {
                 "target": target.serialize(),
                 "achieved": total.serialize(),
-                "blocks": [dict(b.data) for b in blocks],
+                "blocks": [b.render() for b in blocks],
             },
         )
     flip.t = -flip.t
     flip.data["sign_flipped"] = True
     flip.data["t_det"] = flip.t.det().serialize()
-    flip.data["local_involution"] = flip.t.serialize()
 
 
 class FactorCert:
-    """A factorization g = h1 * h2 with its per-block construction transcript."""
+    """A factorization g = h1 * h2 with its per-block construction transcript.
 
-    __slots__ = ("form", "g", "beta", "h1", "h2", "det_refined", "blocks")
+    blocks is the transcript as serialize writes it, a list of JSON-ready
+    dicts.  factor hands in its blocks unrendered, and their matrices are
+    serialized on the first read of blocks, once; cases reads each block's
+    case without that."""
+
+    __slots__ = ("form", "g", "beta", "h1", "h2", "det_refined", "_blocks")
 
     def __init__(self, form, g, beta, h1, h2, det_refined, blocks):
         self.form = form
@@ -558,7 +580,19 @@ class FactorCert:
         self.h1 = h1
         self.h2 = h2
         self.det_refined = det_refined
-        self.blocks = blocks
+        self._blocks = blocks
+
+    @property
+    def blocks(self):
+        blocks = self._blocks
+        if blocks and type(blocks[0]) is _Block:
+            blocks = self._blocks = [b.render() for b in blocks]
+        return blocks
+
+    @property
+    def cases(self):
+        """The case of each block, in order."""
+        return [b.data["case"] if type(b) is _Block else b["case"] for b in self._blocks]
 
     def checks(self):
         from .verify import core_checks
@@ -617,6 +651,29 @@ def factor(form, g, det_refined=False):
             "determinant refinement applies to orthogonal spaces of even dimension, "
             f"not to {form.kind} of dimension {form.n}"
         )
+    if _memo.get() is not None:
+        # the survey checks every certificate with verify_certificate
+        return _factor(form, g, det_refined)
+    token = _memo.set({})
+    try:
+        cert = _factor(form, g, det_refined)
+    finally:
+        _memo.reset(token)
+    # beta is g's ratio, read by _factor, so the check makes no Gram of g
+    from .verify import core_checks
+
+    checks = core_checks(form, g, cert.beta, cert.h1, cert.h2, det_refined, beta_from_g=True)
+    bad = [name for name, ok in checks if not ok]
+    if bad:
+        raise InternalInvariantError(
+            "assembled factorization fails its defining identities",
+            {"failed": bad, "cert": cert.serialize()},
+        )
+    return cert
+
+
+def _factor(form, g, det_refined):
+    # factor's construction, unchecked, inside a memo
     beta = form.similitude_ratio(g)
     blocks = []
     fac = _shared(factorize, minimal_polynomial(g), form.tower)
@@ -634,22 +691,7 @@ def factor(form, g, det_refined=False):
         # first met here
         raise InternalInvariantError("block bases do not span the space", {})
     h1 = Mat(form.tower, tuple(zip(*(r[n:] for r in R.rows))))
-    h2 = h1 @ g.conj()
-    cert = FactorCert(form, g, beta, h1, h2, det_refined, [b.data for b in blocks])
-    if _survey_memo.get() is not None:
-        # the survey checks every certificate with verify_certificate
-        return cert
-    # beta is g's ratio, read above, so the check makes no Gram of g
-    from .verify import core_checks
-
-    checks = core_checks(form, g, beta, h1, h2, det_refined, beta_from_g=True)
-    bad = [name for name, ok in checks if not ok]
-    if bad:
-        raise InternalInvariantError(
-            "assembled factorization fails its defining identities",
-            {"failed": bad, "cert": cert.serialize()},
-        )
-    return cert
+    return FactorCert(form, g, beta, h1, h1 @ g.conj(), det_refined, blocks)
 
 
 def factor_det_refined(form, g):

@@ -59,6 +59,9 @@ from .errors import FieldConstructionError, InputError
 from .poly import (_prime_divisors, coord_reader, coord_slots, is_irreducible_poly, key_slots,
                    least_root, pinvmod, pnormal)
 
+# working fields are below order 2^ORDER_BITS: a larger degree would make
+# the tower's own powers p^k, and its modulus searches, run without end
+ORDER_BITS = 256
 # non-prime working fields up to this order run on log/antilog tables; the
 # largest non-prime field in the benchmark workloads is GF(2^12)
 TABLE_ORDER = 1 << 12
@@ -135,12 +138,11 @@ def _key(digits, p):
 
 
 def _least_irreducible(P, d):
+    # the monic irreducible of degree d with the least coefficient digits;
+    # there is one in every degree
     p = P.p
-    for n in range(p**d):
-        f = _digits(n, p, d) + [1]
-        if is_irreducible_poly(f, P):
-            return f
-    raise FieldConstructionError(f"no irreducible of degree {d} over GF({p})")
+    monics = (_digits(n, p, d) + [1] for n in range(p**d))
+    return next(f for f in monics if is_irreducible_poly(f, P))
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +612,13 @@ def _byte_lane_kernel(t, scalers):
 
 
 def _primitive_element(t):
+    # the least key generating the multiplicative group, which is cyclic;
+    # tabled towers have order >= 4, so that key is >= 2
     n1 = t.order - 1
     rs = _prime_divisors(n1)
-    for g in range(2, t.order):
-        if all(_square_multiply(t, g, n1 // r) != 1 for r in rs):
-            return g
-    raise FieldConstructionError(f"no primitive element in {t!r}")
+    return next(
+        g for g in range(2, t.order) if all(_square_multiply(t, g, n1 // r) != 1 for r in rs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -746,11 +749,17 @@ class FieldTower:
             raise FieldConstructionError(f"k must be a positive integer, got {k!r}")
         if ext not in ("trivial", "quadratic"):
             raise FieldConstructionError(f"ext must be 'trivial' or 'quadratic', got {ext!r}")
+        self.deg = k if ext == "trivial" else 2 * k
+        # p >= 2, so a degree past ORDER_BITS is past the bound unpowered
+        if self.deg > ORDER_BITS or (p**self.deg).bit_length() > ORDER_BITS:
+            raise FieldConstructionError(
+                f"GF({p}^{self.deg}) is too large: working fields have order below "
+                f"2^{ORDER_BITS}"
+            )
         self.p = p
         self.k = k
         self.ext = ext
         self.q = p**k  # order of the conj-fixed field
-        self.deg = k if ext == "trivial" else 2 * k
         self.order = p**self.deg  # order of the working field
         self.base_modulus = [0, 1] if k == 1 else _least_irreducible(field_make(p), k)
         if self.deg == 1:

@@ -140,13 +140,6 @@ class SesquiForm:
             )
         return beta
 
-    def is_similitude(self, g, beta=None):
-        try:
-            got = self.similitude_ratio(g)
-        except NotInGroupError:
-            return False
-        return beta is None or got == self._as_elem(beta)
-
     def anti_ratio(self, A):
         """beta with A^T J conj(A) = beta * eps * conj(J), or None."""
         if A.shape != (self.n, self.n) or A.tower is not self.tower:

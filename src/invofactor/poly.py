@@ -488,9 +488,12 @@ def factorize(f, F, seed=0):
     Deterministic for fixed seed.  Each factor is irreducible because
     distinct-degree splitting groups the factors by degree and equal-degree
     splitting stops at that degree; the factors are checked to multiply
-    back to the input.
+    back to the input.  A linear f is its own factorization, [(monic f, 1)],
+    with no splitting and no check.
     """
     assert f, "cannot factor the zero polynomial"
+    if len(f) == 2:
+        return [(pmonic(f, F), 1)]
     rng = random.Random(seed)
     out = []
     for sqf, m in squarefree_parts(f, F):

@@ -22,8 +22,10 @@ beta from g and checks every identity, is the check.  The survey also
 matches each certificate's beta with its own.
 A survey factors each distinct minimal polynomial once: factor keeps its
 factorizations, and the polynomials and cyclic involutions of each factor,
-in a memo that lives for the survey's loop only, so the certificates are
-those of bare factor calls.
+in a memo that lives for the survey's loop only (a bare factor call keeps
+one for the call), so the certificates are those of bare factor calls.
+The survey's case histogram reads each certificate's block cases, and no
+block transcript is serialized.
 """
 
 from __future__ import annotations
@@ -235,11 +237,11 @@ def det_label(F, d):
     return str(d.serialize())
 
 
-def case_histogram(blocks, counts=None):
-    """Block-case counts of certificate blocks, added into `counts`."""
+def case_histogram(cases, counts=None):
+    """Counts of block cases (a certificate's cases), added into `counts`."""
     counts = {} if counts is None else counts
-    for blk in blocks:
-        counts[blk["case"]] = counts.get(blk["case"], 0) + 1
+    for case in cases:
+        counts[case] = counts.get(case, 0) + 1
     return counts
 
 
@@ -293,7 +295,7 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
                     },
                 )
             total += 1
-            case_histogram(cert.blocks, cases)
+            case_histogram(cert.cases, cases)
             label = det_label(F, cert.h1.det())
             dets[label] = dets.get(label, 0) + 1
     return {

@@ -13,6 +13,7 @@ from test_kernels import TOWERS
 from invofactor import (
     DetRefinementError,
     InputError,
+    InternalInvariantError,
     NotInGroupError,
     cert_from_serialized,
     check_cert,
@@ -28,6 +29,7 @@ from invofactor import (
     orthogonal_minus_form,
     orthogonal_plus_form,
     standard_reverser,
+    survey,
     symmetric_conjugator,
     symmetric_factor,
     symmetric_unitary_conjugator,
@@ -501,3 +503,85 @@ def test_factoring_is_deterministic():
         once = json.dumps(factor(sp, g).serialize(), sort_keys=True)
         again = json.dumps(factor(sp, g).serialize(), sort_keys=True)
         assert once == again
+
+
+# ---------------------------------------------------------------------------
+# one memo per factor call, and the transcript rendered on demand
+
+
+def _count_calls(monkeypatch, name, key):
+    # the arguments of every call factor makes to fac.<name>, as keys
+    real = getattr(fac, name)
+    seen = []
+
+    def counted(*args):
+        seen.append(key(*args))
+        return real(*args)
+
+    monkeypatch.setattr(fac, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "form, g",
+    [
+        (symplectic_form(field_make(1009), 6), -Mat.identity(field_make(1009), 6)),
+        (orthogonal_plus_form(field_make(7), 8), None),
+    ],
+    ids=["Sp6(F1009)*-I", "GO8+(F7)"],
+)
+def test_one_factor_call_makes_each_shared_result_once(monkeypatch, form, g):
+    # the recursion meets the same p^e, reciprocal and cyclic involution at
+    # every level and in every use; factor's own memo makes each once, and
+    # ends with the call, so a second call makes them afresh
+    g = group_sample(form, seed=6)[0] if g is None else g
+    seen = {
+        "ppow": _count_calls(monkeypatch, "ppow", lambda f, e, F: (tuple(f), e)),
+        "twisted_reciprocal": _count_calls(
+            monkeypatch, "twisted_reciprocal", lambda f, beta, F: (tuple(f), beta)
+        ),
+        "_cyclic_t": _count_calls(monkeypatch, "_cyclic_t", lambda F, beta, ann: (beta, tuple(ann))),
+    }
+    cert = factor(form, g)
+    assert len(cert.cases) > 1
+    once = {name: list(args) for name, args in seen.items()}
+    for name, args in once.items():
+        assert args and len(set(args)) == len(args), name
+    factor(form, g)
+    assert {name: args[len(once[name]) :] for name, args in seen.items()} == once
+
+
+def test_factor_leaves_no_memo_behind(monkeypatch):
+    sp = symplectic_form(F5, 4)
+    g = group_sample(sp, beta=2, seed=3)[0]
+    factor(sp, g)
+    assert fac._memo.get() is None
+    # a refinement obstruction raises inside the construction
+    op = orthogonal_plus_form(F3, 2)
+    with pytest.raises(DetRefinementError):
+        factor_det_refined(op, Mat.from_rows(F3, [[0, 1], [2, 0]]))
+    assert fac._memo.get() is None
+    # a wrong cyclic involution fails factor's check, after the memo ended
+    real = fac._cyclic_t
+    monkeypatch.setattr(fac, "_cyclic_t", lambda F, beta, ann: real(F, beta, ann) * F.scalar(2))
+    with pytest.raises(InternalInvariantError):
+        factor(sp, Mat.identity(F5, 4))
+    assert fac._memo.get() is None
+
+
+def test_blocks_render_once_and_match_the_serialized_certificate(monkeypatch):
+    renders = []
+    real = fac._Block.render
+    monkeypatch.setattr(fac._Block, "render", lambda b: renders.append(b) or real(b))
+    go = orthogonal_plus_form(field_make(7), 8)
+    cert = factor(go, group_sample(go, seed=6)[0])
+    # the block cases are read without rendering
+    assert cert.cases == ["paired", "paired", "cyclic", "cyclic"] and renders == []
+    blocks = cert.blocks
+    assert len(renders) == 4 and cert.blocks is blocks
+    assert blocks == cert.serialize()["blocks"] == json.loads(json.dumps(blocks))
+    assert [b["case"] for b in blocks] == cert.cases
+    assert len(renders) == 4
+    # a survey reads cases only
+    renders.clear()
+    assert survey(symplectic_form(F5, 2))["total"] == 120 and renders == []

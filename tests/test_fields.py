@@ -302,6 +302,12 @@ def test_bad_parameters_raise():
     with pytest.raises(FieldConstructionError, match="3317044064679887385961981"):
         field_make(3317044064679887385961981)
     assert field_make(2**61 - 1).p == 2**61 - 1
+    # working fields have order below 2^256; a huge degree is refused before
+    # any power p^k is made
+    for bad in [(5, 10**30), (2, 256), (2, 128, "quadratic"), (2**61 - 1, 5)]:
+        with pytest.raises(FieldConstructionError, match="too large"):
+            field_make(*bad)
+    assert field_make(2**61 - 1, 2).order.bit_length() == 122
 
 
 def test_tower_caching_and_descriptor_roundtrip():

@@ -123,6 +123,28 @@ def test_factorize_against_oracle(params, maxdeg):
             ), pserialize(f, F)
 
 
+@pytest.mark.parametrize("params", [p for _, p in TOWERS], ids=[name for name, _ in TOWERS])
+def test_factorize_of_a_linear_polynomial_is_the_general_paths(params):
+    # a linear f returns [(monic f, 1)] at once; the squarefree, distinct-
+    # and equal-degree path gives the same for monic and non-monic f
+    F = field_make(*params)
+
+    def general(f):
+        rng = random.Random(0)
+        out = []
+        for sqf, m in squarefree_parts(f, F):
+            frob = _Frobenius(sqf, F)
+            for prod_d, d in poly._distinct_degree(frob):
+                out.extend((irr, m) for irr in poly._edf(prod_d, d, frob, rng))
+        return out
+
+    rng = random.Random(repr(F))
+    for _ in range(6):
+        a, c = rng.randrange(F.order), rng.randrange(1, F.order)
+        for f in ([a, 1], [F.mul(c, a), c]):
+            assert factorize(f, F) == general(f) == [([a, 1], 1)], (a, c)
+
+
 def test_factorize_seed_independent_output():
     F = field_make(3, 1, "quadratic")
     f = pnormal([F.elem([1, 2]).key, F.elem([0, 1]).key, F.elem([2, 0]).key, 0, 1, 1])
