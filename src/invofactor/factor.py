@@ -73,9 +73,12 @@ core_checks on the assembled certificate, made before factor returns it
 outside a survey; inside one, the survey's verify_certificate is the
 check.  Outside a survey, a block that breaks its identities fails there
 and raises InternalInvariantError; inside one, the survey raises
-VerificationError.  Its beta was read off g by similitude_ratio, so
-the check takes g_is_similitude_of_beta as shown and makes no second Gram
-of g: 2 matrix products on a standard space, 3 on a dense one.  The
+VerificationError.  Outside a survey beta is read off g by
+similitude_ratio, so the check takes g_is_similitude_of_beta as shown and
+makes no second Gram of g: 2 matrix products on a standard space, 3 on a
+dense one.  Inside one beta is the survey's, which the survey has matched
+with g's ratio at one entry of g's Gram, and verify_certificate's check of
+g_is_similitude_of_beta makes the one Gram of g.  The
 guards left inside the construction only stop an impossible intermediate
 (a missing reciprocal factor, an empty kernel, a degenerate pairing) from
 turning into a crash or an input error.  A complement's Gram is not
@@ -129,22 +132,25 @@ CERT_FORMAT = "invofactor-cert-v1"
 
 
 # results shared within one factor call, or among the elements of one
-# survey, by function and arguments (polynomials as key tuples); None
-# outside both
+# survey, by function and arguments (polynomials as key tuples), and the
+# survey's beta under "beta"; None outside both
 _memo = ContextVar("factor_memo", default=None)
 
 
 @contextmanager
-def _shared_within_survey():
+def _shared_within_survey(beta):
     """Inside this context, factor computes each factorization of a minimal
     polynomial, and each per-factor polynomial and cyclic involution, once
-    for all its calls, and returns its certificate unchecked.
+    for all its calls, takes beta as g's ratio, and returns its certificate
+    unchecked.
 
     survey holds it for its loop, where many elements share a minimal
-    polynomial and every certificate goes to verify_certificate, which is
-    then the one check.  The memo ends with the context, so a later call,
-    or a later survey, computes afresh and checks its own result."""
-    token = _memo.set({})
+    polynomial, every element has the ratio beta (survey reads it at J's
+    anchor entry first) and every certificate goes to verify_certificate,
+    which is then the one check and the one Gram of g.  The memo ends with
+    the context, so a later call, or a later survey, computes afresh, reads
+    its own beta and checks its own result."""
+    token = _memo.set({"beta": beta})
     try:
         yield
     finally:
@@ -293,14 +299,16 @@ def _times_matrix(F, f, pe):
     return _columns(F, _powers(lambda v: _t_times(F, pe, v), f + [0] * (D - len(f)), D - 1))
 
 
-def _gamma(F, beta, G, x, Ky, pe):
+def _gamma(F, beta, eps, G, x, Ky, pe):
     """The pairing correction gamma in E[T]/(pe), as a key polynomial: a unit
     with gamma * gamma~ = 1 (gamma~ conjugates the coefficients and sends T
     to beta / T).  That is not re-checked; a wrong gamma makes the partner
     side's involution wrong, and factor's final check rejects it.
 
     Ky is the Krylov basis of y, on which g acts by the companion C of pe,
-    so g^m y = Ky C^m e_0: its coordinates are T^m mod pe."""
+    so g^m y = Ky C^m e_0: its coordinates are T^m mod pe.  G is
+    eps-hermitian (eps a key), so <g^m y, x> = eps conj(<x, g^m y>) and one
+    Gram gives both sides of gamma's equations."""
     D = pdeg(pe)
     e0 = [1] + [0] * (D - 1)
     back = F.scale(pe[1:], F.inv(pe[0]))
@@ -309,7 +317,6 @@ def _gamma(F, beta, G, x, Ky, pe):
     # columns g^m y for m in [-(D-1), 2D-2], column m + D - 1
     Y = Ky @ _columns(F, down[:0:-1] + up)
     xg = gram(x, G, Y).rows[0]  # <x, g^m y>
-    yx = [r[0] for r in gram(Y, G, x).rows]  # <g^m y, x>
     # gamma = sum_k c_k T^k must satisfy, for every shift i,
     #   sum_k conj(c_k) <x, g^(i+k) y> = beta^i <g^(-i) y, x>
     # (the cross-pairing conditions of the corrected involution)
@@ -317,7 +324,7 @@ def _gamma(F, beta, G, x, Ky, pe):
     rhs = []
     for i in range(-(D - 1), D):
         rows.append(xg[i + D - 1 : i + 2 * D - 1])
-        rhs.append(F.mul(F.pow(beta.key, i), yx[D - 1 - i]))
+        rhs.append(F.mul(F.mul(F.pow(beta.key, i), eps), F.conj(xg[D - 1 - i])))
     sol = Mat(F, tuple(rows)).solve_right(Mat(F, tuple((r,) for r in rhs)))
     if sol is None:
         raise InternalInvariantError("pairing correction system is unsolvable", {})
@@ -327,7 +334,7 @@ def _gamma(F, beta, G, x, Ky, pe):
 def _cyclic_pair_block(form, beta, G, Kx, Ky, p_, e):
     F = form.tower
     pe = _shared(ppow, p_, e, F)
-    gamma = _gamma(F, beta, G, Kx.col(0), Ky, pe)
+    gamma = _gamma(F, beta, form.eps_elem.key, G, Kx.col(0), Ky, pe)
     Tx = _shared(_cyclic_t, F, beta, pe)
     t = block_diag(F, [Tx, _times_matrix(F, gamma, pe) @ Tx])
     B1 = hstack([Kx, Ky])
@@ -643,7 +650,8 @@ def factor(form, g, det_refined=False):
     has even dimension (so negation cannot change its determinant) and the
     block determinants multiply to the wrong sign; see factor_det_refined.
     The certificate is checked before it is returned, and one that fails
-    raises InternalInvariantError; inside a survey, the survey checks it."""
+    raises InternalInvariantError; inside a survey, g's ratio is the
+    survey's beta, and the survey checks the certificate."""
     if not isinstance(g, Mat) or g.tower is not form.tower:
         raise InputError("g must be a matrix over the form's field tower")
     if det_refined and det_target(form) is None:
@@ -651,15 +659,18 @@ def factor(form, g, det_refined=False):
             "determinant refinement applies to orthogonal spaces of even dimension, "
             f"not to {form.kind} of dimension {form.n}"
         )
-    if _memo.get() is not None:
-        # the survey checks every certificate with verify_certificate
-        return _factor(form, g, det_refined)
+    memo = _memo.get()
+    if memo is not None:
+        # g has the survey's beta, and the survey checks every certificate
+        # with verify_certificate
+        return _factor(form, g, det_refined, memo["beta"])
+    beta = form.similitude_ratio(g)
     token = _memo.set({})
     try:
-        cert = _factor(form, g, det_refined)
+        cert = _factor(form, g, det_refined, beta)
     finally:
         _memo.reset(token)
-    # beta is g's ratio, read by _factor, so the check makes no Gram of g
+    # beta is g's ratio, so the check makes no second Gram of g
     from .verify import core_checks
 
     checks = core_checks(form, g, cert.beta, cert.h1, cert.h2, det_refined, beta_from_g=True)
@@ -672,9 +683,8 @@ def factor(form, g, det_refined=False):
     return cert
 
 
-def _factor(form, g, det_refined):
-    # factor's construction, unchecked, inside a memo
-    beta = form.similitude_ratio(g)
+def _factor(form, g, det_refined, beta):
+    # factor's construction for g of ratio beta, unchecked, inside a memo
     blocks = []
     fac = _shared(factorize, minimal_polynomial(g), form.tower)
     _split(form, beta, g, form.J, None, blocks, fac)

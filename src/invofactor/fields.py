@@ -777,9 +777,13 @@ class FieldTower:
     @staticmethod
     def _least_quadratic_modulus(base):
         # the least (key(g0), key(g1)) with W^2 + g1*W + g0 irreducible over
-        # F, as keys; g0 = 0 never qualifies (W divides)
+        # F, as keys; g0 = 0 never qualifies (W divides).  Over F = GF(p^k)
+        # with k even, a quadratic with both coefficients in GF(p) (keys
+        # below p) splits in GF(p^2), a subfield of F, so n1 starts at p
+        # while n0 < p
         order = range(base.order)
-        return next((n0, n1) for n0 in order[1:] for n1 in order
+        low = base.p if base.k % 2 == 0 else 0
+        return next((n0, n1) for n0 in order[1:] for n1 in order[low if n0 < low else 0:]
                     if is_irreducible_poly([n0, n1, 1], base))
 
     # -- public API -----------------------------------------------------------

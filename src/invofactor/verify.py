@@ -18,8 +18,12 @@ the beta it read off g and makes no Gram of g (2 products, or 3).
 and aborts loudly on the first failing certificate.
 A survey checks each element once: inside its loop factor returns the
 certificate unchecked, and the survey's verify_certificate, which re-reads
-beta from g and checks every identity, is the check.  The survey also
-matches each certificate's beta with its own.
+beta from g and checks every identity, is the check.  factor takes the
+survey's beta as g's ratio, so that check makes the one Gram of g per
+element.  Before factor runs, the survey reads g's ratio at J's anchor
+entry (row 0's first nonzero, where form._match_ratio reads it):
+(g^T J conj(g))[0, j0] / J[0, j0], one matvec and one dot product, exact
+for a similitude; an element of another ratio is rejected there.
 A survey factors each distinct minimal polynomial once: factor keeps its
 factorizations, and the polynomials and cyclic involutions of each factor,
 in a memo that lives for the survey's loop only (a bare factor call keeps
@@ -250,8 +254,11 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
 
     Exhaustive enumeration when sample is None, else `sample` elements from
     the seeded generator walk; the seed, an int or a str, is recorded as
-    given.  Each certificate is checked once, by verify_certificate, and its
-    beta matched with the survey's.  The first failing certificate aborts
+    given.  Each element's ratio is read at J's anchor entry and matched
+    with beta before it is factored (VerificationError
+    "beta_matches_the_survey" otherwise); factor then takes beta as its
+    ratio, and each certificate is checked once, by verify_certificate,
+    which makes the one Gram of g.  The first failing certificate aborts
     with a VerificationError carrying the offending element and its
     transcript.
     Returns a JSON-ready summary: totals, failure count (always 0 on a
@@ -268,22 +275,26 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
         # neither an int nor a str, so the seed recorded is the one sampled
         elements = group_sample(form, beta_elem, seed=seed, count=sample)
         mode = {"sample": sample, "seed": seed}
+    # g's ratio at J's anchor entry [0, j0]: the entry of g^T (J conj(g))
+    # over J's, from one matvec of J and one dot product
+    J = form.J.rows
+    j0 = next(j for j, x in enumerate(J[0]) if x)
+    anchor, apply, conj, dot = F.inv(J[0][j0]), F.matvec(J), F.conj, F.dot
     total = 0
     cases = {}
     dets = {}
-    with _shared_within_survey():
+    with _shared_within_survey(beta_elem):
         for g in elements:
-            cert = factor(form, g, det_refined=refined)
-            if cert.beta != beta_elem:
-                # verify_certificate matches g's ratio with the cert's own beta
+            rows = g.rows
+            ratio = F.mul(dot([r[0] for r in rows], apply([conj(r[j0]) for r in rows])), anchor)
+            if ratio != beta_elem.key:
+                # factor takes beta as g's ratio, and verify_certificate
+                # matches g's ratio with the cert's own beta only
                 raise VerificationError(
                     "beta_matches_the_survey",
-                    {
-                        "g": g.serialize(),
-                        "cert": cert.serialize(),
-                        "beta": beta_elem.serialize(),
-                    },
+                    {"g": g.serialize(), "beta": beta_elem.serialize()},
                 )
+            cert = factor(form, g, det_refined=refined)
             report = verify_certificate(form, g, cert)
             if not report.passed:
                 raise VerificationError(

@@ -130,8 +130,8 @@ def test_gamma_equals_the_inverse_construction(monkeypatch):
         finally:
             current.pop()
 
-    def gamma(F, beta, G, x, Ky, pe):
-        got = real_gamma(F, beta, G, x, Ky, pe)
+    def gamma(F, beta, eps, G, x, Ky, pe):
+        got = real_gamma(F, beta, eps, G, x, Ky, pe)
         assert got == reference_gamma(F, beta, current[-1], G, x, Ky.col(0), pe)
         calls.append(pdeg(pe))
         return got

@@ -135,9 +135,9 @@ def _non_conjugating_frobenius_form(monkeypatch, hits):
 def _perturbed_gamma(monkeypatch, hits):
     real = fac._gamma
 
-    def faulty(F, beta, G, x, Ky, pe):
+    def faulty(F, beta, eps, G, x, Ky, pe):
         hits.append(1)
-        return padd(real(F, beta, G, x, Ky, pe), [1], F)
+        return padd(real(F, beta, eps, G, x, Ky, pe), [1], F)
 
     monkeypatch.setattr(fac, "_gamma", faulty)
 

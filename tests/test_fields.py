@@ -6,6 +6,8 @@ import time
 import pytest
 
 from invofactor import FieldConstructionError, InputError, field_from_descriptor, field_make
+from invofactor import fields
+from invofactor.fields import FieldTower
 from invofactor.linalg import Mat
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,39 @@ def test_quadratic_extension_moduli_match_brute_force():
     for p, k in bases:
         E = field_make(p, k, "quadratic")
         assert (E._qg0, E._qg1) == oracle_least_quadratic_modulus(field_make(p, k)), (p, k)
+
+
+def _unskipped_least_quadratic_modulus(base):
+    # the search without its skip: every (n0, n1) in key order, n0 >= 1
+    order = range(base.order)
+    return next((n0, n1) for n0 in order[1:] for n1 in order
+                if fields.is_irreducible_poly([n0, n1, 1], base))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_quadratic_modulus_search_skips_only_split_candidates(p, k):
+    # over GF(p^k) with k even, candidates with both keys below p split in
+    # GF(p^2) and are skipped; the least modulus is the unskipped search's
+    base = field_make(p, k)
+    assert FieldTower._least_quadratic_modulus(base) == _unskipped_least_quadratic_modulus(base)
+
+
+def test_the_quadratic_modulus_search_over_an_even_degree_base_starts_past_gf_p(monkeypatch):
+    # over GF(65537^2) the unskipped search tests at least 65537 candidates
+    # before its first possible hit; the search tests from (1, p) on
+    real = fields.is_irreducible_poly
+    calls = []
+
+    def counted(f, F):
+        calls.append(f)
+        return real(f, F)
+
+    p = 65537
+    base = field_make(p, 2)
+    monkeypatch.setattr(fields, "is_irreducible_poly", counted)
+    n0, n1 = FieldTower._least_quadratic_modulus(base)
+    assert n0 == 1 and calls[0] == [1, p, 1] and len(calls) == n1 - p + 1 <= 16
 
 
 def test_large_quadratic_tower_builds_quickly():

@@ -305,7 +305,7 @@ def test_the_memo_hands_out_copies():
     fac = importlib.import_module("invofactor.factor")
     g = Mat.from_rows(F5, [[2, 1], [0, 3]])
     f = minimal_polynomial(g)
-    with fac._shared_within_survey():
+    with fac._shared_within_survey(F5.one):
         first = fac._shared(fac.factorize, f, F5)
         first[0][0].append(4)
         first.append(([1], 1))
@@ -313,27 +313,6 @@ def test_the_memo_hands_out_copies():
         power = fac._shared(fac.ppow, f, 2, F5)
         power.append(4)
         assert fac._shared(fac.ppow, f, 2, F5) == fac.ppow(f, 2, F5)
-
-
-@pytest.mark.parametrize(
-    "form",
-    [symplectic_form(field_make(7), 2), hermitian_form(field_make(2, 1, "quadratic"), 3)],
-    ids=["Sp2(F7)", "U3(F4)"],
-)
-def test_survey_certificates_are_those_of_bare_factor_calls(monkeypatch, form):
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factor
-    made = []
-
-    def kept(form, g, det_refined=False):
-        made.append(real(form, g, det_refined=det_refined))
-        return made[-1]
-
-    monkeypatch.setattr(fac, "factor", kept)
-    assert survey(form)["total"] == len(made) > 0
-    for cert in made:
-        bare = real(form, cert.g)
-        assert json.dumps(cert.serialize()) == json.dumps(bare.serialize())
 
 
 @pytest.mark.parametrize(
@@ -360,17 +339,61 @@ def test_a_survey_checks_each_element_once(monkeypatch, form):
 
 
 def test_survey_rejects_an_element_of_another_ratio(monkeypatch):
-    # verify_certificate matches g's ratio with the certificate's own beta
-    # only, so survey matches that beta with the survey's
+    # factor takes the survey's beta as g's ratio, and verify_certificate
+    # matches g's ratio with the certificate's own beta only, so survey
+    # matches g's ratio with its beta before g is factored
+    fac = importlib.import_module("invofactor.factor")
     sp = symplectic_form(F5, 2)
     g = group_sample(sp, beta=2, seed=1)[0]
-    cert = factor(sp, g)
-    assert verify_certificate(sp, g, cert).passed
+    assert verify_certificate(sp, g, factor(sp, g)).passed
+    met = []
+    monkeypatch.setattr(fac, "factor", lambda *a, **k: met.append(a))
     monkeypatch.setattr(ver, "group_enumerate", lambda form, beta, budget: iter([g]))
     with pytest.raises(VerificationError) as info:
         survey(sp)
     assert info.value.check == "beta_matches_the_survey"
-    assert info.value.context == {"g": g.serialize(), "cert": cert.serialize(), "beta": [1]}
+    assert info.value.context == {"g": g.serialize(), "beta": [1]}
+    assert met == []
+
+
+@pytest.mark.parametrize(
+    "form, beta, other",
+    [
+        pytest.param(symplectic_form(F5, 2), 1, 2, id="Sp2(F5)"),
+        pytest.param(symplectic_form(F5, 4), 2, 3, id="GSp4(F5)"),
+        pytest.param(orthogonal_plus_form(F3, 4), 1, 2, id="GO4+(F3)"),
+        pytest.param(
+            hermitian_form(field_make(3, 2, "quadratic"), 3), 1, [2, 0, 0, 0], id="U3(F81)"
+        ),
+    ],
+)
+def test_the_survey_reads_g_s_ratio_at_j_s_anchor_entry(monkeypatch, form, beta, other):
+    # the survey's probe of g's Gram at one entry is exact for a similitude:
+    # each element of another ratio, in the standard basis and in seeded
+    # dense ones (g -> P^(-1) g P with Gram P^T J conj(P)), is rejected
+    # before it is factored
+    fac = importlib.import_module("invofactor.factor")
+    monkeypatch.setattr(fac, "factor", lambda *a, **k: pytest.fail("factored"))
+    F, n = form.tower, form.n
+    b = form._as_elem(beta)
+    o = form._as_elem(other) if isinstance(other, int) else F.elem(other)
+    assert o != b
+    rng = random.Random(repr(form))
+    for k, g in enumerate(group_sample(form, beta=o, seed=repr(form), count=8)):
+        space = form
+        if k % 2:
+            while True:
+                P = Mat(F, tuple(tuple(rng.randrange(F.order) for _ in range(n)) for _ in range(n)))
+                if P.det():
+                    break
+            space = SesquiForm(F, form.kind, P.T @ form.J @ P.conj())
+            g = P.inv() @ g @ P
+            assert space.similitude_ratio(g) == o
+        monkeypatch.setattr(ver, "group_enumerate", lambda form, beta, budget, g=g: iter([g]))
+        with pytest.raises(VerificationError) as info:
+            survey(space, beta=b)
+        assert info.value.check == "beta_matches_the_survey"
+        assert info.value.context == {"g": g.serialize(), "beta": b.serialize()}
 
 
 @pytest.mark.parametrize("seed", [3, "3", "survey"], ids=repr)
@@ -418,19 +441,28 @@ def test_survey_takes_its_sample_count_as_an_int_only(sample):
         survey(symplectic_form(F5, 2), sample=sample, seed=1)
 
 
-def test_the_gram_of_g_is_made_once_per_factor_and_twice_per_survey_element(monkeypatch):
-    # factor reads beta off g by similitude_ratio, and its own check takes
-    # that beta as g's ratio; verify_certificate matches g's Gram once more.
-    # A match against J is a Gram of g; the others are h1's and h2's
+def test_the_gram_of_g_is_made_once_per_factor_and_once_per_survey_element(monkeypatch):
+    # a bare factor reads beta off g by similitude_ratio, and its own check
+    # takes that beta as g's ratio; verify_certificate matches g's Gram once
+    # more.  Inside a survey factor takes the survey's beta, so
+    # verify_certificate's is the one Gram of g.  A match against J is a
+    # Gram of g; the others are h1's and h2's
     real = SesquiForm._match_ratio
+    real_ratio = SesquiForm.similitude_ratio
     on_j = []
+    ratios = []
 
     def counted(self, S, P):
         on_j.append(P is self.J)
         return real(self, S, P)
 
+    def counted_ratio(self, g):
+        ratios.append(g)
+        return real_ratio(self, g)
+
     samples = [(SP4, SP4_G), (DENSE_SP4, DENSE_SP4_G)]
     monkeypatch.setattr(SesquiForm, "_match_ratio", counted)
+    monkeypatch.setattr(SesquiForm, "similitude_ratio", counted_ratio)
     for form, g in samples:
         on_j.clear()
         cert = factor(form, g)
@@ -438,9 +470,12 @@ def test_the_gram_of_g_is_made_once_per_factor_and_twice_per_survey_element(monk
         on_j.clear()
         assert verify_certificate(form, g, cert).passed
         assert on_j == [True, False, False], on_j
+    assert len(ratios) == len(samples)
     on_j.clear()
+    ratios.clear()
     summary = survey(symplectic_form(F5, 2), beta=2)
-    assert summary["total"] == 120 and on_j.count(True) == 2 * 120
+    assert summary["total"] == 120 and on_j.count(True) == 120
+    assert on_j == [True, False, False] * 120 and ratios == []
 
 
 def test_survey_refined_orthogonal():
@@ -764,6 +799,55 @@ def _in_random_basis(form, rng):
         J = P.T @ form.J @ P.conj()
         if P.det() and (n == 2 or monomial_rows(J) is None):
             return SesquiForm(F, form.kind, J)
+
+
+@pytest.mark.parametrize(
+    "form, args",
+    # two standard spaces, the six survey-small groups in seeded dense
+    # bases, and one sampled survey
+    [
+        pytest.param(symplectic_form(field_make(7), 2), {}, id="Sp2(F7)"),
+        pytest.param(hermitian_form(field_make(2, 1, "quadratic"), 3), {}, id="U3(F4)"),
+    ]
+    + [
+        pytest.param(
+            _in_random_basis(std, random.Random(f"bare-factor:{label}")),
+            {"beta": beta},
+            id=f"dense-{label}",
+        )
+        for label, std, beta, _ in SURVEY_GROUPS
+    ]
+    + [
+        pytest.param(
+            symplectic_form(F5, 4), {"beta": 2, "sample": 40, "seed": 7}, id="sampled-GSp4(F5)"
+        )
+    ],
+)
+def test_survey_certificates_are_those_of_bare_factor_calls(monkeypatch, form, args):
+    # a survey's factor takes the survey's beta as g's ratio; its
+    # certificates and summary are those of bare factor calls, which read
+    # beta off g
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factor
+    made = []
+
+    def kept(form, g, det_refined=False):
+        made.append(real(form, g, det_refined=det_refined))
+        return made[-1]
+
+    monkeypatch.setattr(fac, "factor", kept)
+    summary = survey(form, **args)
+    assert summary["total"] == len(made) > 0
+    cases, dets = {}, {}
+    for cert in made:
+        bare = real(form, cert.g)
+        assert json.dumps(cert.serialize()) == json.dumps(bare.serialize())
+        ver.case_histogram(bare.cases, cases)
+        label = ver.det_label(form.tower, bare.h1.det())
+        dets[label] = dets.get(label, 0) + 1
+    assert summary["beta"] == form._as_elem(args.get("beta", 1)).serialize()
+    assert summary["cases"] == dict(sorted(cases.items()))
+    assert summary["dets"] == dict(sorted(dets.items()))
 
 
 @pytest.mark.parametrize("label", [t[0] for t in SURVEY_GROUPS])
