@@ -11,7 +11,8 @@ matrix form of "phi(x) = A conj(x) reverses arguments":
 <phi(x), phi(y)> = beta * <y, x>.  Involutions h with h^2 = mu satisfy
 A * conj(A) = mu * I.
 
-Sampling walks are seeded and deterministic.  Enumeration searches column
+Sampling walks are seeded and deterministic, and apply each generator as
+a rank-one update of the sample's key rows.  Enumeration searches column
 by column on key vectors, with one elimination per search node and a Mat
 made only for each matrix it yields; it visits matrices in a fixed
 canonical order (the first column ascending by integer key, each later one
@@ -34,7 +35,6 @@ from .fields import FieldElem, field_from_descriptor
 from .linalg import (
     Mat,
     block_diag,
-    conj_product,
     gram,
     hstack,
     mat_from_serialized,
@@ -243,49 +243,31 @@ def least_nonsquare(tower):
 # seeded sampling
 
 
-def _rand_elem(tower, rng):
-    return tower.from_int(rng.randrange(tower.order))
-
-
-def _rand_vector(tower, n, rng):
-    while True:
-        v = Mat.column(tower, [_rand_elem(tower, rng) for _ in range(n)])
-        if not v.is_zero():
-            return v
-
-
-def _rank_one_update(form, v, coeff):
-    # I + coeff * v * (J conj(v))^T, the shared shape of transvections,
-    # reflections and pseudo-reflections
-    w = conj_product(form.J, v).T
-    n = form.n
-    upd = v @ w
-    return Mat.identity(form.tower, n) + upd * coeff
-
-
-def _gen_isometry(form, rng):
+def _generator(form, pair, draw):
+    """The key data (v, w, c) of one generator I + c v w^T of the walk, with
+    w = J conj(v) = pair(conj(v)) and <v, v> = v . w: a transvection, c =
+    lambda, on a symplectic space; a reflection, c = -2 / <v, v>, on an
+    orthogonal one; a pseudo-reflection, c = (zeta - 1) / <v, v> with
+    zeta = conj(u) / u of norm one, on a hermitian one.  Keys are drawn by
+    draw(order); a zero v is redrawn, and so is an isotropic v, or a
+    conj-fixed u, with the vector."""
     F = form.tower
-    if form.kind == "symplectic":
-        v = _rand_vector(F, form.n, rng)
-        lam = _rand_elem(F, rng)
-        return _rank_one_update(form, v, lam)
-    if form.kind == "orthogonal":
-        while True:
-            v = _rand_vector(F, form.n, rng)
-            norm = form.value(v, v)
-            if norm:
-                return _rank_one_update(form, v, -2 / norm)
-    # hermitian pseudo-reflection with a norm-one multiplier
+    n, order, conj, mul, inv = form.n, F.order, F.conj, F.mul, F.inv
     while True:
-        v = _rand_vector(F, form.n, rng)
-        norm = form.value(v, v)
+        v = [draw(order) for _ in range(n)]
+        if not any(v):
+            continue
+        w = pair(list(map(conj, v)))
+        if form.kind == "symplectic":
+            return v, w, draw(order)
+        norm = F.dot(v, w)
         if not norm:
             continue
-        u = _rand_elem(F, rng)
-        if not u or u.conj() == u:
-            continue
-        zeta = u.conj() / u
-        return _rank_one_update(form, v, (zeta - F.one) / norm)
+        if form.kind == "orthogonal":
+            return v, w, mul(-2 % F.p, inv(norm))
+        u = draw(order)
+        if u and conj(u) != u:
+            return v, w, mul(F.sub(mul(conj(u), inv(u)), 1), inv(norm))
 
 
 def _norm_preimage(F, beta):
@@ -350,7 +332,13 @@ def _dilation(form, beta):
 def group_sample(form, beta=None, seed=0, count=1):
     """`count` similitudes of ratio beta (default 1) by a seeded generator
     walk.  The seed is an int or a str, taken as given: 3 and "3" seed
-    different walks."""
+    different walks.
+
+    Each sample is _dilation(form, beta) times 8 to 15 generators
+    I + c v w^T (_generator), each applied to g's key rows as g + c (g v) w^T:
+    n dot products for g v and one scaled-row step per row i with
+    (g v)_i != 0, O(n^2) with no n x n generator.  w is gathered along a
+    row-monomial J (monomial_rows), else made by one matvec of J."""
     if type(count) is not int or count < 0:
         raise InputError(f"count must be a non-negative integer, got {count!r}")
     if type(seed) not in (int, str):
@@ -358,13 +346,24 @@ def group_sample(form, beta=None, seed=0, count=1):
     F = form.tower
     beta = F.one if beta is None else form._as_elem(beta)
     rng = random.Random(seed)
-    base = _dilation(form, beta)
+    base = _dilation(form, beta).rows
+    dot, mul, neg, sub_scaled = F.dot, F.mul, F.neg, F.sub_scaled
+    pattern = monomial_rows(form.J)
+    pair = (F.matvec(form.J.rows) if pattern is None
+            else lambda x: [mul(c, x[j]) for j, c in pattern])
     out = []
     for _ in range(count):
         g = base
         for _ in range(8 + rng.randrange(8)):
-            g = g @ _gen_isometry(form, rng)
-        if form.similitude_ratio(g) != beta:
+            v, w, c = _generator(form, pair, rng.randrange)
+            if c:
+                nc = neg(c)
+                g = [sub_scaled(r, mul(nc, x), w) if x else r
+                     for r, x in zip(g, [dot(r, v) for r in g])]
+        g = Mat(F, tuple(map(tuple, g)))
+        # similitude_ratio's match, with no similitude at all read as a
+        # wrong ratio: either way the walk is at fault, not the caller
+        if form._match_ratio(gram(g, form.J, g), form.J) != beta:
             raise InternalInvariantError("sampled element has wrong ratio", {})
         out.append(g)
     return out

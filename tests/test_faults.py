@@ -11,7 +11,9 @@ serialization on a passing verification; and the single factorization:
 one `factorize` and one `minimal_polynomial` per `factor`, whose factors
 every complement inherits less those its block filled (a self-paired
 exponent passing on as an upper bound), while `frobenius_form` works on
-one primary component and evaluates no polynomial."""
+one primary component and evaluates no polynomial.  The sampler's guards
+are reached the same way: a wrong generator coefficient, and dilations
+whose norm searches find nothing."""
 
 import importlib
 import sys
@@ -28,6 +30,7 @@ from invofactor import (
     field_make,
     group_sample,
     hermitian_form,
+    orthogonal_minus_form,
     orthogonal_plus_form,
     survey,
     symplectic_form,
@@ -37,6 +40,7 @@ from invofactor.linalg import Mat, block_diag
 from invofactor.poly import padd, pdivmod, pmul
 
 fac = importlib.import_module("invofactor.factor")
+forms = importlib.import_module("invofactor.forms")
 dec = importlib.import_module("invofactor.decomp")
 poly = importlib.import_module("invofactor.poly")
 fields = importlib.import_module("invofactor.fields")
@@ -461,3 +465,48 @@ def test_a_passing_verification_serializes_nothing(monkeypatch):
     report = verify_certificate(form, g, cert)
     assert not report.passed and calls
     assert all(wit is not None for _, wit in report.failures())
+
+
+@pytest.mark.parametrize("space", ["go4+-F5", "u3-F25", "u1-F25"])
+def test_a_wrong_generator_coefficient_fails_the_sample_check(monkeypatch, space):
+    # a reflection or pseudo-reflection with twice its coefficient is no
+    # isometry; the product is then no similitude, or one of another ratio
+    # (on U1 every invertible scalar is a similitude), and both are the
+    # walk's fault, named as such bare and under a survey
+    form = {
+        "go4+-F5": lambda: orthogonal_plus_form(field_make(5), 4),
+        "u3-F25": lambda: hermitian_form(field_make(5, 1, "quadratic"), 3),
+        "u1-F25": lambda: hermitian_form(field_make(5, 1, "quadratic"), 1),
+    }[space]()
+    F, real, hits = form.tower, forms._generator, []
+
+    def doubled(form, pair, draw):
+        v, w, c = real(form, pair, draw)
+        hits.append(c)
+        return v, w, F.add(c, c)
+
+    monkeypatch.setattr(forms, "_generator", doubled)
+    with pytest.raises(InternalInvariantError, match="sampled element has wrong ratio"):
+        group_sample(form, seed="faults", count=3)
+    with pytest.raises(InternalInvariantError, match="sampled element has wrong ratio"):
+        survey(form, sample=3, seed="faults")
+    assert hits
+
+
+def test_a_norm_form_that_misses_beta_is_named(monkeypatch):
+    # the hermitian dilation finds a w of norm beta for every beta of the
+    # fixed field; had it none, sampling at that ratio stops by name
+    form = hermitian_form(field_make(5, 1, "quadratic"), 2)
+    monkeypatch.setattr(forms, "_norm_preimage", lambda F, beta: None)
+    with pytest.raises(InternalInvariantError, match="norm is not surjective"):
+        group_sample(form, beta=2, seed="faults")
+
+
+def test_an_anisotropic_plane_that_misses_beta_is_named(monkeypatch):
+    # the orthogonal-minus dilation finds x with (x^2 - beta) / delta a
+    # square; with no square at all it stops by name
+    F = field_make(7)
+    form = orthogonal_minus_form(F, 4)
+    monkeypatch.setattr(type(F), "is_square", lambda self, a: False)
+    with pytest.raises(InternalInvariantError, match="anisotropic norm form is not surjective"):
+        group_sample(form, beta=3, seed="faults")

@@ -31,7 +31,7 @@ from invofactor.forms import (
     symplectic_form,
 )
 from invofactor.factor import factor
-from invofactor.linalg import Mat, block_diag, monomial_rows
+from invofactor.linalg import Mat, block_diag, conj_product, monomial_rows
 
 
 def test_standard_gram_matrices():
@@ -538,3 +538,106 @@ def test_similitude_and_anti_ratio_equal_the_two_product_reference(form):
     # orthogonal spaces a similitude is a twist-1 map of the same ratio,
     # on symplectic ones of the opposite ratio)
     assert (False, False) in seen and len(seen) > 1
+
+
+def _reference_walk(form, beta, seed, count):
+    # the walk as Mat products: each generator I + c v (J conj(v))^T made
+    # whole, with FieldElem scalars, and multiplied into g
+    F = form.tower
+    rng = random.Random(seed)
+
+    def rand_elem():
+        return F.from_int(rng.randrange(F.order))
+
+    def rand_vector():
+        while True:
+            v = Mat.column(F, [rand_elem() for _ in range(form.n)])
+            if not v.is_zero():
+                return v
+
+    def rank_one_update(v, coeff):
+        w = conj_product(form.J, v).T
+        return Mat.identity(F, form.n) + (v @ w) * coeff
+
+    def generator():
+        if form.kind == "symplectic":
+            v = rand_vector()
+            return rank_one_update(v, rand_elem())
+        while True:
+            v = rand_vector()
+            norm = form.value(v, v)
+            if not norm:
+                continue
+            if form.kind == "orthogonal":
+                return rank_one_update(v, -2 / norm)
+            u = rand_elem()
+            if u and u.conj() != u:
+                return rank_one_update(v, (u.conj() / u - F.one) / norm)
+
+    base = forms._dilation(form, F.one if beta is None else form._as_elem(beta))
+    out = []
+    for _ in range(count):
+        g = base
+        for _ in range(8 + rng.randrange(8)):
+            g = g @ generator()
+        out.append(g)
+    return out
+
+
+def _walk_spaces():
+    # (form, ratios): every kind; beta != 1, which reaches GO-'s anisotropic
+    # 2 x 2 dilation and the hermitian norm preimage; characteristic 2,
+    # tabled odd fields and towers above TABLE_ORDER; and changed bases
+    F5, F7, E9 = field_make(5), field_make(7), field_make(3, 1, "quadratic")
+    F16, E64, F243 = field_make(2, 4), field_make(2, 3, "quadratic"), field_make(3, 5)
+    E49, F3_11, E101 = field_make(7, 1, "quadratic"), field_make(3, 11), field_make(101, 1, "quadratic")
+    F8192, F1009 = field_make(2, 13), field_make(1009)
+    out = [
+        ("sp4-F5", symplectic_form(F5, 4), (None, 2)),
+        ("o4+-F7", orthogonal_plus_form(F7, 4), (1, 3)),
+        ("o4--F5", orthogonal_minus_form(F5, 4), (1, 2)),
+        ("o2--F7", orthogonal_minus_form(F7, 2), (3,)),
+        ("o6--F1009", orthogonal_minus_form(F1009, 6), (11,)),
+        ("u3-F9", hermitian_form(E9, 3), (1, 2)),
+        ("sp8-F16", symplectic_form(F16, 8), (1, F16.from_int(7))),
+        ("u4-F64", hermitian_form(E64, 4), (1, E64.from_int(5))),
+        ("sp6-F243", symplectic_form(F243, 6), (F243.from_int(100),)),
+        ("u3-F49", hermitian_form(E49, 3), (3,)),
+        ("sp4-F3^11", symplectic_form(F3_11, 4), (1, F3_11.from_int(12345))),
+        ("u2-F101^2", hermitian_form(E101, 2), (2,)),
+        ("sp4-F2^13", symplectic_form(F8192, 4), (F8192.from_int(4097),)),
+    ]
+    dense = [(name, form, (1,)) for name, form in zip(RATIO_IDS, RATIO_SPACES)
+             if form.standard is None]
+    return out + dense
+
+
+WALK_SPACES = _walk_spaces()
+
+
+@pytest.mark.parametrize("name, form, ratios", WALK_SPACES, ids=[w[0] for w in WALK_SPACES])
+def test_group_sample_equals_the_dense_generator_walk(name, form, ratios):
+    # the rank-one row update gives the very matrices of the dense walk, for
+    # int and str seeds and counts 0 to 3
+    for beta in ratios:
+        for seed in (5, "walk"):
+            for count in range(4):
+                got = group_sample(form, beta, seed=seed, count=count)
+                assert got == _reference_walk(form, beta, seed, count)
+
+
+def test_group_sample_makes_no_product_per_generator(monkeypatch):
+    # the only matrix products are the ratio checks, one per sample on a
+    # standard space; the dense walk made two per generator (v w^T, then
+    # g times the generator), 116 on top of the checks here
+    F = field_make(101)
+    form = symplectic_form(F, 8)
+    real, calls = F.matmul, []
+
+    def counted(ar, br):
+        calls.append((len(ar), len(br[0])))
+        return real(ar, br)
+
+    monkeypatch.setattr(F, "matmul", counted)
+    samples = group_sample(form, count=4)
+    assert len(samples) == 4 and calls == [(8, 8)] * 4
