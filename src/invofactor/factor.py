@@ -64,9 +64,27 @@ primary and needs no factors (decomp.frobenius_form); each companion block
 of f is conjugated onto its transpose by the Hankel matrix of f's
 coefficients, with no inverse.
 
+The split is a loop over levels (_level): a level takes a, its space's
+Gram G and its factors, and gives the block and the complement, with a
+restricted to it, the complement's Gram and the factors it inherits.
+Inside a survey every level below the top comes through the memo, keyed
+by (a, G, factors), and so do a paired block's intertwiner X with
+conj(X)^(-1), keyed by the restricted matrix, and the inverse pairing
+conj(M)^(-1), keyed by M: by Wall's classification the complements left
+after the first blocks fall into few (a, G) shapes across a group.  The
+top level, keyed by g itself, is never memoized, and a bare call's levels
+are not keyed, as they cannot repeat within one call.  What the memo
+holds is Mats and tuples only, and each block of a certificate gets its
+own copy of its level's data.
+
 The blocks assemble into h1 = B M conj(B)^(-1), B the block bases side by
 side and M the local involutions on its diagonal, by one elimination:
 h1 conj(B) = B M, so the rref of [conj(B)^T | (B M)^T] is [I | h1^T].
+Its rows are made block by block: block i gives [conj(B_i)^T | M_i^T B_i^T]
+from the columns of its lifted basis B_i and its local involution M_i,
+with no block-diagonal M and no n x n product.  Over a trivial conj
+h1 = B M B^(-1), so det(h1) is the product of the blocks' det(M_i)
+(FactorCert._h1_det, which survey's histogram reads).
 
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made before factor returns it
@@ -86,8 +104,8 @@ tested: each block builder has shown its block nondegenerate (the cyclic
 hit, the invertible pairing, the cyclic pair's Gram), and a complement is
 nondegenerate exactly when its block is.  The block transcripts are
 descriptive and are not verified.  A block keeps its lifted basis, local
-involution and intertwiner as matrices, and they are serialized only when
-the transcript is read: by FactorCert.blocks or serialize, or into the
+involution and intertwiner as matrices and its polynomials as key tuples,
+and they are serialized only when the transcript is read: by FactorCert.blocks or serialize, or into the
 context of a DetRefinementError or an InternalInvariantError.  All
 searches are deterministic, so factoring the same element twice yields
 byte-identical certificates.
@@ -95,8 +113,10 @@ byte-identical certificates.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import reduce
 from itertools import chain, combinations
 
 from .decomp import frobenius_form, minimal_polynomial, poly_column, restrict
@@ -140,9 +160,10 @@ _memo = ContextVar("factor_memo", default=None)
 @contextmanager
 def _shared_within_survey(beta):
     """Inside this context, factor computes each factorization of a minimal
-    polynomial, and each per-factor polynomial and cyclic involution, once
-    for all its calls, takes beta as g's ratio, and returns its certificate
-    unchecked.
+    polynomial, each per-factor polynomial and cyclic involution, each split
+    level below an element's top level and each paired block's intertwiner
+    and inverse pairing once for all its calls, takes beta as g's ratio,
+    and returns its certificate unchecked.
 
     survey holds it for its loop, where many elements share a minimal
     polynomial, every element has the ratio beta (survey reads it at J's
@@ -163,12 +184,14 @@ def _shared(fn, *args):
     # reciprocal and cyclic involution is made once per call, not once per
     # recursion level and use.  Outside both (the public helpers below
     # factor), fn(*args) itself.  A result is a polynomial, a factor list
-    # [(p, e)] or a Mat; the lists are handed out as copies, so no caller
-    # shares a stored one, and a Mat is immutable
+    # [(p, e)], a Mat or a tuple of Mats, tuples and scalars (a split level,
+    # a paired block's intertwiner pair); the lists are handed out as
+    # copies, so no caller shares a stored one, and Mats and tuples are
+    # immutable
     memo = _memo.get()
     if memo is None:
         return fn(*args)
-    key = (fn, *[tuple(a) if type(a) is list else a for a in args])
+    key = (fn, *[a if type(a) is not list else _frozen(a) for a in args])
     out = memo.get(key)
     if out is None:
         out = memo[key] = fn(*args)
@@ -177,10 +200,19 @@ def _shared(fn, *args):
     return [(list(p_), e) for p_, e in out] if out and type(out[0]) is tuple else list(out)
 
 
+def _frozen(arg):
+    # a memo key's form of a list: a polynomial as a tuple of keys, a factor
+    # list as a tuple of (tuple of keys, e)
+    if arg and type(arg[0]) is tuple:
+        return tuple((tuple(p_), e) for p_, e in arg)
+    return tuple(arg)
+
+
 class _Block:
     # one invariant block: its basis lifted to the space, its local
     # involution t, and its transcript data, whose Mats (a paired block's
-    # intertwiner) stay Mats until render
+    # intertwiner) and key tuples (polynomials) stay so until render; each
+    # block owns its data, which _refine_dets writes
     __slots__ = ("lift", "t", "data")
 
     def __init__(self, lift, t, data):
@@ -190,7 +222,11 @@ class _Block:
 
     def render(self):
         """The JSON-ready transcript of the block."""
-        out = {k: v.serialize() if type(v) is Mat else v for k, v in self.data.items()}
+        F = self.t.tower
+        out = {
+            k: v.serialize() if type(v) is Mat else pserialize(v, F) if type(v) is tuple else v
+            for k, v in self.data.items()
+        }
         out["basis"] = self.lift.serialize()
         out["local_involution"] = self.t.serialize()
         return out
@@ -227,11 +263,10 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
     if Us.ncols != r:
         raise InternalInvariantError("paired components differ in dimension", {})
     # a restricted to its p-primary component has minimal polynomial p^e
-    X = _symmetric_conjugator(restrict(a, U, free))
     M = gram(U, G, Us)  # M[i, k] = <u_i, u'_k>
     try:
-        coeffs = M.conj().inv() * form.eps_elem
-        Xinv = X.conj().inv()
+        X, Xinv = _shared(_intertwiner, restrict(a, U, free))
+        coeffs = _shared(_conj_inv, M) * form.eps_elem
     except SingularMatrixError:
         raise InternalInvariantError("pairing or its intertwiner is degenerate", {})
     # both components are totally isotropic, so the basis [U, Us coeffs] has
@@ -243,12 +278,22 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
     data = {
         "case": "paired",
         "dim": 2 * r,
-        "factor": pserialize(p_, F),
-        "reciprocal": pserialize(ps, F),
+        "factor": tuple(p_),
+        "reciprocal": tuple(ps),
         "multiplicity": e,
         "intertwiner": X,
     }
     return B1, t, data, [(q, m) for q, m in fac if q != p_ and q != ps]
+
+
+def _intertwiner(r):
+    # X and conj(X)^(-1) for the symmetric conjugator X of a primary r
+    X = _symmetric_conjugator(r)
+    return X, _conj_inv(X)
+
+
+def _conj_inv(M):
+    return M.conj().inv()
 
 
 def _t_times(F, pe, v):
@@ -289,7 +334,7 @@ def _cyclic_block(F, beta, K, ann):
     # K is the Krylov basis of a vector with annihilator ann, so a acts on it
     # by the companion matrix of ann
     t = _shared(_cyclic_t, F, beta, ann)
-    return K, t, {"case": "cyclic", "dim": K.ncols, "annihilator": pserialize(ann, F)}
+    return K, t, {"case": "cyclic", "dim": K.ncols, "annihilator": tuple(ann)}
 
 
 def _times_matrix(F, f, pe):
@@ -343,8 +388,8 @@ def _cyclic_pair_block(form, beta, G, Kx, Ky, p_, e):
     data = {
         "case": "cyclic_pair",
         "dim": 2 * pdeg(pe),
-        "annihilator": pserialize(pe, F),
-        "gamma": pserialize(gamma, F),
+        "annihilator": tuple(pe),
+        "gamma": tuple(gamma),
     }
     return B1, t, data
 
@@ -525,9 +570,12 @@ def _orthocomplement(G, basis):
     return K.conj(), free
 
 
-def _split(form, beta, a, G, lift, blocks, fac):
-    # fac factors mp(a), with self-paired exponents as upper bounds; lift
-    # maps a's coordinates to the space's, None at the top, where a is g
+def _level(form, beta, a, G, fac):
+    # one level of the split of a's space (Gram G), for fac the factors of
+    # mp(a) with self-paired exponents as upper bounds: the block
+    # (basis, t, data items) and its complement (comp, a restricted to it,
+    # its Gram, the factors it inherits, frozen), or None when the block
+    # fills the space.  Mats and tuples only, so a survey's memo can hold it
     F = form.tower
     if not fac:
         raise InternalInvariantError("minimal polynomial is constant", {})
@@ -538,12 +586,30 @@ def _split(form, beta, a, G, lift, blocks, fac):
             break
     else:
         basis, t, data, fac_c = _self_paired_block(form, beta, a, G, *fac[0], fac)
-    blocks.append(_Block(basis if lift is None else lift @ basis, t, data))
+    block = basis, t, tuple(data.items())
     if basis.ncols == a.nrows:
-        return
+        return block, None
     comp, free = _orthocomplement(G, basis)
-    lc = comp if lift is None else lift @ comp
-    _split(form, beta, restrict(a, comp, free), gram(comp, G, comp), lc, blocks, fac_c)
+    return block, (comp, restrict(a, comp, free), gram(comp, G, comp), _frozen(fac_c))
+
+
+def _split(form, beta, g, fac):
+    # g's blocks, top level first.  Inside a survey the levels below the top
+    # come through the memo; the top level, whose key is g itself, and a
+    # bare call's levels, which cannot repeat, are not keyed
+    keyed = "beta" in _memo.get()
+    blocks = []
+    lift = None
+    level = _level(form, beta, g, form.J, fac)
+    while True:
+        (basis, t, data), rest = level
+        blocks.append(_Block(basis if lift is None else lift @ basis, t, dict(data)))
+        if rest is None:
+            return blocks
+        comp, a, G, fac = rest
+        lift = comp if lift is None else lift @ comp
+        fac = [(list(p_), e) for p_, e in fac]
+        level = _shared(_level, form, beta, a, G, fac) if keyed else _level(form, beta, a, G, fac)
 
 
 def _refine_dets(target, blocks):
@@ -600,6 +666,15 @@ class FactorCert:
     def cases(self):
         """The case of each block, in order."""
         return [b.data["case"] if type(b) is _Block else b["case"] for b in self._blocks]
+
+    def _h1_det(self):
+        """det(h1).  Over a trivial conj h1 = B M B^(-1), so while the blocks
+        are unrendered it is the product of the determinants of their local
+        involutions, most of them 1x1 or 2x2; otherwise h1's own."""
+        blocks = self._blocks
+        if self.form.tower.has_conj or not blocks or type(blocks[0]) is not _Block:
+            return self.h1.det()
+        return reduce(operator.mul, [b.t.det() for b in blocks])
 
     def checks(self):
         from .verify import core_checks
@@ -685,22 +760,29 @@ def factor(form, g, det_refined=False):
 
 def _factor(form, g, det_refined, beta):
     # factor's construction for g of ratio beta, unchecked, inside a memo
-    blocks = []
-    fac = _shared(factorize, minimal_polynomial(g), form.tower)
-    _split(form, beta, g, form.J, None, blocks, fac)
+    F, n = form.tower, form.n
+    blocks = _split(form, beta, g, _shared(factorize, minimal_polynomial(g), F))
     if det_refined:
         _refine_dets(det_target(form), blocks)
-    B = hstack([b.lift for b in blocks])
-    M = block_diag(form.tower, [b.t for b in blocks])
-    # h1 conj(B) = B M, so conj(B)^T h1^T = (B M)^T: one rref of
-    # [conj(B)^T | (B M)^T] gives h1^T, with no inverse and no product with it
-    n = form.n
-    R, piv = hstack([B.conj().T, (B @ M).T]).rref()
+    # h1 conj(B) = B M for B the lifts side by side and M the local
+    # involutions on its diagonal, so conj(B)^T h1^T = (B M)^T: one rref of
+    # [conj(B)^T | (B M)^T] gives h1^T, with no inverse and no product with
+    # it.  Block i's rows are [conj(B_i)^T | M_i^T B_i^T], B_i^T its lift's
+    # columns
+    conj = F.conj if F.has_conj else None
+    rows = []
+    for b in blocks:
+        cols = tuple(zip(*b.lift.rows))
+        images = F.matmul(tuple(zip(*b.t.rows)), cols)
+        if conj is not None:
+            cols = [tuple(map(conj, c)) for c in cols]
+        rows += map(tuple.__add__, cols, images)
+    R, piv = Mat(F, tuple(rows)).rref()
     if piv != list(range(n)):
         # the last block is not orthocomplemented, so its independence is
         # first met here
         raise InternalInvariantError("block bases do not span the space", {})
-    h1 = Mat(form.tower, tuple(zip(*(r[n:] for r in R.rows))))
+    h1 = Mat(F, tuple(zip(*(r[n:] for r in R.rows))))
     return FactorCert(form, g, beta, h1, h1 @ g.conj(), det_refined, blocks)
 
 

@@ -90,9 +90,6 @@ class SesquiForm:
     def eps_elem(self):
         return self.tower.scalar(self.eps)
 
-    def value(self, x, y):
-        return gram(x, self.J, y)[0, 0]
-
     def gram(self, basis):
         """Gram matrix of the columns of `basis`."""
         return gram(basis, self.J, basis)

@@ -25,11 +25,15 @@ entry (row 0's first nonzero, where form._match_ratio reads it):
 (g^T J conj(g))[0, j0] / J[0, j0], one matvec and one dot product, exact
 for a similitude; an element of another ratio is rejected there.
 A survey factors each distinct minimal polynomial once: factor keeps its
-factorizations, and the polynomials and cyclic involutions of each factor,
-in a memo that lives for the survey's loop only (a bare factor call keeps
-one for the call), so the certificates are those of bare factor calls.
+factorizations, the polynomials and cyclic involutions of each factor,
+each split level below an element's top level, and each paired block's
+intertwiner and inverse pairing, in a memo that lives for the survey's
+loop only (a bare factor call keeps one for the call, with no level in
+it), so the certificates are those of bare factor calls.
 The survey's case histogram reads each certificate's block cases, and no
-block transcript is serialized.
+block transcript is serialized.  Its determinant histogram reads det(h1)
+off the blocks over a trivial conj, as the product of the determinants
+of their local involutions, and takes h1's own over a quadratic tower.
 """
 
 from __future__ import annotations
@@ -307,7 +311,7 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
                 )
             total += 1
             case_histogram(cert.cases, cases)
-            label = det_label(F, cert.h1.det())
+            label = det_label(F, cert._h1_det())
             dets[label] = dets.get(label, 0) + 1
     return {
         "beta": beta_elem.serialize(),

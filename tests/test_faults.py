@@ -13,7 +13,8 @@ every complement inherits less those its block filled (a self-paired
 exponent passing on as an upper bound), while `frobenius_form` works on
 one primary component and evaluates no polynomial.  The sampler's guards
 are reached the same way: a wrong generator coefficient, and dilations
-whose norm searches find nothing."""
+whose norm searches find nothing; and so is similitude_ratio's, a ratio
+not fixed by conj (test_a_ratio_not_fixed_by_conj_is_named)."""
 
 import importlib
 import sys
@@ -510,3 +511,19 @@ def test_an_anisotropic_plane_that_misses_beta_is_named(monkeypatch):
     monkeypatch.setattr(type(F), "is_square", lambda self, a: False)
     with pytest.raises(InternalInvariantError, match="anisotropic norm form is not surjective"):
         group_sample(form, beta=3, seed="faults")
+
+
+def test_a_ratio_not_fixed_by_conj_is_named(monkeypatch):
+    # the ratio of a hermitian similitude lies in the conj-fixed field; had
+    # _match_ratio read one outside it, similitude_ratio stops by name, in
+    # a bare factor call too, which reads beta off g
+    form = hermitian_form(field_make(3, 1, "quadratic"), 2)
+    F = form.tower
+    w = F.elem([0, 1])
+    assert w.conj() != w
+    monkeypatch.setattr(forms.SesquiForm, "_match_ratio", lambda self, S, P: w)
+    g = Mat.identity(F, 2)
+    with pytest.raises(InternalInvariantError, match="similitude ratio not fixed by conj"):
+        form.similitude_ratio(g)
+    with pytest.raises(InternalInvariantError, match="similitude ratio not fixed by conj"):
+        factor(form, g)

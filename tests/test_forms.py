@@ -31,7 +31,7 @@ from invofactor.forms import (
     symplectic_form,
 )
 from invofactor.factor import factor
-from invofactor.linalg import Mat, block_diag, conj_product, monomial_rows
+from invofactor.linalg import Mat, block_diag, conj_product, gram, monomial_rows
 
 
 def test_standard_gram_matrices():
@@ -89,7 +89,8 @@ def test_value_reversal_law():
         for _ in range(30):
             x = Mat.column(F, [F.from_int(rng.randrange(F.order)) for _ in range(form.n)])
             y = Mat.column(F, [F.from_int(rng.randrange(F.order)) for _ in range(form.n)])
-            assert form.value(y, x) == form.eps_elem * form.value(x, y).conj()
+            J = form.J
+            assert gram(y, J, x)[0, 0] == form.eps_elem * gram(x, J, y)[0, 0].conj()
 
 
 # classical orders: |Sp_2(q)| = q(q^2-1), |U_2(q)| = q(q+1)(q^2-1),
@@ -227,7 +228,7 @@ def test_enumeration_equals_the_brute_force_filter(form, beta, order):
 
 def test_enumeration_makes_no_matrix_per_candidate(monkeypatch):
     # candidates are key vectors: no Mat arithmetic, no per-node solve and
-    # kernel, no Mat-valued form value; each non-root node runs one rref
+    # kernel, no Mat-valued Gram of the form; each non-root node runs one rref
     sp2 = symplectic_form(field_make(5), 2)
     go4 = orthogonal_plus_form(field_make(3), 4)
 
@@ -243,7 +244,7 @@ def test_enumeration_makes_no_matrix_per_candidate(monkeypatch):
         (Mat, "__mul__"),
         (Mat, "solve_right"),
         (Mat, "right_kernel_basis"),
-        (SesquiForm, "value"),
+        (SesquiForm, "gram"),
     ]:
         monkeypatch.setattr(cls, name, forbid(f"{cls.__name__}.{name}"))
     rref, rrefs = Mat.rref, []
@@ -434,7 +435,7 @@ def test_gram_of_restricted_basis():
     B = Mat.from_rows(F3, [[1, 0], [0, 0], [0, 1], [0, 0]])
     G = sp.gram(B)
     assert G.shape == (2, 2)
-    assert G[0, 1] == sp.value(B.col(0), B.col(1))
+    assert G[0, 1] == (B.col(0).T @ sp.J @ B.col(1))[0, 0]
 
 
 def _rand(F, m, n, rng):
@@ -565,7 +566,7 @@ def _reference_walk(form, beta, seed, count):
             return rank_one_update(v, rand_elem())
         while True:
             v = rand_vector()
-            norm = form.value(v, v)
+            norm = gram(v, form.J, v)[0, 0]
             if not norm:
                 continue
             if form.kind == "orthogonal":

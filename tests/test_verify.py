@@ -315,6 +315,136 @@ def test_the_memo_hands_out_copies():
         assert fac._shared(fac.ppow, f, 2, F5) == fac.ppow(f, 2, F5)
 
 
+def _watched_builds(monkeypatch):
+    # every block build as (top, a, G, factors) (top: G is the form's J),
+    # every symmetric conjugator's argument, and the memo each _split ran in
+    fac = importlib.import_module("invofactor.factor")
+    builds, conjugated, memos = [], [], []
+    for name in ("_paired_block", "_self_paired_block"):
+
+        def build(form, beta, a, G, *rest, real=getattr(fac, name)):
+            key = tuple((tuple(p), e) for p, e in rest[-1])
+            builds.append((G is form.J, a, G, key))
+            return real(form, beta, a, G, *rest)
+
+        monkeypatch.setattr(fac, name, build)
+    real_conjugator, real_split = fac._symmetric_conjugator, fac._split
+
+    def conjugator(a):
+        conjugated.append(a)
+        return real_conjugator(a)
+
+    def split(*args):
+        out = real_split(*args)
+        memos.append(fac._memo.get())
+        return out
+
+    monkeypatch.setattr(fac, "_symmetric_conjugator", conjugator)
+    monkeypatch.setattr(fac, "_split", split)
+    return builds, conjugated, memos
+
+
+@pytest.mark.parametrize(
+    "form, beta",
+    [(orthogonal_plus_form(F3, 4), 2), (symplectic_form(field_make(2), 4), 1)],
+    ids=["GO4+(F3),b=2", "Sp4(F2)"],
+)
+def test_a_survey_builds_each_sub_level_and_intertwiner_once(monkeypatch, form, beta):
+    # bare factor calls build every level of every element; a survey builds
+    # each element's top level, and each distinct level below it (a, its
+    # Gram and its factors) once, and makes each paired block's symmetric
+    # conjugator once per distinct restricted matrix.  Its memo keeps those
+    # levels only: no top-level key, and a bare call keeps none
+    fac = importlib.import_module("invofactor.factor")
+    builds, conjugated, memos = _watched_builds(monkeypatch)
+    elements = list(group_enumerate(form, beta=beta))
+    for g in elements:
+        factor(form, g)
+    assert sum(top for top, *_ in builds) == len(elements)
+    sub_levels = {tuple(key) for top, *key in builds if not top}
+    bare_sub_levels = len(builds) - len(elements)
+    restricted = set(conjugated)
+    assert not any(k[0] is fac._level for memo in memos for k in memo)
+    builds.clear()
+    conjugated.clear()
+    memos.clear()
+    assert survey(form, beta=beta)["total"] == len(elements)
+    assert sum(top for top, *_ in builds) == len(elements)
+    assert len(builds) == len(elements) + len(sub_levels) < len(elements) + bare_sub_levels
+    assert {tuple(key) for top, *key in builds if not top} == sub_levels
+    assert set(conjugated) == restricted and len(conjugated) == len(restricted)
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+    levels = [k for k in memo if k[0] is fac._level]
+    assert len(levels) == len(sub_levels)
+    assert not any(k[4] is form.J for k in levels)
+
+
+def test_certificates_from_one_memoized_level_share_no_transcript(monkeypatch):
+    # two survey certificates whose lower blocks come from one memoized
+    # level: changing one's block data, and then its rendered transcript,
+    # leaves the other's serialization that of a bare factor call
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factor
+    made = []
+
+    def kept(form, g, det_refined=False):
+        made.append(real(form, g, det_refined=det_refined))
+        return made[-1]
+
+    monkeypatch.setattr(fac, "factor", kept)
+    form = orthogonal_plus_form(F3, 4)
+    survey(form, beta=2)
+    pairs = (
+        (a, b)
+        for a, b in zip(made, made[1:])
+        if len(a._blocks) > 1 and len(b._blocks) > 1 and a._blocks[1].t is b._blocks[1].t
+    )
+    a, b = next(pairs)
+    want = json.dumps(real(form, b.g).serialize())
+    for block in a._blocks:
+        block.data["case"] = "changed"
+        block.data["dim"] = -1
+    for block in a.blocks:
+        assert block["case"] == "changed"
+        for v in block.values():
+            if isinstance(v, list):
+                v.append("changed")
+                for x in v:
+                    if isinstance(x, list):
+                        x.append("changed")
+    assert json.dumps(b.serialize()) == want
+
+
+def test_a_refined_survey_gives_the_certificates_of_bare_refined_calls(monkeypatch):
+    # _refine_dets writes t_det into every block's data, and negates the
+    # local involution of one block and marks it sign_flipped where the
+    # product misses the target; a survey's blocks below the top level
+    # come from its memo, and each certificate still gets its own
+    fac = importlib.import_module("invofactor.factor")
+    real = fac.factor
+    made = []
+
+    def kept(form, g, det_refined=False):
+        made.append(real(form, g, det_refined=det_refined))
+        return made[-1]
+
+    real_level, levels = fac._level, []
+    monkeypatch.setattr(fac, "factor", kept)
+    monkeypatch.setattr(fac, "_level", lambda *args: levels.append(1) or real_level(*args))
+    form = orthogonal_plus_form(F3, 4)
+    summary = survey(form, refined=True)
+    assert summary["total"] == len(made) == 1152 and summary["dets"] == {"+1": 1152}
+    assert len(levels) < sum(len(cert._blocks) for cert in made)
+    flipped = 0
+    for cert in made:
+        # factor_det_refined calls the module's factor, which kept replaces
+        bare = real(form, cert.g, det_refined=True)
+        assert json.dumps(cert.serialize()) == json.dumps(bare.serialize())
+        flipped += any(b.get("sign_flipped") for b in cert.blocks)
+    assert flipped > 0
+
+
 @pytest.mark.parametrize(
     "form",
     [symplectic_form(field_make(7), 2), hermitian_form(field_make(2, 1, "quadratic"), 3)],
