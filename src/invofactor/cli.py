@@ -15,6 +15,9 @@ runs produce byte-identical files.
 
 Exit codes: 0 success, 1 verification or internal-invariant failure,
 2 invalid input or exceeded budget.
+
+Each handler imports what it alone runs: `verify` loads no construction
+code, and only `survey` and `enumerate` load the group enumerators.
 """
 
 from __future__ import annotations
@@ -30,18 +33,17 @@ from .errors import (
     InternalInvariantError,
     VerificationError,
 )
-from .factor import cert_from_serialized, factor
+from .factor import factor
 from .fields import _is_prime, field_from_descriptor, field_make
 from .forms import (
     SesquiForm,
-    group_enumerate,
     hermitian_form,
     orthogonal_minus_form,
     orthogonal_plus_form,
     symplectic_form,
 )
 from .linalg import Mat
-from .verify import case_histogram, det_label, survey, verify_certificate
+from .verify import case_histogram, cert_from_serialized, det_label, verify_certificate
 
 
 def _canon_json(obj):
@@ -223,6 +225,8 @@ def _cmd_verify(args):
 
 
 def _cmd_survey(args):
+    from .groups import survey
+
     if args.sample is not None and args.seed is None:
         raise InputError("--sample requires --seed")
     form = _standard_form(args.kind, args.n, args.q)
@@ -252,6 +256,8 @@ def _cmd_survey(args):
 
 
 def _cmd_enumerate(args):
+    from .groups import group_enumerate
+
     form = _standard_form(args.kind, args.n, args.q)
     mats = [g.serialize() for g in group_enumerate(form, args.beta, budget=args.budget)]
     out = args.json_out or "-"

@@ -1,0 +1,102 @@
+"""Constructions that follow from the factorization: symmetric conjugators
+and two-factor splits of an invertible matrix, the symmetric unitary
+conjugator of a hermitian isometry, the canonical twist-1 reverser of a
+standard space and the dualizing conjugator.
+
+Each checks its own result and raises InternalInvariantError when it
+fails.  The symmetric conjugator splits a into primary components with
+construct's _component and conjugates each by construct's
+_symmetric_conjugator, the one a paired block's intertwiner uses.
+"""
+
+from __future__ import annotations
+
+from .construct import _component, _symmetric_conjugator
+from .decomp import minimal_polynomial, restrict
+from .errors import InputError, InternalInvariantError, NotInGroupError
+from .factor import factor
+from .linalg import Mat, block_diag, hstack
+from .poly import factorize
+
+
+def symmetric_conjugator(a):
+    """Symmetric invertible X with a @ X = X @ a.T, over any field.
+
+    The primary components U_i of a give B = [U_1 ... U_k] with
+    a B = B diag(a_i), so X = B diag(X_i) B^T for the conjugators X_i of
+    the a_i."""
+    F = a.tower
+    fac = factorize(minimal_polynomial(a), F)
+    apply = F.matvec(a.rows)
+    Us = [_component(a, apply, fac, p_, e) for p_, e in fac]
+    B = hstack([U for U, _ in Us])
+    X = B @ block_diag(F, [_symmetric_conjugator(restrict(a, U, free)) for U, free in Us]) @ B.T
+    if X.T != X or a @ X != X @ a.T or not X.det():
+        raise InternalInvariantError("symmetric conjugator construction failed", {})
+    return X
+
+
+def symmetric_factor(a):
+    """Split an invertible a as d1 @ d2 with both factors symmetric.
+
+    d1 is symmetric_conjugator(a) and d2 = d1^(-1) @ a; d2 is symmetric
+    because transposing it gives a^T d1^(-1), which the intertwining
+    relation a d1 = d1 a^T turns back into d1^(-1) a."""
+    d1 = symmetric_conjugator(a)
+    d2 = d1.inv() @ a
+    if d1.T != d1 or d2.T != d2 or d1 @ d2 != a:
+        raise InternalInvariantError("symmetric two-factor split failed", {})
+    return d1, d2
+
+
+def symmetric_unitary_conjugator(form, g):
+    """For an isometry of the identity-Gram hermitian space: a symmetric
+    unitary s with s @ g @ s^(-1) = g.T."""
+    F = form.tower
+    if form.kind != "hermitian" or form.J != Mat.identity(F, form.n):
+        raise InputError("needs the identity-Gram hermitian space")
+    if form.similitude_ratio(g) != F.one:
+        raise NotInGroupError("needs an isometry (similitude ratio 1)")
+    s = factor(form, g).h1.inv()
+    if s.T != s:
+        raise InternalInvariantError("conjugator is not symmetric", {"s": s.serialize()})
+    if form.gram(s) != form.J:
+        raise InternalInvariantError("conjugator is not unitary", {"s": s.serialize()})
+    if s @ g @ s.inv() != g.T:
+        raise InternalInvariantError("conjugator misses the transpose", {"s": s.serialize()})
+    return s
+
+
+def standard_reverser(form):
+    """A canonical twist-1 ratio-1 similitude for the standard spaces."""
+    F = form.tower
+    n = form.n
+    if form.kind == "symplectic" and form.standard == "symplectic":
+        m = n // 2
+        H = Mat.diag(F, [F.one] * m + [-F.one] * m)
+    else:
+        H = Mat.identity(F, n)
+    if form.anti_ratio(H) != F.one:
+        raise InputError("no canonical ratio-1 twist-1 map for this Gram; pass one explicitly")
+    return H
+
+
+def dualizing_conjugator(form, g, h_mat=None):
+    """(u, iota_g): u conjugates the twisted dual of g back to g^(-1).
+
+    Here iota_g = ratio(g)^(-1) * conj(H^(-1) @ g @ H) for a fixed twist-1
+    similitude H (the canonical one when h_mat is None), and u = h1 @ conj(H)
+    for the factorization's involution h1.  u is a linear similitude whose
+    ratio equals H's, and u @ iota_g @ u^(-1) = g^(-1)."""
+    H = standard_reverser(form) if h_mat is None else h_mat
+    lam = form.anti_ratio(H)
+    if lam is None:
+        raise InputError("h must be a twist-1 similitude of the form")
+    beta = form.similitude_ratio(g)
+    iota = (H.inv() @ g @ H).conj() * beta.inv()
+    u = factor(form, g).h1 @ H.conj()
+    if form.similitude_ratio(u) != lam:
+        raise InternalInvariantError("dualizing conjugator has unexpected ratio", {})
+    if u @ iota @ u.inv() != g.inv():
+        raise InternalInvariantError("dualizing conjugation failed", {"u": u.serialize()})
+    return u, iota

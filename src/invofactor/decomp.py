@@ -1,6 +1,6 @@
 """Structure of one endomorphism: Krylov spans, minimal polynomial and the
 rational (companion-block) normal form of a primary endomorphism.  Splitting
-a space into primary components is factor.py's job; frobenius_form gets one
+a space into primary components is construct.py's job; frobenius_form gets one
 component, where every annihilator is a power of the same irreducible.
 
 Everything here is deterministic: vector searches run over the standard

@@ -30,7 +30,7 @@ equal-degree power.
 is_irreducible_poly, a check on the distinct-degree step, tests the
 candidates for both tower moduli in fields.py; least_root, the least-key
 root among factorize's linear factors, gives fields.py's square roots and
-forms.py's norm preimages.
+groups.py's norm preimages.
 """
 
 from __future__ import annotations

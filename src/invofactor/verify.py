@@ -1,4 +1,4 @@
-"""Certificate checking, brute-force involution oracles, and group surveys.
+"""Certificates: their format, their independent checks and check reports.
 
 Every check recomputes its identity directly from the supplied space, the
 element, and the certificate's (beta, h1, h2); nothing is trusted from the
@@ -14,26 +14,15 @@ h2 conj(h2), h1 conj(h2) and h2's Gram: 3 products on a standard space,
 other rows are compared with I, beta I and g entry by entry; a Mat and a
 witness are made only for a failing check.  factor's own check reuses
 the beta it read off g and makes no Gram of g (2 products, or 3).
-`survey` drives factor-and-verify over a whole group (or a seeded sample)
-and aborts loudly on the first failing certificate.
-A survey checks each element once: inside its loop factor returns the
-certificate unchecked, and the survey's verify_certificate, which re-reads
-beta from g and checks every identity, is the check.  factor takes the
-survey's beta as g's ratio, so that check makes the one Gram of g per
-element.  Before factor runs, the survey reads g's ratio at J's anchor
-entry (row 0's first nonzero, where form._match_ratio reads it):
-(g^T J conj(g))[0, j0] / J[0, j0], one matvec and one dot product, exact
-for a similitude; an element of another ratio is rejected there.
-A survey factors each distinct minimal polynomial once: factor keeps its
-factorizations, the polynomials and cyclic involutions of each factor,
-each split level below an element's top level, and each paired block's
-intertwiner and inverse pairing, in a memo that lives for the survey's
-loop only (a bare factor call keeps one for the call, with no level in
-it), so the certificates are those of bare factor calls.
-The survey's case histogram reads each certificate's block cases, and no
-block transcript is serialized.  Its determinant histogram reads det(h1)
-off the blocks over a trivial conj, as the product of the determinants
-of their local involutions, and takes h1's own over a quadratic tower.
+The certificate format is this module's: FactorCert, which factor
+returns, and cert_from_serialized, which reads one back, need no
+construction code, so checking a certificate loads none.  Over a trivial
+conj FactorCert._h1_det reads det(h1) off the blocks of an unrendered
+certificate, as the product of the determinants of their local
+involutions: (-1)^r for a paired block of dimension 2r, whose involution
+is [[0, X], [X^(-1), 0]], and the block's own for the others; it takes
+h1's own over a quadratic tower.  survey (groups.py) reads it for its
+determinant histogram.
 """
 
 from __future__ import annotations
@@ -41,8 +30,11 @@ from __future__ import annotations
 import time
 
 from .errors import InputError, VerificationError
-from .forms import anti_unitary_enumerate, group_enumerate, group_sample
-from .linalg import Mat, left_factors
+from .forms import form_from_descriptor
+from .linalg import Mat, left_factors, mat_from_serialized
+from .poly import pserialize
+
+CERT_FORMAT = "invofactor-cert-v1"
 
 CHECK_NAMES = (
     "shapes_match_the_space",
@@ -169,6 +161,116 @@ def core_checks(form, g, beta, h1, h2, det_refined=False, beta_from_g=False):
     return [(name, ok) for name, ok, _ in checks]
 
 
+class _Block:
+    # one invariant block: its basis lifted to the space, its local
+    # involution t, and its transcript data, whose Mats (a paired block's
+    # intertwiner) and key tuples (polynomials) stay so until render; each
+    # block owns its data, which construct._refine_dets writes
+    __slots__ = ("lift", "t", "data")
+
+    def __init__(self, lift, t, data):
+        self.lift = lift
+        self.t = t
+        self.data = data
+
+    def render(self):
+        """The JSON-ready transcript of the block."""
+        F = self.t.tower
+        out = {
+            k: v.serialize() if type(v) is Mat else pserialize(v, F) if type(v) is tuple else v
+            for k, v in self.data.items()
+        }
+        out["basis"] = self.lift.serialize()
+        out["local_involution"] = self.t.serialize()
+        return out
+
+
+class FactorCert:
+    """A factorization g = h1 * h2 with its per-block construction transcript.
+
+    blocks is the transcript as serialize writes it, a list of JSON-ready
+    dicts.  factor hands in its blocks unrendered, and their matrices are
+    serialized on the first read of blocks, once; cases reads each block's
+    case without that."""
+
+    __slots__ = ("form", "g", "beta", "h1", "h2", "det_refined", "_blocks")
+
+    def __init__(self, form, g, beta, h1, h2, det_refined, blocks):
+        self.form = form
+        self.g = g
+        self.beta = beta
+        self.h1 = h1
+        self.h2 = h2
+        self.det_refined = det_refined
+        self._blocks = blocks
+
+    @property
+    def blocks(self):
+        blocks = self._blocks
+        if blocks and type(blocks[0]) is _Block:
+            blocks = self._blocks = [b.render() for b in blocks]
+        return blocks
+
+    @property
+    def cases(self):
+        """The case of each block, in order."""
+        return [b.data["case"] if type(b) is _Block else b["case"] for b in self._blocks]
+
+    def _h1_det(self):
+        """det(h1).  Over a trivial conj h1 = B M B^(-1), so while the blocks
+        are unrendered it is the product of the determinants of their local
+        involutions: (-1)^r for a paired block of dimension 2r, the block's
+        own for the others, most of them 1x1 or 2x2; otherwise h1's own."""
+        blocks = self._blocks
+        F = self.form.tower
+        if F.has_conj or not blocks or type(blocks[0]) is not _Block:
+            return self.h1.det()
+        d = None
+        for b in blocks:
+            data = b.data
+            if data["case"] == "paired":
+                x = F.one if data["dim"] % 4 == 0 else -F.one
+            else:
+                x = b.t.det()
+            d = x if d is None else d * x
+        return d
+
+    def checks(self):
+        return core_checks(self.form, self.g, self.beta, self.h1, self.h2, self.det_refined)
+
+    def serialize(self):
+        return {
+            "format": CERT_FORMAT,
+            "form": self.form.descriptor(),
+            "g": self.g.serialize(),
+            "beta": self.beta.serialize(),
+            "h1": self.h1.serialize(),
+            "h2": self.h2.serialize(),
+            "det_refined": self.det_refined,
+            "blocks": self.blocks,
+        }
+
+
+def cert_from_serialized(d):
+    if not isinstance(d, dict) or d.get("format") != CERT_FORMAT:
+        raise InputError(f"not a certificate (expected format {CERT_FORMAT!r})")
+    det_refined, blocks = d.get("det_refined", False), d.get("blocks", [])
+    if not isinstance(det_refined, bool) or not isinstance(blocks, list):
+        raise InputError("certificate: det_refined must be a boolean and blocks a list")
+    if not isinstance(d.get("form", {}), dict):
+        raise InputError("certificate: form must be an object")
+    try:
+        form = form_from_descriptor(d["form"])
+        tower = form.tower
+        g = mat_from_serialized(tower, d["g"])
+        h1 = mat_from_serialized(tower, d["h1"])
+        h2 = mat_from_serialized(tower, d["h2"])
+        beta = tower.elem(d["beta"])
+    except KeyError as e:
+        raise InputError(f"certificate missing field: {e}") from e
+    return FactorCert(form, g, beta, h1, h2, det_refined, blocks)
+
+
 class VerifyReport:
     """Outcome of re-checking one certificate.
 
@@ -203,8 +305,6 @@ def verify_certificate(form, g, cert, det_refined=None):
     (including shape or field mismatches) become report entries.  A g that
     is not a Mat, a cert that is not a FactorCert and a det_refined other
     than None, True or False raise InputError."""
-    from .factor import FactorCert
-
     t0 = time.perf_counter()
     if not isinstance(g, Mat):
         raise InputError("g must be a matrix")
@@ -225,17 +325,6 @@ def check_cert(cert):
     return cert
 
 
-def oracle_involution_set(form, budget=10**7):
-    """All twist-1 maps of ratio 1 squaring to the identity, in canonical
-    order: the brute-force ground truth that any constructed h1 must hit."""
-    eye = Mat.identity(form.tower, form.n)
-    return [
-        A
-        for A in anti_unitary_enumerate(form, budget=budget)
-        if A @ A.conj() == eye
-    ]
-
-
 def det_label(F, d):
     """"+1", "-1", or the serialized element, for a determinant d."""
     if d == F.one:
@@ -251,74 +340,3 @@ def case_histogram(cases, counts=None):
     for case in cases:
         counts[case] = counts.get(case, 0) + 1
     return counts
-
-
-def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
-    """Factor and fully verify every similitude of ratio beta.
-
-    Exhaustive enumeration when sample is None, else `sample` elements from
-    the seeded generator walk; the seed, an int or a str, is recorded as
-    given.  Each element's ratio is read at J's anchor entry and matched
-    with beta before it is factored (VerificationError
-    "beta_matches_the_survey" otherwise); factor then takes beta as its
-    ratio, and each certificate is checked once, by verify_certificate,
-    which makes the one Gram of g.  The first failing certificate aborts
-    with a VerificationError carrying the offending element and its
-    transcript.
-    Returns a JSON-ready summary: totals, failure count (always 0 on a
-    normal return), block-case histogram, and det(h1) histogram."""
-    from .factor import factor, _shared_within_survey
-
-    F = form.tower
-    beta_elem = F.one if beta is None else form._as_elem(beta)
-    if sample is None:
-        elements = group_enumerate(form, beta_elem, budget=budget)
-        mode = "exhaustive"
-    else:
-        # group_sample rejects a count that is not an int and a seed that is
-        # neither an int nor a str, so the seed recorded is the one sampled
-        elements = group_sample(form, beta_elem, seed=seed, count=sample)
-        mode = {"sample": sample, "seed": seed}
-    # g's ratio at J's anchor entry [0, j0]: the entry of g^T (J conj(g))
-    # over J's, from one matvec of J and one dot product
-    J = form.J.rows
-    j0 = next(j for j, x in enumerate(J[0]) if x)
-    anchor, apply, conj, dot = F.inv(J[0][j0]), F.matvec(J), F.conj, F.dot
-    total = 0
-    cases = {}
-    dets = {}
-    with _shared_within_survey(beta_elem):
-        for g in elements:
-            rows = g.rows
-            ratio = F.mul(dot([r[0] for r in rows], apply([conj(r[j0]) for r in rows])), anchor)
-            if ratio != beta_elem.key:
-                # factor takes beta as g's ratio, and verify_certificate
-                # matches g's ratio with the cert's own beta only
-                raise VerificationError(
-                    "beta_matches_the_survey",
-                    {"g": g.serialize(), "beta": beta_elem.serialize()},
-                )
-            cert = factor(form, g, det_refined=refined)
-            report = verify_certificate(form, g, cert)
-            if not report.passed:
-                raise VerificationError(
-                    report.failures()[0][0],
-                    {
-                        "g": g.serialize(),
-                        "cert": cert.serialize(),
-                        "report": report.serialize(),
-                    },
-                )
-            total += 1
-            case_histogram(cert.cases, cases)
-            label = det_label(F, cert._h1_det())
-            dets[label] = dets.get(label, 0) + 1
-    return {
-        "beta": beta_elem.serialize(),
-        "cases": dict(sorted(cases.items())),
-        "dets": dict(sorted(dets.items())),
-        "failures": 0,
-        "mode": mode,
-        "refined": bool(refined),
-        "total": total,
-    }

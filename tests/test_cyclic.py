@@ -29,7 +29,7 @@ from invofactor.forms import SesquiForm
 from invofactor.linalg import Mat, block_diag, gram, hstack
 from invofactor.poly import pdeg, pmod, pnormal
 
-fac = importlib.import_module("invofactor.factor")
+fac = importlib.import_module("invofactor.construct")
 
 
 def reference_cyclic_t(F, beta, C):

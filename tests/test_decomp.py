@@ -19,7 +19,7 @@ from invofactor import (
     symplectic_form,
 )
 from invofactor.decomp import frobenius_form, minimal_polynomial, restrict
-from invofactor.factor import _component
+from invofactor.construct import _component
 from invofactor.linalg import Mat, block_diag, hstack, vstack
 from invofactor.poly import factorize, pdeg, pmod, pmul, pnormal, ppow
 
@@ -301,7 +301,8 @@ def test_restrict_equals_the_solved_restriction(monkeypatch, spec):
     # invariant factors T, so frobenius_form peels one
     F = field_make(*spec)
     rng = random.Random(f"restrict:{spec}")
-    fac_mod = sys.modules["invofactor.factor"]
+    fac_mod = sys.modules["invofactor.construct"]
+    companions = sys.modules["invofactor.companions"]
     real, real_ortho = dec.restrict, fac_mod._orthocomplement
     complements, seen = [], []
 
@@ -322,6 +323,7 @@ def test_restrict_equals_the_solved_restriction(monkeypatch, spec):
 
     monkeypatch.setattr(dec, "restrict", checked("frobenius"))
     monkeypatch.setattr(fac_mod, "restrict", checked("component"))
+    monkeypatch.setattr(companions, "restrict", checked("component"))
     monkeypatch.setattr(fac_mod, "_orthocomplement", orthocomplement)
     D = block_diag(F, [companion(F, [0, 1]), companion(F, [0, 1]), companion(F, [1, 1, 1])])
     while True:

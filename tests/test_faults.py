@@ -40,12 +40,13 @@ from invofactor import (
 from invofactor.linalg import Mat, block_diag
 from invofactor.poly import padd, pdivmod, pmul
 
-fac = importlib.import_module("invofactor.factor")
+fac = importlib.import_module("invofactor.construct")
+ver = importlib.import_module("invofactor.verify")
 forms = importlib.import_module("invofactor.forms")
+grp = importlib.import_module("invofactor.groups")
 dec = importlib.import_module("invofactor.decomp")
 poly = importlib.import_module("invofactor.poly")
 fields = importlib.import_module("invofactor.fields")
-ver = importlib.import_module("invofactor.verify")
 
 
 def _elements():
@@ -319,7 +320,7 @@ def test_a_fault_under_a_survey_ends_in_a_named_error(monkeypatch, name):
     groups = {}
     for form, g in ELEMENTS:
         groups.setdefault((form, form.similitude_ratio(g)), []).append(g)
-    monkeypatch.setattr(ver, "group_enumerate", lambda form, beta, budget: groups[form, beta])
+    monkeypatch.setattr(grp, "group_enumerate", lambda form, beta, budget: groups[form, beta])
     hits = []
     FAULTS[name](monkeypatch, hits)
     outcomes = []
@@ -347,6 +348,9 @@ def test_factor_checks_its_result_exactly_once(monkeypatch):
 
         monkeypatch.setattr(mod, name, wrapper)
 
+    # one counter for every check: the construction's own and the
+    # verifier's (FactorCert.checks, check_cert, verify_certificate)
+    counted(fac, "core_checks")
     counted(ver, "core_checks")
     for mod in (poly, fields):
         counted(mod, "is_irreducible_poly")
@@ -479,14 +483,14 @@ def test_a_wrong_generator_coefficient_fails_the_sample_check(monkeypatch, space
         "u3-F25": lambda: hermitian_form(field_make(5, 1, "quadratic"), 3),
         "u1-F25": lambda: hermitian_form(field_make(5, 1, "quadratic"), 1),
     }[space]()
-    F, real, hits = form.tower, forms._generator, []
+    F, real, hits = form.tower, grp._generator, []
 
     def doubled(form, pair, draw):
         v, w, c = real(form, pair, draw)
         hits.append(c)
         return v, w, F.add(c, c)
 
-    monkeypatch.setattr(forms, "_generator", doubled)
+    monkeypatch.setattr(grp, "_generator", doubled)
     with pytest.raises(InternalInvariantError, match="sampled element has wrong ratio"):
         group_sample(form, seed="faults", count=3)
     with pytest.raises(InternalInvariantError, match="sampled element has wrong ratio"):
@@ -498,7 +502,7 @@ def test_a_norm_form_that_misses_beta_is_named(monkeypatch):
     # the hermitian dilation finds a w of norm beta for every beta of the
     # fixed field; had it none, sampling at that ratio stops by name
     form = hermitian_form(field_make(5, 1, "quadratic"), 2)
-    monkeypatch.setattr(forms, "_norm_preimage", lambda F, beta: None)
+    monkeypatch.setattr(grp, "_norm_preimage", lambda F, beta: None)
     with pytest.raises(InternalInvariantError, match="norm is not surjective"):
         group_sample(form, beta=2, seed="faults")
 

@@ -13,16 +13,13 @@ from invofactor import (
     InputError,
     NotInGroupError,
     field_make,
-    forms,
+    groups,
     survey,
     verify_certificate,
 )
 from invofactor.forms import (
     SesquiForm,
-    anti_unitary_enumerate,
     form_from_descriptor,
-    group_enumerate,
-    group_sample,
     hermitian_form,
     least_nonsquare,
     orthogonal_form,
@@ -31,6 +28,7 @@ from invofactor.forms import (
     symplectic_form,
 )
 from invofactor.factor import factor
+from invofactor.groups import anti_unitary_enumerate, group_enumerate, group_sample
 from invofactor.linalg import Mat, block_diag, conj_product, gram, monomial_rows
 
 
@@ -342,13 +340,13 @@ def test_norm_preimage_is_the_least_key_of_that_norm(params):
     assert len(first) == E.q
     for k in range(E.q):
         beta = E.from_int(k)
-        assert forms._norm_preimage(E, beta) == first[beta]
+        assert groups._norm_preimage(E, beta) == first[beta]
     # no norm lies outside the fixed field
-    assert forms._norm_preimage(E, E.from_int(E.q)) is None
+    assert groups._norm_preimage(E, E.from_int(E.q)) is None
     form = hermitian_form(E, 2)
     for k in range(2, E.q):
         beta = E.from_int(k)
-        assert forms._dilation(form, beta) == Mat.diag(E, [first[beta]] * 2)
+        assert groups._dilation(form, beta) == Mat.diag(E, [first[beta]] * 2)
 
 
 @pytest.mark.parametrize(
@@ -399,7 +397,7 @@ def test_minus_dilation_searches_one_root(monkeypatch, p):
 
             with monkeypatch.context() as m:
                 m.setattr(type(F), "sqrt", counted)
-                got = forms._dilation(form, beta)
+                got = groups._dilation(form, beta)
             assert got == want and len(calls) == 1
             assert form.similitude_ratio(got) == beta
     assert met == {True, False}
@@ -575,7 +573,7 @@ def _reference_walk(form, beta, seed, count):
             if u and u.conj() != u:
                 return rank_one_update(v, (u.conj() / u - F.one) / norm)
 
-    base = forms._dilation(form, F.one if beta is None else form._as_elem(beta))
+    base = groups._dilation(form, F.one if beta is None else form._as_elem(beta))
     out = []
     for _ in range(count):
         g = base

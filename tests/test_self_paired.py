@@ -22,11 +22,12 @@ from invofactor import (
     symplectic_form,
     verify_certificate,
 )
-from invofactor.forms import SesquiForm, group_enumerate
+from invofactor.forms import SesquiForm
+from invofactor.groups import group_enumerate
 from invofactor.linalg import Mat, block_diag, gram, hstack
 from invofactor.poly import pdeg, pdivmod, ppow, twisted_reciprocal
 
-fac = importlib.import_module("invofactor.factor")
+fac = importlib.import_module("invofactor.construct")
 dec = importlib.import_module("invofactor.decomp")
 
 

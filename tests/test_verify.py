@@ -213,8 +213,8 @@ def test_survey_aborts_on_the_first_failing_certificate(monkeypatch, capsys):
     # survey's factor returns certificates with a tampered h2: the first one
     # aborts the survey, and the error names the first failed identity and
     # carries the element, the certificate and the report
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factor
+    grp = importlib.import_module("invofactor.groups")
+    real = grp.factor
     bad = []
 
     def tampered(form, g, det_refined=False):
@@ -223,7 +223,7 @@ def test_survey_aborts_on_the_first_failing_certificate(monkeypatch, capsys):
         bad.append((g, cert))
         return cert
 
-    monkeypatch.setattr(fac, "factor", tampered)
+    monkeypatch.setattr(grp, "factor", tampered)
     sp = symplectic_form(F3, 2)
     with pytest.raises(VerificationError) as info:
         survey(sp)
@@ -247,15 +247,15 @@ def test_survey_aborts_on_the_first_failing_certificate(monkeypatch, capsys):
 
 def _counted_factorize(monkeypatch):
     # the minimal polynomials factor sends to factorize, as key tuples
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factorize
+    con = importlib.import_module("invofactor.construct")
+    real = con.factorize
     seen = []
 
     def counted(f, F, *args, **kwargs):
         seen.append(tuple(f))
         return real(f, F, *args, **kwargs)
 
-    monkeypatch.setattr(fac, "factorize", counted)
+    monkeypatch.setattr(con, "factorize", counted)
     return seen
 
 
@@ -280,8 +280,8 @@ def test_an_aborted_survey_leaves_no_memo_behind(monkeypatch):
     # a survey whose first certificate fails raises; the memo it held ends
     # with it, so the next bare factor call factorizes again
     seen = _counted_factorize(monkeypatch)
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factor
+    grp = importlib.import_module("invofactor.groups")
+    real = grp.factor
     met = []
 
     def tampered(form, g, det_refined=False):
@@ -289,7 +289,7 @@ def test_an_aborted_survey_leaves_no_memo_behind(monkeypatch):
         met.append(g)
         return _tamper(cert, "h2", cert.h2 + Mat.from_rows(form.tower, [[0, 1], [0, 0]]))
 
-    monkeypatch.setattr(fac, "factor", tampered)
+    monkeypatch.setattr(grp, "factor", tampered)
     sp = symplectic_form(F3, 2)
     with pytest.raises(VerificationError):
         survey(sp)
@@ -302,33 +302,33 @@ def test_an_aborted_survey_leaves_no_memo_behind(monkeypatch):
 def test_the_memo_hands_out_copies():
     # a caller that changes its factor list changes neither the memo nor
     # what the next caller gets
-    fac = importlib.import_module("invofactor.factor")
+    con = importlib.import_module("invofactor.construct")
     g = Mat.from_rows(F5, [[2, 1], [0, 3]])
     f = minimal_polynomial(g)
-    with fac._shared_within_survey(F5.one):
-        first = fac._shared(fac.factorize, f, F5)
+    with con._shared_within_survey(F5.one):
+        first = con._shared(con.factorize, f, F5)
         first[0][0].append(4)
         first.append(([1], 1))
-        assert fac._shared(fac.factorize, f, F5) == fac.factorize(f, F5)
-        power = fac._shared(fac.ppow, f, 2, F5)
+        assert con._shared(con.factorize, f, F5) == con.factorize(f, F5)
+        power = con._shared(con.ppow, f, 2, F5)
         power.append(4)
-        assert fac._shared(fac.ppow, f, 2, F5) == fac.ppow(f, 2, F5)
+        assert con._shared(con.ppow, f, 2, F5) == con.ppow(f, 2, F5)
 
 
 def _watched_builds(monkeypatch):
     # every block build as (top, a, G, factors) (top: G is the form's J),
     # every symmetric conjugator's argument, and the memo each _split ran in
-    fac = importlib.import_module("invofactor.factor")
+    con = importlib.import_module("invofactor.construct")
     builds, conjugated, memos = [], [], []
     for name in ("_paired_block", "_self_paired_block"):
 
-        def build(form, beta, a, G, *rest, real=getattr(fac, name)):
+        def build(form, beta, a, G, *rest, real=getattr(con, name)):
             key = tuple((tuple(p), e) for p, e in rest[-1])
             builds.append((G is form.J, a, G, key))
             return real(form, beta, a, G, *rest)
 
-        monkeypatch.setattr(fac, name, build)
-    real_conjugator, real_split = fac._symmetric_conjugator, fac._split
+        monkeypatch.setattr(con, name, build)
+    real_conjugator, real_split = con._symmetric_conjugator, con._split
 
     def conjugator(a):
         conjugated.append(a)
@@ -336,11 +336,11 @@ def _watched_builds(monkeypatch):
 
     def split(*args):
         out = real_split(*args)
-        memos.append(fac._memo.get())
+        memos.append(con._memo.get())
         return out
 
-    monkeypatch.setattr(fac, "_symmetric_conjugator", conjugator)
-    monkeypatch.setattr(fac, "_split", split)
+    monkeypatch.setattr(con, "_symmetric_conjugator", conjugator)
+    monkeypatch.setattr(con, "_split", split)
     return builds, conjugated, memos
 
 
@@ -355,7 +355,7 @@ def test_a_survey_builds_each_sub_level_and_intertwiner_once(monkeypatch, form, 
     # Gram and its factors) once, and makes each paired block's symmetric
     # conjugator once per distinct restricted matrix.  Its memo keeps those
     # levels only: no top-level key, and a bare call keeps none
-    fac = importlib.import_module("invofactor.factor")
+    con = importlib.import_module("invofactor.construct")
     builds, conjugated, memos = _watched_builds(monkeypatch)
     elements = list(group_enumerate(form, beta=beta))
     for g in elements:
@@ -364,7 +364,7 @@ def test_a_survey_builds_each_sub_level_and_intertwiner_once(monkeypatch, form, 
     sub_levels = {tuple(key) for top, *key in builds if not top}
     bare_sub_levels = len(builds) - len(elements)
     restricted = set(conjugated)
-    assert not any(k[0] is fac._level for memo in memos for k in memo)
+    assert not any(k[0] is con._level for memo in memos for k in memo)
     builds.clear()
     conjugated.clear()
     memos.clear()
@@ -375,7 +375,7 @@ def test_a_survey_builds_each_sub_level_and_intertwiner_once(monkeypatch, form, 
     assert set(conjugated) == restricted and len(conjugated) == len(restricted)
     memo = memos[0]
     assert all(m is memo for m in memos)
-    levels = [k for k in memo if k[0] is fac._level]
+    levels = [k for k in memo if k[0] is con._level]
     assert len(levels) == len(sub_levels)
     assert not any(k[4] is form.J for k in levels)
 
@@ -384,15 +384,15 @@ def test_certificates_from_one_memoized_level_share_no_transcript(monkeypatch):
     # two survey certificates whose lower blocks come from one memoized
     # level: changing one's block data, and then its rendered transcript,
     # leaves the other's serialization that of a bare factor call
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factor
+    grp = importlib.import_module("invofactor.groups")
+    real = grp.factor
     made = []
 
     def kept(form, g, det_refined=False):
         made.append(real(form, g, det_refined=det_refined))
         return made[-1]
 
-    monkeypatch.setattr(fac, "factor", kept)
+    monkeypatch.setattr(grp, "factor", kept)
     form = orthogonal_plus_form(F3, 4)
     survey(form, beta=2)
     pairs = (
@@ -421,17 +421,18 @@ def test_a_refined_survey_gives_the_certificates_of_bare_refined_calls(monkeypat
     # local involution of one block and marks it sign_flipped where the
     # product misses the target; a survey's blocks below the top level
     # come from its memo, and each certificate still gets its own
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factor
+    grp = importlib.import_module("invofactor.groups")
+    con = importlib.import_module("invofactor.construct")
+    real = grp.factor
     made = []
 
     def kept(form, g, det_refined=False):
         made.append(real(form, g, det_refined=det_refined))
         return made[-1]
 
-    real_level, levels = fac._level, []
-    monkeypatch.setattr(fac, "factor", kept)
-    monkeypatch.setattr(fac, "_level", lambda *args: levels.append(1) or real_level(*args))
+    real_level, levels = con._level, []
+    monkeypatch.setattr(grp, "factor", kept)
+    monkeypatch.setattr(con, "_level", lambda *args: levels.append(1) or real_level(*args))
     form = orthogonal_plus_form(F3, 4)
     summary = survey(form, refined=True)
     assert summary["total"] == len(made) == 1152 and summary["dets"] == {"+1": 1152}
@@ -472,13 +473,13 @@ def test_survey_rejects_an_element_of_another_ratio(monkeypatch):
     # factor takes the survey's beta as g's ratio, and verify_certificate
     # matches g's ratio with the certificate's own beta only, so survey
     # matches g's ratio with its beta before g is factored
-    fac = importlib.import_module("invofactor.factor")
+    grp = importlib.import_module("invofactor.groups")
     sp = symplectic_form(F5, 2)
     g = group_sample(sp, beta=2, seed=1)[0]
     assert verify_certificate(sp, g, factor(sp, g)).passed
     met = []
-    monkeypatch.setattr(fac, "factor", lambda *a, **k: met.append(a))
-    monkeypatch.setattr(ver, "group_enumerate", lambda form, beta, budget: iter([g]))
+    monkeypatch.setattr(grp, "factor", lambda *a, **k: met.append(a))
+    monkeypatch.setattr(grp, "group_enumerate", lambda form, beta, budget: iter([g]))
     with pytest.raises(VerificationError) as info:
         survey(sp)
     assert info.value.check == "beta_matches_the_survey"
@@ -502,8 +503,8 @@ def test_the_survey_reads_g_s_ratio_at_j_s_anchor_entry(monkeypatch, form, beta,
     # each element of another ratio, in the standard basis and in seeded
     # dense ones (g -> P^(-1) g P with Gram P^T J conj(P)), is rejected
     # before it is factored
-    fac = importlib.import_module("invofactor.factor")
-    monkeypatch.setattr(fac, "factor", lambda *a, **k: pytest.fail("factored"))
+    grp = importlib.import_module("invofactor.groups")
+    monkeypatch.setattr(grp, "factor", lambda *a, **k: pytest.fail("factored"))
     F, n = form.tower, form.n
     b = form._as_elem(beta)
     o = form._as_elem(other) if isinstance(other, int) else F.elem(other)
@@ -519,7 +520,7 @@ def test_the_survey_reads_g_s_ratio_at_j_s_anchor_entry(monkeypatch, form, beta,
             space = SesquiForm(F, form.kind, P.T @ form.J @ P.conj())
             g = P.inv() @ g @ P
             assert space.similitude_ratio(g) == o
-        monkeypatch.setattr(ver, "group_enumerate", lambda form, beta, budget, g=g: iter([g]))
+        monkeypatch.setattr(grp, "group_enumerate", lambda form, beta, budget, g=g: iter([g]))
         with pytest.raises(VerificationError) as info:
             survey(space, beta=b)
         assert info.value.check == "beta_matches_the_survey"
@@ -529,15 +530,15 @@ def test_the_survey_reads_g_s_ratio_at_j_s_anchor_entry(monkeypatch, form, beta,
 @pytest.mark.parametrize("seed", [3, "3", "survey"], ids=repr)
 def test_survey_samples_and_records_its_seed_as_given(monkeypatch, seed):
     # 3 and "3" seed different walks, and each survey records its own seed
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factor
+    grp = importlib.import_module("invofactor.groups")
+    real = grp.factor
     met = []
 
     def kept(form, g, det_refined=False):
         met.append(g)
         return real(form, g, det_refined=det_refined)
 
-    monkeypatch.setattr(fac, "factor", kept)
+    monkeypatch.setattr(grp, "factor", kept)
     sp = symplectic_form(F5, 4)
     summary = survey(sp, beta=2, sample=4, seed=seed)
     assert summary["mode"] == {"sample": 4, "seed": seed}
@@ -648,6 +649,7 @@ def test_verify_makes_one_product_per_gram_on_standard_spaces(monkeypatch):
         finally:
             inside.pop()
 
+    con = importlib.import_module("invofactor.construct")
     real_checks = ver.core_checks
     for form, g in ((SP4, SP4_G), (DENSE_SP4, DENSE_SP4_G), (hermitian_form(E9, 3), None)):
         F, n = form.tower, form.n
@@ -655,7 +657,9 @@ def test_verify_makes_one_product_per_gram_on_standard_spaces(monkeypatch):
             g = group_sample(form, seed=2)[0]
         real = F.matmul
         monkeypatch.setattr(F, "matmul", counted)
-        monkeypatch.setattr(ver, "core_checks", checked)
+        # the construction's check and every check through the verifier
+        for mod in (con, ver):
+            monkeypatch.setattr(mod, "core_checks", checked)
         calls.clear()
         cert = factor(form, g)
         own = list(calls)
@@ -957,15 +961,15 @@ def test_survey_certificates_are_those_of_bare_factor_calls(monkeypatch, form, a
     # a survey's factor takes the survey's beta as g's ratio; its
     # certificates and summary are those of bare factor calls, which read
     # beta off g
-    fac = importlib.import_module("invofactor.factor")
-    real = fac.factor
+    grp = importlib.import_module("invofactor.groups")
+    real = grp.factor
     made = []
 
     def kept(form, g, det_refined=False):
         made.append(real(form, g, det_refined=det_refined))
         return made[-1]
 
-    monkeypatch.setattr(fac, "factor", kept)
+    monkeypatch.setattr(grp, "factor", kept)
     summary = survey(form, **args)
     assert summary["total"] == len(made) > 0
     cases, dets = {}, {}
@@ -1004,3 +1008,41 @@ def test_match_ratio_agrees_with_the_whole_matrix_comparison(label):
                 assert (got is None) == (want is None) and (got is None or got == want)
         count += 1
     assert form._anti == anti and count == order
+
+
+def _kept_survey(monkeypatch, form, beta):
+    # the survey's summary and every certificate it made
+    grp = importlib.import_module("invofactor.groups")
+    real = grp.factor
+    made = []
+
+    def kept(form, g, det_refined=False):
+        made.append(real(form, g, det_refined=det_refined))
+        return made[-1]
+
+    monkeypatch.setattr(grp, "factor", kept)
+    return survey(form, beta=beta), made
+
+
+def test_the_determinant_histogram_takes_no_determinant_of_a_paired_block(monkeypatch):
+    # over a trivial conj a paired block's involution [[0, X], [X^(-1), 0]]
+    # of dimension 2r has det (-1)^r, which _h1_det takes with no Mat.det
+    real_det, seen = Mat.det, []
+
+    def counted(self):
+        seen.append(self)
+        return real_det(self)
+
+    monkeypatch.setattr(Mat, "det", counted)
+    summary, made = _kept_survey(monkeypatch, orthogonal_plus_form(F3, 4), 2)
+    assert summary["dets"] == {"+1": 576, "-1": 576}
+    paired = {id(b.t) for cert in made for b in cert._blocks if b.data["case"] == "paired"}
+    assert paired and not any(id(m) in paired for m in seen)
+
+
+@pytest.mark.parametrize("label", [t[0] for t in SURVEY_GROUPS])
+def test_h1_det_read_off_the_blocks_is_h1_s_own(monkeypatch, label):
+    _, form, beta, order = next(t for t in SURVEY_GROUPS if t[0] == label)
+    summary, made = _kept_survey(monkeypatch, form, beta)
+    assert summary["total"] == len(made) == order
+    assert all(cert._h1_det() == cert.h1.det() for cert in made)
