@@ -419,6 +419,59 @@ def _square_multiply(t, a, n):
     return out
 
 
+def _powers(t, g, packed, read):
+    """[g^i for i < Q - 1], each power one step x -> g*x from the last.
+
+    The step is GF(p)-linear on a key's base-p digits, which are all its
+    GF(p) coordinates in trivial and quadratic towers alike.  So g*x is the
+    sum of the step's values on x's low c digits (the most with p^c <=
+    _CHUNK) and on the rest, each read from a table spanned from the images
+    g * p^i of the digit basis: deg - 1 products on the coordinate kernel.
+    Below TABLE_ORDER the rest are at most c digits too.  Keys sum by XOR in
+    characteristic 2, else as coordinates in byte slots (two reduced ones a
+    sum, p < 128): packed[x] is the slots of x and read(s) the key of a slot
+    sum.  When the low digits are all of them the step is one read of a key
+    table."""
+    p, Q, deg = t.p, t.order, t.deg
+    c = deg
+    while p**c > _CHUNK:
+        c -= 1
+    # lo[v] and hi[v]: the images of the keys whose low and high digits are
+    # v's and whose other digits are 0.  Digit i extends its table by p - 1
+    # copies, each the one before plus b = g * p^i (in plain loops: built by
+    # comprehensions, cold builds of order 4 and 9 measured slower than the
+    # recurrence of products)
+    lo, hi = [0], [0]
+    for i in range(deg):
+        b = t.mul(p**i, g) if i else g
+        tab = lo if i < c else hi
+        if p == 2:
+            for j in range(len(tab)):
+                tab.append(tab[j] ^ b)
+        else:
+            pb = packed[b]
+            for j in range((p - 1) * len(tab)):
+                tab.append(read(packed[tab[j]] + pb))
+    exp, x = [1], 1
+    if len(hi) == 1:
+        for _ in range(Q - 2):
+            x = lo[x]
+            exp.append(x)
+    elif p == 2:
+        mask = (1 << c) - 1
+        for _ in range(Q - 2):
+            x = lo[x & mask] ^ hi[x >> c]
+            exp.append(x)
+    else:
+        C = p**c
+        lo, hi = [packed[y] for y in lo], [packed[y] for y in hi]
+        for _ in range(Q - 2):
+            h, l = divmod(x, C)
+            x = read(lo[l] + hi[h])
+            exp.append(x)
+    return exp
+
+
 def _table_kernel(t):
     """Log/antilog kernel over a primitive element g, from the coordinate
     kernel already installed on t.
@@ -435,13 +488,16 @@ def _table_kernel(t):
     and so does elimination.  Other fields keep log-sums (a coordinate-plane
     byte lane measured slower on GF(243) and GF(169)): matvec(rows) takes
     the logs of rows once, and matmul is the matvec of B^T applied to each
-    row of A."""
+    row of A.  The powers of g come from _powers, whose steps are table
+    reads, not products on the coordinate kernel."""
     p, Q = t.p, t.order
     n1 = Q - 1
     g = _primitive_element(t)
-    exp = [1]
-    for _ in range(Q - 2):
-        exp.append(t.mul(exp[-1], g))
+    if p == 2:
+        exp = _powers(t, g, None, None)
+    else:
+        slots8, read8 = coord_slots(p, Q, 8), coord_reader(p, t.deg, 8)
+        exp = _powers(t, g, slots8, read8)
     Z = 2 * n1
     log = [Z] * Q
     for i, x in enumerate(exp):
@@ -494,8 +550,9 @@ def _table_kernel(t):
         t.neg = _identity
     else:
         cap = 255 // (p - 1)
-        short, long = ((coord_reader(p, t.deg, w), sum, [packed[x] for x in exp2].__getitem__)
-                       for w, packed in ((8, coord_slots(p, Q, 8)), (_SLOT, coord_slots(p, Q, _SLOT))))
+        short, long = ((read, sum, [packed[x] for x in exp2].__getitem__)
+                       for read, packed in ((read8, slots8),
+                                            (coord_reader(p, t.deg, _SLOT), coord_slots(p, Q, _SLOT))))
         half = n1 // 2  # log(-1)
         zech = [log[x - x % p + (x + 1) % p] for x in exp]
 

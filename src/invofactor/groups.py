@@ -37,7 +37,6 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .construct import _shared_within_survey
 from .errors import BudgetExceededError, InputError, InternalInvariantError, VerificationError
 from .factor import factor
 from .fields import FieldElem
@@ -279,6 +278,9 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
     transcript.
     Returns a JSON-ready summary: totals, failure count (always 0 on a
     normal return), block-case histogram, and det(h1) histogram."""
+    # imported here, so that enumerating a group loads no construction code
+    from .construct import _shared_within_survey
+
     F = form.tower
     beta_elem = F.one if beta is None else form._as_elem(beta)
     if sample is None:

@@ -14,7 +14,9 @@ exponent passing on as an upper bound), while `frobenius_form` works on
 one primary component and evaluates no polynomial.  The sampler's guards
 are reached the same way: a wrong generator coefficient, and dilations
 whose norm searches find nothing; and so is similitude_ratio's, a ratio
-not fixed by conj (test_a_ratio_not_fixed_by_conj_is_named)."""
+not fixed by conj (test_a_ratio_not_fixed_by_conj_is_named).  The last
+three reach the self-checks no construction fault reaches: factorize's
+product check and frobenius_form's dual system and complement checks."""
 
 import importlib
 import sys
@@ -531,3 +533,64 @@ def test_a_ratio_not_fixed_by_conj_is_named(monkeypatch):
         form.similitude_ratio(g)
     with pytest.raises(InternalInvariantError, match="similitude ratio not fixed by conj"):
         factor(form, g)
+
+
+# Three self-checks that no construction fault above reaches: factorize's
+# product check, and frobenius_form's two checks on a peel.  Each is reached
+# by one injected fault and ends in its named InternalInvariantError.
+
+
+def test_a_factorization_that_misses_its_input_is_named(monkeypatch):
+    # a squarefree part handed on with one more than its multiplicity: the
+    # factors multiply to f times that part, bare and inside factor
+    real = poly.squarefree_parts
+
+    def faulty(f, F):
+        return [(g, m + 1) for g, m in real(f, F)]
+
+    monkeypatch.setattr(poly, "squarefree_parts", faulty)
+    F7 = field_make(7)
+    f = pmul([5, 1], [4, 1], F7)  # (T - 2)(T - 3)
+    with pytest.raises(InternalInvariantError, match="factor product differs from input"):
+        poly.factorize(f, F7)
+    g = Mat.diag(F7, [F7.from_int(c) for c in (2, 3, 4, 5)])
+    with pytest.raises(InternalInvariantError, match="factor product differs from input"):
+        factor(symplectic_form(F7, 4), g)
+
+
+# T^2 on e_1 and T on e_0, e_2: frobenius_form takes e_1's cyclic plane
+# (e_1, e_0) and peels it off the 3-space, solving for its dual functional
+NILPOTENT = ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 1]])
+
+
+def test_frobenius_form_names_an_inconsistent_dual_system(monkeypatch):
+    # a cyclic basis whose last vector repeats its first: no functional
+    # vanishes on that vector and is 1 on it too
+    real = dec._column_spans
+
+    def faulty(g):
+        for K, ann in real(g):
+            if K.ncols > 1:
+                K = Mat(K.tower, tuple(r[:-1] + r[:1] for r in K.rows))
+            yield K, ann
+
+    F3 = field_make(3)
+    rows, want = NILPOTENT
+    g = Mat.from_rows(F3, rows)
+    assert dec.frobenius_form(g)[1] == want
+    monkeypatch.setattr(dec, "_column_spans", faulty)
+    with pytest.raises(InternalInvariantError, match="dual functional system is inconsistent"):
+        dec.frobenius_form(g)
+
+
+def test_frobenius_form_names_a_complement_of_the_wrong_dimension(monkeypatch):
+    # the dual system solved as the zero functional: its translates cut out
+    # no complement, and the kernel is the whole space
+    real = Mat.solve_right
+    F3 = field_make(3)
+    rows, want = NILPOTENT
+    g = Mat.from_rows(F3, rows)
+    assert dec.frobenius_form(g)[1] == want
+    monkeypatch.setattr(Mat, "solve_right", lambda self, b: real(self, b) * 0)
+    with pytest.raises(InternalInvariantError, match="invariant complement has wrong dimension"):
+        dec.frobenius_form(g)

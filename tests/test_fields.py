@@ -163,6 +163,34 @@ def test_large_quadratic_tower_builds_quickly():
     assert E.descriptor()["ext_modulus"] == [[1], [0]]
 
 
+TABLED = [
+    # characteristic 2: on the byte lane (one digit chunk) and past it (two)
+    (2, 4, "trivial"), (2, 8, "trivial"), (2, 9, "trivial"), (2, 12, "trivial"),
+    # odd trivial towers: one chunk, two chunks, and one digit a chunk
+    (3, 2, "trivial"), (3, 5, "trivial"), (3, 7, "trivial"), (5, 5, "trivial"),
+    (61, 2, "trivial"),
+    (2, 1, "quadratic"), (2, 3, "quadratic"), (2, 6, "quadratic"),
+    (7, 1, "quadratic"), (3, 3, "quadratic"), (7, 2, "quadratic"), (61, 1, "quadratic"),
+]
+
+
+@pytest.mark.parametrize("spec", TABLED, ids=lambda s: f"{s[0]}^{s[1]}-{s[2]}")
+def test_the_power_table_is_the_coordinate_kernel_recurrence(spec, monkeypatch):
+    # the tabled tower's powers of its primitive element g are g^i stepped
+    # one coordinate-kernel product at a time, for every i < Q - 1
+    F = field_make(*spec)  # builds and caches the base tower first
+    assert F.order <= fields.TABLE_ORDER
+    monkeypatch.setattr(fields, "TABLE_ORDER", 1)
+    K = FieldTower(*spec)
+    assert K.mul.__qualname__.split(".")[0] != "_table_kernel"
+    g = fields._primitive_element(K)
+    x = 1
+    for i in range(F.order - 1):
+        assert F.pow(g, i) == x, i
+        x = K.mul(x, g)
+    assert x == 1
+
+
 TOWERS = [
     field_make(2, 1),
     field_make(5, 1),

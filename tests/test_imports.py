@@ -1,6 +1,7 @@
 """What each command compiles: run in a fresh interpreter, `invofactor
 verify` loads no construction code, `factor` no group or companion code,
-and a bare `import invofactor` neither.  The package's lazy names behave
+`enumerate` no construction code while `survey` loads it, and a bare
+`import invofactor` neither.  The package's lazy names behave
 as eager ones: `from invofactor import *` binds all of __all__, dir lists
 them, and the package attribute `factor` stays the function after every
 submodule is imported."""
@@ -101,6 +102,22 @@ def test_factor_loads_no_group_or_companion_code(files, tmp_path):
     loaded = _loaded(result)
     assert {"construct", "decomp"} <= loaded
     assert not loaded & {"groups", "companions"}, loaded
+
+
+def test_enumerate_loads_no_construction_code(tmp_path):
+    result = _child(COMMAND, tmp_path, "enumerate", "--kind", "sp", "--n", "2", "--q", "3",
+                    "--json-out", tmp_path / "group.json")
+    assert result["exit"] == 0
+    loaded = _loaded(result)
+    assert {"groups", "cli"} <= loaded
+    assert not loaded & {"construct", "decomp"}, loaded
+
+
+def test_survey_loads_the_construction(tmp_path):
+    result = _child(COMMAND, tmp_path, "survey", "--kind", "sp", "--n", "2", "--q", "3",
+                    "--exhaustive")
+    assert result["exit"] == 0
+    assert {"groups", "construct", "decomp"} <= _loaded(result)
 
 
 def test_a_bare_import_loads_no_construction_group_or_companion_code(tmp_path):
