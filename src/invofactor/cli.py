@@ -242,7 +242,7 @@ def _cmd_survey(args):
     if not isinstance(mode, str):
         mode = f"sample={mode['sample']} seed={mode['seed']}"
     lines = [
-        f"group: {args.kind} n={args.n} q={args.q} beta={args.beta}",
+        f"group: {args.kind} n={args.n} q={args.q} beta={args.beta % form.tower.p}",
         f"mode: {mode}",
         f"total: {summary['total']}",
         f"cases: {_histogram_line(summary['cases'])}",

@@ -78,19 +78,20 @@ conj(X)^(-1), keyed by the restricted matrix, and the inverse pairing
 conj(M)^(-1), keyed by M: by Wall's classification the complements left
 after the first blocks fall into few (a, G) shapes across a group.  The
 top level, keyed by g itself, is never memoized, and a bare call's levels
-are not keyed, as they cannot repeat within one call.  What the memo
-holds is Mats and tuples only, and each block of a certificate gets its
-own copy of its level's data.
+are not keyed, as they cannot repeat within one call.  The memo holds
+immutable values only, in its keys and its results: Mats, FieldElems and
+tuples, each polynomial a tuple of keys and each factor list a tuple of
+(polynomial, e).  factorize's, ppow's and twisted_reciprocal's lists
+become tuples where the memo stores them, so a stored value is handed out
+as it is, and each block of a certificate gets its own dict of its
+level's data.
 
 The blocks assemble into h1 = B M conj(B)^(-1), B the block bases side by
 side and M the local involutions on its diagonal, by one elimination:
 h1 conj(B) = B M, so the rref of [conj(B)^T | (B M)^T] is [I | h1^T].
 Its rows are made block by block: block i gives [conj(B_i)^T | M_i^T B_i^T]
 from the columns of its lifted basis B_i and its local involution M_i,
-with no block-diagonal M and no n x n product.  Over a trivial conj
-h1 = B M B^(-1), so det(h1) is the product of the blocks' det(M_i)
-(FactorCert._h1_det, which survey's histogram reads); a paired block's
-M_i = [[0, X], [X^(-1), 0]] of dimension 2r has det (-1)^r.
+with no block-diagonal M and no n x n product.
 
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made by certificate before
@@ -161,29 +162,28 @@ def _shared(fn, *args):
     # memo for its call when no survey holds one, so each power p^e,
     # reciprocal and cyclic involution is made once per call, not once per
     # recursion level and use.  Outside both (the public helpers below
-    # factor), fn(*args) itself.  A result is a polynomial, a factor list
-    # [(p, e)], a Mat or a tuple of Mats, tuples and scalars (a split level,
-    # a paired block's intertwiner pair); the lists are handed out as
-    # copies, so no caller shares a stored one, and Mats and tuples are
-    # immutable
+    # factor), fn(*args) itself.  Keys and results alike are immutable
+    # (polynomials and factor lists as key tuples, Mats, FieldElems), so a
+    # stored result is handed out as it is, to every caller
     memo = _memo.get()
     if memo is None:
         return fn(*args)
-    key = (fn, *[a if type(a) is not list else _frozen(a) for a in args])
+    key = (fn, *args)
     out = memo.get(key)
     if out is None:
         out = memo[key] = fn(*args)
-    if type(out) is not list:
-        return out
-    return [(list(p_), e) for p_, e in out] if out and type(out[0]) is tuple else list(out)
+    return out
 
 
-def _frozen(arg):
-    # a memo key's form of a list: a polynomial as a tuple of keys, a factor
-    # list as a tuple of (tuple of keys, e)
-    if arg and type(arg[0]) is tuple:
-        return tuple((tuple(p_), e) for p_, e in arg)
-    return tuple(arg)
+def _keys(fn, *args):
+    # the polynomial fn(*args) as a key tuple, the form the memo holds
+    return tuple(fn(*args))
+
+
+def _factors(f, F):
+    # factorize's factor list of the key tuple f, as ((p, e), ...) with
+    # each p a key tuple
+    return tuple((tuple(p_), e) for p_, e in factorize(list(f), F))
 
 
 def _component(a, apply, fac, p_, e):
@@ -194,7 +194,7 @@ def _component(a, apply, fac, p_, e):
     F, n = a.tower, a.nrows
     if len(fac) == 1:
         return Mat.identity(F, n), range(n)
-    pe = _shared(ppow, p_, e, F)
+    pe = _shared(_keys, ppow, p_, e, F)
     cols = [poly_column(F, apply, pe, j, n) for j in range(n)]
     U, free = _columns(F, cols).right_kernel_basis()
     if not free:
@@ -232,12 +232,12 @@ def _paired_block(form, beta, a, G, p_, e, ps, fac):
     data = {
         "case": "paired",
         "dim": 2 * r,
-        "factor": tuple(p_),
-        "reciprocal": tuple(ps),
+        "factor": p_,
+        "reciprocal": ps,
         "multiplicity": e,
         "intertwiner": X,
     }
-    return B1, t, data, [(q, m) for q, m in fac if q != p_ and q != ps]
+    return B1, t, data, tuple((q, m) for q, m in fac if q != p_ and q != ps)
 
 
 def _intertwiner(r):
@@ -288,7 +288,7 @@ def _cyclic_block(F, beta, K, ann):
     # K is the Krylov basis of a vector with annihilator ann, so a acts on it
     # by the companion matrix of ann
     t = _shared(_cyclic_t, F, beta, ann)
-    return K, t, {"case": "cyclic", "dim": K.ncols, "annihilator": tuple(ann)}
+    return K, t, {"case": "cyclic", "dim": K.ncols, "annihilator": ann}
 
 
 def _times_matrix(F, f, pe):
@@ -332,7 +332,7 @@ def _gamma(F, beta, eps, G, x, Ky, pe):
 
 def _cyclic_pair_block(form, beta, G, Kx, Ky, p_, e):
     F = form.tower
-    pe = _shared(ppow, p_, e, F)
+    pe = _shared(_keys, ppow, p_, e, F)
     gamma = _gamma(F, beta, form.eps_elem.key, G, Kx.col(0), Ky, pe)
     Tx = _shared(_cyclic_t, F, beta, pe)
     t = block_diag(F, [Tx, _times_matrix(F, gamma, pe) @ Tx])
@@ -342,7 +342,7 @@ def _cyclic_pair_block(form, beta, G, Kx, Ky, p_, e):
     data = {
         "case": "cyclic_pair",
         "dim": 2 * pdeg(pe),
-        "annihilator": tuple(pe),
+        "annihilator": pe,
         "gamma": tuple(gamma),
     }
     return B1, t, data
@@ -462,11 +462,11 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
     U, _ = _component(a, apply, fac, p_, e)
     cols = [list(c) for c in zip(*U.rows)]
     for e in range(e, 0, -1):
-        pe = _shared(ppow, p_, e, F)
+        pe = _shared(_keys, ppow, p_, e, F)
         D = pdeg(pe)
-        p_low = _shared(ppow, p_, e - 1, F)
+        p_low = _shared(_keys, ppow, p_, e - 1, F)
         # keys enter as they are: Mat.column would read them as GF(p) scalars
-        probe = Mat(F, tuple((c,) for c in p_low + [0] * (D - len(p_low))))
+        probe = Mat(F, tuple((c,) for c in p_low + (0,) * (D - len(p_low))))
 
         ks, gs, xs = {}, {}, {}
 
@@ -511,8 +511,8 @@ def _self_paired_block(form, beta, a, G, p_, e, fac):
         if y is None:
             raise InternalInvariantError("no partner pairs with the degenerate cyclic space", {})
         block = _cyclic_pair_block(form, beta, G, krylov(x), krylov(y), p_, e)
-    rest = [(q, m) for q, m in fac if q != p_]
-    return (*block, rest if block[0].ncols == U.ncols else [(p_, e)] + rest)
+    rest = tuple((q, m) for q, m in fac if q != p_)
+    return (*block, rest if block[0].ncols == U.ncols else ((p_, e), *rest))
 
 
 def _orthocomplement(G, basis):
@@ -528,13 +528,13 @@ def _level(form, beta, a, G, fac):
     # one level of the split of a's space (Gram G), for fac the factors of
     # mp(a) with self-paired exponents as upper bounds: the block
     # (basis, t, data items) and its complement (comp, a restricted to it,
-    # its Gram, the factors it inherits, frozen), or None when the block
-    # fills the space.  Mats and tuples only, so a survey's memo can hold it
+    # its Gram, the factors it inherits), or None when the block fills the
+    # space.  Mats and tuples only, so a survey's memo can hold it
     F = form.tower
     if not fac:
         raise InternalInvariantError("minimal polynomial is constant", {})
     for p_, e in fac:
-        ps = _shared(twisted_reciprocal, p_, beta.key, F)
+        ps = _shared(_keys, twisted_reciprocal, p_, beta.key, F)
         if ps != p_:
             basis, t, data, fac_c = _paired_block(form, beta, a, G, p_, e, ps, fac)
             break
@@ -544,7 +544,7 @@ def _level(form, beta, a, G, fac):
     if basis.ncols == a.nrows:
         return block, None
     comp, free = _orthocomplement(G, basis)
-    return block, (comp, restrict(a, comp, free), gram(comp, G, comp), _frozen(fac_c))
+    return block, (comp, restrict(a, comp, free), gram(comp, G, comp), fac_c)
 
 
 def _split(form, beta, g, fac):
@@ -562,7 +562,6 @@ def _split(form, beta, g, fac):
             return blocks
         comp, a, G, fac = rest
         lift = comp if lift is None else lift @ comp
-        fac = [(list(p_), e) for p_, e in fac]
         level = _shared(_level, form, beta, a, G, fac) if keyed else _level(form, beta, a, G, fac)
 
 
@@ -618,7 +617,7 @@ def certificate(form, g, det_refined):
 def _factor(form, g, det_refined, beta):
     # factor's construction for g of ratio beta, unchecked, inside a memo
     F, n = form.tower, form.n
-    blocks = _split(form, beta, g, _shared(factorize, minimal_polynomial(g), F))
+    blocks = _split(form, beta, g, _shared(_factors, tuple(minimal_polynomial(g)), F))
     if det_refined:
         _refine_dets(det_target(form), blocks)
     # h1 conj(B) = B M for B the lifts side by side and M the local

@@ -25,9 +25,8 @@ intertwiner and inverse pairing, in a memo that lives for the survey's
 loop only (a bare factor call keeps one for the call, with no level in
 it), so the certificates are those of bare factor calls.
 The survey's case histogram reads each certificate's block cases, and no
-block transcript is serialized.  Its determinant histogram reads det(h1)
-off the blocks over a trivial conj, as the product of the determinants
-of their local involutions, and takes h1's own over a quadratic tower.
+block transcript is serialized.  Its determinant histogram reads each
+certificate's det(h1), as `invofactor factor` does.
 survey calls factor and verify_certificate through this module's names
 for them, which a caller can rebind to watch each element.
 """
@@ -323,7 +322,7 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
                 )
             total += 1
             case_histogram(cert.cases, cases)
-            label = det_label(F, cert._h1_det())
+            label = det_label(F, cert.h1.det())
             dets[label] = dets.get(label, 0) + 1
     return {
         "beta": beta_elem.serialize(),

@@ -16,13 +16,7 @@ witness are made only for a failing check.  factor's own check reuses
 the beta it read off g and makes no Gram of g (2 products, or 3).
 The certificate format is this module's: FactorCert, which factor
 returns, and cert_from_serialized, which reads one back, need no
-construction code, so checking a certificate loads none.  Over a trivial
-conj FactorCert._h1_det reads det(h1) off the blocks of an unrendered
-certificate, as the product of the determinants of their local
-involutions: (-1)^r for a paired block of dimension 2r, whose involution
-is [[0, X], [X^(-1), 0]], and the block's own for the others; it takes
-h1's own over a quadratic tower.  survey (groups.py) reads it for its
-determinant histogram.
+construction code, so checking a certificate loads none.
 """
 
 from __future__ import annotations
@@ -215,25 +209,6 @@ class FactorCert:
     def cases(self):
         """The case of each block, in order."""
         return [b.data["case"] if type(b) is _Block else b["case"] for b in self._blocks]
-
-    def _h1_det(self):
-        """det(h1).  Over a trivial conj h1 = B M B^(-1), so while the blocks
-        are unrendered it is the product of the determinants of their local
-        involutions: (-1)^r for a paired block of dimension 2r, the block's
-        own for the others, most of them 1x1 or 2x2; otherwise h1's own."""
-        blocks = self._blocks
-        F = self.form.tower
-        if F.has_conj or not blocks or type(blocks[0]) is not _Block:
-            return self.h1.det()
-        d = None
-        for b in blocks:
-            data = b.data
-            if data["case"] == "paired":
-                x = F.one if data["dim"] % 4 == 0 else -F.one
-            else:
-                x = b.t.det()
-            d = x if d is None else d * x
-        return d
 
     def checks(self):
         return core_checks(self.form, self.g, self.beta, self.h1, self.h2, self.det_refined)

@@ -258,6 +258,19 @@ def test_survey_sampled_and_guards(tmp_path, capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+def test_survey_prints_the_beta_it_surveyed(tmp_path, capsys):
+    # --beta is read as a GF(p) scalar: 5 and -1 survey beta = 2 over GF(9)
+    # and GF(3), and the group line says so, as the JSON summary does
+    for kind, beta in (("u", "5"), ("u", "-1"), ("go-plus", "5")):
+        out_path = tmp_path / f"{kind}{beta}.json"
+        argv = ["survey", "--kind", kind, "--n", "2", "--q", "3", "--beta", beta,
+                "--exhaustive", "--json-out", str(out_path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"group: {kind} n=2 q=3 beta=2"
+        assert json.loads(out_path.read_bytes())["beta"][0] == 2
+
+
 def test_survey_with_a_negative_sample_count_exits_two(capsys):
     argv = ["survey", "--kind", "sp", "--n", "2", "--q", "3", "--sample", "-1", "--seed", "1"]
     assert main(argv) == 2

@@ -15,8 +15,11 @@ one primary component and evaluates no polynomial.  The sampler's guards
 are reached the same way: a wrong generator coefficient, and dilations
 whose norm searches find nothing; and so is similitude_ratio's, a ratio
 not fixed by conj (test_a_ratio_not_fixed_by_conj_is_named).  The last
-three reach the self-checks no construction fault reaches: factorize's
-product check and frobenius_form's dual system and complement checks."""
+nine reach the self-checks no fault of the cases reaches, one fault each:
+factorize's product check, frobenius_form's dual system and complement
+checks, the paired block's dimension check, the cyclic pair's gamma solve
+and Gram, the self-paired search's full-height column, and the output
+checks of symmetric_conjugator and symmetric_factor."""
 
 import importlib
 import sys
@@ -49,6 +52,7 @@ grp = importlib.import_module("invofactor.groups")
 dec = importlib.import_module("invofactor.decomp")
 poly = importlib.import_module("invofactor.poly")
 fields = importlib.import_module("invofactor.fields")
+companions = importlib.import_module("invofactor.companions")
 
 
 def _elements():
@@ -594,3 +598,101 @@ def test_frobenius_form_names_a_complement_of_the_wrong_dimension(monkeypatch):
     monkeypatch.setattr(Mat, "solve_right", lambda self, b: real(self, b) * 0)
     with pytest.raises(InternalInvariantError, match="invariant complement has wrong dimension"):
         dec.frobenius_form(g)
+
+
+# Six construction self-checks that no fault of FAULTS reaches, each reached
+# by one injected fault and ending in its named InternalInvariantError: the
+# paired block's dimension check, the cyclic pair's gamma solve and Gram,
+# the self-paired search's full-height column, and the output checks of
+# the symmetric conjugator and the symmetric two-factor split.
+F7 = field_make(7)
+SP4 = symplectic_form(F7, 4)
+# diag(A, A^-T) with A a Jordan block of 2: one paired block of two planes
+JORDAN = Mat.from_rows(F7, [[2, 1], [0, 2]])
+PAIRED_PLANES = block_diag(F7, [JORDAN, JORDAN.inv().T])
+
+
+def test_paired_components_of_different_dimension_are_named(monkeypatch):
+    # the reciprocal side's component comes back with a column dropped
+    real_block, real_component = fac._paired_block, fac._component
+    reciprocal = []
+
+    def block(form, beta, a, G, p_, e, ps, factors):
+        reciprocal.append(ps)
+        return real_block(form, beta, a, G, p_, e, ps, factors)
+
+    def component(a, apply, factors, p_, e):
+        U, free = real_component(a, apply, factors, p_, e)
+        if p_ == reciprocal[-1]:
+            U = Mat(U.tower, tuple(r[:-1] for r in U.rows))
+        return U, free
+
+    monkeypatch.setattr(fac, "_paired_block", block)
+    monkeypatch.setattr(fac, "_component", component)
+    with pytest.raises(InternalInvariantError, match="paired components differ in dimension"):
+        factor(SP4, PAIRED_PLANES)
+
+
+def test_an_unsolvable_pairing_correction_is_named(monkeypatch):
+    # -I on Sp4(F7) takes cyclic pairs; gamma's system reads as unsolvable
+    real = fac._gamma
+
+    def gamma(*args):
+        with monkeypatch.context() as m:
+            m.setattr(Mat, "solve_right", lambda self, b: None)
+            return real(*args)
+
+    monkeypatch.setattr(fac, "_gamma", gamma)
+    with pytest.raises(InternalInvariantError, match="pairing correction system is unsolvable"):
+        factor(SP4, -Mat.identity(F7, 4))
+
+
+def test_a_degenerate_cyclic_pair_is_named(monkeypatch):
+    # the Gram of the cyclic pair's basis [Kx | Ky] reads as zero
+    real_pair, real_gram = fac._cyclic_pair_block, fac.gram
+
+    def zero_gram(A, G, B):
+        return real_gram(A, G, B) * (0 if A is B else 1)
+
+    def pair(*args):
+        with monkeypatch.context() as m:
+            m.setattr(fac, "gram", zero_gram)
+            return real_pair(*args)
+
+    monkeypatch.setattr(fac, "_cyclic_pair_block", pair)
+    with pytest.raises(InternalInvariantError, match="paired cyclic Gram is degenerate"):
+        factor(SP4, -Mat.identity(F7, 4))
+
+
+def test_a_component_with_no_full_height_vector_is_named(monkeypatch):
+    # a zero component basis: no column and no exponent has a full-height
+    # vector
+    real = fac._component
+
+    def component(*args):
+        U, free = real(*args)
+        return U * 0, free
+
+    monkeypatch.setattr(fac, "_component", component)
+    with pytest.raises(InternalInvariantError, match="component has no full-height vector"):
+        factor(SP4, -Mat.identity(F7, 4))
+
+
+def test_a_failed_symmetric_conjugator_is_named(monkeypatch):
+    real = companions._symmetric_conjugator
+
+    def faulty(a):
+        X = real(a)
+        return _plus_one_at(X, 0, X.ncols - 1)
+
+    monkeypatch.setattr(companions, "_symmetric_conjugator", faulty)
+    with pytest.raises(InternalInvariantError, match="symmetric conjugator construction failed"):
+        companions.symmetric_conjugator(JORDAN)
+
+
+def test_a_failed_symmetric_split_is_named(monkeypatch):
+    # a symmetric first factor that does not intertwine a with a^T leaves
+    # a non-symmetric second factor
+    monkeypatch.setattr(companions, "symmetric_conjugator", lambda a: Mat.identity(a.tower, a.nrows))
+    with pytest.raises(InternalInvariantError, match="symmetric two-factor split failed"):
+        companions.symmetric_factor(JORDAN)

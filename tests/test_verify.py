@@ -299,20 +299,37 @@ def test_an_aborted_survey_leaves_no_memo_behind(monkeypatch):
     assert seen == seen[:1] * 3
 
 
-def test_the_memo_hands_out_copies():
-    # a caller that changes its factor list changes neither the memo nor
-    # what the next caller gets
+def test_the_memo_holds_immutable_values_and_hands_out_the_stored_ones(monkeypatch):
+    # every value a GO4+(F3) beta = 2 survey stores is, recursively, a
+    # tuple, Mat, FieldElem, int or str (or None, the complement of a level
+    # whose block fills its space), and a second _shared call with a
+    # stored key returns the stored object itself
     con = importlib.import_module("invofactor.construct")
-    g = Mat.from_rows(F5, [[2, 1], [0, 3]])
-    f = minimal_polynomial(g)
-    with con._shared_within_survey(F5.one):
-        first = con._shared(con.factorize, f, F5)
-        first[0][0].append(4)
-        first.append(([1], 1))
-        assert con._shared(con.factorize, f, F5) == con.factorize(f, F5)
-        power = con._shared(con.ppow, f, 2, F5)
-        power.append(4)
-        assert con._shared(con.ppow, f, 2, F5) == con.ppow(f, 2, F5)
+    real, memos = con._split, []
+
+    def split(*args):
+        memos.append(con._memo.get())
+        return real(*args)
+
+    monkeypatch.setattr(con, "_split", split)
+    assert survey(orthogonal_plus_form(F3, 4), beta=2)["total"] == 1152
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+
+    def immutable(v):
+        if type(v) is tuple:
+            return all(map(immutable, v))
+        return v is None or type(v) in (Mat, fields.FieldElem, int, str)
+
+    assert all(map(immutable, memo.values()))
+    keys = [k for k in memo if k != "beta"]
+    assert {k[0] for k in keys} >= {con._factors, con._keys, con._level, con._intertwiner}
+    token = con._memo.set(memo)
+    try:
+        assert all(con._shared(*k) is memo[k] for k in keys)
+    finally:
+        con._memo.reset(token)
+    assert len(memo) == len(keys) + 1
 
 
 def _watched_builds(monkeypatch):
@@ -1008,41 +1025,3 @@ def test_match_ratio_agrees_with_the_whole_matrix_comparison(label):
                 assert (got is None) == (want is None) and (got is None or got == want)
         count += 1
     assert form._anti == anti and count == order
-
-
-def _kept_survey(monkeypatch, form, beta):
-    # the survey's summary and every certificate it made
-    grp = importlib.import_module("invofactor.groups")
-    real = grp.factor
-    made = []
-
-    def kept(form, g, det_refined=False):
-        made.append(real(form, g, det_refined=det_refined))
-        return made[-1]
-
-    monkeypatch.setattr(grp, "factor", kept)
-    return survey(form, beta=beta), made
-
-
-def test_the_determinant_histogram_takes_no_determinant_of_a_paired_block(monkeypatch):
-    # over a trivial conj a paired block's involution [[0, X], [X^(-1), 0]]
-    # of dimension 2r has det (-1)^r, which _h1_det takes with no Mat.det
-    real_det, seen = Mat.det, []
-
-    def counted(self):
-        seen.append(self)
-        return real_det(self)
-
-    monkeypatch.setattr(Mat, "det", counted)
-    summary, made = _kept_survey(monkeypatch, orthogonal_plus_form(F3, 4), 2)
-    assert summary["dets"] == {"+1": 576, "-1": 576}
-    paired = {id(b.t) for cert in made for b in cert._blocks if b.data["case"] == "paired"}
-    assert paired and not any(id(m) in paired for m in seen)
-
-
-@pytest.mark.parametrize("label", [t[0] for t in SURVEY_GROUPS])
-def test_h1_det_read_off_the_blocks_is_h1_s_own(monkeypatch, label):
-    _, form, beta, order = next(t for t in SURVEY_GROUPS if t[0] == label)
-    summary, made = _kept_survey(monkeypatch, form, beta)
-    assert summary["total"] == len(made) == order
-    assert all(cert._h1_det() == cert.h1.det() for cert in made)
