@@ -59,6 +59,8 @@ def _read_doc(path):
                 text = fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

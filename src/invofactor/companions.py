@@ -3,10 +3,18 @@ and two-factor splits of an invertible matrix, the symmetric unitary
 conjugator of a hermitian isometry, the canonical twist-1 reverser of a
 standard space and the dualizing conjugator.
 
-Each checks its own result and raises InternalInvariantError when it
-fails.  The symmetric conjugator splits a into primary components with
-construct's _component and conjugates each by construct's
-_symmetric_conjugator, the one a paired block's intertwiner uses.
+The symmetric conjugator and the two-factor split check their own result
+and raise InternalInvariantError when it fails.  The symmetric conjugator
+splits a into primary components with construct's _component and
+conjugates each by construct's _symmetric_conjugator, the one a paired
+block's intertwiner uses.
+
+The symmetric unitary conjugator and the dualizing conjugator run no check
+of their own: each is read off factor's certificate, which factor has
+checked, and its identities follow from the certificate's.  With
+g = h1 conj(h2), h1 conj(h1) = I and h2 conj(h2) = beta I, the inverses
+are h1^(-1) = conj(h1) and conj(h2)^(-1) = beta^(-1) h2, so
+g^(-1) = beta^(-1) h2 conj(h1).
 """
 
 from __future__ import annotations
@@ -51,20 +59,17 @@ def symmetric_factor(a):
 
 def symmetric_unitary_conjugator(form, g):
     """For an isometry of the identity-Gram hermitian space: a symmetric
-    unitary s with s @ g @ s^(-1) = g.T."""
+    unitary s with s @ g @ s^(-1) = g.T.
+
+    With J = I and beta = 1 the twist-1 identities h^T conj(h) = I and
+    h conj(h) = I give h1^T = h1 and h2^T = h2.  So s = conj(h1) = h1^(-1)
+    is symmetric and unitary, and s @ g @ s^(-1) = conj(h2) @ h1 = g.T."""
     F = form.tower
     if form.kind != "hermitian" or form.J != Mat.identity(F, form.n):
         raise InputError("needs the identity-Gram hermitian space")
     if form.similitude_ratio(g) != F.one:
         raise NotInGroupError("needs an isometry (similitude ratio 1)")
-    s = factor(form, g).h1.inv()
-    if s.T != s:
-        raise InternalInvariantError("conjugator is not symmetric", {"s": s.serialize()})
-    if form.gram(s) != form.J:
-        raise InternalInvariantError("conjugator is not unitary", {"s": s.serialize()})
-    if s @ g @ s.inv() != g.T:
-        raise InternalInvariantError("conjugator misses the transpose", {"s": s.serialize()})
-    return s
+    return factor(form, g).h1.conj()
 
 
 def standard_reverser(form):
@@ -87,16 +92,12 @@ def dualizing_conjugator(form, g, h_mat=None):
     Here iota_g = ratio(g)^(-1) * conj(H^(-1) @ g @ H) for a fixed twist-1
     similitude H (the canonical one when h_mat is None), and u = h1 @ conj(H)
     for the factorization's involution h1.  u is a linear similitude whose
-    ratio equals H's, and u @ iota_g @ u^(-1) = g^(-1)."""
+    ratio equals H's, as h1's ratio is 1, and since conj(g) = conj(h1) @ h2,
+    u @ iota_g @ u^(-1) = beta^(-1) h1 conj(g) conj(h1)
+    = beta^(-1) h2 conj(h1) = g^(-1)."""
     H = standard_reverser(form) if h_mat is None else h_mat
-    lam = form.anti_ratio(H)
-    if lam is None:
+    if form.anti_ratio(H) is None:
         raise InputError("h must be a twist-1 similitude of the form")
     beta = form.similitude_ratio(g)
     iota = (H.inv() @ g @ H).conj() * beta.inv()
-    u = factor(form, g).h1 @ H.conj()
-    if form.similitude_ratio(u) != lam:
-        raise InternalInvariantError("dualizing conjugator has unexpected ratio", {})
-    if u @ iota @ u.inv() != g.inv():
-        raise InternalInvariantError("dualizing conjugation failed", {"u": u.serialize()})
-    return u, iota
+    return factor(form, g).h1 @ H.conj(), iota

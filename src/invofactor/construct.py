@@ -183,7 +183,7 @@ def _keys(fn, *args):
 def _factors(f, F):
     # factorize's factor list of the key tuple f, as ((p, e), ...) with
     # each p a key tuple
-    return tuple((tuple(p_), e) for p_, e in factorize(list(f), F))
+    return tuple((tuple(p_), e) for p_, e in factorize(f, F))
 
 
 def _component(a, apply, fac, p_, e):

@@ -73,15 +73,16 @@ def _generator(form, pair, draw):
 
 
 def _norm_preimage(F, beta):
-    """The least w, by key, with w * conj(w) = beta, or None.
+    """The least w, by key, with w * conj(w) = beta, for beta in the fixed
+    field B (_as_elem rejects any other beta).
 
-    Over the fixed field B, w = a + b W with W^2 + g1 W + g0 = 0 has norm
+    Over B, w = a + b W with W^2 + g1 W + g0 = 0 has norm
     a^2 - g1 a b + g0 b^2 and key key(a) + q key(b).  So the least w is the
     least root a of a^2 - g1 b a + (g0 b^2 - beta) at the least b for which
-    one exists; about half of all b have one, so few factorizations run."""
+    one exists; about half of all b have one, so few factorizations run.
+    The norm of a finite quadratic extension maps onto B, so some b has
+    one and the loop returns."""
     B, q = F._base, F.q
-    if beta.key >= q:  # beta is not in B, and no norm is beta
-        return None
     g0, g1 = B.elem(F._qg0).key, B.elem(F._qg1).key
     mul = B.mul
     for b in range(q):
@@ -89,7 +90,6 @@ def _norm_preimage(F, beta):
         a = least_root([c0, B.neg(mul(g1, b)), 1], B)
         if a is not None:
             return FieldElem(F, a + q * b)
-    return None
 
 
 def _dilation(form, beta):
@@ -99,10 +99,7 @@ def _dilation(form, beta):
     if beta == F.one:
         return Mat.identity(F, n)
     if form.standard == "hermitian":
-        w = _norm_preimage(F, beta)
-        if w is None:
-            raise InternalInvariantError("norm is not surjective", {"beta": beta.serialize()})
-        return Mat.diag(F, [w] * n)
+        return Mat.diag(F, [_norm_preimage(F, beta)] * n)
     if form.standard in ("symplectic", "orthogonal_plus"):
         m = n // 2
         return Mat.diag(F, [beta] * m + [F.one] * m)

@@ -482,8 +482,8 @@ def _edf(f, d, frob, rng):
 
 
 def factorize(f, F, seed=0):
-    """Monic irreducible factorization [(g, mult)], sorted by degree, then
-    by coefficient keys.
+    """Monic irreducible factorization [(g, mult)] of f, a list or tuple of
+    coefficient keys, sorted by degree, then by coefficient keys.
 
     Deterministic for fixed seed.  Each factor is irreducible because
     distinct-degree splitting groups the factors by degree and equal-degree
@@ -504,7 +504,7 @@ def factorize(f, F, seed=0):
     check = [f[-1]]
     for g, m in out:
         check = pmul(check, ppow(g, m, F), F)
-    if check != f:
+    if check != list(f):
         raise InternalInvariantError(
             "factor product differs from input", {"input": pserialize(f, F)}
         )

@@ -367,6 +367,22 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_a_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys):
+    # bytes ff fe decode as no UTF-8 text; as the instance and as the
+    # certificate the file is a named input error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    inst = _write(tmp_path, "inst.json", SP3_INSTANCE)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["factor", inst, "--out", cert_path]) == 0
+    capsys.readouterr()
+    for argv in (["factor", str(bad)], ["verify", str(bad), cert_path], ["verify", inst, str(bad)]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {bad}: not UTF-8 text") and "Traceback" not in err
+        assert not out
+
+
 def test_unknown_kind_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["survey", "--kind", "nope", "--n", "2", "--q", "3", "--exhaustive"])

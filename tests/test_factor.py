@@ -8,6 +8,7 @@ import time
 import pytest
 from test_decomp import companion, poly_at
 from test_kernels import TOWERS
+from test_verify import SURVEY_GROUPS
 
 from invofactor import (
     DetRefinementError,
@@ -462,6 +463,42 @@ def test_dualizing_conjugator_custom_involution():
     for g in group_sample(sp, seed=8, count=10):
         u, iota = dualizing_conjugator(sp, g, h_mat=h)
         assert u @ iota @ u.inv() == g.inv()
+
+
+@pytest.mark.parametrize(
+    "form, beta, count", [g[1:] for g in SURVEY_GROUPS], ids=[g[0] for g in SURVEY_GROUPS]
+)
+def test_dualizing_conjugator_identities_on_whole_groups(form, beta, count):
+    # dualizing_conjugator runs no check of its own: on every element of a
+    # survey-small group, u iota u^(-1) = g^(-1), read as g u iota = u with
+    # no inverse, and u's ratio is H's, as factor's checked certificate gives
+    lam = form.anti_ratio(standard_reverser(form))
+    n = 0
+    for g in group_enumerate(form, beta):
+        u, iota = dualizing_conjugator(form, g)
+        assert g @ u @ iota == u
+        assert form.similitude_ratio(u) == lam
+        n += 1
+    assert n == count
+
+
+@pytest.mark.parametrize(
+    "params, n, count",
+    [((2, 1), 2, 18), ((2, 1), 3, 648), ((3, 1), 2, 96), ((5, 1), 2, 720)],
+    ids=["U2(F4)", "U3(F4)", "U2(F9)", "U2(F25)"],
+)
+def test_symmetric_unitary_conjugator_identities_on_whole_groups(params, n, count):
+    # symmetric_unitary_conjugator runs no check of its own: on every
+    # isometry s is symmetric and unitary, and s g = g^T s
+    form = hermitian_form(field_make(*params, "quadratic"), n)
+    seen = 0
+    for g in group_enumerate(form):
+        s = symmetric_unitary_conjugator(form, g)
+        assert s.T == s
+        assert form.gram(s) == form.J
+        assert s @ g == g.T @ s
+        seen += 1
+    assert seen == count
 
 
 def test_standard_reverser_shapes():

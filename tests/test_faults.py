@@ -504,15 +504,6 @@ def test_a_wrong_generator_coefficient_fails_the_sample_check(monkeypatch, space
     assert hits
 
 
-def test_a_norm_form_that_misses_beta_is_named(monkeypatch):
-    # the hermitian dilation finds a w of norm beta for every beta of the
-    # fixed field; had it none, sampling at that ratio stops by name
-    form = hermitian_form(field_make(5, 1, "quadratic"), 2)
-    monkeypatch.setattr(grp, "_norm_preimage", lambda F, beta: None)
-    with pytest.raises(InternalInvariantError, match="norm is not surjective"):
-        group_sample(form, beta=2, seed="faults")
-
-
 def test_an_anisotropic_plane_that_misses_beta_is_named(monkeypatch):
     # the orthogonal-minus dilation finds x with (x^2 - beta) / delta a
     # square; with no square at all it stops by name

@@ -341,8 +341,6 @@ def test_norm_preimage_is_the_least_key_of_that_norm(params):
     for k in range(E.q):
         beta = E.from_int(k)
         assert groups._norm_preimage(E, beta) == first[beta]
-    # no norm lies outside the fixed field
-    assert groups._norm_preimage(E, E.from_int(E.q)) is None
     form = hermitian_form(E, 2)
     for k in range(2, E.q):
         beta = E.from_int(k)

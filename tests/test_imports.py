@@ -126,6 +126,15 @@ def test_a_bare_import_loads_no_construction_group_or_companion_code(tmp_path):
     assert not loaded & {"construct", "groups", "companions"}, loaded
 
 
+def test_an_unknown_name_on_the_package_is_an_attribute_error():
+    # in process, as hasattr and getattr with a default rely on it
+    import invofactor
+
+    with pytest.raises(AttributeError, match="module 'invofactor' has no attribute 'no_such_name'"):
+        invofactor.no_such_name
+    assert getattr(invofactor, "no_such_name", None) is None
+
+
 def test_lazy_names_bind_like_eager_ones(tmp_path):
     result = _child(CLASH, tmp_path)
     assert {"invofactor.construct", "invofactor.groups", "invofactor.companions"} <= set(

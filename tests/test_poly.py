@@ -329,6 +329,21 @@ def test_factorize_planted_products(params):
 
 
 @pytest.mark.parametrize("params", [c[1] for c in KERNEL_CLASSES], ids=[c[0] for c in KERNEL_CLASSES])
+def test_factorize_takes_a_key_tuple_as_its_list(params):
+    # a memo hands factorize its key tuples; the factors, and the check
+    # that they multiply back to f, are those of the list, monic or not
+    F = field_make(*params)
+    rng = random.Random(f"tuple:{params}")
+    lin = random_irreducibles(F, 1, 2, rng)
+    (quad,) = random_irreducibles(F, 2, 1, rng)
+    f, want = planted(F, [(lin[0], 2), (lin[1], 1), (quad, min(F.p, 3))])
+    c = rng.randrange(2, F.order)
+    for g in (f, F.scale(f, c), lin[0], F.scale(lin[0], c)):
+        assert factorize(tuple(g), F) == factorize(list(g), F), pserialize(g, F)
+    assert factorize(tuple(f), F) == want
+
+
+@pytest.mark.parametrize("params", [c[1] for c in KERNEL_CLASSES], ids=[c[0] for c in KERNEL_CLASSES])
 def test_frobenius_map_is_the_qth_power(params):
     F = field_make(*params)
     Q = F.order
