@@ -343,19 +343,12 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (DetRefinementError, InternalInvariantError, VerificationError) as e:
         print(f"error: {e}", file=sys.stderr)
-        context = getattr(e, "context", None)
-        if context:
-            sys.stderr.write(_canon_json(context))
+        if e.context:
+            sys.stderr.write(_canon_json(e.context))
         return 1
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (BudgetExceededError, InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -72,19 +72,21 @@ coefficients, with no inverse.
 The split is a loop over levels (_level): a level takes a, its space's
 Gram G and its factors, and gives the block and the complement, with a
 restricted to it, the complement's Gram and the factors it inherits.
-Inside a survey every level below the top comes through the memo, keyed
-by (a, G, factors), and so do a paired block's intertwiner X with
-conj(X)^(-1), keyed by the restricted matrix, and the inverse pairing
-conj(M)^(-1), keyed by M: by Wall's classification the complements left
-after the first blocks fall into few (a, G) shapes across a group.  The
-top level, keyed by g itself, is never memoized, and a bare call's levels
-are not keyed, as they cannot repeat within one call.  The memo holds
-immutable values only, in its keys and its results: Mats, FieldElems and
-tuples, each polynomial a tuple of keys and each factor list a tuple of
-(polynomial, e).  factorize's, ppow's and twisted_reciprocal's lists
-become tuples where the memo stores them, so a stored value is handed out
-as it is, and each block of a certificate gets its own dict of its
-level's data.
+Every level below the top comes through the memo under the key (a, G,
+factors), and so do a paired block's intertwiner X with conj(X)^(-1),
+under the restricted matrix, and the inverse pairing conj(M)^(-1), under
+M: by Wall's classification the complements left after the first blocks
+fall into few (a, G) shapes across a group, so a survey builds each
+once, while a bare call's keys cannot repeat and each is computed.  The
+top level, whose key would be g itself, is never memoized.  So the
+levels take one path: a bare call and a survey element differ only in
+certificate, in where beta comes from and who checks the certificate.
+The memo holds immutable values only, in its keys and its results: Mats,
+FieldElems and tuples, each polynomial a tuple of keys and each factor
+list a tuple of (polynomial, e).  factorize's, ppow's and
+twisted_reciprocal's lists become tuples where the memo stores them, so a
+stored value is handed out as it is, and each block of a certificate gets
+its own dict of its level's data.
 
 The blocks assemble into h1 = B M conj(B)^(-1), B the block bases side by
 side and M the local involutions on its diagonal, by one elimination:
@@ -95,14 +97,14 @@ with no block-diagonal M and no n x n product.
 
 Blocks are not re-checked one by one.  The one check is the verifier's
 core_checks on the assembled certificate, made by certificate before
-factor returns it outside a survey; inside one, the survey's verify_certificate is the
-check.  Outside a survey, a block that breaks its identities fails there
-and raises InternalInvariantError; inside one, the survey raises
-VerificationError.  Outside a survey beta is read off g by
-similitude_ratio, so the check takes g_is_similitude_of_beta as shown and
-makes no second Gram of g: 2 matrix products on a standard space, 3 on a
-dense one.  Inside one beta is the survey's, which the survey has matched
-with g's ratio at one entry of g's Gram, and verify_certificate's check of
+factor returns it outside a survey; inside one, the survey's
+verify_certificate is the check.  Outside a survey, a block that breaks
+its identities fails there and raises InternalInvariantError; inside one,
+the survey raises VerificationError.  Outside a survey beta is read off g
+by similitude_ratio, so the check takes g_is_similitude_of_beta as shown
+and makes no second Gram of g: 2 matrix products on a standard space, 3
+on a dense one.  Inside one beta is the survey's, which group_enumerate
+and group_sample make g's ratio, and verify_certificate's check of
 g_is_similitude_of_beta makes the one Gram of g.  The
 guards left inside the construction only stop an impossible intermediate
 (a missing reciprocal factor, an empty kernel, a degenerate pairing) from
@@ -145,11 +147,13 @@ def _shared_within_survey(beta):
     and returns its certificate unchecked.
 
     survey holds it for its loop, where many elements share a minimal
-    polynomial, every element has the ratio beta (survey reads it at J's
-    anchor entry first) and every certificate goes to verify_certificate,
-    which is then the one check and the one Gram of g.  The memo ends with
-    the context, so a later call, or a later survey, computes afresh, reads
-    its own beta and checks its own result."""
+    polynomial, every element has the ratio beta (group_enumerate and
+    group_sample give no other) and every certificate goes to
+    verify_certificate, which is then the one check and the one Gram of g.
+    The levels and memoized values are those of a bare call, which keeps
+    the same memo for itself: only certificate tells the two apart.  The
+    memo ends with the context, so a later call, or a later survey,
+    computes afresh, reads its own beta and checks its own result."""
     token = _memo.set({"beta": beta})
     try:
         yield
@@ -548,10 +552,9 @@ def _level(form, beta, a, G, fac):
 
 
 def _split(form, beta, g, fac):
-    # g's blocks, top level first.  Inside a survey the levels below the top
-    # come through the memo; the top level, whose key is g itself, and a
-    # bare call's levels, which cannot repeat, are not keyed
-    keyed = "beta" in _memo.get()
+    # g's blocks, top level first.  The levels below the top come through
+    # the memo, a survey's or the call's own; the top level, whose key
+    # would be g itself, is not stored
     blocks = []
     lift = None
     level = _level(form, beta, g, form.J, fac)
@@ -562,7 +565,7 @@ def _split(form, beta, g, fac):
             return blocks
         comp, a, G, fac = rest
         lift = comp if lift is None else lift @ comp
-        level = _shared(_level, form, beta, a, G, fac) if keyed else _level(form, beta, a, G, fac)
+        level = _shared(_level, form, beta, a, G, fac)
 
 
 def _refine_dets(target, blocks):

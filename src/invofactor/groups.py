@@ -10,20 +10,24 @@ by the key of its kernel coefficients), so runs reproduce exactly.
 
 `survey` drives factor-and-verify over a whole group (or a seeded sample)
 and aborts loudly on the first failing certificate.
-A survey checks each element once: inside its loop factor returns the
-certificate unchecked, and the survey's verify_certificate, which re-reads
-beta from g and checks every identity, is the check.  factor takes the
-survey's beta as g's ratio, so that check makes the one Gram of g per
-element.  Before factor runs, the survey reads g's ratio at J's anchor
-entry (row 0's first nonzero, where form._match_ratio reads it):
-(g^T J conj(g))[0, j0] / J[0, j0], one matvec and one dot product, exact
-for a similitude; an element of another ratio is rejected there.
+A survey element goes through the work of a bare factor call; the two
+differ only inside construct.certificate, in where beta comes from and who
+checks the certificate.  Inside the survey's loop factor takes the
+survey's beta as g's ratio and returns the certificate unchecked, and the
+survey's verify_certificate, which reads g's ratio and checks every
+identity, is the one check and makes the one Gram of g per element.  Each
+element's ratio is beta: group_enumerate builds every element against the
+Gram beta J, and group_sample checks the ratio of every sample itself.  An
+element of another ratio (a caller's rebound group_enumerate) fails
+verify_certificate's g_is_similitude_of_beta, which matches g's ratio
+with the certificate's beta, the survey's, unless the construction has
+already stopped at one of its InternalInvariantErrors.
 A survey factors each distinct minimal polynomial once: factor keeps its
 factorizations, the polynomials and cyclic involutions of each factor,
 each split level below an element's top level, and each paired block's
 intertwiner and inverse pairing, in a memo that lives for the survey's
-loop only (a bare factor call keeps one for the call, with no level in
-it), so the certificates are those of bare factor calls.
+loop only (a bare factor call keeps the same for the call), so the
+certificates are those of bare factor calls.
 The survey's case histogram reads each certificate's block cases, and no
 block transcript is serialized.  Its determinant histogram reads each
 certificate's det(h1), as `invofactor factor` does.
@@ -105,19 +109,16 @@ def _dilation(form, beta):
         return Mat.diag(F, [beta] * m + [F.one] * m)
     if form.standard == "orthogonal_minus":
         delta = least_nonsquare(F)
-        W = None
         # the first x with (x^2 - beta) / delta a square; the squareness test
-        # is one power, so the root search runs once
+        # is one power, so the root search runs once.  Over GF(q), q odd,
+        # x^2 and beta + delta y^2 each take (q + 1) / 2 values, q + 1 in all,
+        # so they meet and the loop breaks
         for x in F.elements():
             y2 = (x * x - beta) / delta
             if F.is_square(y2):
                 y = F.sqrt(y2)
                 W = Mat.from_rows(F, [[x, delta * y], [y, x]])
                 break
-        if W is None:
-            raise InternalInvariantError(
-                "anisotropic norm form is not surjective", {"beta": beta.serialize()}
-            )
         if n == 2:
             return W
         m = (n - 2) // 2
@@ -265,11 +266,10 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
 
     Exhaustive enumeration when sample is None, else `sample` elements from
     the seeded generator walk; the seed, an int or a str, is recorded as
-    given.  Each element's ratio is read at J's anchor entry and matched
-    with beta before it is factored (VerificationError
-    "beta_matches_the_survey" otherwise); factor then takes beta as its
-    ratio, and each certificate is checked once, by verify_certificate,
-    which makes the one Gram of g.  The first failing certificate aborts
+    given.  factor takes beta as each element's ratio, and each certificate
+    is checked once, by verify_certificate, which makes the one Gram of g:
+    group_enumerate and group_sample give elements of ratio beta only, and
+    that check rejects any other.  The first failing certificate aborts
     with a VerificationError carrying the offending element and its
     transcript.
     Returns a JSON-ready summary: totals, failure count (always 0 on a
@@ -287,25 +287,11 @@ def survey(form, beta=None, sample=None, seed=0, refined=False, budget=10**7):
         # neither an int nor a str, so the seed recorded is the one sampled
         elements = group_sample(form, beta_elem, seed=seed, count=sample)
         mode = {"sample": sample, "seed": seed}
-    # g's ratio at J's anchor entry [0, j0]: the entry of g^T (J conj(g))
-    # over J's, from one matvec of J and one dot product
-    J = form.J.rows
-    j0 = next(j for j, x in enumerate(J[0]) if x)
-    anchor, apply, conj, dot = F.inv(J[0][j0]), F.matvec(J), F.conj, F.dot
     total = 0
     cases = {}
     dets = {}
     with _shared_within_survey(beta_elem):
         for g in elements:
-            rows = g.rows
-            ratio = F.mul(dot([r[0] for r in rows], apply([conj(r[j0]) for r in rows])), anchor)
-            if ratio != beta_elem.key:
-                # factor takes beta as g's ratio, and verify_certificate
-                # matches g's ratio with the cert's own beta only
-                raise VerificationError(
-                    "beta_matches_the_survey",
-                    {"g": g.serialize(), "beta": beta_elem.serialize()},
-                )
             cert = factor(form, g, det_refined=refined)
             report = verify_certificate(form, g, cert)
             if not report.passed:

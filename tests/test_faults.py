@@ -11,10 +11,8 @@ serialization on a passing verification; and the single factorization:
 one `factorize` and one `minimal_polynomial` per `factor`, whose factors
 every complement inherits less those its block filled (a self-paired
 exponent passing on as an upper bound), while `frobenius_form` works on
-one primary component and evaluates no polynomial.  The sampler's guards
-are reached the same way: a wrong generator coefficient, and dilations
-whose norm searches find nothing; and so is similitude_ratio's, a ratio
-not fixed by conj (test_a_ratio_not_fixed_by_conj_is_named).  The last
+one primary component and evaluates no polynomial.  The sampler's guard
+is reached the same way: a wrong generator coefficient.  The last
 nine reach the self-checks no fault of the cases reaches, one fault each:
 factorize's product check, frobenius_form's dual system and complement
 checks, the paired block's dimension check, the cyclic pair's gamma solve
@@ -36,7 +34,6 @@ from invofactor import (
     field_make,
     group_sample,
     hermitian_form,
-    orthogonal_minus_form,
     orthogonal_plus_form,
     survey,
     symplectic_form,
@@ -47,7 +44,6 @@ from invofactor.poly import padd, pdivmod, pmul
 
 fac = importlib.import_module("invofactor.construct")
 ver = importlib.import_module("invofactor.verify")
-forms = importlib.import_module("invofactor.forms")
 grp = importlib.import_module("invofactor.groups")
 dec = importlib.import_module("invofactor.decomp")
 poly = importlib.import_module("invofactor.poly")
@@ -502,32 +498,6 @@ def test_a_wrong_generator_coefficient_fails_the_sample_check(monkeypatch, space
     with pytest.raises(InternalInvariantError, match="sampled element has wrong ratio"):
         survey(form, sample=3, seed="faults")
     assert hits
-
-
-def test_an_anisotropic_plane_that_misses_beta_is_named(monkeypatch):
-    # the orthogonal-minus dilation finds x with (x^2 - beta) / delta a
-    # square; with no square at all it stops by name
-    F = field_make(7)
-    form = orthogonal_minus_form(F, 4)
-    monkeypatch.setattr(type(F), "is_square", lambda self, a: False)
-    with pytest.raises(InternalInvariantError, match="anisotropic norm form is not surjective"):
-        group_sample(form, beta=3, seed="faults")
-
-
-def test_a_ratio_not_fixed_by_conj_is_named(monkeypatch):
-    # the ratio of a hermitian similitude lies in the conj-fixed field; had
-    # _match_ratio read one outside it, similitude_ratio stops by name, in
-    # a bare factor call too, which reads beta off g
-    form = hermitian_form(field_make(3, 1, "quadratic"), 2)
-    F = form.tower
-    w = F.elem([0, 1])
-    assert w.conj() != w
-    monkeypatch.setattr(forms.SesquiForm, "_match_ratio", lambda self, S, P: w)
-    g = Mat.identity(F, 2)
-    with pytest.raises(InternalInvariantError, match="similitude ratio not fixed by conj"):
-        form.similitude_ratio(g)
-    with pytest.raises(InternalInvariantError, match="similitude ratio not fixed by conj"):
-        factor(form, g)
 
 
 # Three self-checks that no construction fault above reaches: factorize's

@@ -401,6 +401,22 @@ def test_minus_dilation_searches_one_root(monkeypatch, p):
     assert met == {True, False}
 
 
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize(
+    "params", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2)],
+    ids=["GF3", "GF5", "GF7", "GF11", "GF9", "GF25"],
+)
+def test_minus_dilation_has_every_nonzero_ratio(params, n):
+    # x^2 and beta + delta y^2 each take (q + 1) / 2 values over GF(q), q
+    # odd, so the dilation's search meets a square for every nonzero beta
+    F = field_make(*params)
+    form = orthogonal_minus_form(F, n)
+    betas = [beta for beta in F.elements() if beta]
+    assert len(betas) == F.order - 1
+    for beta in betas:
+        assert form.similitude_ratio(groups._dilation(form, beta)) == beta
+
+
 def test_anti_ratio_rejects_a_wrong_shape_or_tower():
     F5 = field_make(5)
     form = symplectic_form(F5, 4)

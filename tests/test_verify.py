@@ -13,6 +13,7 @@ from invofactor import (
     CHECK_NAMES,
     FactorCert,
     InputError,
+    InternalInvariantError,
     VerificationError,
     check_cert,
     core_checks,
@@ -300,10 +301,11 @@ def test_an_aborted_survey_leaves_no_memo_behind(monkeypatch):
 
 
 def test_the_memo_holds_immutable_values_and_hands_out_the_stored_ones(monkeypatch):
-    # every value a GO4+(F3) beta = 2 survey stores is, recursively, a
-    # tuple, Mat, FieldElem, int or str (or None, the complement of a level
-    # whose block fills its space), and a second _shared call with a
-    # stored key returns the stored object itself
+    # every value a GO4+(F3) beta = 2 survey stores, and one bare call of
+    # that group with a level below its top, is, recursively, a tuple, Mat,
+    # FieldElem, int or str (or None, the complement of a level whose block
+    # fills its space), and a second _shared call with a stored key returns
+    # the stored object itself
     con = importlib.import_module("invofactor.construct")
     real, memos = con._split, []
 
@@ -311,25 +313,34 @@ def test_the_memo_holds_immutable_values_and_hands_out_the_stored_ones(monkeypat
         memos.append(con._memo.get())
         return real(*args)
 
-    monkeypatch.setattr(con, "_split", split)
-    assert survey(orthogonal_plus_form(F3, 4), beta=2)["total"] == 1152
-    memo = memos[0]
-    assert all(m is memo for m in memos)
-
     def immutable(v):
         if type(v) is tuple:
             return all(map(immutable, v))
         return v is None or type(v) in (Mat, fields.FieldElem, int, str)
 
-    assert all(map(immutable, memo.values()))
-    keys = [k for k in memo if k != "beta"]
-    assert {k[0] for k in keys} >= {con._factors, con._keys, con._level, con._intertwiner}
-    token = con._memo.set(memo)
-    try:
-        assert all(con._shared(*k) is memo[k] for k in keys)
-    finally:
-        con._memo.reset(token)
-    assert len(memo) == len(keys) + 1
+    def check(memo, fns):
+        assert all(map(immutable, memo.values()))
+        keys = [k for k in memo if k != "beta"]
+        assert {k[0] for k in keys} >= fns
+        token = con._memo.set(memo)
+        try:
+            assert all(con._shared(*k) is memo[k] for k in keys)
+        finally:
+            con._memo.reset(token)
+        assert len(memo) == len(keys) + ("beta" in memo)
+
+    monkeypatch.setattr(con, "_split", split)
+    form = orthogonal_plus_form(F3, 4)
+    assert survey(form, beta=2)["total"] == 1152
+    memo = memos[0]
+    assert all(m is memo for m in memos) and "beta" in memo
+    check(memo, {con._factors, con._keys, con._level, con._intertwiner})
+    for g in group_enumerate(form, beta=2):
+        factor(form, g)
+        if any(k[0] is con._level for k in memos[-1]):
+            break
+    assert memos[-1] is not memo and "beta" not in memos[-1]
+    check(memos[-1], {con._factors, con._keys, con._level})
 
 
 def _watched_builds(monkeypatch):
@@ -371,17 +382,21 @@ def test_a_survey_builds_each_sub_level_and_intertwiner_once(monkeypatch, form, 
     # each element's top level, and each distinct level below it (a, its
     # Gram and its factors) once, and makes each paired block's symmetric
     # conjugator once per distinct restricted matrix.  Its memo keeps those
-    # levels only: no top-level key, and a bare call keeps none
+    # levels only, with no top-level key, and so does a bare call's: one key
+    # per level below its top, none whose Gram is the form's J
     con = importlib.import_module("invofactor.construct")
     builds, conjugated, memos = _watched_builds(monkeypatch)
     elements = list(group_enumerate(form, beta=beta))
     for g in elements:
+        before = len(builds)
         factor(form, g)
+        levels = [k for k in memos[-1] if k[0] is con._level]
+        assert len(levels) == len(builds) - before - 1
+        assert not any(k[4] is form.J for k in levels)
     assert sum(top for top, *_ in builds) == len(elements)
     sub_levels = {tuple(key) for top, *key in builds if not top}
     bare_sub_levels = len(builds) - len(elements)
     restricted = set(conjugated)
-    assert not any(k[0] is con._level for memo in memos for k in memo)
     builds.clear()
     conjugated.clear()
     memos.clear()
@@ -488,20 +503,27 @@ def test_a_survey_checks_each_element_once(monkeypatch, form):
 
 def test_survey_rejects_an_element_of_another_ratio(monkeypatch):
     # factor takes the survey's beta as g's ratio, and verify_certificate
-    # matches g's ratio with the certificate's own beta only, so survey
-    # matches g's ratio with its beta before g is factored
+    # matches g's ratio with the certificate's beta, the survey's, so an
+    # element of another ratio never passes a survey: it ends in that
+    # VerificationError or in the construction's InternalInvariantError
     grp = importlib.import_module("invofactor.groups")
     sp = symplectic_form(F5, 2)
     g = group_sample(sp, beta=2, seed=1)[0]
     assert verify_certificate(sp, g, factor(sp, g)).passed
-    met = []
-    monkeypatch.setattr(grp, "factor", lambda *a, **k: met.append(a))
+    real, met = grp.factor, []
+
+    def kept(form, g, det_refined=False):
+        met.append(g)
+        return real(form, g, det_refined=det_refined)
+
+    monkeypatch.setattr(grp, "factor", kept)
     monkeypatch.setattr(grp, "group_enumerate", lambda form, beta, budget: iter([g]))
-    with pytest.raises(VerificationError) as info:
+    with pytest.raises((VerificationError, InternalInvariantError)) as info:
         survey(sp)
-    assert info.value.check == "beta_matches_the_survey"
-    assert info.value.context == {"g": g.serialize(), "beta": [1]}
-    assert met == []
+    if info.type is VerificationError:
+        assert info.value.check == "g_is_similitude_of_beta"
+        assert info.value.context["g"] == g.serialize()
+    assert met == [g]
 
 
 @pytest.mark.parametrize(
@@ -516,12 +538,14 @@ def test_survey_rejects_an_element_of_another_ratio(monkeypatch):
     ],
 )
 def test_the_survey_reads_g_s_ratio_at_j_s_anchor_entry(monkeypatch, form, beta, other):
-    # the survey's probe of g's Gram at one entry is exact for a similitude:
-    # each element of another ratio, in the standard basis and in seeded
-    # dense ones (g -> P^(-1) g P with Gram P^T J conj(P)), is rejected
-    # before it is factored
+    # factor takes the survey's beta as g's ratio, and the survey's
+    # verify_certificate reads g's ratio at J's anchor entry (form._match_ratio)
+    # and matches it with the certificate's beta, the survey's: each element
+    # of another ratio, in the standard basis and in seeded dense ones
+    # (g -> P^(-1) g P with Gram P^T J conj(P)), ends in that
+    # VerificationError or in the construction's InternalInvariantError, and
+    # no survey returns
     grp = importlib.import_module("invofactor.groups")
-    monkeypatch.setattr(grp, "factor", lambda *a, **k: pytest.fail("factored"))
     F, n = form.tower, form.n
     b = form._as_elem(beta)
     o = form._as_elem(other) if isinstance(other, int) else F.elem(other)
@@ -538,10 +562,10 @@ def test_the_survey_reads_g_s_ratio_at_j_s_anchor_entry(monkeypatch, form, beta,
             g = P.inv() @ g @ P
             assert space.similitude_ratio(g) == o
         monkeypatch.setattr(grp, "group_enumerate", lambda form, beta, budget, g=g: iter([g]))
-        with pytest.raises(VerificationError) as info:
+        with pytest.raises((VerificationError, InternalInvariantError)) as info:
             survey(space, beta=b)
-        assert info.value.check == "beta_matches_the_survey"
-        assert info.value.context == {"g": g.serialize(), "beta": b.serialize()}
+        if info.type is VerificationError:
+            assert info.value.check == "g_is_similitude_of_beta"
 
 
 @pytest.mark.parametrize("seed", [3, "3", "survey"], ids=repr)
